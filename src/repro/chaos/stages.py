@@ -1,7 +1,7 @@
 """Composable fault-injector stages for the datapath pipeline.
 
-The injectors generalize what ``hw/faults.py`` used to hard-wire onto a
-NIC's medium callable: each one is a :class:`~repro.sim.pipeline.PacketStage`
+The injectors generalize what used to be hard-wired onto a NIC's
+medium callable: each one is a :class:`~repro.sim.pipeline.PacketStage`
 that installs onto **any** :class:`~repro.sim.pipeline.Port` — a physical
 NIC transmit port, a switch ingress, or the per-link egress filter the
 VNET/P bridge exposes on its UDP encapsulation path
@@ -14,7 +14,7 @@ Two properties the old wrappers lacked:
   ``remove()`` unwinds the chain by splicing the injector out wherever
   it sits, instead of restoring a callable captured at install time.
   Removing A then B and removing B then A both restore the original
-  sink (the ``LossyMedium.remove()`` mis-restore bug).
+  sink (the old NIC wrappers could mis-restore it).
 * **Observable counters.**  Every injector publishes its counters as
   dotted ``chaos.<kind>.<port>.*`` metrics through the shared
   :mod:`repro.obs` registry, so exporters and the cross-process metrics

@@ -92,13 +92,13 @@ class PacketCapture:
         self.frames: list[CapturedFrame] = []
         self.truncated = 0
         self._sim: Simulator = nic.sim
-        # Wrap the medium (tx side) and the rx handler.
+        # Wrap the sinks of the tx port (the medium) and the rx port.
         if not nic.attached:
             raise RuntimeError(f"{nic.name} must be attached before capturing")
-        self._inner_medium = nic._medium
-        nic._medium = self._on_tx
-        self._inner_rx = nic.rx_handler
-        nic.rx_handler = self._on_rx
+        self._inner_medium = nic.tx_port.sink
+        nic.tx_port.rebind(self._on_tx)
+        self._inner_rx = nic.rx_port.sink
+        nic.rx_port.rebind(self._on_rx)
 
     def _record(self, direction: str, frame: Any) -> None:
         if len(self.frames) >= self.max_frames:
@@ -124,9 +124,9 @@ class PacketCapture:
             self._inner_rx(frame)
 
     def stop(self) -> None:
-        """Detach, restoring the NIC's original handlers."""
-        self.nic._medium = self._inner_medium
-        self.nic.rx_handler = self._inner_rx
+        """Detach, restoring the NIC's original port sinks."""
+        self.nic.tx_port.rebind(self._inner_medium)
+        self.nic.rx_port.rebind(self._inner_rx)
 
     def matching(self, needle: str) -> list[CapturedFrame]:
         return [f for f in self.frames if needle in f.summary]

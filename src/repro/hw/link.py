@@ -37,9 +37,9 @@ class Link:
         self.to_a = Port(sim, f"{who}.ba", spans=spans, stage=STAGE_LINK,
                          who=who, where="wire")
         self.to_a.connect(a.deliver)
-        a.attach_medium(
+        a.tx_port.connect(
             lambda frame: self.to_b.push_after(frame, b.params.propagation_ns)
         )
-        b.attach_medium(
+        b.tx_port.connect(
             lambda frame: self.to_a.push_after(frame, a.params.propagation_ns)
         )

@@ -12,14 +12,13 @@ wire, excluding the link header accounted by ``NICParams``), ``src`` and
 
 The NIC is a :class:`~repro.sim.pipeline.PacketStage` with two ports:
 ``tx`` (to the attached medium — link or switch port) and ``rx`` (to
-the host driver).  The legacy ``attach_medium`` / ``rx_handler`` names
-are kept as thin facades over those ports so existing harnesses
-(pcap taps, fault injectors) keep working unchanged.
+the host driver).  Harnesses that interpose on a NIC (pcap taps, chaos
+stages) wrap and restore those ports' sinks with ``Port.rebind``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ..config import NICParams
 from ..obs.context import Observability
@@ -81,32 +80,9 @@ class PhysicalNIC(PacketStage):
         return self._dropped_frames.value
 
     # -- attachment --------------------------------------------------------
-    def attach_medium(self, medium: Callable[[Any], None]) -> None:
-        if self.tx_port.connected:
-            raise RuntimeError(f"NIC {self.name} already attached to a medium")
-        self.tx_port.connect(medium)
-
     @property
     def attached(self) -> bool:
         return self.tx_port.connected
-
-    # Legacy facades: harnesses (pcap tap, fault injection) wrap and
-    # restore these; they map straight onto the ports' sinks.
-    @property
-    def _medium(self) -> Optional[Callable[[Any], None]]:
-        return self.tx_port.sink
-
-    @_medium.setter
-    def _medium(self, medium: Optional[Callable[[Any], None]]) -> None:
-        self.tx_port.rebind(medium)
-
-    @property
-    def rx_handler(self) -> Optional[Callable[[Any], None]]:
-        return self.rx_port.sink
-
-    @rx_handler.setter
-    def rx_handler(self, handler: Optional[Callable[[Any], None]]) -> None:
-        self.rx_port.rebind(handler)
 
     # -- transmit ----------------------------------------------------------
     def send(self, frame: Any) -> bool:

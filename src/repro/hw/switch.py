@@ -50,7 +50,7 @@ class _Port:
         self.fabric = Port(sim, f"{switch.params.name}.port{index}.fabric")
         self.fabric.connect(self._fabric_arrive)
         sim.process(self._egress_loop(), name=f"{switch.params.name}.port{index}")
-        nic.attach_medium(self._ingress)
+        nic.tx_port.connect(self._ingress)
 
     def _ingress(self, frame: Any) -> None:
         """Frame fully serialized by the attached NIC; hand to the fabric."""

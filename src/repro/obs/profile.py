@@ -2,10 +2,10 @@
 
 ``BENCH_sim.json`` says how fast the simulator is; this module says
 *where the wall time goes*.  A :class:`KernelProfiler` installs into a
-:class:`~repro.sim.core.Simulator` and, while enabled, replaces the
-kernel's inlined run loop with a schedule-identical instrumented mirror
-that timestamps every event with ``time.perf_counter_ns`` and charges
-the elapsed wall time to a **category**:
+:class:`~repro.sim.core.Simulator` and, while enabled, is called by the
+kernel's run loop after every event and clock advance; it timestamps
+each with ``time.perf_counter_ns`` and charges the elapsed wall time to
+a **category**:
 
 * ``proc:<name>`` — events that resume a named simulator process
   (trailing ``.N`` instance indices are folded, so ``fair.server.0``
@@ -26,9 +26,9 @@ acceptance check in ``tests/obs/test_profile.py`` — the residual is
 loop entry/exit and the timestamps themselves).
 
 Determinism: the profiler never touches the event schedule — simulated
-results are bit-identical with the profiler attached, disabled or
-enabled (``obs_overhead`` in ``tools/simbench.py`` gates both the
-identity and the <=2 % disabled-overhead budget).  ``perf_counter_ns``
+results are bit-identical with the profiler detached or enabled
+(``obs_overhead`` in ``tools/simbench.py`` gates that identity and the
+enabled slowdown).  ``perf_counter_ns``
 reads never feed back into simulation state, so the determinism lint
 (``tools/check_determinism.py``) stays happy.
 
@@ -42,11 +42,10 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field
-from heapq import heappop
-from sys import getrefcount
-from typing import Any, Optional
+from types import FunctionType, MethodType
+from typing import Optional
 
-from ..sim.core import _PROCESSED, Event, Process, SimulationError, Simulator, Timeout
+from ..sim.core import Event, Process, Simulator
 
 __all__ = [
     "KernelProfiler",
@@ -64,9 +63,11 @@ PROFILE_SCHEMA = 1
 _INDEX_SUFFIX = re.compile(r"(\.\d+)+$")
 
 
-def _category(event: Event) -> str:
-    """The attribution category for one event (see module docstring)."""
-    callbacks = event.callbacks
+def _category(event: Event, callbacks: list) -> str:
+    """The attribution category for one event (see module docstring).
+
+    ``callbacks`` is the callback list ``event`` held when it fired.
+    """
     if callbacks:
         cb = callbacks[0]
         bound = getattr(cb, "__self__", None)
@@ -198,12 +199,12 @@ class KernelProfiler:
         ... run the workload ...
         print(profiler.report().render())
 
-    While *disabled* (the default after install) the only cost is one
-    attribute check at the top of :meth:`Simulator.run`; while enabled,
-    :meth:`run_profiled` — a faithful mirror of the kernel loop — runs
-    instead, adding two ``perf_counter_ns`` reads and one dict update
-    per event.  The schedule, pooling, and crash semantics are
-    identical either way.
+    While *disabled* (the default after install) :meth:`Simulator.run`
+    skips it after one check per call; while enabled, the kernel loop
+    calls :meth:`begin`/:meth:`end` once per run, :meth:`advanced` per
+    clock advance and :meth:`charge` per event — one
+    ``perf_counter_ns`` read and one dict update each.  The schedule,
+    pooling, and crash semantics are the kernel's own either way.
     """
 
     def __init__(self, sim: Simulator, clock=time.perf_counter_ns):
@@ -217,6 +218,12 @@ class KernelProfiler:
         self.total_wall_ns = 0
         self.events = 0
         self.runs = 0
+        # Start of the run and of the open attribution interval (ns).
+        self._t_start = self._t = 0
+        # Category memos (see _key): process name -> key, and
+        # qualname / (class, method name) / event class -> key.
+        self._proc_keys: dict = {}
+        self._fn_keys: dict = {}
 
     @classmethod
     def install(cls, sim: Simulator, clock=time.perf_counter_ns) -> "KernelProfiler":
@@ -236,12 +243,12 @@ class KernelProfiler:
             self.sim._profiler = None
 
     def enable(self) -> "KernelProfiler":
-        """Turn the instrumented run loop on; returns self."""
+        """Hook into the kernel loop from the next run on; returns self."""
         self.enabled = True
         return self
 
     def disable(self) -> "KernelProfiler":
-        """Back to the uninstrumented kernel loop; returns self."""
+        """Unhook from the kernel loop from the next run on; returns self."""
         self.enabled = False
         return self
 
@@ -254,140 +261,61 @@ class KernelProfiler:
         self.events = 0
         self.runs = 0
 
-    # -- the instrumented mirror of Simulator.run --------------------------
-    def run_profiled(self, until: Optional[int | Event] = None) -> Any:
-        """Schedule-identical replacement for :meth:`Simulator.run`.
+    # -- hooks called by Simulator.run while enabled -----------------------
+    def begin(self) -> None:
+        """A run starts: open the first attribution interval."""
+        self._t_start = self._t = self.clock()
 
-        Called *by* the kernel when this profiler is installed and
-        enabled; mirrors both loop variants (run-until-event and
-        run-to-deadline) including event pooling, crash propagation and
-        ``events_processed`` accounting, with per-event timestamping
-        layered on.
+    def advanced(self) -> None:
+        """The clock advanced: charge the interval to ``kernel.advance``."""
+        t = self.clock()
+        self.advance_ns += t - self._t
+        self.heap_pops += 1
+        self._t = t
+
+    def charge(self, event: Event, callbacks: list) -> None:
+        """``event`` was processed: charge the interval to its category.
+
+        ``callbacks`` is the callback list the event held when it fired
+        (the kernel detaches it from the event before running it).
         """
-        sim = self.sim
-        slots = sim._slots
-        times = sim._times
-        immediate = sim._immediate
-        timeout_pool = sim._timeout_pool
-        event_pool = sim._event_pool
-        refcount = getrefcount
-        pool_max = sim.POOL_MAX
-        clock = self.clock
-        categories = self.categories
-        processed = 0
-        advance_ns = 0
-        heap_pops = 0
-        t_start = clock()
-        t = t_start
-        try:
-            if isinstance(until, Event):
-                stop = until
-                if not stop.processed:
-                    # Registering interest routes process failures into the
-                    # event instead of crashing the whole simulation.
-                    stop.callbacks.append(lambda _evt: None)
-                while stop._state != _PROCESSED:
-                    if immediate:
-                        event = immediate.popleft()
-                    elif times:
-                        when = heappop(times)
-                        sim._now = when
-                        immediate.extend(slots.pop(when))
-                        heap_pops += 1
-                        t2 = clock()
-                        advance_ns += t2 - t
-                        t = t2
-                        event = immediate.popleft()
-                    else:
-                        raise SimulationError(
-                            "simulation ran out of events before the awaited event fired"
-                        )
-                    key = _category(event)
-                    processed += 1
-                    event._state = _PROCESSED
-                    callbacks = event.callbacks
-                    if callbacks:
-                        event.callbacks = []
-                        for cb in callbacks:
-                            cb(event)
-                    if sim._crashed is not None:
-                        exc, sim._crashed = sim._crashed, None
-                        raise exc
-                    if refcount(event) == 2:
-                        cls = event.__class__
-                        if cls is Timeout:
-                            if len(timeout_pool) < pool_max:
-                                event._value = None
-                                timeout_pool.append(event)
-                        elif cls is Event:
-                            if len(event_pool) < pool_max:
-                                event._value = None
-                                event_pool.append(event)
-                    t2 = clock()
-                    rec = categories.get(key)
-                    if rec is None:
-                        categories[key] = rec = [0, 0]
-                    rec[0] += 1
-                    rec[1] += t2 - t
-                    t = t2
-                if stop._ok:
-                    return stop._value
-                raise stop._value
-            deadline = None if until is None else int(until)
-            while immediate or times:
-                if immediate:
-                    event = immediate.popleft()
-                else:
-                    when = times[0]
-                    if deadline is not None and when > deadline:
-                        sim._now = deadline
-                        return None
-                    heappop(times)
-                    sim._now = when
-                    immediate.extend(slots.pop(when))
-                    heap_pops += 1
-                    t2 = clock()
-                    advance_ns += t2 - t
-                    t = t2
-                    event = immediate.popleft()
-                key = _category(event)
-                processed += 1
-                event._state = _PROCESSED
-                callbacks = event.callbacks
-                if callbacks:
-                    event.callbacks = []
-                    for cb in callbacks:
-                        cb(event)
-                if sim._crashed is not None:
-                    exc, sim._crashed = sim._crashed, None
-                    raise exc
-                if refcount(event) == 2:
-                    cls = event.__class__
-                    if cls is Timeout:
-                        if len(timeout_pool) < pool_max:
-                            event._value = None
-                            timeout_pool.append(event)
-                    elif cls is Event:
-                        if len(event_pool) < pool_max:
-                            event._value = None
-                            event_pool.append(event)
-                t2 = clock()
-                rec = categories.get(key)
-                if rec is None:
-                    categories[key] = rec = [0, 0]
-                rec[0] += 1
-                rec[1] += t2 - t
-                t = t2
-            if deadline is not None:
-                sim._now = deadline
-            return None
-        finally:
-            sim.events_processed += processed
-            self.events += processed
-            self.advance_ns += advance_ns
-            self.heap_pops += heap_pops
-            self.runs += 1
-            self.total_wall_ns += clock() - t_start
+        t = self.clock()
+        key = self._key(event, callbacks)
+        rec = self.categories.get(key)
+        if rec is None:
+            self.categories[key] = rec = [0, 0]
+        rec[0] += 1
+        rec[1] += t - self._t
+        self._t = t
+
+    def end(self, processed: int) -> None:
+        """A run returned or raised after processing ``processed`` events."""
+        self.events += processed
+        self.runs += 1
+        self.total_wall_ns += self.clock() - self._t_start
+
+    def _key(self, event: Event, callbacks: list) -> str:
+        """:func:`_category`, memoised per process name and per function.
+
+        Memo keys are strings and classes, never simulation objects, so
+        the memo keeps no process, closure or bound instance alive.
+        """
+        if not callbacks:
+            memo, keys = type(event), self._fn_keys
+        elif type(cb := callbacks[0]) is MethodType:
+            bound = cb.__self__
+            if isinstance(bound, Process):
+                memo, keys = bound.name, self._proc_keys
+            else:
+                memo, keys = (type(bound), cb.__name__), self._fn_keys
+        elif type(cb) is FunctionType:
+            memo, keys = cb.__qualname__, self._fn_keys
+        else:
+            return _category(event, callbacks)
+        key = keys.get(memo)
+        if key is None:
+            key = keys[memo] = _category(event, callbacks)
+        return key
 
     # -- reporting ---------------------------------------------------------
     def _annotations(self) -> dict:

@@ -360,9 +360,9 @@ class Simulator:
         self._event_pool: list[Event] = []
         #: Number of events processed by :meth:`step` (simbench reads this).
         self.events_processed = 0
-        # Optional repro.obs.profile.KernelProfiler; run() delegates to its
-        # instrumented loop only while one is installed *and* enabled, so
-        # the cost when idle is one attribute check per run() call.
+        # Optional repro.obs.profile.KernelProfiler.  run() reads it once
+        # per call and calls its hooks only while it is enabled; otherwise
+        # each event pays one local ``is not None`` check.
         self._profiler = None
 
     @property
@@ -483,17 +483,33 @@ class Simulator:
         ``until`` may be an absolute time (ns) or an :class:`Event`; when an
         event is given its value is returned (or its exception raised).
 
-        The event loop is inlined here (hot kernel state — slot array,
-        immediate queue, free lists — lives in locals for the whole run)
-        rather than calling :meth:`step` per event; :meth:`step` remains
+        This is the kernel's only event loop.  Hot kernel state — slot
+        array, immediate queue, free lists — lives in locals for the whole
+        run instead of calling :meth:`step` per event; :meth:`step` remains
         the single-event reference implementation and the two are
-        behaviour-identical.
+        behaviour-identical.  Deadline and drain runs wait on
+        ``_NEVER``, an event that is never processed, so both run modes
+        share one loop.  An enabled
+        :class:`~repro.obs.profile.KernelProfiler` is fetched once per call
+        and hooked in per clock advance and per event; it never touches
+        the schedule.
         """
+        if isinstance(until, Event):
+            stop = until
+            deadline = None
+            if stop._state != _PROCESSED:
+                # Registering interest routes process failures into the
+                # event instead of crashing the whole simulation.
+                stop.callbacks.append(_ignore)
+        else:
+            stop = _NEVER
+            deadline = None if until is None else int(until)
         profiler = self._profiler
-        if profiler is not None and profiler.enabled:
-            # The instrumented mirror of this loop (repro.obs.profile)
-            # takes over for the whole run; it is schedule-identical.
-            return profiler.run_profiled(until)
+        if profiler is not None:
+            if profiler.enabled:
+                profiler.begin()
+            else:
+                profiler = None
         slots = self._slots
         times = self._times
         immediate = self._immediate
@@ -504,60 +520,25 @@ class Simulator:
         pool_max = self.POOL_MAX
         processed = 0
         try:
-            if isinstance(until, Event):
-                stop = until
-                if not stop.processed:
-                    # Registering interest routes process failures into the
-                    # event instead of crashing the whole simulation.
-                    stop.callbacks.append(lambda _evt: None)
-                while stop._state != _PROCESSED:
-                    if immediate:
-                        event = immediate.popleft()
-                    elif times:
-                        when = pop(times)
-                        self._now = when
-                        immediate.extend(slots.pop(when))
-                        event = immediate.popleft()
-                    else:
-                        raise SimulationError(
-                            "simulation ran out of events before the awaited event fired"
-                        )
-                    processed += 1
-                    event._state = _PROCESSED
-                    callbacks = event.callbacks
-                    if callbacks:
-                        event.callbacks = []
-                        for cb in callbacks:
-                            cb(event)
-                    if self._crashed is not None:
-                        exc, self._crashed = self._crashed, None
-                        raise exc
-                    if refcount(event) == 2:
-                        cls = event.__class__
-                        if cls is Timeout:
-                            if len(timeout_pool) < pool_max:
-                                event._value = None
-                                timeout_pool.append(event)
-                        elif cls is Event:
-                            if len(event_pool) < pool_max:
-                                event._value = None
-                                event_pool.append(event)
-                if stop._ok:
-                    return stop._value
-                raise stop._value
-            deadline = None if until is None else int(until)
-            while immediate or times:
+            while stop._state != _PROCESSED:
                 if immediate:
                     event = immediate.popleft()
-                else:
+                elif times:
                     when = times[0]
                     if deadline is not None and when > deadline:
-                        self._now = deadline
-                        return None
+                        break
                     pop(times)
                     self._now = when
                     immediate.extend(slots.pop(when))
+                    if profiler is not None:
+                        profiler.advanced()
                     event = immediate.popleft()
+                elif stop is _NEVER:
+                    break
+                else:
+                    raise SimulationError(
+                        "simulation ran out of events before the awaited event fired"
+                    )
                 processed += 1
                 event._state = _PROCESSED
                 callbacks = event.callbacks
@@ -578,8 +559,26 @@ class Simulator:
                         if len(event_pool) < pool_max:
                             event._value = None
                             event_pool.append(event)
+                if profiler is not None:
+                    profiler.charge(event, callbacks)
+        finally:
+            self.events_processed += processed
+            if profiler is not None:
+                profiler.end(processed)
+        if stop is _NEVER:
             if deadline is not None:
                 self._now = deadline
             return None
-        finally:
-            self.events_processed += processed
+        if stop._ok:
+            return stop._value
+        raise stop._value
+
+
+def _ignore(_event: Event) -> None:
+    """Placeholder callback: marks an awaited event as watched."""
+
+
+# The stop event of deadline and drain runs: never triggered, so
+# Simulator.run's loop condition holds until a deadline or an empty queue
+# breaks out.
+_NEVER = Event(None)

@@ -2,10 +2,8 @@
 :class:`CopyCharger`.
 
 Every hop of the simulated packet path — virtio ring, VNET/P core,
-bridge, host stack, physical NIC, link/switch — used to hand frames to
-the next layer through bespoke glue (``rx_handler`` callables,
-``attach_medium``, ``enqueue_inbound``, per-frame helper processes).
-This module replaces that glue with one abstraction:
+bridge, host stack, physical NIC, link/switch — hands frames to the
+next layer through one abstraction:
 
 * :class:`Port` — a named, unidirectional hand-off point with exactly
   one downstream sink.  ``push()`` delivers synchronously (the sink may
@@ -31,8 +29,8 @@ Ownership rules (see ``docs/architecture.md``):
    :class:`CopyCharger` / ``MemorySystem.copy_at`` so the *time* and
    *bandwidth contention* of the copy are modelled without moving data.
 3. A Port has exactly one sink.  Build-time wiring uses
-   :meth:`Port.connect`, which raises on double connection (mirroring
-   the old ``attach_medium`` contract); instrumentation harnesses that
+   :meth:`Port.connect`, which raises on double connection (a NIC
+   cannot be cabled twice); instrumentation harnesses that
    wrap-and-restore a sink (pcap taps, fault injectors) use
    :meth:`Port.rebind`.
 

@@ -517,13 +517,6 @@ class VnetCore(PacketStage):
     # PacketStage entry point (what ``inbound`` is wired to).
     ingress = _accept_inbound
 
-    def enqueue_inbound(self, frame: EthernetFrame) -> None:
-        """Bridge upcall: an unencapsulated guest frame arrived from outside.
-
-        Legacy name; equivalent to ``core.inbound.push(frame)``.
-        """
-        self.inbound.push(frame)
-
     def _rx_dispatcher(self, index: int):
         """Inbound packet dispatcher thread (one of ``n_dispatchers``)."""
         ystate = YieldState(self.sim, self.tuning, base_wakeup_ns=self.costs.idle_wakeup_ns)

@@ -36,12 +36,12 @@ def test_capture_summary_format():
 def test_capture_stop_restores_handlers():
     tb = build_vnetp(nic_params=NETEFFECT_10G)
     nic = tb.hosts[0].nic
-    original_medium = nic._medium
-    original_rx = nic.rx_handler
+    original_medium = nic.tx_port.sink
+    original_rx = nic.rx_port.sink
     cap = PacketCapture(nic)
     cap.stop()
-    assert nic._medium is original_medium
-    assert nic.rx_handler is original_rx
+    assert nic.tx_port.sink is original_medium
+    assert nic.rx_port.sink is original_rx
 
 
 def test_capture_truncates_at_limit():

@@ -1,92 +1,37 @@
-"""Tests for the fault-injection wrappers."""
+"""Chaos stages on a physical NIC's transmit port, end to end.
+
+The stages' own behaviour on bare ports (seeded loss fraction, fail/heal
+blackholing, order-safe removal) is covered in tests/chaos/test_stages.py.
+"""
 
 import pytest
 
 from repro import units
 from repro.apps.ttcp import run_ttcp_tcp
+from repro.chaos import LossStage, PartitionStage
 from repro.config import NETEFFECT_10G
 from repro.harness.testbed import build_native, build_vnetp
-from repro.hw.faults import LossyMedium, Partition
-from repro.proto.base import Blob
-
-
-def test_lossy_medium_drops_expected_fraction():
-    tb = build_native(nic_params=NETEFFECT_10G)
-    fault = LossyMedium(tb.hosts[0].nic, rate=0.2, seed=3)
-    sim = tb.sim
-    a, b = tb.endpoints
-
-    def blast():
-        sock = a.stack.udp_socket()
-        for _ in range(500):
-            yield from sock.sendto(Blob(100), b.ip, 9)
-
-    b.stack.udp_socket(port=9)
-    p = sim.process(blast())
-    sim.run(until=p)
-    sim.run()
-    total = fault.dropped + fault.passed
-    assert total == 500
-    assert 0.12 < fault.dropped / total < 0.28
 
 
 def test_lossy_medium_rejects_bad_rate():
     tb = build_native(nic_params=NETEFFECT_10G)
     with pytest.raises(ValueError):
-        LossyMedium(tb.hosts[0].nic, rate=1.5)
-
-
-def test_lossy_medium_remove_restores():
-    tb = build_native(nic_params=NETEFFECT_10G)
-    nic = tb.hosts[0].nic
-    original = nic._medium
-    fault = LossyMedium(nic, rate=1.0)
-    fault.remove()
-    assert nic._medium is original
+        LossStage(tb.sim, rate=1.5)
 
 
 def test_tcp_survives_loss_through_the_overlay():
     """VNET/P carries TCP over a lossy physical network: the guest's TCP
     recovers transparently."""
     tb = build_vnetp(nic_params=NETEFFECT_10G)
-    LossyMedium(tb.hosts[0].nic, rate=0.005, seed=11)
+    LossStage(tb.sim, rate=0.005, seed=11).install(tb.hosts[0].nic.tx_port)
     r = run_ttcp_tcp(tb.endpoints[0], tb.endpoints[1], total_bytes=3 * units.MB)
     assert r.bytes_moved == 3 * units.MB
 
 
-def test_partition_blackholes_and_heals():
-    tb = build_native(nic_params=NETEFFECT_10G)
-    part = Partition(tb.hosts[0].nic)
-    sim = tb.sim
-    a, b = tb.endpoints
-    got = []
-
-    def rx():
-        sock = b.stack.udp_socket(port=9)
-        while True:
-            payload, _, _ = yield from sock.recv()
-            got.append(sim.now)
-
-    def tx():
-        sock = a.stack.udp_socket()
-        yield from sock.sendto(Blob(100), b.ip, 9)   # delivered
-        part.fail()
-        yield from sock.sendto(Blob(100), b.ip, 9)   # blackholed
-        part.heal()
-        yield from sock.sendto(Blob(100), b.ip, 9)   # delivered
-
-    sim.process(rx())
-    p = sim.process(tx())
-    sim.run(until=p)
-    sim.run()
-    assert len(got) == 2
-    assert part.blackholed == 1
-
-
 def test_partition_fail_for_window():
     tb = build_native(nic_params=NETEFFECT_10G)
-    part = Partition(tb.hosts[0].nic)
     sim = tb.sim
+    part = PartitionStage(sim).install(tb.hosts[0].nic.tx_port)
 
     def windowed():
         yield from part.fail_for(sim, 1_000_000)
@@ -100,8 +45,8 @@ def test_partition_fail_for_window():
 
 def test_tcp_rides_out_a_partition():
     tb = build_vnetp(nic_params=NETEFFECT_10G)
-    part = Partition(tb.hosts[0].nic)
     sim = tb.sim
+    part = PartitionStage(sim).install(tb.hosts[0].nic.tx_port)
     a, b = tb.endpoints
     done = {}
 

@@ -19,7 +19,7 @@ def test_nic_serialization_time_dominates_large_frames():
     b = PhysicalNIC(sim, NETEFFECT_10G, name="b")
     Link(sim, a, b)
     arrivals = []
-    b.rx_handler = lambda f: arrivals.append(sim.now)
+    b.rx_port.connect(lambda f: arrivals.append(sim.now))
     a.send(frame("m1", "m2", 9014))
     sim.run()
     assert len(arrivals) == 1
@@ -33,7 +33,7 @@ def test_nic_back_to_back_frames_pipeline():
     b = PhysicalNIC(sim, NETEFFECT_10G, name="b")
     Link(sim, a, b)
     arrivals = []
-    b.rx_handler = lambda f: arrivals.append(sim.now)
+    b.rx_port.connect(lambda f: arrivals.append(sim.now))
     for _ in range(10):
         assert a.send(frame("m1", "m2", 9014))
     sim.run()
@@ -58,7 +58,7 @@ def test_nic_txq_tail_drop():
     a = PhysicalNIC(sim, params, name="a")
     b = PhysicalNIC(sim, params, name="b")
     Link(sim, a, b)
-    b.rx_handler = lambda f: None
+    b.rx_port.connect(lambda f: None)
     results = [a.send(frame("m1", "m2", 1000)) for _ in range(5)]
     assert results.count(False) >= 1
     assert a.dropped_frames == results.count(False)
@@ -79,7 +79,7 @@ def test_nic_double_attach_rejected():
     b = PhysicalNIC(sim, BROADCOM_1G, name="b")
     Link(sim, a, b)
     c = PhysicalNIC(sim, BROADCOM_1G, name="c")
-    with pytest.raises(RuntimeError, match="already attached"):
+    with pytest.raises(RuntimeError, match="already connected"):
         Link(sim, a, c)
 
 
@@ -88,7 +88,7 @@ def test_nic_byte_and_frame_counters():
     a = PhysicalNIC(sim, NETEFFECT_10G, name="a")
     b = PhysicalNIC(sim, NETEFFECT_10G, name="b")
     Link(sim, a, b)
-    b.rx_handler = lambda f: None
+    b.rx_port.connect(lambda f: None)
     a.send(frame("m1", "m2", 514))
     a.send(frame("m1", "m2", 1014))
     sim.run()
@@ -111,7 +111,7 @@ def test_switch_floods_unknown_then_forwards_learned():
     sim, switch, nics = build_star(3)
     rx = {i: [] for i in range(3)}
     for i, nic in enumerate(nics):
-        nic.rx_handler = (lambda i: lambda f: rx[i].append(f))(i)
+        nic.rx_port.connect((lambda i: lambda f: rx[i].append(f))(i))
 
     # First frame from node0 to node1's (unknown) MAC floods to 1 and 2.
     nics[0].send(frame("mac0", "mac1", 500))
@@ -133,7 +133,7 @@ def test_switch_broadcast_goes_everywhere_except_ingress():
     for i, nic in enumerate(nics):
         def handler(f, i=i):
             rx[i] += 1
-        nic.rx_handler = handler
+        nic.rx_port.connect(handler)
     nics[2].send(frame("mac2", Switch.BROADCAST, 300))
     sim.run()
     assert rx == {0: 1, 1: 1, 2: 0, 3: 1}
@@ -143,7 +143,7 @@ def test_switch_converging_flows_share_egress_port():
     """Two senders to one receiver: egress serialization halves each flow."""
     sim, switch, nics = build_star(3)
     arrivals = []
-    nics[2].rx_handler = lambda f: arrivals.append((sim.now, f.src))
+    nics[2].rx_port.connect(lambda f: arrivals.append((sim.now, f.src)))
     # Teach the switch where mac2 lives.
     nics[2].send(frame("mac2", Switch.BROADCAST, 100))
     sim.run()
@@ -170,8 +170,8 @@ def test_switch_mixed_port_rates():
     switch.attach(fast)
     switch.attach(slow)
     arrivals = []
-    slow.rx_handler = lambda f: arrivals.append(sim.now)
-    fast.rx_handler = lambda f: None
+    slow.rx_port.connect(lambda f: arrivals.append(sim.now))
+    fast.rx_port.connect(lambda f: None)
     # Teach the switch where "mslow" lives.
     slow.send(frame("mslow", Switch.BROADCAST, 100))
     sim.run()

@@ -159,7 +159,7 @@ def test_tcp_retransmit_recovers_from_loss():
     result = {}
 
     # Drop every 50th frame a sends, by wrapping the medium.
-    original = a.nic._medium
+    original = a.nic.tx_port.sink
     counter = {"n": 0}
 
     def lossy(frame):
@@ -168,7 +168,7 @@ def test_tcp_retransmit_recovers_from_loss():
             return  # dropped on the wire
         original(frame)
 
-    a.nic._medium = lossy
+    a.nic.tx_port.rebind(lossy)
 
     def server(sim):
         listener = b.stack.tcp_listen(5001)

@@ -2,11 +2,11 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.chaos import LossStage
 from repro.config import NETEFFECT_10G, default_host
 from repro.harness.testbed import build_vnetp
 from repro.host import Host
 from repro.hw import Link
-from repro.hw.faults import LossyMedium
 from repro.sim import Simulator
 from repro import units
 
@@ -50,8 +50,8 @@ def transfer(sim, a, b, nbytes):
 def test_property_tcp_delivers_exactly_under_loss(rate, seed, nbytes):
     """Whatever the loss pattern, TCP delivers every byte exactly once."""
     sim, a, b = native_pair()
-    LossyMedium(a.nic, rate=rate, seed=seed)
-    LossyMedium(b.nic, rate=rate, seed=seed + 1)
+    LossStage(sim, rate, seed).install(a.nic.tx_port)
+    LossStage(sim, rate, seed + 1).install(b.nic.tx_port)
     done = transfer(sim, a, b, nbytes)
     assert done["got"] == nbytes
 
@@ -61,7 +61,7 @@ def test_property_tcp_delivers_exactly_under_loss(rate, seed, nbytes):
 def test_property_tcp_over_overlay_under_loss(seed):
     """The same property holds with the full VNET/P path underneath."""
     tb = build_vnetp(nic_params=NETEFFECT_10G)
-    LossyMedium(tb.hosts[0].nic, rate=0.01, seed=seed)
+    LossStage(tb.sim, 0.01, seed).install(tb.hosts[0].nic.tx_port)
     sim = tb.sim
     a, b = tb.endpoints
     done = {}
@@ -91,7 +91,7 @@ def test_handshake_survives_lost_synack():
     retries.  Loss seeds chosen so exactly the first SYN/ACK is lost.
     """
     sim, a, b = native_pair()
-    LossyMedium(a.nic, rate=0.0234375, seed=27191)
-    LossyMedium(b.nic, rate=0.0234375, seed=27192)
+    LossStage(sim, 0.0234375, 27191).install(a.nic.tx_port)
+    LossStage(sim, 0.0234375, 27192).install(b.nic.tx_port)
     done = transfer(sim, a, b, 1)
     assert done["got"] == 1

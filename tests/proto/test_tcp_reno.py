@@ -52,7 +52,7 @@ def run_transfer(sim, a, b, total):
 def drop_frames(a, predicate):
     """Wrap a's outbound medium: frames whose 1-based index satisfies
     ``predicate`` are silently dropped."""
-    original = a.nic._medium
+    original = a.nic.tx_port.sink
     state = {"n": 0}
 
     def lossy(frame):
@@ -61,7 +61,7 @@ def drop_frames(a, predicate):
             return
         original(frame)
 
-    a.nic._medium = lossy
+    a.nic.tx_port.rebind(lossy)
     return state
 
 
@@ -154,7 +154,7 @@ def test_rto_backoff_doubles_then_resets():
     """A long blackout doubles the RTO each expiry; the first ACK after
     healing resets the backoff to zero."""
     sim, a, b = make_pair()
-    original = a.nic._medium
+    original = a.nic.tx_port.sink
     state = {"n": 0}
 
     def blackout(frame):
@@ -165,7 +165,7 @@ def test_rto_backoff_doubles_then_resets():
             return
         original(frame)
 
-    a.nic._medium = blackout
+    a.nic.tx_port.rebind(blackout)
     peak = {"backoff": 0}
     done = {}
 
@@ -208,7 +208,7 @@ def test_reordering_alone_never_triggers_retransmission(period):
     3-dup-ACK threshold), so pure reordering causes zero retransmissions
     and exact delivery."""
     sim, a, b = make_pair()
-    original = a.nic._medium
+    original = a.nic.tx_port.sink
     state = {"n": 0, "held": None, "swaps": 0}
 
     def reorder(frame):
@@ -226,7 +226,7 @@ def test_reordering_alone_never_triggers_retransmission(period):
             return
         original(frame)
 
-    a.nic._medium = reorder
+    a.nic.tx_port.rebind(reorder)
     got, conn, server = run_transfer(sim, a, b, 500_000)
     assert got == 500_000
     assert state["swaps"] >= 1

@@ -48,7 +48,7 @@ def test_slow_start_grows_cwnd():
 def test_timeout_halves_aggressively_and_recovers():
     sim, a, b = make_pair()
     # Drop a burst mid-transfer.
-    original = a.nic._medium
+    original = a.nic.tx_port.sink
     state = {"n": 0}
 
     def lossy(frame):
@@ -57,7 +57,7 @@ def test_timeout_halves_aggressively_and_recovers():
             return
         original(frame)
 
-    a.nic._medium = lossy
+    a.nic.tx_port.rebind(lossy)
     done = {}
 
     def server():
@@ -210,7 +210,7 @@ def test_fast_retransmit_beats_rto():
     the 1 ms RTO floor."""
     sim, a, b = make_pair()
     state = {"n": 0}
-    original = a.nic._medium
+    original = a.nic.tx_port.sink
 
     def drop_one(frame):
         state["n"] += 1
@@ -218,7 +218,7 @@ def test_fast_retransmit_beats_rto():
             return
         original(frame)
 
-    a.nic._medium = drop_one
+    a.nic.tx_port.rebind(drop_one)
     done = {}
 
     def server():

@@ -83,6 +83,7 @@ def test_ensure_is_per_simulator_singleton():
 
 
 def test_env_override_enables_fluid(monkeypatch):
+    monkeypatch.delenv("REPRO_FLUID", raising=False)
     assert VnetTuning().fluid is False
     monkeypatch.setenv("REPRO_FLUID", "1")
     assert VnetTuning().fluid is True

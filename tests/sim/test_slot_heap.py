@@ -6,7 +6,9 @@ timestamps) and batched event application.  These property tests drive
 randomly generated schedule programs through the real :class:`Simulator`
 and through a small reference kernel in this file that implements the
 old tuple-heap semantics literally, and assert the two fire the same
-labels at the same times in the same order.
+labels at the same times in the same order.  Each program also runs with
+an enabled :class:`~repro.obs.profile.KernelProfiler` hooked into the
+kernel loop, which must leave the trace unchanged.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import heapq
 
 from hypothesis import given, settings, strategies as st
 
+from repro.obs.profile import KernelProfiler
 from repro.sim import Simulator
 
 # A schedule program is a list of root timers; each timer carries a delay
@@ -90,14 +93,17 @@ def _reference_trace(program) -> list[tuple[int, int]]:
     return trace
 
 
-def _simulator_trace(program) -> list[tuple[int, int]]:
+def _simulator_trace(program, profiled: bool = False) -> list[tuple[int, int]]:
     """Same fire sequence under the real slot-array Simulator.
 
     Each timer is a pooled ``sim.timeout`` whose completion is observed
     through a callback — the same mechanism every kernel client uses —
-    so the trace reflects genuine scheduling order.
+    so the trace reflects genuine scheduling order.  ``profiled`` runs it
+    with an enabled kernel profiler.
     """
     sim = Simulator()
+    if profiled:
+        KernelProfiler.install(sim).enable()
     trace: list[tuple[int, int]] = []
     counter = [0]
 
@@ -124,8 +130,11 @@ def _simulator_trace(program) -> list[tuple[int, int]]:
 @settings(max_examples=120, deadline=None)
 @given(program=_programs)
 def test_slot_array_matches_tuple_heap(program):
-    """Random schedule programs fire identically under both kernels."""
-    assert _simulator_trace(program) == _reference_trace(program)
+    """Random schedule programs fire identically under both kernels,
+    with and without the profiler hooked in."""
+    reference = _reference_trace(program)
+    assert _simulator_trace(program) == reference
+    assert _simulator_trace(program, profiled=True) == reference
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,7 +154,8 @@ def test_many_events_per_slot_fifo(delays):
 
 
 def test_step_matches_run_batching():
-    """step() applies batched slots one event at a time, same order as run()."""
+    """step() applies batched slots one event at a time, same order as run()
+    with or without an enabled profiler."""
 
     def build():
         sim = Simulator()
@@ -155,12 +165,16 @@ def test_step_matches_run_batching():
             evt.callbacks.append(lambda _e, i=i: fired.append((sim.now, i)))
         return sim, fired
 
-    sim_run, fired_run = build()
-    sim_run.run()
-
     sim_step, fired_step = build()
     while sim_step.peek() is not None:
         sim_step.step()
-    assert fired_step == fired_run
-    assert sim_step.now == sim_run.now
-    assert sim_step.events_processed == sim_run.events_processed
+
+    for profiled in (False, True):
+        sim_run, fired_run = build()
+        if profiled:
+            profiler = KernelProfiler.install(sim_run).enable()
+        sim_run.run()
+        assert fired_step == fired_run
+        assert sim_step.now == sim_run.now
+        assert sim_step.events_processed == sim_run.events_processed
+    assert profiler.events == sim_run.events_processed

@@ -35,12 +35,11 @@ reduction to >=5x), strides taken, wall ratio, and the statistical
 validation of the fluid run against the all-packet golden (identical
 delivered bytes, completion time within tolerance).
 
-An ``obs_overhead`` section measures the kernel self-profiler hook
+An ``obs_overhead`` section measures the kernel self-profiler
 (``repro.obs.profile``) on the fig8 scenario: wall time with no
-profiler attached vs attached-but-disabled vs enabled.  The gate holds
-the disabled hook to <=2% overhead (it must be safe to leave installed
-everywhere) and requires simulated observables to be identical across
-all three legs.
+profiler attached vs enabled.  The gate holds ``enabled_ratio`` to the
+committed reference within tolerance and requires simulated
+observables to be identical across both legs.
 
 Two topology-layer sections ride along: ``routing_lookup``
 micro-benchmarks ``RoutingTable.lookup`` at 10/100/1000 routes (the
@@ -111,7 +110,7 @@ def _fig8(total_bytes: int, udp_ns: int, tuning=None, prepare=None):
 
     ``prepare`` (when given) is called with each testbed's simulator
     after build and before the workload — the obs_overhead section uses
-    it to attach a (disabled or enabled) kernel profiler.
+    it to attach an enabled kernel profiler.
     """
     tb = build_vnetp(nic_params=NETEFFECT_10G, tuning=tuning)
     if prepare is not None:
@@ -416,41 +415,29 @@ def bench_fairness(quick: bool) -> dict:
 
 
 def bench_obs_overhead(quick: bool, repeat: int) -> dict:
-    """Cost of the kernel self-profiler hook (``repro.obs.profile``).
+    """Cost of the kernel self-profiler (``repro.obs.profile``).
 
-    Three legs on the fig8 scenario: no profiler attached (the seed
-    configuration every other section measures), a profiler attached
-    but *disabled* (the always-on production state: one attribute check
-    at the top of every ``Simulator.run`` call), and a profiler
-    *enabled* (full per-event attribution).  The contract the bench
-    gate enforces is that the disabled hook is free —
-    ``overhead_ratio`` (disabled wall / detached wall) must stay within
-    ``max_overhead`` (2%) — and that profiling never changes simulated
-    observables across any leg.  ``enabled_ratio`` is informational:
-    attribution costs real wall time, which is fine because it is
-    opt-in.
+    Two legs on the fig8 scenario: no profiler attached (the seed
+    configuration every other section measures) and a profiler
+    *enabled* (full per-event attribution).  A disabled profiler is not
+    a leg: ``Simulator.run`` drops it before the loop, so it runs the
+    detached code.  The bench gate holds ``enabled_ratio`` (enabled
+    wall / detached wall) to the committed reference within its
+    tolerance, and requires that profiling never changes simulated
+    observables.
 
     The legs are interleaved round-robin (not run in blocks) so slow
-    drift in machine load hits all three equally; each leg keeps its
-    best wall time over ``max(repeat, 5)`` rounds.
+    drift in machine load hits both equally; each leg keeps its best
+    wall time over ``max(repeat, 5)`` rounds.
     """
     from repro.obs.profile import KernelProfiler
 
     total_bytes, udp_ns = (
         (10 * units.MB, 8 * units.MS) if quick else (40 * units.MB, 20 * units.MS)
     )
-
-    def attach(enabled: bool):
-        def prepare(sim):
-            prof = KernelProfiler.install(sim)
-            if enabled:
-                prof.enable()
-        return prepare
-
     legs = {
         "detached": None,
-        "disabled": attach(False),
-        "enabled": attach(True),
+        "enabled": lambda sim: KernelProfiler.install(sim).enable(),
     }
     best: dict[str, dict] = {}
     observables: dict[str, tuple] = {}
@@ -467,11 +454,8 @@ def bench_obs_overhead(quick: bool, repeat: int) -> dict:
     return {
         "scenario": "fig8_ttcp_quick" if quick else "fig8_ttcp",
         "detached": best["detached"],
-        "disabled": best["disabled"],
         "enabled": best["enabled"],
-        "overhead_ratio": best["disabled"]["wall_s"] / best["detached"]["wall_s"],
         "enabled_ratio": best["enabled"]["wall_s"] / best["detached"]["wall_s"],
-        "max_overhead": 0.02,
         "observables_identical": identical,
     }
 
@@ -599,11 +583,8 @@ def main(argv=None) -> int:
     ok = ok and oo["observables_identical"]
     print(
         f"obs_overhead ({oo['scenario']}): detached={oo['detached']['wall_s']:.3f}s "
-        f"disabled={oo['disabled']['wall_s']:.3f}s "
         f"enabled={oo['enabled']['wall_s']:.3f}s  "
-        f"disabled overhead={oo['overhead_ratio']:.3f}x "
-        f"(limit {1 + oo['max_overhead']:.2f}x)  "
-        f"enabled={oo['enabled_ratio']:.2f}x  observables "
+        f"enabled_ratio={oo['enabled_ratio']:.2f}x  observables "
         f"{'identical' if oo['observables_identical'] else 'DIVERGED'}"
     )
 
