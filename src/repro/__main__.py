@@ -18,7 +18,7 @@ Usage::
     python -m repro obs report           # sample time-series + per-flow
                                          # latency over a ttcp stream;
                                          # export CSV / Chrome counters /
-                                         # metrics JSONL
+                                         # run artifact
     python -m repro obs profile          # self-profile the sim kernel on
                                          # the fig8 ttcp pair: wall time
                                          # per event category, flamegraph
@@ -116,17 +116,18 @@ def _run_obs_report(argv: list[str]) -> int:
     weighted), and the live p99 flow latency; prints the time-series
     summary, the per-flow latency table with critical-path attribution,
     and the health log of an attached goodput-collapse detector.
-    ``--csv``/``--chrome``/``--metrics-out`` export the timeline as CSV,
-    a Chrome trace (spans + counter events merged), and the full metrics
-    registry as JSONL.
+    ``--csv``/``--chrome``/``--artifact-out`` export the timeline as CSV,
+    a Chrome trace (spans + counter events merged), and a ``report``
+    :class:`~repro.obs.runinfo.RunArtifact` (metrics, timelines, health)
+    that ``obs diff`` compares like any experiment run's.
     """
     import json
 
     from . import units
     from .apps.ttcp import run_ttcp_udp
     from .harness.testbed import build_vnetp
-    from .obs.context import Observability
-    from .obs.exporters import chrome_trace, export_metrics_jsonl
+    from .obs.context import Observability, capture_run
+    from .obs.exporters import chrome_trace, normalize_metrics_dump
     from .obs.flows import (
         assemble_packet_records,
         flow_summaries,
@@ -134,6 +135,7 @@ def _run_obs_report(argv: list[str]) -> int:
         render_flow_report,
     )
     from .obs.health import GoodputCollapseDetector
+    from .obs.runinfo import RunArtifact, fairness_scores, run_config
 
     parser = argparse.ArgumentParser(
         prog="python -m repro obs report",
@@ -146,8 +148,8 @@ def _run_obs_report(argv: list[str]) -> int:
     parser.add_argument("--csv", metavar="PATH", help="write the timeline as CSV")
     parser.add_argument("--chrome", metavar="PATH",
                         help="write a Chrome trace (spans + counter events)")
-    parser.add_argument("--metrics-out", metavar="PATH",
-                        help="write the metrics registry as JSONL")
+    parser.add_argument("--artifact-out", metavar="PATH",
+                        help="write the run's RunArtifact bundle as JSON")
     args = parser.parse_args(argv)
     if args.duration_ms <= 0:
         parser.error("--duration-ms must be positive")
@@ -155,29 +157,30 @@ def _run_obs_report(argv: list[str]) -> int:
         parser.error("--interval-us must be positive")
 
     duration_ns = int(args.duration_ms * units.MS)
-    tb = build_vnetp(n_hosts=2)
-    obs = Observability.of(tb.sim)
-    obs.spans.enabled = True
-    timeline = obs.timeline
-    timeline.interval_ns = int(args.interval_us * 1000)
-    timeline.counter_rate("vnet.core.h0.pkts_from_guest",
-                          series="vnet.h0.pkt_rate", unit="pkt/s")
-    timeline.gauge_value("vnet.core.h1.rxq_depth",
-                         series="vnet.h1.rxq_depth", time_avg=True, unit="pkt")
-    pkt_rate = timeline.series["vnet.h0.pkt_rate"]
-    latency = register_latency_series(timeline, obs.spans, q=99.0)
-    # Per-window flow-cache hit rate, one series per host with the
-    # per-flow fast path enabled (repro.vnet.flowcache; default on).
-    flowcaches = [h.vnet_core.flowcache for h in tb.hosts
-                  if h.vnet_core is not None and h.vnet_core.flowcache is not None]
-    for cache in flowcaches:
-        cache.register_hit_rate(timeline)
-    hub = obs.health
-    hub.add(GoodputCollapseDetector("obs.report.goodput", hub.log, pkt_rate))
-    hub.attach_to(timeline)
-    timeline.start(until_ns=duration_ns)
-    result = run_ttcp_udp(tb.endpoints[0], tb.endpoints[1],
-                          duration_ns=duration_ns)
+    with capture_run() as capture:
+        tb = build_vnetp(n_hosts=2)
+        obs = Observability.of(tb.sim)
+        obs.spans.enabled = True
+        timeline = obs.timeline
+        timeline.interval_ns = int(args.interval_us * 1000)
+        timeline.counter_rate("vnet.core.h0.pkts_from_guest",
+                              series="vnet.h0.pkt_rate", unit="pkt/s")
+        timeline.gauge_value("vnet.core.h1.rxq_depth",
+                             series="vnet.h1.rxq_depth", time_avg=True, unit="pkt")
+        pkt_rate = timeline.series["vnet.h0.pkt_rate"]
+        latency = register_latency_series(timeline, obs.spans, q=99.0)
+        # Per-window flow-cache hit rate, one series per host with the
+        # per-flow fast path enabled (repro.vnet.flowcache; default on).
+        flowcaches = [h.vnet_core.flowcache for h in tb.hosts
+                      if h.vnet_core is not None and h.vnet_core.flowcache is not None]
+        for cache in flowcaches:
+            cache.register_hit_rate(timeline)
+        hub = obs.health
+        hub.add(GoodputCollapseDetector("obs.report.goodput", hub.log, pkt_rate))
+        hub.attach_to(timeline)
+        timeline.start(until_ns=duration_ns)
+        result = run_ttcp_udp(tb.endpoints[0], tb.endpoints[1],
+                              duration_ns=duration_ns)
 
     print(timeline.render(f"ttcp UDP, {args.duration_ms:g} ms"))
     records = assemble_packet_records(obs.spans.spans)
@@ -193,7 +196,7 @@ def _run_obs_report(argv: list[str]) -> int:
         )
         print(f"flow-cache hit rate: {rates} "
               f"(per-window series vnet.flowcache.<host>.hit_rate above; "
-              f"counters under vnet.flowcache.* in --metrics-out)")
+              f"counters under vnet.flowcache.* in --artifact-out)")
     if hub.log.events:
         print()
         print(hub.log.render())
@@ -207,10 +210,19 @@ def _run_obs_report(argv: list[str]) -> int:
         with open(args.chrome, "w", encoding="utf-8") as fp:
             json.dump(trace, fp, indent=1)
         print(f"wrote Chrome trace (spans + counters): {args.chrome}")
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as fp:
-            export_metrics_jsonl(obs.metrics, fp)
-        print(f"wrote metrics JSONL: {args.metrics_out}")
+    if args.artifact_out:
+        run = capture.dump()
+        metrics = normalize_metrics_dump(run["metrics"])
+        RunArtifact(
+            kind="report",
+            config=run_config({"duration_ms": args.duration_ms,
+                               "interval_us": args.interval_us}),
+            metrics=metrics,
+            timelines=run["timelines"],
+            health=run["health"],
+            fairness=fairness_scores(metrics),
+        ).save(args.artifact_out)
+        print(f"wrote run artifact: {args.artifact_out}")
     return 0
 
 
@@ -407,11 +419,6 @@ def main(argv: list[str] | None = None) -> int:
         help="result cache directory (default results/.cache)",
     )
     parser.add_argument(
-        "--metrics-out", metavar="PATH",
-        help="write the merged metrics registry of every executed point "
-             "as JSONL (one metric per line, diffable across runs)",
-    )
-    parser.add_argument(
         "--artifact-out", metavar="PATH",
         help="write the run's RunArtifact bundle (config fingerprint, "
              "rows, metrics, timelines, health, fairness) as JSON — "
@@ -448,14 +455,6 @@ def main(argv: list[str] | None = None) -> int:
         print(result.render())
         print(f"[{time.time() - start:.1f}s]\n")
     print(engine.summary())
-    if args.metrics_out:
-        from .obs.exporters import export_metrics_jsonl
-
-        with open(args.metrics_out, "w", encoding="utf-8") as fp:
-            export_metrics_jsonl(engine.metrics, fp)
-        # Status goes to stderr: stdout stays row-diffable across runs
-        # whose --metrics-out paths differ (the chaos-suite CI diff).
-        print(f"wrote metrics JSONL: {args.metrics_out}", file=sys.stderr)
     if args.artifact_out:
         from .obs.runinfo import build_artifact
 

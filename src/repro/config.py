@@ -194,10 +194,6 @@ class VnetTuning:
         default_factory=lambda: os.environ.get("REPRO_FLUID", "0") != "0"
     )
     fluid_min_bytes: int = 128 * 1024   # pending bytes before capture pays off
-    fluid_check_ns: int = usec(200)     # steady-state probe window
-    fluid_max_stride_ns: int = usec(1_000)  # stride ceiling (1 ms)
-    fluid_min_stride_ns: int = usec(50)     # don't capture below this horizon
-    fluid_rate_tolerance: float = 0.2   # consecutive-window rate stability
     vnet_mtu: int = 9000              # MTU advertised to the guest
     # VNET/P+ techniques (Cui et al., SC'12; Sect. 6.3 notes these are
     # being back-ported into the Linux version):

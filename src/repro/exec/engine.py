@@ -17,23 +17,19 @@ calibration, NPB calibration) warms up independently inside each
 worker; that is safe because those derivations are deterministic
 (``tests/test_determinism.py::test_flow_calibration_identical_across_processes``).
 
-Each executed point returns ``(value, metrics_dump, timeline_dumps,
-health_events, wall_s)`` where the metrics dump aggregates every
-:class:`~repro.obs.metrics.MetricsRegistry` the point's simulations
-created (captured via :func:`repro.obs.context.capture_metrics`) and
-the timeline dumps are one :meth:`repro.obs.timeline.Timeline.dump`
-per simulation that sampled time-series (captured via
-:func:`repro.obs.context.capture_timelines`) and the health events are
-one :meth:`repro.obs.health.HealthEvent.to_dict` per event any of the
-point's health hubs logged (captured via
-:func:`repro.obs.context.capture_health`).  The engine merges the
-metrics — from cache hits too — into :attr:`Engine.metrics`, collects
-every timeline dump in :attr:`Engine.timelines` and every health event
-in :attr:`Engine.health_events`, and :meth:`Engine.timeline_series`
-recombines timelines by series name, so rate/latency curves sampled
-inside worker processes are available to the parent after a fan-out.
-All three ship into :class:`~repro.obs.runinfo.RunArtifact` bundles
-(``--artifact-out``).
+Each executed point runs inside one :func:`repro.obs.context.capture_run`
+and returns ``(value, run_dump, wall_s)``, where ``run_dump`` is the
+capture's ``metrics`` / ``timelines`` / ``health`` sections
+(:meth:`repro.obs.context.RunCapture.dump`): the merged registry dump of
+every simulation the point built, one timeline dump per simulation that
+sampled time-series, and every health event as a dict.  The engine
+merges the metrics — from cache hits too — into :attr:`Engine.metrics`,
+collects every timeline dump in :attr:`Engine.timelines` and every
+health event in :attr:`Engine.health_events`, and
+:meth:`Engine.timeline_series` recombines timelines by series name, so
+rate/latency curves sampled inside worker processes are available to
+the parent after a fan-out.  All three ship into
+:class:`~repro.obs.runinfo.RunArtifact` bundles (``--artifact-out``).
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ import random
 import time
 from typing import Optional, Sequence
 
-from ..obs.context import capture_health, capture_metrics, capture_timelines
+from ..obs.context import capture_run
 from ..obs.metrics import MetricsRegistry
 from ..obs.timeline import Series, merge_dumps
 from .cache import ResultCache
@@ -54,20 +50,13 @@ __all__ = ["Engine", "run_points"]
 
 
 def _execute(payload: tuple) -> tuple:
-    """Run one point (in a worker or inline) → (value, metrics dump,
-    timeline dumps, health event dicts, wall)."""
+    """Run one point (in a worker or inline) → (value, run dump, wall)."""
     fn, kwargs, seed = payload
     random.seed(seed)
     t0 = time.perf_counter()
-    with capture_metrics() as registries, capture_timelines() as timelines, \
-            capture_health() as hubs:
+    with capture_run() as capture:
         value = fn(**kwargs)
-    merged = MetricsRegistry()
-    for registry in registries:
-        merged.merge(registry.dump())
-    tl_dumps = [tl.dump() for tl in timelines if tl.series]
-    health = [e.to_dict() for hub in hubs for e in hub.log.events]
-    return value, merged.dump(), tl_dumps, health, time.perf_counter() - t0
+    return value, capture.dump(), time.perf_counter() - t0
 
 
 def _pool_context():
@@ -145,8 +134,8 @@ class Engine:
                 results[i] = cached
                 self.metrics.counter("exec.points.cached").inc()
                 self.metrics.merge(cached.metrics)
-                self.timelines.extend(getattr(cached, "timelines", []) or [])
-                self.health_events.extend(getattr(cached, "health", []) or [])
+                self.timelines.extend(cached.timelines)
+                self.health_events.extend(cached.health)
             else:
                 pending.append((i, p, fp, seed))
 
@@ -159,19 +148,16 @@ class Engine:
                     outs = pool.map(_execute, payloads, chunksize=1)
             else:
                 outs = [_execute(payload) for payload in payloads]
-            for (i, p, fp, seed), (value, dump, tl_dumps, health, wall) in zip(
-                pending, outs
-            ):
+            for (i, p, fp, seed), (value, run, wall) in zip(pending, outs):
                 result = PointResult(
-                    key=p.key, value=value, metrics=dump, wall_s=wall,
-                    seed=seed, timelines=tl_dumps, health=health,
+                    key=p.key, value=value, wall_s=wall, seed=seed, **run
                 )
                 results[i] = result
                 self.metrics.counter("exec.points.executed").inc()
                 self.metrics.gauge("exec.points.wall_s").inc(wall)
-                self.metrics.merge(dump)
-                self.timelines.extend(tl_dumps)
-                self.health_events.extend(health)
+                self.metrics.merge(result.metrics)
+                self.timelines.extend(result.timelines)
+                self.health_events.extend(result.health)
                 if self.cache is not None:
                     self.cache.put(fp, result)
 

@@ -21,10 +21,10 @@ they parallelize and cache like every other experiment:
 All partition/failover timings are read off the **health log**
 (:mod:`repro.obs.health`): the adaptation engine and failure detector
 emit timestamped ``HealthEvent``\\ s at the exact virtual instant they
-act, and the probe receiver emits ``probe-delivered`` events — the
-point function also derives the same numbers the legacy way (route
-tables + arrival list) and raises if the two disagree by even one
-nanosecond.  A timeline + :class:`~repro.obs.health.HeartbeatSilenceDetector`
+act, and the probe receiver emits ``probe-delivered`` events
+(``tests/chaos/test_failover.py`` pins the failover/failback events to
+the adaptation engine's action log).  A timeline +
+:class:`~repro.obs.health.HeartbeatSilenceDetector`
 additionally detects the outage purely from the delivered-probe
 counter going quiet (the ``telemetry outage`` column).
 """
@@ -168,26 +168,6 @@ def _partition_failover_point(
               if failover_at is not None else None)
     recovery_at = rec_ev.t_ns if rec_ev is not None else None
 
-    # Cross-check against the legacy derivation (route-table actions +
-    # the raw arrival list): the two must agree to the nanosecond.
-    legacy_failover = next(
-        (a.when_ns for a in engine.actions if a.description.startswith("failover:")),
-        None,
-    )
-    legacy_failback = next(
-        (a.when_ns for a in engine.actions if a.description.startswith("failback:")),
-        None,
-    )
-    legacy_recovery = next((t for t in arrivals if legacy_failover is not None
-                            and t >= legacy_failover), None)
-    health = (failover_at, recovery_at, failback_at)
-    legacy = (legacy_failover, legacy_recovery, legacy_failback)
-    if health != legacy:
-        raise RuntimeError(
-            f"health-derived timings {health} diverge from "
-            f"route-table-derived {legacy}"
-        )
-
     detection_ms = ((failover_at - fail_at_ns) / units.MS
                     if failover_at is not None else -1.0)
     recovery_ms = ((recovery_at - fail_at_ns) / units.MS
@@ -283,8 +263,7 @@ def resilience(quick: bool = False, engine: Engine | None = None) -> ExperimentR
         "first datagram delivered via the h2 waypoint after rerouting"
     )
     result.notes.append(
-        "partition timings are read off obs.health events and cross-checked "
-        "against the route-table derivation to the nanosecond; telemetry "
+        "partition timings are read off obs.health events; telemetry "
         "outage = HeartbeatSilenceDetector on the delivered-probe counter"
     )
     return result

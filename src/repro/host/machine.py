@@ -10,7 +10,7 @@ from ..hw.memory import MemorySystem
 from ..hw.nic import PhysicalNIC
 from ..proto.ethernet import mac_addr
 from ..proto.stack import Stack
-from ..sim import RandomStreams, Simulator, Tracer
+from ..sim import RandomStreams, Simulator
 from .linux import EthernetDevice
 
 __all__ = ["Host"]
@@ -33,7 +33,6 @@ class Host:
         nic_params: NICParams,
         ip: str,
         name: Optional[str] = None,
-        tracer: Optional[Tracer] = None,
     ):
         global _host_counter
         _host_counter += 1
@@ -41,12 +40,11 @@ class Host:
         self.params = params
         self.ip = ip
         self.name = name or f"host{_host_counter}"
-        self.tracer = tracer or Tracer()
         self.cpu = CPU(sim, params.cpu, name=f"{self.name}.cpu")
         self.memory = MemorySystem(sim, params.memory, name=f"{self.name}.mem")
-        self.nic = PhysicalNIC(sim, nic_params, name=f"{self.name}.nic", tracer=self.tracer)
+        self.nic = PhysicalNIC(sim, nic_params, name=f"{self.name}.nic")
         self.dev = EthernetDevice(self.nic, mac=mac_addr(_host_counter), name=f"{self.name}.eth0")
-        self.stack = Stack(sim, params.stack, ip=ip, name=f"{self.name}.stack", tracer=self.tracer)
+        self.stack = Stack(sim, params.stack, ip=ip, name=f"{self.name}.stack")
         self.dev.bind(self.stack)
         # Seeded by name (not creation order) so identical testbeds built
         # in one process behave identically — determinism tests rely on it.

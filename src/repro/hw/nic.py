@@ -18,12 +18,12 @@ stages) wrap and restore those ports' sinks with ``Port.rebind``.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from ..config import NICParams
 from ..obs.context import Observability
 from ..obs.span import STAGE_NIC_RX, STAGE_NIC_TX
-from ..sim import PacketStage, Simulator, Store, Tracer
+from ..sim import PacketStage, Simulator, Store
 
 __all__ = ["PhysicalNIC"]
 
@@ -36,11 +36,9 @@ class PhysicalNIC(PacketStage):
         sim: Simulator,
         params: NICParams,
         name: str = "nic",
-        tracer: Optional[Tracer] = None,
     ):
         self._init_stage(sim, name)
         self.params = params
-        self.tracer = tracer or Tracer()
         self.txq: Store = Store(sim, capacity=params.tx_queue_frames, name=f"{name}.txq")
         self.obs = Observability.of(sim)
         # tx: frame fully serialized -> medium (link/switch ingress).
@@ -95,7 +93,6 @@ class PhysicalNIC(PacketStage):
         ok = self.txq.try_put(frame)
         if not ok:
             self._dropped_frames.inc()
-            self.tracer.record(self.sim.now, f"{self.name}.tx_drop", frame)
         return ok
 
     def _tx_loop(self):
@@ -113,7 +110,6 @@ class PhysicalNIC(PacketStage):
                 )
             self._tx_bytes.inc(frame.size)
             self._tx_frames.inc()
-            self.tracer.record(self.sim.now, f"{self.name}.tx", frame)
             tx_port.push(frame)
 
     # -- receive -----------------------------------------------------------
@@ -126,7 +122,6 @@ class PhysicalNIC(PacketStage):
         """
         self._rx_bytes.inc(frame.size)
         self._rx_frames.inc()
-        self.tracer.record(self.sim.now, f"{self.name}.rx", frame)
         params = self.params
         self.rx_port.push_after(
             frame, params.rx_ring_ns + params.rx_interrupt_delay_ns

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..sim import Port, Simulator, Store, Tracer
+from ..sim import Port, Simulator, Store
 from ..units import tx_time_ns
 from .nic import PhysicalNIC
 
@@ -72,7 +72,6 @@ class _Port:
     def enqueue(self, frame: Any) -> None:
         if not self.egress.try_put(frame):
             self.dropped += 1
-            self.switch.tracer.record(self.switch.sim.now, "switch.drop", frame)
 
     def _egress_loop(self):
         sim = self.switch.sim
@@ -97,11 +96,9 @@ class Switch:
         self,
         sim: Simulator,
         params: Optional[SwitchParams] = None,
-        tracer: Optional[Tracer] = None,
     ):
         self.sim = sim
         self.params = params or SwitchParams()
-        self.tracer = tracer or Tracer()
         self.ports: list[_Port] = []
         self.fdb: dict[Any, _Port] = {}   # forwarding database: addr -> port
         self.forwarded_frames = 0

@@ -9,8 +9,10 @@
   counters, gauges, and fixed-bucket histograms that the Palacios,
   virtio, VNET core/bridge, and hardware models publish into.
 * :mod:`repro.obs.context` — :class:`~repro.obs.context.Observability`,
-  the per-simulator context that hands both to any component.
-* :mod:`repro.obs.exporters` — JSONL dumps, Chrome ``trace_event``
+  the per-simulator context that hands both to any component, and
+  :func:`~repro.obs.context.capture_run`, which collects every
+  simulation's observability for one run.
+* :mod:`repro.obs.exporters` — span JSONL dumps, Chrome ``trace_event``
   output (loadable in ``chrome://tracing`` / Perfetto), and text
   reports.
 * :mod:`repro.obs.breakdown` — the *measured* Fig. 9-style latency
@@ -32,8 +34,9 @@
   :meth:`repro.sim.core.Simulator.run`, with collapsed-stack
   (flamegraph) and Chrome-trace exports.
 * :mod:`repro.obs.runinfo` — versioned :class:`~repro.obs.runinfo.RunArtifact`
-  bundles: one JSON file per run carrying config fingerprint, rows,
-  metrics, timelines, health, fairness scores, and profile summary.
+  bundles: the one serialized record of a run, carrying config
+  fingerprint, rows, metrics, timelines, health, fairness scores, and
+  profile summary.
 * :mod:`repro.obs.compare` — the structured **diff engine** over two
   artifacts (exact mode for same-seed determinism, tolerance mode for
   fluid/ablation A/Bs) behind ``python -m repro obs diff``.
@@ -45,15 +48,13 @@ Chrome-trace example.
 
 from .breakdown import ping_window, recorded_one_way_breakdown
 from .compare import DiffReport, Difference, diff_artifacts
-from .context import Observability, capture_health, capture_metrics, capture_timelines
+from .context import Observability, RunCapture, capture_run
 from .exporters import (
     chrome_trace,
     export_chrome_trace,
     export_jsonl,
-    export_metrics_jsonl,
     normalize_metrics_dump,
     parse_jsonl,
-    parse_metrics_jsonl,
     render_stage_report,
     stage_totals,
 )
@@ -75,8 +76,6 @@ from .health import (
     HeartbeatSilenceDetector,
     LatencySpikeDetector,
     SloMonitor,
-    export_health_jsonl,
-    parse_health_jsonl,
 )
 from .fairness import (
     FairnessScore,
@@ -93,15 +92,14 @@ from .profile import (
     combine_reports,
     profile_chrome_trace,
 )
-from .runinfo import RunArtifact, build_artifact, fairness_scores
+from .runinfo import RunArtifact, build_artifact, fairness_scores, run_config
 from .span import CANONICAL_STAGES, Span, SpanRecorder, assign_parents, flow_id, self_ns
 from .timeline import Series, Timeline, bucket_percentile, merge_dumps
 
 __all__ = [
     "Observability",
-    "capture_health",
-    "capture_metrics",
-    "capture_timelines",
+    "RunCapture",
+    "capture_run",
     "FairnessScore",
     "jain_fairness_index",
     "link_utilization",
@@ -123,9 +121,7 @@ __all__ = [
     "chrome_trace",
     "export_chrome_trace",
     "export_jsonl",
-    "export_metrics_jsonl",
     "parse_jsonl",
-    "parse_metrics_jsonl",
     "render_stage_report",
     "stage_totals",
     "Series",
@@ -147,8 +143,6 @@ __all__ = [
     "GoodputCollapseDetector",
     "LatencySpikeDetector",
     "HeartbeatSilenceDetector",
-    "export_health_jsonl",
-    "parse_health_jsonl",
     "normalize_metrics_dump",
     "KernelProfiler",
     "ProfileReport",
@@ -158,6 +152,7 @@ __all__ = [
     "RunArtifact",
     "build_artifact",
     "fairness_scores",
+    "run_config",
     "Difference",
     "DiffReport",
     "diff_artifacts",

@@ -31,79 +31,66 @@ if TYPE_CHECKING:  # pragma: no cover
     from .health import HealthHub
     from .timeline import Timeline
 
-__all__ = ["Observability", "capture_metrics", "capture_timelines", "capture_health"]
+__all__ = ["Observability", "RunCapture", "capture_run"]
 
 _ATTR = "_repro_obs"
 
-# Active capture buckets (a stack, innermost last).  While non-empty,
-# every newly created Observability registers its MetricsRegistry in the
-# innermost bucket; repro.exec uses this to collect the metrics of every
-# simulation an experiment point builds, without the point function
-# having to thread a registry through.
-_capture_stack: list[list[MetricsRegistry]] = []
 
-# Same idea for timelines, except registration happens lazily on first
-# access of ``Observability.timeline`` — so simulations that never
-# sample a series contribute nothing (and pay nothing).
-_timeline_capture_stack: list[list["Timeline"]] = []
+class RunCapture:
+    """The observability of every simulation created inside one
+    :func:`capture_run`.
 
-# And for health hubs: lazily registered on first access of
-# ``Observability.health``, so untouched hubs contribute nothing.
-_health_capture_stack: list[list["HealthHub"]] = []
+    Registries are collected when a simulation's :class:`Observability`
+    is created; timelines and health hubs only on first access, so a
+    simulation that never samples a series or touches its hub
+    contributes nothing (and pays nothing).
+    """
+
+    def __init__(self):
+        self.registries: list[MetricsRegistry] = []
+        self.timelines: list["Timeline"] = []
+        self.hubs: list["HealthHub"] = []
+
+    def dump(self) -> dict:
+        """The run's ``metrics`` / ``timelines`` / ``health`` sections.
+
+        ``metrics`` merges every registry's typed dump; ``timelines``
+        holds one :meth:`~repro.obs.timeline.Timeline.dump` per timeline
+        with series; ``health`` holds every hub's events as dicts, in
+        emission order.  All three are picklable plain data — what
+        :mod:`repro.exec` ships back from workers and what
+        :class:`~repro.obs.runinfo.RunArtifact` serializes.
+        """
+        merged = MetricsRegistry()
+        for registry in self.registries:
+            merged.merge(registry.dump())
+        return {
+            "metrics": merged.dump(),
+            "timelines": [tl.dump() for tl in self.timelines if tl.series],
+            "health": [e.to_dict() for hub in self.hubs for e in hub.log.events],
+        }
+
+
+# Active captures (a stack, innermost last).  Each newly created
+# Observability, timeline and health hub registers in the innermost one.
+_capture_stack: list[RunCapture] = []
 
 
 @contextmanager
-def capture_metrics() -> Iterator[list[MetricsRegistry]]:
-    """Collect the metrics registry of every simulation created inside.
+def capture_run() -> Iterator[RunCapture]:
+    """Collect the observability of every simulation created inside.
 
-    Yields a list that fills with one :class:`MetricsRegistry` per
-    :class:`Observability` instantiated while the context is active —
-    i.e. one per simulator whose components publish metrics.  Captures
-    nest; registries land in the innermost active capture only.
+    :mod:`repro.exec` wraps each point function in this, so the point's
+    metrics, timelines and health events ship back without the function
+    threading a registry through.  Captures nest; simulations land in
+    the innermost active capture only.
     """
-    bucket: list[MetricsRegistry] = []
-    _capture_stack.append(bucket)
+    capture = RunCapture()
+    _capture_stack.append(capture)
     try:
-        yield bucket
+        yield capture
     finally:
         _capture_stack.pop()
-
-
-@contextmanager
-def capture_timelines() -> Iterator[list["Timeline"]]:
-    """Collect the timeline of every simulation that samples one inside.
-
-    The counterpart of :func:`capture_metrics` for time-series:
-    :mod:`repro.exec` wraps point functions in this so each worker's
-    sampled series can be shipped back (``Timeline.dump``) and merged
-    across processes (:func:`repro.obs.timeline.merge_dumps`).  Only
-    simulations that actually touch ``Observability.timeline`` appear.
-    """
-    bucket: list["Timeline"] = []
-    _timeline_capture_stack.append(bucket)
-    try:
-        yield bucket
-    finally:
-        _timeline_capture_stack.pop()
-
-
-@contextmanager
-def capture_health() -> Iterator[list["HealthHub"]]:
-    """Collect the health hub of every simulation that touches one inside.
-
-    The third capture dimension (:func:`capture_metrics` for totals,
-    :func:`capture_timelines` for time-series, this for event logs):
-    :mod:`repro.exec` wraps point functions in it so each worker's
-    :class:`~repro.obs.health.HealthEvent`\\ s ship back to the parent
-    and land in :class:`~repro.obs.runinfo.RunArtifact` bundles.  Only
-    simulations that actually touch ``Observability.health`` appear.
-    """
-    bucket: list["HealthHub"] = []
-    _health_capture_stack.append(bucket)
-    try:
-        yield bucket
-    finally:
-        _health_capture_stack.pop()
 
 
 class Observability:
@@ -117,7 +104,7 @@ class Observability:
         self._timeline: Optional["Timeline"] = None
         self._health: Optional["HealthHub"] = None
         if _capture_stack:
-            _capture_stack[-1].append(self.metrics)
+            _capture_stack[-1].registries.append(self.metrics)
 
     @classmethod
     def of(cls, sim: "Simulator") -> "Observability":
@@ -140,8 +127,8 @@ class Observability:
             from .timeline import Timeline
 
             self._timeline = Timeline(self.sim, self.metrics)
-            if _timeline_capture_stack:
-                _timeline_capture_stack[-1].append(self._timeline)
+            if _capture_stack:
+                _capture_stack[-1].timelines.append(self._timeline)
         return self._timeline
 
     @property
@@ -157,17 +144,9 @@ class Observability:
             from .health import HealthHub
 
             self._health = HealthHub()
-            if _health_capture_stack:
-                _health_capture_stack[-1].append(self._health)
+            if _capture_stack:
+                _capture_stack[-1].hubs.append(self._health)
         return self._health
-
-    @property
-    def health_active(self) -> bool:
-        """True once the health hub has been touched (cheap guard for
-        emitters: ``if obs.health_active: obs.health.log.emit(...)`` —
-        but emitters may also just emit unconditionally; the hub is
-        tiny)."""
-        return self._health is not None
 
     def reset(self) -> None:
         """Drop recorded spans, zero all metrics, clear timeline/health."""

@@ -12,12 +12,9 @@ Three ways out of the recorder:
 * :func:`render_stage_report` — a Fig. 9-style text table of per-stage
   time, aggregated over whatever spans are passed in.
 
-Plus the registry counterpart: :func:`export_metrics_jsonl` /
-:func:`parse_metrics_jsonl` serialise a whole
-:class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges
-(including time-weighted state), histogram bucket edges and counts, and
-labeled-counter families — one metric per line, sorted by name, so two
-runs' registries can be diffed in CI exactly the way span JSONL is.
+Plus :func:`normalize_metrics_dump`, which makes equivalent registry
+dumps serialise identically inside :class:`~repro.obs.runinfo.RunArtifact`
+bundles.
 
 See ``docs/observability.md`` for the schemas and a worked example.
 """
@@ -27,14 +24,11 @@ from __future__ import annotations
 import json
 from typing import IO, Iterable, Union
 
-from .metrics import MetricsRegistry
 from .span import Span
 
 __all__ = [
     "export_jsonl",
     "parse_jsonl",
-    "export_metrics_jsonl",
-    "parse_metrics_jsonl",
     "normalize_metrics_dump",
     "chrome_trace",
     "export_chrome_trace",
@@ -71,11 +65,9 @@ def normalize_metrics_dump(dump: dict) -> dict:
     Gauge values and histogram extrema become floats (a merge
     reconstruction turns int-valued ones into floats anyway) and
     ``+ 0.0`` collapses -0.0 to 0.0 (which value-summing merges produce).
-    Returns a new dump; the input is not mutated.  Both the JSONL
-    exporter and :mod:`repro.obs.runinfo` artifacts go through this, so
-    ``export(parse(export(r)))`` is textually identical to ``export(r)``
-    and two equivalent :class:`~repro.obs.runinfo.RunArtifact`\\ s diff
-    clean.
+    Returns a new dump; the input is not mutated.
+    :mod:`repro.obs.runinfo` artifacts go through this, so two
+    equivalent :class:`~repro.obs.runinfo.RunArtifact`\\ s diff clean.
     """
     out: dict[str, dict] = {}
     for name, entry in dump.items():
@@ -87,49 +79,6 @@ def normalize_metrics_dump(dump: dict) -> dict:
             entry["max"] = float(entry["max"])
         out[name] = entry
     return out
-
-
-def export_metrics_jsonl(registry: MetricsRegistry,
-                         fp: Union[IO[str], None] = None) -> str:
-    """Serialise a metrics registry as JSON Lines, one metric per line.
-
-    Each line is the metric's :meth:`~repro.obs.metrics.MetricsRegistry.dump`
-    entry plus a ``"name"`` key, emitted in sorted-name order so two
-    exports of equivalent registries are textually identical (CI diffs
-    them with plain ``diff``).  Non-finite extrema of empty histograms
-    serialise as ``Infinity`` / ``-Infinity``, which :func:`json.loads`
-    reads back exactly.
-    """
-    dump = normalize_metrics_dump(registry.dump())
-    text = "\n".join(
-        json.dumps({"name": name, **dump[name]}, sort_keys=True)
-        for name in sorted(dump)
-    )
-    if text:
-        text += "\n"
-    if fp is not None:
-        fp.write(text)
-    return text
-
-
-def parse_metrics_jsonl(text: Union[str, Iterable[str]]) -> MetricsRegistry:
-    """Inverse of :func:`export_metrics_jsonl`: rebuild the registry.
-
-    The reconstruction is lossless — counters, gauge values and
-    time-weighted state, histogram edges/counts/moments, and every
-    ``<prefix>.<label>`` member of a labeled-counter family come back
-    exactly, so ``export(parse(export(r)))`` equals ``export(r)``.
-    """
-    lines = text.splitlines() if isinstance(text, str) else text
-    dump: dict[str, dict] = {}
-    for line in lines:
-        line = line.strip()
-        if line:
-            entry = json.loads(line)
-            dump[entry.pop("name")] = entry
-    registry = MetricsRegistry()
-    registry.merge(dump)
-    return registry
 
 
 def chrome_trace(spans: Iterable[Span], unit_label: str = "virtual-ns") -> dict:

@@ -22,17 +22,16 @@ poking route tables.  Three pieces:
   are checked after every tick, and cost nothing when none are
   registered.
 
-Events are plain data (``to_dict``/``from_dict`` round-trip through
-JSONL like spans do), deterministic in virtual time, and ordered by
-``(t_ns, seq)``.
+Events are plain data (``to_dict``/``from_dict`` round-trip, which is
+how they ship in :class:`~repro.obs.runinfo.RunArtifact` bundles),
+deterministic in virtual time, and ordered by ``(t_ns, seq)``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Optional, Union
+from typing import Callable, Optional
 
 from .metrics import Counter
 from .timeline import Series, Timeline
@@ -45,8 +44,6 @@ __all__ = [
     "GoodputCollapseDetector",
     "LatencySpikeDetector",
     "HeartbeatSilenceDetector",
-    "export_health_jsonl",
-    "parse_health_jsonl",
 ]
 
 #: Event severities, mildest first.
@@ -66,7 +63,7 @@ class HealthEvent:
     seq: int = 0
 
     def to_dict(self) -> dict:
-        """JSON-serialisable form (the JSONL schema)."""
+        """JSON-serialisable form (the artifact ``health`` schema)."""
         return {
             "t_ns": self.t_ns,
             "monitor": self.monitor,
@@ -145,28 +142,6 @@ class HealthLog:
                 f"{e.kind:20} {e.message}"
             )
         return "\n".join(lines)
-
-
-def export_health_jsonl(events: Iterable[HealthEvent],
-                        fp: Union[IO[str], None] = None) -> str:
-    """Serialise health events as JSON Lines (schema = ``to_dict``)."""
-    text = "\n".join(json.dumps(e.to_dict(), sort_keys=True) for e in events)
-    if text:
-        text += "\n"
-    if fp is not None:
-        fp.write(text)
-    return text
-
-
-def parse_health_jsonl(text: Union[str, Iterable[str]]) -> list[HealthEvent]:
-    """Inverse of :func:`export_health_jsonl`."""
-    lines = text.splitlines() if isinstance(text, str) else text
-    out = []
-    for line in lines:
-        line = line.strip()
-        if line:
-            out.append(HealthEvent.from_dict(json.loads(line)))
-    return out
 
 
 class Monitor:

@@ -5,11 +5,11 @@ observed*: the config fingerprint (code version + env knobs), the
 result rows of every experiment, the merged metrics registry dump, the
 timeline dumps, the health log, the derived fairness scores, and — for
 profiled runs — the kernel profile summary.  Experiment runs write one
-via ``python -m repro <experiment> --artifact-out run.json``; the data
-rides the same :func:`~repro.obs.context.capture_metrics` /
-:func:`~repro.obs.context.capture_timelines` /
-:func:`~repro.obs.context.capture_health` machinery that already ships
-observability across ``repro.exec`` workers and the result cache.
+via ``python -m repro <experiment> --artifact-out run.json`` and
+``python -m repro obs report --artifact-out`` writes a ``report`` one;
+the ``metrics`` / ``timelines`` / ``health`` sections are exactly what
+:meth:`repro.obs.context.RunCapture.dump` returns, the same data that
+ships observability across ``repro.exec`` workers and the result cache.
 
 Artifacts exist to be *compared*: :mod:`repro.obs.compare` diffs two of
 them structurally (exact mode for same-seed determinism checks,
@@ -35,7 +35,13 @@ from typing import Optional
 
 from .exporters import normalize_metrics_dump
 
-__all__ = ["RunArtifact", "build_artifact", "fairness_scores", "ARTIFACT_SCHEMA"]
+__all__ = [
+    "RunArtifact",
+    "build_artifact",
+    "fairness_scores",
+    "run_config",
+    "ARTIFACT_SCHEMA",
+]
 
 #: Current artifact schema version.
 ARTIFACT_SCHEMA = 1
@@ -132,6 +138,20 @@ class RunArtifact:
             return cls.from_dict(json.load(fp))
 
 
+def run_config(extra_config: Optional[dict] = None) -> dict:
+    """An artifact's ``config`` section: the package code version
+    (:func:`repro.exec.fingerprint.code_version`) plus the recorded
+    :data:`ENV_KNOBS`, with ``extra_config`` entries merged on top."""
+    from ..exec.fingerprint import code_version
+
+    config = {
+        "code_version": code_version(),
+        "env": {knob: os.environ.get(knob, "") for knob in ENV_KNOBS},
+    }
+    config.update(extra_config or {})
+    return config
+
+
 def build_artifact(
     engine,
     results,
@@ -144,28 +164,18 @@ def build_artifact(
     ``engine`` is a :class:`repro.exec.Engine` whose points have run
     (its merged metrics, collected timeline dumps, and captured health
     events become the artifact's respective sections); ``results`` is an
-    iterable of :class:`repro.harness.report.ExperimentResult`.  The
-    config fingerprint is the package code version
-    (:func:`repro.exec.fingerprint.code_version`) plus the recorded
-    :data:`ENV_KNOBS`; ``extra_config`` entries (experiment names, jobs,
-    quick flag) merge on top.
+    iterable of :class:`repro.harness.report.ExperimentResult`;
+    ``extra_config`` entries (experiment names, jobs, quick flag) merge
+    into :func:`run_config`.
     """
-    from ..exec.fingerprint import code_version
-
-    config = {
-        "code_version": code_version(),
-        "env": {knob: os.environ.get(knob, "") for knob in ENV_KNOBS},
-    }
-    if extra_config:
-        config.update(extra_config)
     metrics = normalize_metrics_dump(engine.metrics.dump())
     return RunArtifact(
         kind=kind,
-        config=config,
+        config=run_config(extra_config),
         rows={res.experiment_id: list(res.rows) for res in results},
         metrics=metrics,
         timelines=list(engine.timelines),
-        health=list(getattr(engine, "health_events", [])),
+        health=list(engine.health_events),
         fairness=fairness_scores(metrics),
         profile=profile,
         volatile={

@@ -10,8 +10,8 @@ the simulation clock at span entry/exit.
 
 Spans are recorded through :class:`SpanRecorder`, usually reached via
 :class:`repro.obs.context.Observability`.  Recording is **off by
-default** (it is O(events) memory, like ``Tracer.records``); the always-
-on counterpart is the metrics registry (:mod:`repro.obs.metrics`).
+default** (it is O(events) memory); the always-on counterpart is the
+metrics registry (:mod:`repro.obs.metrics`).
 
 Instrumentation idiom — a ``with`` block inside a simulation process
 works across ``yield``s, so a span brackets exactly the virtual time the

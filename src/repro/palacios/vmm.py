@@ -8,13 +8,13 @@ central performance argument is about eliminating exits).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from ..config import VMMParams, VirtioParams
 from ..obs.context import Observability
 from ..obs.metrics import LabeledCounters
 from ..proto.stack import Stack
-from ..sim import Simulator, Tracer
+from ..sim import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..host.machine import Host
@@ -47,9 +47,8 @@ class PalaciosVMM:
         guest_ip: str,
         vcpus: int = 2,
         mem_mb: int = 1024,
-        tracer: Optional[Tracer] = None,
     ) -> "VirtualMachine":
-        vm = VirtualMachine(self, name, guest_ip, vcpus=vcpus, mem_mb=mem_mb, tracer=tracer)
+        vm = VirtualMachine(self, name, guest_ip, vcpus=vcpus, mem_mb=mem_mb)
         self.vms.append(vm)
         return vm
 
@@ -83,7 +82,6 @@ class VirtualMachine:
         guest_ip: str,
         vcpus: int = 2,
         mem_mb: int = 1024,
-        tracer: Optional[Tracer] = None,
     ):
         self.vmm = vmm
         self.sim = vmm.sim
@@ -91,13 +89,11 @@ class VirtualMachine:
         self.guest_ip = guest_ip
         self.vcpus = vcpus
         self.mem_mb = mem_mb
-        self.tracer = tracer or Tracer()
         self.stack = Stack(
             self.sim,
             vmm.host.params.stack,
             ip=guest_ip,
             name=f"{name}.gstack",
-            tracer=self.tracer,
             role="guest",
         )
         self.virtio_nics: list["VirtioNIC"] = []

@@ -26,7 +26,7 @@ from ..obs.span import (
     STAGE_UDP_RX,
     STAGE_UDP_TX,
 )
-from ..sim import Event, Signal, Simulator, Store, Tracer
+from ..sim import Event, Signal, Simulator, Store
 from ..sim.fluid import fluid_region_of
 from .arp import ARP_REPLY, ARP_REQUEST, ETHERTYPE_ARP, ArpMessage, ArpTimeout
 from .ethernet import BROADCAST_MAC, ETHERTYPE_IPV4, EthernetFrame
@@ -113,7 +113,6 @@ class Stack:
         params: HostStackParams,
         ip: str,
         name: str = "stack",
-        tracer: Optional[Tracer] = None,
         role: str = "host",
     ):
         self.sim = sim
@@ -123,7 +122,6 @@ class Stack:
         self.role = role
         self.where = "guest" if role == "guest" else "host"
         self.obs = Observability.of(sim)
-        self.tracer = tracer or Tracer()
         self.devices: list[NetDevice] = []
         self._default_dev: Optional[NetDevice] = None
         self.neighbors: dict[str, str] = {}        # dst ip -> mac
@@ -418,7 +416,9 @@ class Stack:
             if sock is not None:
                 sock.deliver(dgram, pkt.src)
             else:
-                self.tracer.record(self.sim.now, f"{self.name}.udp_unreachable", dgram)
+                # Drop counters register on first use, so stacks that
+                # never drop publish nothing.
+                self.obs.metrics.counter(f"proto.stack.{self.name}.udp_unreachable").inc()
         elif pkt.proto == PROTO_TCP:
             seg: TcpSegment = pkt.payload
             cost = params.tcp_rx_ns if seg.payload_bytes else params.tcp_ack_rx_ns
@@ -435,7 +435,7 @@ class Stack:
                 if listener is not None:
                     listener._on_syn(seg, pkt.src)
         else:
-            self.tracer.record(self.sim.now, f"{self.name}.proto_unknown", pkt)
+            self.obs.metrics.counter(f"proto.stack.{self.name}.proto_unknown").inc()
 
     def _handle_icmp(self, pkt: IPv4Packet):
         msg: ICMPMessage = pkt.payload

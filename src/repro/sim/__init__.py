@@ -14,7 +14,7 @@ from .core import (
 from .pipeline import CopyCharger, PacketStage, Port
 from .primitives import Resource, Signal, Store
 from .rng import RandomStreams
-from .trace import SampleStats, Tracer
+from .trace import SampleStats
 
 __all__ = [
     "AllOf",
@@ -34,5 +34,4 @@ __all__ = [
     "Store",
     "RandomStreams",
     "SampleStats",
-    "Tracer",
 ]

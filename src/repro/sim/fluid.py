@@ -179,15 +179,21 @@ class FluidRegion:
     MAX_ZERO_STRIDES = 2
     #: Eligibility backoff multiplier after a cancelled capture.
     CANCEL_BACKOFF = 8
+    #: Steady-state probe window: at most one eligibility check per
+    #: connection per 200 us.
+    CHECK_NS = 200_000
+    #: Stride ceiling (1 ms).
+    MAX_STRIDE_NS = 1_000_000
+    #: No capture when a transition is closer than this (50 us); also the
+    #: short retry stride while the receiver's buffer is full.
+    MIN_STRIDE_NS = 50_000
+    #: Two consecutive probe windows must measure rates this close.
+    RATE_TOLERANCE = 0.2
 
     def __init__(self, sim: Simulator, tuning: Any):
         self.sim = sim
         self.tuning = tuning
         self.min_bytes = int(tuning.fluid_min_bytes)
-        self.check_ns = int(tuning.fluid_check_ns)
-        self.max_stride_ns = int(tuning.fluid_max_stride_ns)
-        self.min_stride_ns = int(tuning.fluid_min_stride_ns)
-        self.rate_tolerance = float(tuning.fluid_rate_tolerance)
         # Domain objects registered by the path adapter (VNET/P cores).
         self.cores: list[Any] = []
         self.compile_path: Optional[Callable[["FluidRegion", Any], Any]] = None
@@ -283,7 +289,7 @@ class FluidRegion:
         if st is None:
             self._watch[conn] = [now, conn.bytes_acked, conn.retransmits, -1.0]
             return
-        if now - st[0] < self.check_ns:
+        if now - st[0] < self.CHECK_NS:
             return
         interval = now - st[0]
         rate = (conn.bytes_acked - st[1]) * 1e9 / interval
@@ -295,7 +301,7 @@ class FluidRegion:
         st[3] = rate if clean else -1.0
         if not clean or rate <= 0.0 or prev_rate <= 0.0:
             return
-        if abs(rate - prev_rate) > self.rate_tolerance * prev_rate:
+        if abs(rate - prev_rate) > self.RATE_TOLERANCE * prev_rate:
             return
         if not self._eligible(conn, now):
             return
@@ -326,7 +332,7 @@ class FluidRegion:
         if self.in_blackout(now):
             return False
         nt = self.next_transition_after(now)
-        return nt is None or nt - now >= self.min_stride_ns
+        return nt is None or nt - now >= self.MIN_STRIDE_NS
 
     def _capture(self, conn: "TcpConnection", demand_Bps: float) -> None:
         if self.compile_path is None:
@@ -377,7 +383,7 @@ class FluidRegion:
         # connection may be captured again.
         st = self._watch.get(flow.conn)
         if st is not None:
-            st[0] = self.sim.now + self.CANCEL_BACKOFF * self.check_ns
+            st[0] = self.sim.now + self.CANCEL_BACKOFF * self.CHECK_NS
             st[3] = -1.0
 
     # -- de-escalation (the packet-level handback) --------------------------
@@ -428,7 +434,7 @@ class FluidRegion:
         stability window is measured (the refill right after a release
         can look deceptively stable at the old rate)."""
         self.deescalate_all("mode-change")
-        next_check = self.sim.now + self.CANCEL_BACKOFF * self.check_ns
+        next_check = self.sim.now + self.CANCEL_BACKOFF * self.CHECK_NS
         for st in self._watch.values():
             st[0] = next_check
             st[3] = -1.0
@@ -473,7 +479,7 @@ class FluidRegion:
         """Latest instant this stride may reach: the max stride clipped
         to the next declared transition and each flow's data/receive-
         buffer exhaustion time (so releases land exactly on time)."""
-        end = now + self.max_stride_ns
+        end = now + self.MAX_STRIDE_NS
         nt = self.next_transition_after(now)
         if nt is not None:
             end = min(end, nt)
@@ -496,7 +502,7 @@ class FluidRegion:
                 # Buffer momentarily full (drain pending on the kernel's
                 # immediate queue): take a short retry stride instead of
                 # sleeping a whole max-stride moving nothing.
-                end = min(end, now + self.min_stride_ns)
+                end = min(end, now + self.MIN_STRIDE_NS)
         return max(end, now + 1)
 
     def _advance_flow(self, flow: FluidFlow, t0: int, t1: int) -> int:

@@ -1,46 +1,15 @@
-"""Lightweight tracing and statistics collection.
+"""Streaming statistics collection.
 
-The tracer records (time, category, payload) tuples when enabled, and
-always maintains cheap counters.  Benchmarks use :class:`SampleStats`
-for latency distributions without keeping every sample in Python lists
-when very large.
+Benchmarks use :class:`SampleStats` for latency distributions without
+keeping every sample in Python lists when very large.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from typing import Any, Iterable
+from typing import Iterable
 
-__all__ = ["Tracer", "SampleStats"]
-
-
-class Tracer:
-    """Event trace plus counters.
-
-    Tracing full records is off by default (it is O(events) memory); the
-    counters are always on and are what most tests assert against.
-    """
-
-    def __init__(self, enabled: bool = False):
-        self.enabled = enabled
-        self.records: list[tuple[int, str, Any]] = []
-        self.counters: Counter[str] = Counter()
-
-    def count(self, category: str, n: int = 1) -> None:
-        self.counters[category] += n
-
-    def record(self, now: int, category: str, payload: Any = None) -> None:
-        self.counters[category] += 1
-        if self.enabled:
-            self.records.append((now, category, payload))
-
-    def of(self, category: str) -> list[tuple[int, str, Any]]:
-        return [r for r in self.records if r[1] == category]
-
-    def reset(self) -> None:
-        self.records.clear()
-        self.counters.clear()
+__all__ = ["SampleStats"]
 
 
 class SampleStats:

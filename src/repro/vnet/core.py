@@ -29,7 +29,7 @@ from ..obs.span import (
     STAGE_INJECT,
 )
 from ..proto.ethernet import BROADCAST_MAC, EthernetFrame
-from ..sim import CopyCharger, PacketStage, Simulator, Store, Tracer
+from ..sim import CopyCharger, PacketStage, Simulator, Store
 from .dispatcher import ModeController, YieldState
 from .flowcache import FlowCache, FlowCacheEntry
 from .heartbeat import HeartbeatFrame
@@ -52,13 +52,11 @@ class VnetCore(PacketStage):
         sim: Simulator,
         host: "Host",
         tuning: Optional[VnetTuning] = None,
-        tracer: Optional[Tracer] = None,
     ):
         self._init_stage(sim, f"{host.name}.vnet")
         self.host = host
         self.tuning = tuning or VnetTuning()
         self.costs = host.params.vnet_costs
-        self.tracer = tracer or Tracer()
         self.routing = RoutingTable(self.costs, cache_enabled=self.tuning.routing_cache)
         # Per-flow fast path (ONCache-style, see repro.vnet.flowcache):
         # subscribes to routing changes so a compiled flow can never
@@ -364,7 +362,6 @@ class VnetCore(PacketStage):
                     entry, cost = self.routing.lookup(frame.src, frame.dst)
                 except NoRouteError:
                     self._pkts_dropped_no_route.inc()
-                    self.tracer.record(self.sim.now, f"{self.name}.no_route", frame)
                     return
                 yield self.sim.timeout(cost)
         if entry is None:

@@ -84,6 +84,13 @@ def test_failover_rewrites_and_restores_routes():
     descriptions = [a.description for a in engine.actions]
     assert any(d.startswith("failover:") for d in descriptions)
     assert any(d.startswith("failback:") for d in descriptions)
+    # The health log pins each transition to the action log, to the ns.
+    log = Observability.of(sim).health.log
+    assert [log.first(kind).t_ns for kind in ("failover", "failback")] == [
+        next(a.when_ns for a in engine.actions
+             if a.description.startswith(kind + ":"))
+        for kind in ("failover", "failback")
+    ]
 
 
 def test_failback_waits_out_the_backoff():

@@ -1,5 +1,7 @@
 """Tests for the python -m repro CLI."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -46,3 +48,31 @@ def test_cli_cache_warm_run_executes_nothing(tmp_path, capsys):
         return [l for l in out.splitlines() if "|" in l]
 
     assert rows(cold) == rows(warm)
+
+
+def test_cli_artifact_diff_exit_codes(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for path in (a, b):
+        assert main(["abl-yield", "--quick", "--no-cache",
+                     "--artifact-out", str(path)]) == 0
+    # Two same-seed runs are identical.
+    assert main(["obs", "diff", str(a), str(b)]) == 0
+    # One edited row value is a difference.
+    art = json.loads(b.read_text())
+    art["rows"]["abl-yield"][0]["rtt_us"] += 1.0
+    b.write_text(json.dumps(art))
+    assert main(["obs", "diff", str(a), str(b)]) == 1
+    assert "rows.abl-yield[0].rtt_us" in capsys.readouterr().out
+    # A file that is not JSON is unusable input.
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+    assert main(["obs", "diff", str(a), str(bad)]) == 2
+
+
+def test_cli_obs_report_writes_artifact(tmp_path):
+    path = tmp_path / "r.json"
+    assert main(["obs", "report", "--duration-ms", "0.5",
+                 "--artifact-out", str(path)]) == 0
+    art = json.loads(path.read_text())
+    assert art["kind"] == "report"
+    assert art["metrics"] and art["timelines"]

@@ -1,11 +1,10 @@
-"""Health: event log queries, detectors, hub wiring, JSONL round-trip."""
+"""Health: event log queries, detectors, hub wiring, capture."""
 
-import io
 import math
 
 import pytest
 
-from repro.obs.context import Observability
+from repro.obs.context import Observability, capture_run
 from repro.obs.health import (
     GoodputCollapseDetector,
     HealthEvent,
@@ -14,9 +13,7 @@ from repro.obs.health import (
     HeartbeatSilenceDetector,
     LatencySpikeDetector,
     SloMonitor,
-    export_health_jsonl,
     make_detector,
-    parse_health_jsonl,
 )
 from repro.obs.metrics import Counter
 from repro.obs.timeline import Series, Timeline
@@ -45,20 +42,6 @@ def test_log_emit_orders_and_queries():
 def test_log_rejects_unknown_severity():
     with pytest.raises(ValueError):
         HealthLog().emit(0, "m", "k", severity="catastrophic")
-
-
-def test_health_jsonl_round_trip_including_nan_value():
-    log = HealthLog()
-    log.emit(100, "m", "fault", "critical", "boom", 3.5)
-    log.emit(200, "m", "fault-recovered")  # value stays NaN
-    fp = io.StringIO()
-    text = export_health_jsonl(log.events, fp)
-    assert fp.getvalue() == text
-    back = parse_health_jsonl(text)
-    assert back[0] == log.events[0]
-    assert back[1].t_ns == 200 and math.isnan(back[1].value)
-    assert parse_health_jsonl(text.splitlines()) == back
-    assert export_health_jsonl([]) == ""
 
 
 def test_event_dict_round_trip_defaults():
@@ -178,11 +161,13 @@ def test_hub_rides_timeline_ticks():
 
 
 def test_observability_health_is_lazy_and_reset_clears_log():
-    sim = Simulator()
-    obs = Observability.of(sim)
-    assert not obs.health_active
-    hub = obs.health
-    assert obs.health is hub and obs.health_active
+    with capture_run() as capture:
+        sim = Simulator()
+        obs = Observability.of(sim)
+        assert capture.hubs == []        # untouched hubs contribute nothing
+        hub = obs.health
+        assert obs.health is hub and capture.hubs == [hub]
     hub.log.emit(0, "m", "k")
+    assert [e["kind"] for e in capture.dump()["health"]] == ["k"]
     obs.reset()
     assert len(obs.health.log) == 0

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from repro.obs.context import Observability, capture_metrics
+from repro.obs.context import Observability, capture_run
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator
 from repro.sim.trace import SampleStats
@@ -59,18 +59,26 @@ def test_merge_rejects_kind_conflicts():
         MetricsRegistry().merge({"x": {"type": "mystery"}})
 
 
-def test_capture_metrics_collects_new_simulations():
-    with capture_metrics() as outer:
+def test_capture_run_collects_new_simulations():
+    with capture_run() as outer:
         obs1 = Observability.of(Simulator())
-        with capture_metrics() as inner:
+        with capture_run() as inner:
             obs2 = Observability.of(Simulator())
         obs3 = Observability.of(Simulator())
-    assert outer == [obs1.metrics, obs3.metrics]
-    assert inner == [obs2.metrics]
+    assert outer.registries == [obs1.metrics, obs3.metrics]
+    assert inner.registries == [obs2.metrics]
+    obs1.metrics.counter("c").inc(2)
+    obs3.metrics.counter("c").inc(3)
+    # Untouched timelines/hubs contribute nothing to the dump.
+    assert outer.dump() == {
+        "metrics": {"c": {"type": "counter", "value": 5}},
+        "timelines": [],
+        "health": [],
+    }
     # Outside any capture, creation registers nowhere.
-    with capture_metrics() as empty:
+    with capture_run() as empty:
         pass
-    assert empty == []
+    assert empty.dump() == {"metrics": {}, "timelines": [], "health": []}
 
 
 def test_sample_stats_merge_matches_streaming():

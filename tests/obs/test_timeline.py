@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.obs.context import Observability, capture_timelines
+from repro.obs.context import Observability, capture_run
 from repro.obs.timeline import (
     DEFAULT_INTERVAL_NS,
     Series,
@@ -270,13 +270,14 @@ def test_merge_dumps_concatenates_and_sorts():
 # -- context wiring --------------------------------------------------------
 
 def test_observability_timeline_lazy_and_captured():
-    with capture_timelines() as bucket:
+    with capture_run() as capture:
         sim = Simulator()
         obs = Observability.of(sim)
-        assert bucket == []          # untouched simulations contribute nothing
+        assert capture.timelines == []   # untouched simulations contribute nothing
         tl = obs.timeline
-        assert obs.timeline is tl    # cached
-        assert bucket == [tl]
+        assert obs.timeline is tl        # cached
+        assert capture.timelines == [tl]
+        assert capture.dump()["timelines"] == []  # no series yet
     assert tl.interval_ns == DEFAULT_INTERVAL_NS
     obs.reset()
     assert obs.timeline is not tl    # reset drops the store

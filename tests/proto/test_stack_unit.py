@@ -92,7 +92,9 @@ def test_udp_unreachable_port_counts():
     p = sim.process(tx())
     sim.run(until=p)
     sim.run()
-    assert b.stack.tracer.counters[f"{b.stack.name}.udp_unreachable"] == 1
+    metrics = b.stack.obs.metrics
+    assert metrics.counter(f"proto.stack.{b.stack.name}.udp_unreachable").value == 1
+    assert metrics.counter(f"proto.stack.{b.stack.name}.proto_unknown").value == 0
 
 
 def test_concurrent_pings_do_not_cross_match():

@@ -120,7 +120,7 @@ def test_blackout_windows():
 
 def test_horizon_rejects_blackouts_and_imminent_transitions():
     region = _region()
-    region.note_transitions([region.min_stride_ns // 2],
+    region.note_transitions([region.MIN_STRIDE_NS // 2],
                             blackouts=[(1_000_000, 2_000_000)])
     assert not region._horizon_ok(0)                  # transition too close
     assert not region._horizon_ok(1_500_000)          # inside the fault window
@@ -141,7 +141,7 @@ def test_stride_end_defaults_to_max_stride():
     region = _region()
     flow = _fake_flow(rcvbuf=1 << 40)  # effectively unbounded receiver
     region.active.append(flow)
-    assert region._stride_end(0) == region.max_stride_ns
+    assert region._stride_end(0) == region.MAX_STRIDE_NS
 
 
 def test_stride_end_half_fills_receive_buffer():
@@ -164,7 +164,7 @@ def test_stride_end_never_crosses_a_declared_transition():
 def test_stride_end_short_retry_when_receiver_full():
     region = _region()
     region.active.append(_fake_flow(rcvbuf=4096, queued=4096))
-    assert region._stride_end(0) == region.min_stride_ns
+    assert region._stride_end(0) == region.MIN_STRIDE_NS
 
 
 def test_stride_end_clips_to_data_exhaustion():

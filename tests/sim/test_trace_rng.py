@@ -1,29 +1,11 @@
-"""Tests for tracing, statistics, and RNG streams."""
+"""Tests for streaming statistics and RNG streams."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import RandomStreams, SampleStats, Tracer
-
-
-def test_tracer_counters_always_on():
-    t = Tracer(enabled=False)
-    t.record(10, "tx")
-    t.record(20, "tx")
-    t.record(30, "rx")
-    assert t.counters["tx"] == 2
-    assert t.counters["rx"] == 1
-    assert t.records == []  # full records off
-
-
-def test_tracer_records_when_enabled():
-    t = Tracer(enabled=True)
-    t.record(10, "tx", "payload")
-    assert t.of("tx") == [(10, "tx", "payload")]
-    t.reset()
-    assert t.counters == {}
+from repro.sim import RandomStreams, SampleStats
 
 
 def test_sample_stats_moments():
