@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import re
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -30,8 +31,13 @@ _MAC_RE = re.compile(r"^([0-9a-f]{2}:){5}[0-9a-f]{2}$")
 
 
 def validate_mac(mac: str, allow_any: bool = True) -> str:
-    """Normalise and validate a MAC address (or the ``any`` wildcard)."""
-    mac = mac.strip().lower()
+    """Normalise and validate a MAC address (or the ``any`` wildcard).
+
+    The result is interned: a cluster-scale overlay holds the same MAC in
+    every host's route table, and one shared string per address keeps
+    those tables small.
+    """
+    mac = sys.intern(mac.strip().lower())
     if allow_any and mac == ANY_MAC:
         return ANY_MAC
     if not _MAC_RE.match(mac):
@@ -77,9 +83,14 @@ class DestType(enum.Enum):
     INTERFACE = "interface"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RouteEntry:
-    """One routing rule: (src_mac, dst_mac) -> destination."""
+    """One routing rule: (src_mac, dst_mac) -> destination.
+
+    Frozen, so it hashes on the fields its ``__eq__`` compares; the
+    routing table's duplicate check relies on that.  Slotted, so the
+    table's membership set costs no net memory at cluster scale.
+    """
 
     src_mac: str
     dst_mac: str

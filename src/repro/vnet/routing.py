@@ -20,10 +20,19 @@ still pays ``route_table_per_entry_ns`` for every entry in the table
 (the paper's design scans the whole list), and the hash cache still
 short-circuits warm flows at ``route_cache_hit_ns``.
 
+Installation is O(1) per route too.  ``provision()``
+installs a host's table one control command at a time, and a duplicate
+check that scanned ``entries`` made that quadratic.  The table keeps a
+private membership set next to the ordered list (:class:`RouteEntry` is
+frozen, so it hashes on the fields its ``__eq__`` compares); ``add`` and
+``load`` test for duplicates against it and reject exactly what the
+scan rejected.
+
 ``entries`` must be mutated through the table API (``add`` / ``remove``
-/ ``remove_matching`` / ``clear`` / ``load``): the index and the hash
-cache are invalidated from :meth:`RoutingTable._changed`, so out-of-band
-list surgery would leave lookups reading stale state.
+/ ``remove_matching`` / ``clear`` / ``load``): each keeps the membership
+set equal to ``entries``, and the index and the hash cache are
+invalidated from :meth:`RoutingTable._changed`, so out-of-band list
+surgery would leave duplicate checks and lookups reading stale state.
 """
 
 from __future__ import annotations
@@ -47,6 +56,8 @@ class RoutingTable:
         self.costs = costs
         self.cache_enabled = cache_enabled
         self.entries: list[RouteEntry] = []
+        # Same routes as ``entries``, for O(1) duplicate checks.
+        self._members: set[RouteEntry] = set()
         self._cache: dict[tuple[str, str], RouteEntry] = {}
         # Lazily rebuilt lookup index: exact-dst buckets + wildcard-dst
         # list, both in insertion order.  None = stale (rebuilt on the
@@ -88,9 +99,10 @@ class RoutingTable:
         return by_dst
 
     def add(self, entry: RouteEntry) -> None:
-        if entry in self.entries:
+        if entry in self._members:
             raise ValueError(f"duplicate route: {entry}")
         self.entries.append(entry)
+        self._members.add(entry)
         self._changed()
 
     def load(self, entries: Iterable[RouteEntry]) -> int:
@@ -99,22 +111,29 @@ class RoutingTable:
         The topology compiler (:mod:`repro.topo.compiler`) installs
         hundreds of routes per host on cluster-scale overlays; loading
         them one :meth:`add` at a time would fire the change listeners —
-        and flush every derived cache — per entry, and pay an O(n)
-        duplicate scan per entry on top.  ``load`` extends the table in
-        one step (callers are trusted not to hand it duplicates; the
-        compiler emits each route exactly once) and notifies listeners
-        once.  Returns the number of routes added.
+        and flush every derived cache — per entry.  ``load`` extends the
+        table in one step and notifies listeners once.  Like :meth:`add`
+        it rejects a route already in the table, and also one repeated
+        within the batch, with ``ValueError``; it checks the whole batch
+        before mutating anything, so a rejected load leaves the table
+        untouched.  Returns the number of routes added.
         """
         added = list(entries)
+        fresh: set[RouteEntry] = set()
+        for entry in added:
+            if entry in self._members or entry in fresh:
+                raise ValueError(f"duplicate route: {entry}")
+            fresh.add(entry)
         self.entries.extend(added)
+        self._members |= fresh
         self._changed()
         return len(added)
 
     def remove(self, entry: RouteEntry) -> None:
-        try:
-            self.entries.remove(entry)
-        except ValueError:
-            raise KeyError(f"no such route: {entry}") from None
+        if entry not in self._members:
+            raise KeyError(f"no such route: {entry}")
+        self.entries.remove(entry)
+        self._members.remove(entry)
         self._changed()
 
     def remove_matching(
@@ -133,6 +152,7 @@ class RoutingTable:
                 and (dest_name is None or e.dest_name == dest_name)
             ):
                 removed += 1
+                self._members.remove(e)
             else:
                 keep.append(e)
         self.entries = keep
@@ -141,6 +161,7 @@ class RoutingTable:
 
     def clear(self) -> None:
         self.entries.clear()
+        self._members.clear()
         self._changed()
 
     def warm_lookup_cost(self) -> int:
