@@ -40,7 +40,6 @@ from ..obs.context import Observability
 from ..sim import Simulator
 from ..sim.fluid import fluid_region_of
 from ..sim.pipeline import Port
-from ..vnet.flowcache import invalidate_for_fault
 from .stages import (
     DuplicateStage,
     FaultInjector,
@@ -228,9 +227,17 @@ class FaultSchedule:
         self.windows.append(window)
         return window
 
-    # Fault kinds whose install can strand a compiled fast-path route
+    # Fault kinds whose install releases fluid flows crossing the port
     # (drop-family); reorder/duplicate only perturb delivery order.
-    _INVALIDATING = frozenset({"loss", "burst", "partition"})
+    _RELEASES_FLUID = frozenset({"loss", "burst", "partition"})
+
+    def _release_fluid(self, port: Port) -> None:
+        # A fault on the path invalidates the analytic fluid model of
+        # the flows crossing it: hand them back to packets at this
+        # exact instant.
+        region = fluid_region_of(self.sim)
+        if region is not None:
+            region.deescalate_port(port.name, "chaos")
 
     def _run_window(self, window: FaultWindow):
         port: Port = window.params["_port"]
@@ -238,10 +245,8 @@ class FaultSchedule:
             yield self.sim.timeout(window.start_ns - self.sim.now)
         window.stage.install(port)
         self._note(f"install {window.kind} on {window.target}")
-        if window.kind in self._INVALIDATING:
-            # Timing-free flush of per-flow fast-path entries the fault
-            # could strand (see repro.vnet.flowcache invalidation rules).
-            invalidate_for_fault(self.sim, port.name)
+        if window.kind in self._RELEASES_FLUID:
+            self._release_fluid(port)
         if window.stop_ns is None:
             return
         yield self.sim.timeout(window.stop_ns - self.sim.now)
@@ -257,7 +262,7 @@ class FaultSchedule:
         for _ in range(window.params["cycles"]):
             stage.fail()
             self._note(f"flap down {window.target}")
-            invalidate_for_fault(self.sim, port.name)
+            self._release_fluid(port)
             yield self.sim.timeout(window.params["down_ns"])
             stage.heal()
             self._note(f"flap up {window.target}")
@@ -273,9 +278,9 @@ class FaultSchedule:
         tx_stage.install(window.params["_tx_port"])
         rx_stage.install(window.params["_rx_port"])
         self._note(f"pause host {window.target}")
-        # Host-level fault: below link granularity, so every core's
-        # compiled flows are flushed (conservative, timing-free).
-        invalidate_for_fault(self.sim, window.params["_tx_port"].name)
+        # Host-level fault: below link granularity, so every fluid flow
+        # is released (conservative, timing-free).
+        self._release_fluid(window.params["_tx_port"])
         yield self.sim.timeout(window.stop_ns - self.sim.now)
         tx_stage.remove()
         rx_stage.remove()

@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from .units import Gbps, usec
 
@@ -178,14 +177,11 @@ class VnetTuning:
     routing_cache: bool = True
     # Per-flow fast-path cache (repro.vnet.flowcache, ONCache-style).
     # Default on; the env override lets CI A/B the datapath without
-    # code changes (REPRO_FLOW_CACHE=0 disables).  flow_cache_hit_ns
-    # None = timing-neutral (hit charges the warm full-path cost;
-    # golden observables bit-identical); an int models a genuinely
-    # cheaper cached path and changes simulated time (ablations only).
+    # code changes (REPRO_FLOW_CACHE=0 disables).  A hit charges the
+    # warm full-path cost, so golden observables are bit-identical.
     flow_cache: bool = field(
         default_factory=lambda: os.environ.get("REPRO_FLOW_CACHE", "1") != "0"
     )
-    flow_cache_hit_ns: Optional[int] = None
     # Hybrid fluid/packet simulation (repro.sim.fluid): steady bulk TCP
     # flows are advanced analytically in large sim-time strides instead
     # of packet by packet.  Default off (the packet path is the golden

@@ -444,8 +444,7 @@ class FluidRegion:
 
         Per-overlay-link ports (``<host>.vbridge.link.<link>``) release
         exactly the flows whose compiled path crosses that link; any
-        other placement is below link granularity and releases all
-        (mirrors :func:`repro.vnet.flowcache.invalidate_for_fault`).
+        other placement is below link granularity and releases all.
         """
         if ".vbridge.link." in port_name:
             victims = [

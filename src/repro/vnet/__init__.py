@@ -12,7 +12,7 @@ from .control import ControlError, VnetControl
 from .core import VnetCore
 from .dispatcher import ModeController, wake_penalty
 from .encap import ENCAP_OVERHEAD, VnetEncap
-from .flowcache import FlowCache, FlowCacheEntry, FlowPath
+from .flowcache import FlowCache, FlowCacheEntry
 from .lang import ParseError, parse_config, parse_line
 from .overlay import (
     ANY_MAC,
@@ -50,7 +50,6 @@ __all__ = [
     "VnetEncap",
     "FlowCache",
     "FlowCacheEntry",
-    "FlowPath",
     "ParseError",
     "parse_config",
     "parse_line",

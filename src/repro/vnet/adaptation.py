@@ -239,11 +239,6 @@ class AdaptationEngine:
             # No waypoint reachable right now; retried next pass.
             self._log(core_idx, f"link {link_name} dead; no detour available")
             return 0
-        # Flush compiled flows riding the dead link under the audit
-        # reason "failover" before the rewiring below also fires the
-        # route-change flush (belt and braces, both timing-free).
-        if core.flowcache is not None:
-            core.flowcache.invalidate_link(link_name, reason="failover")
         region = fluid_region_of(self.sim)
         if region is not None:
             # The analytic fluid model is compiled against the same
@@ -297,11 +292,6 @@ class AdaptationEngine:
             if now - record.healthy_since_ns < self.failback_backoff_ns:
                 continue
             core = self.cores[core_idx]
-            # Entries compiled against the detour must not survive the
-            # restore (the route-change flush also covers this; the
-            # explicit call names the cause in the invalidation metrics).
-            if core.flowcache is not None:
-                core.flowcache.invalidate_link(record.detour, reason="failback")
             region = fluid_region_of(self.sim)
             if region is not None:
                 region.deescalate_all("failback")

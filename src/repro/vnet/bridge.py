@@ -27,7 +27,6 @@ from ..sim import PacketStage, Simulator, Store
 from ..sim.pipeline import Port
 from .dispatcher import YieldState
 from .encap import VnetEncap
-from .flowcache import FlowPath
 from .overlay import DEFAULT_VNET_PORT, LinkProto, LinkSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -135,9 +134,6 @@ class VnetBridge(PacketStage):
             yield from self._transmit(frame, link, penalty)
 
     def _transmit(self, frame: EthernetFrame, link: LinkSpec, penalty: int = 0):
-        if link.__class__ is FlowPath:
-            yield from self._transmit_fast(frame, link, penalty)
-            return
         spans = self.obs.spans
         if link.proto is LinkProto.DIRECT:
             with spans.span(STAGE_BRIDGE_TX, who=self.name, where="host", flow_of=frame):
@@ -167,42 +163,6 @@ class VnetBridge(PacketStage):
             yield from channel.send_message(encap, frame.size)
         else:  # pragma: no cover - enum is exhaustive
             raise ValueError(f"unknown link protocol {link.proto}")
-
-    def _transmit_fast(self, frame: EthernetFrame, path: FlowPath,
-                       penalty: int = 0):
-        """Compiled-flow transmit (see :mod:`repro.vnet.flowcache`).
-
-        Charges exactly what :meth:`_transmit` charges for the same
-        link; what it skips — the protocol demux, the ``link_out`` dict
-        lookup, re-deriving the encapsulation header fields — is the
-        charged-not-performed work the fast path elides.  The pre-bound
-        egress filter ``path.port`` is the same persistent
-        :class:`~repro.sim.pipeline.Port` chaos injectors rebind, so
-        fault windows still see every cached packet.
-        """
-        spans = self.obs.spans
-        if path.proto is LinkProto.DIRECT:
-            with spans.span(STAGE_BRIDGE_TX, who=self.name, where="host", flow_of=frame):
-                yield self.sim.timeout(penalty + self.costs.bridge_tx_ns)
-            self._direct_tx.inc()
-            yield from self.host.stack.send_raw_frame(frame)
-            return
-        with spans.span(STAGE_ENCAP, who=self.name, where="host", flow_of=frame):
-            yield self.sim.timeout(
-                penalty + self.costs.bridge_tx_ns + self.costs.encap_ns
-            )
-        encap = VnetEncap(inner=frame, link_name=path.link_name)
-        if not path.port.push(encap):
-            return  # chaos filter dropped it on this link
-        self._encap_tx.inc()
-        if path.proto is LinkProto.UDP:
-            yield from self.sock.sendto(encap, path.dst_ip, path.dst_port)
-        else:  # TCP
-            channel = path.channel
-            if channel is None:
-                channel = yield from self._tcp_link(path.link)
-                path.channel = channel
-            yield from channel.send_message(encap, frame.size)
 
     def _tcp_link(self, link: LinkSpec):
         """Generator: lazily establish the TCP stream for a TCP link."""

@@ -392,7 +392,7 @@ class VnetCore(PacketStage):
                         penalty: int = 0, ystate: Optional[YieldState] = None):
         """The compiled fast path: one merged charge, pre-resolved hand-off.
 
-        Under the timing-neutral cost model ``hit.charge_ns`` equals the
+        ``hit.charge_ns`` equals the
         dispatch + warm-lookup charges of the full chain, collapsed into
         a single timeout, so simulated time is bit-identical while the
         kernel processes fewer events.  ``penalty``/``ystate`` mirror
@@ -410,7 +410,7 @@ class VnetCore(PacketStage):
         if hit.nic is not None:
             yield from self._deliver_local(frame, hit.nic)
         else:
-            yield from self._send_via_bridge(frame, hit.path)
+            yield from self._send_via_bridge(frame, hit.link)
 
     def _deliver_local(self, frame: EthernetFrame, nic: "VirtioNIC"):
         """Copy the packet into a local VM's virtio RXQ and notify it.

@@ -7,58 +7,35 @@ decisions.  This module applies that idea to the :class:`~repro.vnet.core.VnetCo
 datapath.  The first packet of a flow — keyed on the slotted PDU's flow
 id, the ``(src MAC, dst MAC)`` pair every descriptor carries — walks the
 full :class:`~repro.sim.pipeline.PacketStage` chain (dispatch span,
-routing-table lookup, link/interface resolution, per-packet
-encapsulation demux) and the core *compiles* the outcome into a
-:class:`FlowCacheEntry`: the resolved :class:`~repro.vnet.overlay.RouteEntry`,
-the destination virtio NIC **or** a :class:`FlowPath` with the overlay
-link, its pre-bound encapsulation header template (link name, destination
-IP, destination port) and the pre-resolved per-link egress filter port.
-Subsequent packets take the cached chain, which charges only the
-fast-path cost and skips the Python-level work.
+routing-table lookup, link/interface resolution) and the core *compiles*
+the outcome into a :class:`FlowCacheEntry`: the destination virtio NIC
+**or** the overlay :class:`~repro.vnet.overlay.LinkSpec`.  Subsequent
+packets take the cached chain, which charges one merged timeout and
+skips the Python-level lookup; linked packets then go down the bridge's
+ordinary transmit path, so per-link chaos filters see every one of them.
 
-Two cost models, selected by :class:`~repro.config.VnetTuning`:
+A hit charges exactly what the full chain would have charged for a warm
+flow: ``dispatch_ns`` plus the routing table's warm lookup cost
+(:meth:`~repro.vnet.routing.RoutingTable.warm_lookup_cost`).  Simulated
+observables stay **bit-identical** with the cache on or off (the golden
+fig8/fig9 scenarios enforce this); what the cache elides is
+charged-not-performed work — wall-clock only, like the kernel fast paths
+in ``repro.sim``.
 
-* **timing-neutral** (``flow_cache_hit_ns=None``, the default) — a hit
-  charges exactly what the full chain would have charged for a warm
-  flow: ``dispatch_ns`` plus the routing table's warm lookup cost
-  (:meth:`~repro.vnet.routing.RoutingTable.warm_lookup_cost`).  Simulated
-  observables stay **bit-identical** with the cache on or off (the
-  golden fig8/fig9 scenarios enforce this); what the cache elides is
-  charged-not-performed work — wall-clock only, like the kernel fast
-  paths in ``repro.sim``.
-* **modelled** (``flow_cache_hit_ns=<ns>``) — a hit charges the given
-  fixed cost instead, modelling ONCache's measured per-packet saving.
-  This intentionally changes simulated time and is for ablation
-  experiments, never for the golden scenarios.
-
-Invalidation rules (a cached route must never outlive its inputs):
-
-1. **route-table change** — any add/remove/clear on the owning core's
-   :class:`~repro.vnet.routing.RoutingTable` fires its change listeners
-   and flushes the whole cache (reason ``route-change``);
-2. **failover / failback** — :meth:`repro.vnet.adaptation.AdaptationEngine.failover`
-   and its failback pass invalidate explicitly (reasons ``failover`` /
-   ``failback``), in addition to the route-change flush their rewiring
-   already triggers, so the audit trail names the cause;
-3. **liveness verdicts** — :meth:`repro.vnet.monitor.TrafficMonitor.dead_links`
-   drops the entries riding a link the phi detector just declared dead
-   (reason ``link-dead``);
-4. **chaos faults** — :class:`repro.chaos.FaultSchedule` calls
-   :func:`invalidate_for_fault` when a partition/flap/pause/loss window
-   installs or a flap goes down (reason ``chaos``): entries through the
-   faulted overlay link are dropped, or the whole cache when the fault
-   sits below link granularity (a NIC or switch port).
-
-All invalidation is timing-free (dict clears; no simulated events), so
-every rule is observable-neutral under the timing-neutral cost model:
-the next packet of an affected flow simply re-walks the full chain.
+One invalidation rule: any add/remove/clear on the owning core's
+:class:`~repro.vnet.routing.RoutingTable` fires its change listeners and
+flushes the whole cache.  An entry is derived from nothing but its
+route, so nothing else can make it stale: chaos faults act on ports the
+cached packets still cross, failover and failback rewrite routes, and a
+liveness verdict alone changes no route.  The flush is timing-free (a
+dict clear; no simulated events), so the next packet of an affected flow
+simply re-walks the full chain.
 
 Metrics live under ``vnet.flowcache.<host>.*`` (hits, misses, installs,
-invalidated entries, per-reason invalidation events, entry-count gauge);
-:meth:`FlowCache.register_hit_rate` adds a per-window hit-rate series to
-an :class:`~repro.obs.timeline.Timeline`.  The performance model — and
-where each charged nanosecond goes — is documented in
-``docs/performance.md``.
+invalidated entries, entry-count gauge); :meth:`FlowCache.register_hit_rate`
+adds a per-window hit-rate series to an :class:`~repro.obs.timeline.Timeline`.
+The performance model — and where each charged nanosecond goes — is
+documented in ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -68,96 +45,33 @@ from typing import TYPE_CHECKING, Optional
 
 from ..obs.context import Observability
 from ..sim import PacketStage, Simulator
-from ..sim.fluid import fluid_region_of
-from .overlay import DestType, LinkProto, LinkSpec, RouteEntry
+from .overlay import DestType, LinkSpec, RouteEntry
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.timeline import Series, Timeline
     from ..palacios.virtio import VirtioNIC
-    from ..sim.pipeline import Port
     from .core import VnetCore
 
-__all__ = [
-    "FlowCache",
-    "FlowCacheEntry",
-    "FlowPath",
-    "caches_of",
-    "invalidate_for_fault",
-]
-
-# Attribute on the per-simulator Observability context that carries the
-# registry of live FlowCaches (one per VnetCore); chaos schedules use it
-# to reach every cache without the cores knowing about chaos.
-_REGISTRY_ATTR = "_flow_caches"
-
-
-def caches_of(sim: Simulator) -> list["FlowCache"]:
-    """Every live :class:`FlowCache` of ``sim`` (registered at build time)."""
-    obs = Observability.of(sim)
-    caches = getattr(obs, _REGISTRY_ATTR, None)
-    if caches is None:
-        caches = []
-        setattr(obs, _REGISTRY_ATTR, caches)
-    return caches
-
-
-class FlowPath:
-    """The compiled bridge-side fast path of one cached link flow.
-
-    Pre-binds everything :meth:`repro.vnet.bridge.VnetBridge._transmit`
-    would otherwise re-derive per packet: the transport protocol, the
-    encapsulation header template (link name + destination ``ip:port``)
-    and the per-link egress filter port.  ``channel`` caches the lazily
-    established TCP stream for :class:`~repro.vnet.overlay.LinkProto.TCP`
-    links.  Rides the bridge TX queue in place of the
-    :class:`~repro.vnet.overlay.LinkSpec`; the bridge recognises it by
-    class and takes :meth:`~repro.vnet.bridge.VnetBridge._transmit_fast`.
-    """
-
-    __slots__ = ("link", "proto", "link_name", "dst_ip", "dst_port", "port",
-                 "channel")
-
-    def __init__(self, link: LinkSpec, port: Optional["Port"]):
-        self.link = link
-        self.proto = link.proto
-        # The pre-bound encap header template: what VnetEncap + sendto
-        # need, resolved once at install time.
-        self.link_name = link.name
-        self.dst_ip = link.dst_ip
-        self.dst_port = link.dst_port
-        self.port = port              # per-link egress filter (UDP/TCP links)
-        self.channel = None           # lazily bound TcpMessageChannel
-
-    @property
-    def name(self) -> str:
-        """Link name (parity with ``LinkSpec`` for diagnostics)."""
-        return self.link_name
+__all__ = ["FlowCache", "FlowCacheEntry"]
 
 
 class FlowCacheEntry:
-    """One compiled flow: route plus pre-resolved destination.
+    """One compiled flow: its pre-resolved destination.
 
-    Exactly one of ``nic`` (local interface delivery) and ``path``
+    Exactly one of ``nic`` (local interface delivery) and ``link``
     (overlay link via the bridge) is set.  ``charge_ns`` is the virtual
-    time a cached hit charges inside the dispatch span — under the
-    timing-neutral model, precisely what the full chain would have
-    charged for this already-resolved flow.
+    time a cached hit charges inside the dispatch span — precisely what
+    the full chain would have charged for this already-resolved flow.
     """
 
-    __slots__ = ("src", "dst", "route", "nic", "path", "charge_ns", "hits",
-                 "installed_ns")
+    __slots__ = ("nic", "link", "charge_ns", "hits")
 
-    def __init__(self, src: str, dst: str, route: RouteEntry,
-                 nic: Optional["VirtioNIC"], path: Optional[FlowPath],
-                 charge_ns: int, installed_ns: int):
-        self.src = src
-        self.dst = dst
-        self.route = route
+    def __init__(self, nic: Optional["VirtioNIC"], link: Optional[LinkSpec],
+                 charge_ns: int):
         self.nic = nic
-        self.path = path
+        self.link = link
         self.charge_ns = charge_ns
         self.hits = 0
-        self.installed_ns = installed_ns
 
 
 class FlowCache(PacketStage):
@@ -166,25 +80,22 @@ class FlowCache(PacketStage):
     Sits in front of the core's routing stage; the core consults it with
     :meth:`lookup` before paying for dispatch, and :meth:`install`\\ s the
     compiled entry after a successful full walk.  Install failures (an
-    unresolvable destination, a link protocol the fast path does not
-    compile) are silent: the flow simply keeps taking the full chain.
+    unresolvable destination) are silent: the flow simply keeps taking
+    the full chain.
     """
 
     def __init__(self, sim: Simulator, core: "VnetCore"):
         self._init_stage(sim, f"{core.host.name}.vnet.flowcache")
         self.core = core
         self.entries: dict[tuple[str, str], FlowCacheEntry] = {}
-        self.obs = Observability.of(sim)
-        metrics = self.obs.metrics
+        metrics = Observability.of(sim).metrics
         prefix = f"vnet.flowcache.{core.host.name}"
         self._hits = metrics.counter(f"{prefix}.hits")
         self._misses = metrics.counter(f"{prefix}.misses")
         self._installs = metrics.counter(f"{prefix}.installs")
         self._invalidated = metrics.counter(f"{prefix}.invalidated_entries")
-        self._invalidations = metrics.labeled(f"{prefix}.invalidations")
         self._entries_gauge = metrics.gauge(f"{prefix}.entries")
-        caches_of(sim).append(self)
-        # Rule 1: any route-table mutation flushes the compiled flows.
+        # The one invalidation rule: any route-table mutation flushes.
         core.routing.on_change(self._on_route_change)
 
     # -- statistics (registry-backed, read-only views) --------------------
@@ -205,7 +116,7 @@ class FlowCache(PacketStage):
 
     @property
     def invalidated_entries(self) -> int:
-        """Entries dropped by invalidation, all reasons."""
+        """Entries dropped by route-change flushes."""
         return self._invalidated.value
 
     @property
@@ -237,8 +148,7 @@ class FlowCache(PacketStage):
         the datapath.
         """
         core = self.core
-        nic = None
-        path = None
+        nic = link = None
         if route.dest_type is DestType.INTERFACE:
             nic = core.interfaces.get(route.dest_name)
             if nic is None:
@@ -247,58 +157,21 @@ class FlowCache(PacketStage):
             link = core.links.get(route.dest_name)
             if link is None or core.bridge is None:
                 return None
-            port = (core.bridge.link_out(link.name)
-                    if link.proto is not LinkProto.DIRECT else None)
-            path = FlowPath(link, port)
-        tuning = core.tuning
-        if tuning.flow_cache_hit_ns is not None:
-            charge = int(tuning.flow_cache_hit_ns)
-        else:
-            # Timing-neutral: what the full chain charges once the flow
-            # is resolved (dispatch + warm routing lookup).
-            charge = core.costs.dispatch_ns + core.routing.warm_lookup_cost()
-        entry = FlowCacheEntry(src, dst, route, nic, path, charge,
-                               installed_ns=self.sim.now)
+        # What the full chain charges once the flow is resolved
+        # (dispatch + warm routing lookup).
+        charge = core.costs.dispatch_ns + core.routing.warm_lookup_cost()
+        entry = FlowCacheEntry(nic, link, charge)
         self.entries[(src, dst)] = entry
         self._installs.inc()
         self._entries_gauge.set(len(self.entries))
         return entry
 
-    # -- invalidation ------------------------------------------------------
-    def invalidate_all(self, reason: str) -> int:
-        """Drop every entry; returns the number dropped."""
+    def _on_route_change(self) -> None:
         dropped = len(self.entries)
         if dropped:
             self.entries.clear()
             self._invalidated.inc(dropped)
             self._entries_gauge.set(0)
-        self._invalidations.inc(reason)
-        return dropped
-
-    def invalidate_link(self, link_name: str, reason: str) -> int:
-        """Drop the entries whose fast path rides ``link_name``."""
-        stale = [key for key, e in self.entries.items()
-                 if e.path is not None and e.path.link_name == link_name]
-        for key in stale:
-            del self.entries[key]
-        if stale:
-            self._invalidated.inc(len(stale))
-            self._entries_gauge.set(len(self.entries))
-        self._invalidations.inc(reason)
-        return len(stale)
-
-    def invalidate_flow(self, src: str, dst: str, reason: str) -> int:
-        """Drop one flow's entry (0 or 1 entries)."""
-        entry = self.entries.pop((src, dst), None)
-        if entry is None:
-            return 0
-        self._invalidated.inc()
-        self._entries_gauge.set(len(self.entries))
-        self._invalidations.inc(reason)
-        return 1
-
-    def _on_route_change(self) -> None:
-        self.invalidate_all("route-change")
 
     # -- observability -----------------------------------------------------
     def register_hit_rate(self, timeline: "Timeline",
@@ -328,33 +201,3 @@ class FlowCache(PacketStage):
             "invalidated_entries": self.invalidated_entries,
             "hit_rate": self.hit_rate,
         }
-
-
-def invalidate_for_fault(sim: Simulator, port_name: str) -> int:
-    """Chaos hook: flush cached flows a just-installed fault could strand.
-
-    ``port_name`` identifies where the injector sits.  Per-overlay-link
-    egress filters (``<host>.vbridge.link.<link>``) invalidate exactly
-    that link's entries on that host's cache; any other placement (a
-    physical NIC, a switch port, a core inbound port) is below link
-    granularity, so every cache on the simulator is flushed outright.
-    Timing-free either way — under the neutral cost model the observable
-    schedule is unchanged.  Returns total entries dropped.
-    """
-    dropped = 0
-    marker = ".vbridge.link."
-    if marker in port_name:
-        host, link = port_name.split(marker, 1)
-        for cache in caches_of(sim):
-            if cache.core.host.name == host:
-                dropped += cache.invalidate_link(link, reason="chaos")
-    else:
-        for cache in caches_of(sim):
-            dropped += cache.invalidate_all("chaos")
-    # The fluid fast path de-escalates at the same instant, for the same
-    # reason: a fault on the path invalidates the analytic model just as
-    # it invalidates a compiled forwarding decision.
-    region = fluid_region_of(sim)
-    if region is not None:
-        region.deescalate_port(port_name, "chaos")
-    return dropped

@@ -100,8 +100,8 @@ class VnetFluidPath:
         tokens = set()
         for hops in (fwd, rev):
             for core, link, _nxt in hops.links:
-                # The exact port name flowcache.invalidate_for_fault and
-                # the chaos injector use for this overlay crossing.
+                # The exact port name the chaos injector sits on for
+                # this overlay crossing (VnetBridge.link_out).
                 tokens.add(f"{core.host.name}.vbridge.link.{link.name}")
         self.link_tokens = frozenset(tokens)
 

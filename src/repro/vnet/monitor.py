@@ -226,11 +226,6 @@ class TrafficMonitor:
             log.emit(self.sim.now, self._health_monitor, "link-dead",
                      "critical", f"link {name} silent (phi > "
                      f"{self.phi_threshold:g})", self.phi(name))
-            # A dead verdict immediately disqualifies every compiled
-            # flow riding the link: the per-flow fast path must never
-            # serve a route the detector has condemned.
-            if self.core.flowcache is not None:
-                self.core.flowcache.invalidate_link(name, reason="link-dead")
         for name in sorted(self._known_dead - now_dead):
             log.emit(self.sim.now, self._health_monitor, "link-recovered",
                      "info", f"link {name} heartbeating again",
