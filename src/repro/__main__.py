@@ -230,7 +230,7 @@ def _run_obs_profile(argv: list[str]) -> int:
     """The ``obs profile`` subcommand: self-profile the sim kernel.
 
     Runs the fig8 ttcp pair (TCP bulk transfer, then UDP goodput — the
-    same workload ``tools/simbench.py`` times) with a
+    same workload CI's profiler-overhead check times) with a
     :class:`~repro.obs.profile.KernelProfiler` installed on each
     testbed's simulator, and prints the combined per-category wall-time
     attribution.  The report's TOTAL line is the reconciliation check:

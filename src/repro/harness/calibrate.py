@@ -84,14 +84,11 @@ def flow_model_for(config: str) -> FlowModel:
     ``config`` is one of ``native-1g``, ``vnetp-1g``, ``native-10g``,
     ``vnetp-10g``, ``native-ipoib``, ``vnetp-ipoib``.
     """
-    import dataclasses
-
     from ..config import (
         BROADCOM_1G,
         MELLANOX_IPOIB,
         NETEFFECT_10G,
         VnetMode,
-        default_host,
         default_tuning,
     )
     from .testbed import build_native, build_vnetp

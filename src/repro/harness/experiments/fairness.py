@@ -10,8 +10,9 @@ genuine tail-drop bottleneck:
 * **fixed-bandwidth utilization** — two (and four) symmetric flows from
   distinct source hosts into one sink host.  Scored with Jain's
   Fairness Index over per-flow goodputs plus bottleneck utilization
-  (:mod:`repro.obs.fairness`); the CI ``fairness-suite`` job and the
-  benchgate ``fairness`` section pin JFI ≥ 0.95 and utilization ≥ 0.80.
+  (:mod:`repro.obs.fairness`); the CI ``fairness-suite`` job and
+  ``tests/harness/test_fairness_family.py`` pin JFI ≥ 0.95 and
+  utilization ≥ 0.80.
 * **varying-loss goodput** — one flow under Bernoulli loss windows of
   increasing rate: goodput must degrade monotonically-ish and the
   retransmit counters must show fast retransmits doing the work (RTO

@@ -1,11 +1,11 @@
 """Sim-kernel self-profiler: wall-clock attribution per event category.
 
-``BENCH_sim.json`` says how fast the simulator is; this module says
-*where the wall time goes*.  A :class:`KernelProfiler` installs into a
-:class:`~repro.sim.core.Simulator` and, while enabled, is called by the
-kernel's run loop after every event and clock advance; it timestamps
-each with ``time.perf_counter_ns`` and charges the elapsed wall time to
-a **category**:
+The benchmark (``bench/``) says how fast the simulator is; this
+module says *where the wall time goes*.  A :class:`KernelProfiler`
+installs into a :class:`~repro.sim.core.Simulator` and, while enabled,
+is called by the kernel's run loop after every event and clock advance;
+it timestamps each with ``time.perf_counter_ns`` and charges the
+elapsed wall time to a **category**:
 
 * ``proc:<name>`` — events that resume a named simulator process
   (trailing ``.N`` instance indices are folded, so ``fair.server.0``
@@ -27,8 +27,8 @@ loop entry/exit and the timestamps themselves).
 
 Determinism: the profiler never touches the event schedule — simulated
 results are bit-identical with the profiler detached or enabled
-(``obs_overhead`` in ``tools/simbench.py`` gates that identity and the
-enabled slowdown).  ``perf_counter_ns``
+(CI's ``obs-smoke`` job gates that identity and the enabled slowdown,
+at most 1.538x the detached wall time).  ``perf_counter_ns``
 reads never feed back into simulation state, so the determinism lint
 (``tools/check_determinism.py``) stays happy.
 

@@ -358,7 +358,7 @@ class Simulator:
         self._crashed: Optional[BaseException] = None
         self._timeout_pool: list[Timeout] = []
         self._event_pool: list[Event] = []
-        #: Number of events processed by :meth:`step` (simbench reads this).
+        #: Number of events processed by :meth:`step`.
         self.events_processed = 0
         # Optional repro.obs.profile.KernelProfiler.  run() reads it once
         # per call and calls its hooks only while it is enabled; otherwise

@@ -106,8 +106,8 @@ def test_score_flows_clamps_impossible_utilization():
 
 def test_score_flows_below_line_rate_is_value_preserving():
     # At 50% utilization the clamp is the identity: reported == raw,
-    # flag down.  This is why the benchgate fairness floors/references
-    # are unaffected under the default (packet-level) configuration.
+    # flag down.  This is why the fairness floors and drift pins are
+    # unaffected under the default (packet-level) configuration.
     score = score_flows("ok", [31_250_000, 31_250_000], 1e9, 1e9)
     assert score.utilization == pytest.approx(0.5)
     assert score.utilization_raw == pytest.approx(0.5)

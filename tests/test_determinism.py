@@ -19,10 +19,14 @@ import pathlib
 from repro import units
 from repro.apps.ping import run_ping
 from repro.apps.ttcp import run_ttcp_tcp, run_ttcp_udp
-from repro.config import NETEFFECT_10G
+from repro.config import NETEFFECT_10G, VnetTuning
 from repro.harness.testbed import build_native, build_vnetp
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "fig8_fig9_golden.json"
+
+
+def _frames(*testbeds) -> int:
+    return sum(h.nic.tx_frames for tb in testbeds for h in tb.hosts)
 
 
 def test_ping_samples_identical_across_runs():
@@ -60,10 +64,20 @@ def _golden() -> dict:
 
 
 def test_golden_ping_rtts():
-    """Fig. 9-style seeded ping RTTs match the committed golden exactly."""
+    """Fig. 9-style seeded ping RTTs match the committed golden exactly,
+    and so do the summed RTTs and frame count of a 100-ping sweep over
+    56/1024/8192-byte payloads."""
+    golden = _golden()
     tb = build_vnetp(nic_params=NETEFFECT_10G)
     r = run_ping(tb.endpoints[0], tb.endpoints[1], count=30)
-    assert [int(x) for x in r.rtt_ns.samples] == _golden()["ping_rtt_ns"]
+    assert [int(x) for x in r.rtt_ns.samples] == golden["ping_rtt_ns"]
+    sim_ns = frames = 0
+    for size in (56, 1024, 8192):
+        tb = build_vnetp(nic_params=NETEFFECT_10G, tuning=VnetTuning(fluid=False))
+        r = run_ping(tb.endpoints[0], tb.endpoints[1], data_size=size, count=100)
+        sim_ns += sum(r.rtt_ns.samples)
+        frames += _frames(tb)
+    assert {"sim_ns": sim_ns, "frames": frames} == golden["fig9_ping_sweep"]
 
 
 def test_golden_ttcp():
@@ -79,6 +93,17 @@ def test_golden_ttcp():
     assert (r.bytes_moved, r.elapsed_ns) == (
         golden["udp_bytes_moved"], golden["udp_elapsed_ns"]
     )
+    # The fig8 quick pair, all-packet: 10 MB TCP then 8 ms of UDP, each
+    # on a fresh VNET/P testbed; elapsed times and frames summed.
+    tuning = VnetTuning(fluid=False)
+    tcp_tb = build_vnetp(nic_params=NETEFFECT_10G, tuning=tuning)
+    tcp = run_ttcp_tcp(tcp_tb.endpoints[0], tcp_tb.endpoints[1],
+                       total_bytes=10 * units.MB)
+    udp_tb = build_vnetp(nic_params=NETEFFECT_10G, tuning=tuning)
+    udp = run_ttcp_udp(udp_tb.endpoints[0], udp_tb.endpoints[1],
+                       duration_ns=8 * units.MS)
+    assert {"sim_ns": tcp.elapsed_ns + udp.elapsed_ns,
+            "frames": _frames(tcp_tb, udp_tb)} == golden["fig8_quick"]
 
 
 def test_golden_trace():

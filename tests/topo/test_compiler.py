@@ -112,6 +112,18 @@ def test_provision_deterministic():
     assert run() == run()
 
 
+def test_fat_tree_probe_flow_cache_hits():
+    """The per-flow cache covers multi-hop forwarding: a provisioned
+    16-host fat-tree probed with 20 pings from host 0 to host 15 (the
+    cross-pod path) hits and misses exactly as pinned."""
+    tb = TopologyCompiler(fat_tree(16)).compile().build(configure=False)
+    provision(tb)
+    probe_rtt_ns(tb, 0, 15, count=20)
+    caches = [c.flowcache for c in tb.cores if c.flowcache]
+    assert sum(fc.hits for fc in caches) == 266
+    assert sum(fc.misses for fc in caches) == 14
+
+
 def test_provision_requires_unconfigured_controls():
     tb = build_topo(TopoSpec(kind="mesh", n_hosts=2))
     tb.controls = []

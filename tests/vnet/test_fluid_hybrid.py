@@ -68,6 +68,24 @@ def test_fluid_statistically_matches_packet_golden():
     assert stats["captured"] == 0 and stats["active"] == 0  # all released
 
 
+def test_fluid_cuts_events_per_frame_on_40mb_transfer():
+    """The fast path's headline on a long bulk transfer, where the
+    capture/release head amortises: with fluid on, kernel events per
+    NIC frame fall at least 6.12x (measured 7.19x), delivered bytes are
+    identical and completion time stays within the 15% tolerance."""
+    total = 40 * units.MB
+    per_frame = {}
+    results = {}
+    for fluid in (False, True):
+        tb, results[fluid], _ = _run(fluid, total_bytes=total)
+        frames = sum(h.nic.tx_frames for h in tb.hosts)
+        per_frame[fluid] = tb.sim.events_processed / frames
+    golden, hybrid = results[False], results[True]
+    assert hybrid.bytes_moved == golden.bytes_moved == total
+    assert abs(hybrid.elapsed_ns / golden.elapsed_ns - 1.0) <= 0.15
+    assert per_frame[False] / per_frame[True] >= 6.12
+
+
 def test_fluid_off_leaves_connections_unhooked():
     tb, _, _ = _run(fluid=False)
     assert tb.cores[0].fluid_region is None

@@ -95,6 +95,42 @@ def test_index_invalidated_by_mutation():
     assert entry.dest_name == "a"
 
 
+def test_lookup_examines_same_entries_at_any_table_size(monkeypatch):
+    """Resolving a flow must not walk the table: with one route per
+    destination, a cache-less lookup examines as many entries in a
+    1000-route table as in a 10-route one (a scan examines all of them).
+    An entry counts as examined when the lookup reads its MACs."""
+    lookups = 500
+    workloads = []
+    for n in (10, 1000):
+        macs = [mac(i) for i in range(n)]
+        table = RoutingTable(COSTS, cache_enabled=False)
+        table.load([route(ANY_MAC, m, name="to0") for m in macs])
+        table.peek(macs[0], macs[1])  # build the lazy index up front
+        pairs = [(macs[i % n], macs[(i * 7 + 1) % n]) for i in range(lookups)]
+        workloads.append((table, pairs))
+
+    examined = set()
+
+    def counting(slot):
+        def read(entry):
+            examined.add(id(entry))
+            return slot.__get__(entry, RouteEntry)
+        return property(read)
+
+    for name in ("src_mac", "dst_mac"):
+        monkeypatch.setattr(RouteEntry, name, counting(RouteEntry.__dict__[name]))
+    per_size = []
+    for table, pairs in workloads:
+        total = 0
+        for src, dst in pairs:
+            examined.clear()
+            table.lookup(src, dst)
+            total += len(examined)
+        per_size.append(total)
+    assert per_size[0] == per_size[1] > 0
+
+
 def test_wildcard_dst_fallback():
     table = RoutingTable(COSTS, cache_enabled=False)
     table.load([
