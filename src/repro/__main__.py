@@ -169,10 +169,10 @@ def _run_obs_report(argv: list[str]) -> int:
                              series="vnet.h1.rxq_depth", time_avg=True, unit="pkt")
         pkt_rate = timeline.series["vnet.h0.pkt_rate"]
         latency = register_latency_series(timeline, obs.spans, q=99.0)
-        # Per-window flow-cache hit rate, one series per host with the
-        # per-flow fast path enabled (repro.vnet.flowcache; default on).
+        # Per-window flow-cache hit rate, one series per VNET/P host
+        # (repro.vnet.flowcache).
         flowcaches = [h.vnet_core.flowcache for h in tb.hosts
-                      if h.vnet_core is not None and h.vnet_core.flowcache is not None]
+                      if h.vnet_core is not None]
         for cache in flowcaches:
             cache.register_hit_rate(timeline)
         hub = obs.health

@@ -198,11 +198,6 @@ class FaultSchedule:
             }.get(window.kind, self._run_window)
             self.sim.process(runner(window), name=f"chaos.{self.name}.w{i}")
 
-    def active_stages(self) -> list[FaultInjector]:
-        """Injectors currently installed by this schedule."""
-        return [w.stage for w in self.windows
-                if w.stage is not None and w.stage.installed]
-
     def _note(self, message: str) -> None:
         self.log.append((self.sim.now, message))
         self._events.inc()

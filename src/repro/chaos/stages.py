@@ -54,12 +54,6 @@ __all__ = [
     "chain_on",
 ]
 
-# Injector chains per wrapped Port, keyed by id(port) because Port is
-# slotted (no attribute attachment).  Entries are removed when the last
-# injector leaves a port, so the registry never outlives the harness.
-_CHAINS: dict[int, list["FaultInjector"]] = {}
-
-
 class FaultInjector(PacketStage):
     """Base class: a removable sink-wrapping stage on one Port.
 
@@ -113,7 +107,6 @@ class FaultInjector(PacketStage):
         self._downstream = port.sink
         self._entry = self.ingress
         port.rebind(self._entry)
-        _CHAINS.setdefault(id(port), []).append(self)
         return self
 
     def remove(self) -> None:
@@ -126,21 +119,16 @@ class FaultInjector(PacketStage):
         port = self._port
         if port is None:
             return
-        chain = _CHAINS.get(id(port), [])
         if port.sink is self._entry:
             # We are the outermost wrapper: the port points at us.
             port.rebind(self._downstream)
         else:
             # Some later-installed injector forwards into us; re-aim it at
             # whatever we were forwarding into.
-            for other in chain:
-                if other is not self and other._downstream is self._entry:
+            for other in _outermost_first(port):
+                if other._downstream is self._entry:
                     other._downstream = self._downstream
                     break
-        if self in chain:
-            chain.remove(self)
-        if not chain:
-            _CHAINS.pop(id(port), None)
         self._port = None
         self._downstream = None
         self._entry = None
@@ -404,6 +392,22 @@ class DuplicateStage(FaultInjector):
         return result
 
 
+def _outermost_first(port: Port) -> list[FaultInjector]:
+    """The injectors wrapping ``port``, walked from ``port.sink`` inward.
+
+    The chain is structural — each injector's ``_downstream`` is the
+    sink it wrapped — so no registry has to (or can) outlive it.
+    """
+    chain = []
+    sink = port.sink
+    while True:
+        injector = getattr(sink, "__self__", None)
+        if not isinstance(injector, FaultInjector) or injector._entry is not sink:
+            return chain
+        chain.append(injector)
+        sink = injector._downstream
+
+
 def chain_on(port: Port) -> list[FaultInjector]:
     """The injectors currently installed on ``port`` (install order)."""
-    return list(_CHAINS.get(id(port), ()))
+    return _outermost_first(port)[::-1]

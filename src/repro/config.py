@@ -175,13 +175,6 @@ class VnetTuning:
     t_sleep_ns: int = usec(100)       # timed-yield sleep quantum
     t_nowork_ns: int = usec(50)       # adaptive-yield threshold
     routing_cache: bool = True
-    # Per-flow fast-path cache (repro.vnet.flowcache, ONCache-style).
-    # Default on; the env override lets CI A/B the datapath without
-    # code changes (REPRO_FLOW_CACHE=0 disables).  A hit charges the
-    # warm full-path cost, so golden observables are bit-identical.
-    flow_cache: bool = field(
-        default_factory=lambda: os.environ.get("REPRO_FLOW_CACHE", "1") != "0"
-    )
     # Hybrid fluid/packet simulation (repro.sim.fluid): steady bulk TCP
     # flows are advanced analytically in large sim-time strides instead
     # of packet by packet.  Default off (the packet path is the golden

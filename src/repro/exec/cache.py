@@ -1,11 +1,17 @@
 """Content-addressed on-disk result cache.
 
 Entries are pickled :class:`~repro.exec.point.PointResult` payloads
-stored at ``<root>/<fp[:2]>/<fp>.pkl`` where ``fp`` is the point's
-:func:`~repro.exec.fingerprint.fingerprint`.  Because the fingerprint
-includes a hash of the package source, cache invalidation is automatic:
-editing any ``repro`` source file orphans every existing entry (stale
-files are garbage, never wrong answers).
+stored at ``<root>/<key[:2]>/<key>.pkl`` where ``key`` hashes the point's
+:func:`~repro.exec.fingerprint.fingerprint` together with the current
+values of the recorded environment knobs
+(:data:`repro.obs.runinfo.ENV_KNOBS`): a knob such as ``REPRO_FLUID``
+changes which code paths a point runs without changing the point, so
+a fluid run must never be served a packet-level entry or vice versa.
+The knobs salt only the cache key, not the fingerprint, so
+:func:`~repro.exec.fingerprint.point_seed` is the same in every mode.
+Because the fingerprint includes a hash of the package source, cache
+invalidation is automatic: editing any ``repro`` source file orphans
+every existing entry (stale files are garbage, never wrong answers).
 
 Writes are atomic (temp file + ``os.replace``) so a killed run never
 leaves a truncated entry; reads treat any unpicklable/corrupt file as a
@@ -14,12 +20,14 @@ miss and fall through to recomputation.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import tempfile
 from pathlib import Path
 from typing import Optional
 
+from ..obs.runinfo import env_knobs
 from .point import PointResult
 
 __all__ = ["ResultCache"]
@@ -35,8 +43,10 @@ class ResultCache:
         self.misses = 0
 
     def path(self, fp: str) -> Path:
-        """Where the entry for fingerprint ``fp`` lives (or would live)."""
-        return self.root / fp[:2] / f"{fp}.pkl"
+        """Where the entry for fingerprint ``fp`` under the current
+        environment knobs lives (or would live)."""
+        key = hashlib.sha256(f"{fp}|{env_knobs()!r}".encode()).hexdigest()
+        return self.root / key[:2] / f"{key}.pkl"
 
     def get(self, fp: str) -> Optional[PointResult]:
         """The cached result for ``fp``, or ``None`` (corrupt == miss)."""

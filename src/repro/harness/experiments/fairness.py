@@ -10,9 +10,8 @@ genuine tail-drop bottleneck:
 * **fixed-bandwidth utilization** — two (and four) symmetric flows from
   distinct source hosts into one sink host.  Scored with Jain's
   Fairness Index over per-flow goodputs plus bottleneck utilization
-  (:mod:`repro.obs.fairness`); the CI ``fairness-suite`` job and
-  ``tests/harness/test_fairness_family.py`` pin JFI ≥ 0.95 and
-  utilization ≥ 0.80.
+  (:mod:`repro.obs.fairness`); ``tests/harness/test_fairness_family.py``
+  pins JFI ≥ 0.95 and utilization ≥ 0.80.
 * **varying-loss goodput** — one flow under Bernoulli loss windows of
   increasing rate: goodput must degrade monotonically-ish and the
   retransmit counters must show fast retransmits doing the work (RTO
@@ -371,8 +370,8 @@ def fairness(quick: bool = False, engine: Engine | None = None) -> ExperimentRes
     )
     result.notes.append(
         "JFI = (Σx)²/(n·Σx²) over per-flow goodputs; score = JFI × "
-        "bottleneck utilization (repro.obs.fairness); the fairness-suite "
-        "CI job pins symmetric JFI ≥ 0.95 and utilization ≥ 0.80"
+        "bottleneck utilization (repro.obs.fairness); the tier-1 fairness "
+        "family test pins symmetric JFI ≥ 0.95 and utilization ≥ 0.80"
     )
     result.notes.append(
         "the asymmetric-RTT rows use chaos.DelayStage on the long flow's "

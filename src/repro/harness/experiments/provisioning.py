@@ -37,8 +37,8 @@ def _provisioning_point(spec: TopoSpec, apply_ns: int, stagger_ns: int,
     report = provision(tb, apply_ns=apply_ns, stagger_ns=stagger_ns)
     # Longest path: first VM to last VM (different pods in a fat-tree).
     rtt_ns = probe_rtt_ns(tb, 0, len(tb.endpoints) - 1, count=probe_count)
-    hits = sum(c.flowcache.hits for c in tb.cores if c.flowcache)
-    misses = sum(c.flowcache.misses for c in tb.cores if c.flowcache)
+    hits = sum(c.flowcache.hits for c in tb.cores)
+    misses = sum(c.flowcache.misses for c in tb.cores)
     return {
         "topo": spec.label(),
         "n_hosts": spec.n_hosts,

@@ -41,9 +41,6 @@ class EthernetDevice(PacketStage):
             )
         yield self.nic.txq.put(frame)
 
-    def try_send(self, frame: EthernetFrame) -> bool:
-        return self.nic.send(frame)
-
     def _on_rx(self, frame: EthernetFrame) -> None:
         if self.stack is not None:
             self.stack.rx_frame(self, frame)

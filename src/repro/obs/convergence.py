@@ -70,13 +70,6 @@ class ConvergenceTracker:
         """True once every expected host has reported ready."""
         return self.converged_ns is not None
 
-    @property
-    def convergence_ns(self) -> Optional[int]:
-        """Simulated ns from tracker creation to full convergence."""
-        if self.converged_ns is None:
-            return None
-        return self.converged_ns - self.start_ns
-
     def ramp(self) -> list[tuple[int, int]]:
         """``(t_ns, hosts_ready)`` steps, sorted by time — the
         convergence ramp for plotting or assertions."""

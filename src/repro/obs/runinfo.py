@@ -14,10 +14,10 @@ ships observability across ``repro.exec`` workers and the result cache.
 Artifacts exist to be *compared*: :mod:`repro.obs.compare` diffs two of
 them structurally (exact mode for same-seed determinism checks,
 tolerance mode for fluid/ablation A/Bs), which is what the chaos-,
-flowcache-, fluid-, fairness-suite and soak CI jobs run in place of
-text row diffs.  Everything in the diffable sections is simulated
-(deterministic) data; wall-clock facts live in ``volatile``, which the
-diff engine never reads.
+fairness-suite and soak CI jobs run in place of text row diffs.
+Everything in the diffable sections is simulated (deterministic) data;
+wall-clock facts live in ``volatile``, which the diff engine never
+reads.
 
 Schema stability: ``schema`` is bumped on incompatible layout changes
 and :func:`diff-time <repro.obs.compare.diff_artifacts>` refuses to
@@ -40,6 +40,7 @@ __all__ = [
     "build_artifact",
     "fairness_scores",
     "run_config",
+    "env_knobs",
     "ARTIFACT_SCHEMA",
 ]
 
@@ -49,7 +50,12 @@ ARTIFACT_SCHEMA = 1
 #: Environment knobs recorded in ``config.env`` (they change which code
 #: paths run, so two artifacts with different knobs are expected to
 #: differ in metrics even when rows match).
-ENV_KNOBS = ("REPRO_FLUID", "REPRO_FLOW_CACHE")
+ENV_KNOBS = ("REPRO_FLUID",)
+
+
+def env_knobs() -> dict:
+    """The current values of :data:`ENV_KNOBS` (``""`` when unset)."""
+    return {knob: os.environ.get(knob, "") for knob in ENV_KNOBS}
 
 
 def _canonical(value):
@@ -146,7 +152,7 @@ def run_config(extra_config: Optional[dict] = None) -> dict:
 
     config = {
         "code_version": code_version(),
-        "env": {knob: os.environ.get(knob, "") for knob in ENV_KNOBS},
+        "env": env_knobs(),
     }
     config.update(extra_config or {})
     return config

@@ -586,14 +586,6 @@ class FluidRegion:
         self._rate_gauge.set(sum(rates), now_ns=self.sim.now)
 
     # -- observability ------------------------------------------------------
-    def register_activity(self, timeline: Any, series: Optional[str] = None):
-        """Add a per-window active-flow-count series to a timeline."""
-        def sample(now_ns: int) -> float:
-            return float(len(self.active))
-
-        return timeline.record(series or "sim.fluid.active_flows",
-                               sample, unit="flows")
-
     def stats(self) -> dict:
         return {
             "captured": len(self.flows),

@@ -33,29 +33,6 @@ class SampleStats:
         if self.samples is not None:
             self.samples.append(x)
 
-    def add_weighted(self, x: float, weight: float) -> None:
-        """Add ``x`` carrying ``weight`` observations' worth of mass.
-
-        Weighted West/Welford update: an integral weight ``w`` gives the
-        exact moments of calling :meth:`add` ``w`` times with ``x`` (the
-        hybrid fluid fast path records one aggregate value per stride,
-        weighted by the packets the stride stands for, so means are
-        time/packet-weighted rather than per-wakeup point samples).
-        Fractional weights interpolate.  The sample reservoir records
-        ``(x, weight)`` as round(weight) repeats, capped at 64 per call
-        to keep stride aggregation from flooding it.
-        """
-        if weight <= 0:
-            return
-        self.n += weight
-        delta = x - self._mean
-        self._mean += delta * weight / self.n
-        self._m2 += delta * (x - self._mean) * weight
-        self.min = min(self.min, x)
-        self.max = max(self.max, x)
-        if self.samples is not None:
-            self.samples.extend([x] * min(64, max(1, round(weight))))
-
     def extend(self, xs: Iterable[float]) -> None:
         for x in xs:
             self.add(x)

@@ -163,11 +163,6 @@ class CompiledTopology:
 
     # -- inspection --------------------------------------------------------
     @property
-    def n_compute_hosts(self) -> int:
-        """VM-carrying hosts."""
-        return sum(1 for h in self.hosts if h.vms)
-
-    @property
     def n_routers(self) -> int:
         """Forwarding-only hosts."""
         return sum(1 for h in self.hosts if not h.vms)

@@ -161,13 +161,6 @@ class AdaptationEngine:
                     changes += 1
         return changes
 
-    def run_periodic(self, interval_ns: int, rounds: int):
-        """Generator: adapt every ``interval_ns`` for ``rounds`` passes
-        (spawn with ``sim.process``)."""
-        for _ in range(rounds):
-            yield self.sim.timeout(interval_ns)
-            self.adapt()
-
     # -- failover (overlay resilience) ------------------------------------
     def failover(self) -> int:
         """One failure-handling pass; returns routes moved (both ways).

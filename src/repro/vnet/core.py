@@ -61,9 +61,7 @@ class VnetCore(PacketStage):
         # Per-flow fast path (ONCache-style, see repro.vnet.flowcache):
         # subscribes to routing changes so a compiled flow can never
         # outlive the route it was compiled from.
-        self.flowcache: Optional[FlowCache] = (
-            FlowCache(sim, self) if self.tuning.flow_cache else None
-        )
+        self.flowcache = FlowCache(sim, self)
         # Hybrid fluid/packet fast path (repro.sim.fluid): registering
         # the core lets the region compile overlay paths through it and
         # subscribes fluid flows to this table's route changes.
@@ -204,7 +202,7 @@ class VnetCore(PacketStage):
         nic.suppress_kicks = False
         ctl.mode_changed.fire()
 
-    def add_route(self, route: RouteEntry) -> None:
+    def _check_destination(self, route: RouteEntry) -> None:
         if route.dest_type is DestType.LINK and route.dest_name not in self.links:
             raise ValueError(f"{self.name}: route references unknown link {route.dest_name!r}")
         if (
@@ -214,6 +212,9 @@ class VnetCore(PacketStage):
             raise ValueError(
                 f"{self.name}: route references unknown interface {route.dest_name!r}"
             )
+
+    def add_route(self, route: RouteEntry) -> None:
+        self._check_destination(route)
         self.routing.add(route)
 
     def add_routes(self, routes: list[RouteEntry]) -> int:
@@ -227,17 +228,7 @@ class VnetCore(PacketStage):
         Returns the number of routes installed.
         """
         for route in routes:
-            if route.dest_type is DestType.LINK and route.dest_name not in self.links:
-                raise ValueError(
-                    f"{self.name}: route references unknown link {route.dest_name!r}"
-                )
-            if (
-                route.dest_type is DestType.INTERFACE
-                and route.dest_name not in self.interfaces
-            ):
-                raise ValueError(
-                    f"{self.name}: route references unknown interface {route.dest_name!r}"
-                )
+            self._check_destination(route)
         return self.routing.load(routes)
 
     def attach_bridge(self, bridge: "VnetBridge") -> None:
@@ -259,7 +250,7 @@ class VnetCore(PacketStage):
             "vmm_driven_dispatches": self.vmm_driven_dispatches,
             "routing_entries": len(self.routing),
             "routing_cache_hit_rate": self.routing.cache_hit_rate,
-            "flow_cache": self.flowcache.stats() if self.flowcache else None,
+            "flow_cache": self.flowcache.stats(),
             "links": sorted(self.links),
             "interfaces": sorted(self.interfaces),
             "modes": {
@@ -346,9 +337,8 @@ class VnetCore(PacketStage):
         self._pkts_from_guest.inc()
         if self.monitor is not None:
             self.monitor.observe(frame.src, frame.dst, frame.size)
-        cache = self.flowcache
-        if cache is not None and frame.dst != BROADCAST_MAC:
-            hit = cache.lookup(frame.src, frame.dst)
+        if frame.dst != BROADCAST_MAC:
+            hit = self.flowcache.lookup(frame.src, frame.dst)
             if hit is not None:
                 yield from self._forward_cached(frame, hit)
                 return
@@ -367,8 +357,7 @@ class VnetCore(PacketStage):
         if entry is None:
             yield from self._broadcast(frame)
         else:
-            if cache is not None:
-                cache.install(frame.src, frame.dst, entry)
+            self.flowcache.install(frame.src, frame.dst, entry)
             yield from self._forward(frame, entry)
 
     def _broadcast(self, frame: EthernetFrame):
@@ -543,9 +532,8 @@ class VnetCore(PacketStage):
 
     def _process_inbound(self, frame: EthernetFrame, penalty: int, ystate: YieldState):
         """Generator: route one inbound frame (rx dispatcher body)."""
-        cache = self.flowcache
-        if cache is not None and frame.dst != BROADCAST_MAC:
-            hit = cache.lookup(frame.src, frame.dst)
+        if frame.dst != BROADCAST_MAC:
+            hit = self.flowcache.lookup(frame.src, frame.dst)
             if hit is not None:
                 yield from self._forward_cached(
                     frame, hit, penalty=penalty, ystate=ystate
@@ -577,6 +565,5 @@ class VnetCore(PacketStage):
             return
         # A packet arriving from the overlay may be destined for a local
         # interface or may be forwarded onward (overlay waypoint).
-        if cache is not None:
-            cache.install(frame.src, frame.dst, entry)
+        self.flowcache.install(frame.src, frame.dst, entry)
         yield from self._forward(frame, entry)

@@ -16,11 +16,12 @@ ordinary transmit path, so per-link chaos filters see every one of them.
 
 A hit charges exactly what the full chain would have charged for a warm
 flow: ``dispatch_ns`` plus the routing table's warm lookup cost
-(:meth:`~repro.vnet.routing.RoutingTable.warm_lookup_cost`).  Simulated
-observables stay **bit-identical** with the cache on or off (the golden
-fig8/fig9 scenarios enforce this); what the cache elides is
-charged-not-performed work — wall-clock only, like the kernel fast paths
-in ``repro.sim``.
+(:meth:`~repro.vnet.routing.RoutingTable.warm_lookup_cost`).  The cache
+is always on, and the full chain every miss walks is its reference:
+simulated observables stay **bit-identical** to a run whose lookups all
+miss (``tests/vnet/test_flowcache.py`` enforces this); what the cache
+elides is charged-not-performed work — wall-clock only, like the kernel
+fast paths in ``repro.sim``.
 
 One invalidation rule: any add/remove/clear on the owning core's
 :class:`~repro.vnet.routing.RoutingTable` fires its change listeners and

@@ -190,25 +190,7 @@ class RoutingTable:
             if hit is not None:
                 self.cache_hits += 1
                 return hit, self.costs.route_cache_hit_ns
-        # Indexed selection, linear-scan semantics: dst-exact entries
-        # (specificity >= 2) always beat dst-wildcard ones (<= 1), so the
-        # exact bucket is conclusive when it matches; within a bucket,
-        # insertion order + strict '>' preserves first-added-wins ties.
-        by_dst = self._by_dst
-        if by_dst is None:
-            by_dst = self._rebuild_index()
-        best: Optional[RouteEntry] = None
-        for entry in by_dst.get(dst_mac, ()):
-            if entry.src_mac in (ANY_MAC, src_mac) and (
-                best is None or entry.specificity > best.specificity
-            ):
-                best = entry
-        if best is None:
-            for entry in self._wild_dst:
-                if entry.src_mac in (ANY_MAC, src_mac) and (
-                    best is None or entry.specificity > best.specificity
-                ):
-                    best = entry
+        best = self._select(src_mac, dst_mac)
         # Charged cost models the paper's full linear walk over the table,
         # exactly as before the index existed (the scan never broke early).
         cost = self.costs.route_table_per_entry_ns * max(1, len(self.entries))
@@ -225,6 +207,16 @@ class RoutingTable:
         :mod:`repro.vnet.fluidpath` — must not perturb the datapath's
         lookup statistics or warm its cache, or an otherwise identical
         packet-level segment would see different charged costs.
+        """
+        return self._select(src_mac, dst_mac)
+
+    def _select(self, src_mac: str, dst_mac: str) -> Optional[RouteEntry]:
+        """Indexed selection, linear-scan semantics.
+
+        Dst-exact entries (specificity >= 2) always beat dst-wildcard
+        ones (<= 1), so the exact bucket is conclusive when it matches;
+        within a bucket, insertion order + strict '>' preserves
+        first-added-wins ties.
         """
         by_dst = self._by_dst
         if by_dst is None:

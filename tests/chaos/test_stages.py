@@ -1,5 +1,9 @@
 """Unit tests for the chaos injector stages on bare pipeline ports."""
 
+import gc
+import importlib
+import weakref
+
 import numpy as np
 
 import pytest
@@ -151,7 +155,7 @@ def test_stacked_removal_is_order_safe():
         original = port.sink
         a = LossStage(sim, rate=1.0, seed=0).install(port)
         b = PartitionStage(sim).install(port)
-        assert len(chain_on(port)) == 2
+        assert chain_on(port) == [a, b]
         first, second = (a, b) if removal_order == "first-installed-first" else (b, a)
         first.remove()
         second.remove()
@@ -229,3 +233,46 @@ def test_delay_stage_rejects_nonpositive_delay():
     sim = Simulator()
     with pytest.raises(ValueError):
         DelayStage(sim, delay_ns=0)
+
+
+def test_middle_removal_keeps_chain_in_install_order():
+    """Splicing the middle of three stacked injectors keeps the chain
+    walkable from the port in install order."""
+    sim = Simulator()
+    port, got = _port_with_sink(sim)
+    a = PartitionStage(sim).install(port)
+    b = LossStage(sim, rate=1.0, seed=0).install(port)
+    c = PartitionStage(sim).install(port)
+    b.remove()
+    assert chain_on(port) == [a, c]
+    assert port.push(Frame(3))
+    a.remove()
+    assert chain_on(port) == [c]
+    c.remove()
+    assert chain_on(port) == []
+    assert [f.id for f in got] == [3]
+
+
+def test_never_removed_injector_does_not_pin_its_testbed(monkeypatch):
+    """A loss window that never closes leaves its injector installed;
+    once the point returns, nothing module-level may still reach the
+    injector and, through it, the testbed and its Simulator."""
+    # The package re-exports the family function under the module's name.
+    resilience = importlib.import_module("repro.harness.experiments.resilience")
+
+    refs = []
+    build_topo = resilience.build_topo
+
+    def recording_build_topo(spec):
+        tb = build_topo(spec)
+        # The simulator owns its observability context, so the context
+        # dying proves the simulator died with it.
+        refs.append(weakref.ref(Observability.of(tb.sim)))
+        return tb
+
+    monkeypatch.setattr(resilience, "build_topo", recording_build_topo)
+    row = resilience._loss_goodput_point(
+        "loss 10%", "loss", 0.1, seed=3, duration_ns=1_000_000)
+    assert row["loss_pct"] > 0
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None

@@ -14,6 +14,11 @@ def add_point(a, b):
     return a + b
 
 
+def fluid_knob_point():
+    """Point whose value is the ``REPRO_FLUID`` knob it ran under."""
+    return os.environ.get("REPRO_FLUID", "")
+
+
 def metric_point(n):
     """Point that publishes metrics through a simulation's registry."""
     from repro.obs.context import Observability

@@ -3,7 +3,7 @@
 from repro.exec import Engine, Point, ResultCache, fingerprint
 from repro.exec.point import PointResult
 
-from .points import add_point, metric_point
+from .points import add_point, fluid_knob_point, metric_point
 
 
 def test_cache_roundtrip(tmp_path):
@@ -59,3 +59,28 @@ def test_different_kwargs_do_not_collide(tmp_path):
     e = Engine(cache=cache)
     assert e.run([Point("t", "k", add_point, {"a": 1, "b": 2})]) == [3]
     assert e.run([Point("t", "k", add_point, {"a": 2, "b": 2})]) == [4]
+
+
+def test_env_knobs_key_the_cache(tmp_path, monkeypatch):
+    """REPRO_FLUID changes which code paths a point runs without changing
+    the point: a fluid run must execute rather than be served the
+    all-packet entry, each mode's warm rerun must hit its own entry, and
+    the point's seed must not depend on the knob."""
+    points = [Point("t", "k", fluid_knob_point, {})]
+
+    def run(knob):
+        if knob is None:
+            monkeypatch.delenv("REPRO_FLUID", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_FLUID", knob)
+        engine = Engine(cache=ResultCache(tmp_path / "c"))
+        result, = engine.run_detailed(points)
+        return result.value, result.seed, engine.points_executed
+
+    packet_value, packet_seed, executed = run(None)
+    assert (packet_value, executed) == ("", 1)
+    fluid_value, fluid_seed, executed = run("1")
+    assert (fluid_value, executed) == ("1", 1)
+    assert fluid_seed == packet_seed
+    assert run("1") == ("1", fluid_seed, 0)
+    assert run(None) == ("", packet_seed, 0)

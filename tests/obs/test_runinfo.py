@@ -78,7 +78,7 @@ def test_build_artifact_from_engine():
     )
     assert art.kind == "experiment"
     assert len(art.config["code_version"]) == 16
-    assert set(art.config["env"]) == {"REPRO_FLUID", "REPRO_FLOW_CACHE"}
+    assert set(art.config["env"]) == {"REPRO_FLUID"}
     assert art.config["experiments"] == ["t"]
     assert art.rows == {"t": [{"key": "a", "value": values[0]}]}
     assert art.metrics["exec.points.total"]["value"] == 2

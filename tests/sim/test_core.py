@@ -406,3 +406,30 @@ def test_process_is_alive_lifecycle():
     sim.run()
     assert not p.is_alive
     assert p.processed
+
+
+@pytest.mark.parametrize("drive", ["run", "step"])
+def test_event_pool_never_recycles_a_held_event(drive):
+    """The free lists take only events nothing else references: a timer
+    the caller saved and the members an ``any_of`` still lists keep
+    their identity and value after they fire, while an unreferenced
+    timer and event are recycled."""
+    sim = Simulator()
+    saved = sim.timeout(10, value="saved")
+    manual = sim.event()
+    manual.succeed("manual")
+    cond = sim.any_of([sim.timeout(20, value="first"),
+                       sim.timeout(30, value="second")])
+    sim.timeout(5, value="dropped")
+    sim.event().succeed("dropped")
+    if drive == "run":
+        sim.run()
+    else:
+        while sim.peek() is not None:
+            sim.step()
+    held = [saved, manual, *cond.events]
+    assert [e.value for e in held] == ["saved", "manual", "first", "second"]
+    assert cond.value == {cond.events[0]: "first"}
+    assert len(sim._timeout_pool) == 1 and len(sim._event_pool) == 1
+    fresh = [sim.timeout(1) for _ in range(4)] + [sim.event() for _ in range(4)]
+    assert not any(f is h for f in fresh for h in held)

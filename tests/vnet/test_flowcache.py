@@ -1,12 +1,17 @@
 """Per-flow fast-path cache: accounting, timing neutrality, invalidation.
 
+The cache is always part of the datapath.  Its reference is the full
+chain it short-circuits, which every miss still walks:
+:func:`cache_never_hits` makes every lookup miss, and the equivalence
+tests demand bit-identical observables against it.
+
 The invalidation tests are the safety half of the design: a compiled
 fast-path entry must never outlive the route it was compiled from —
 not across a route-table edit and not across failover/failback — while
 chaos faults, which change no route, must need no flush at all.
 """
 
-import dataclasses
+import contextlib
 
 import pytest
 
@@ -14,17 +19,29 @@ from repro import units
 from repro.apps.ping import run_ping
 from repro.apps.ttcp import run_ttcp_udp
 from repro.chaos import FaultSchedule
-from repro.config import NETEFFECT_10G, VnetTuning
+from repro.config import NETEFFECT_10G
+from repro.harness.experiments.fairness import (
+    _background_udp_point,
+    _varying_loss_point,
+)
+from repro.harness.experiments.resilience import resilience
 from repro.harness.testbed import build_vnetp
 from repro.obs.context import Observability
 from repro.proto.base import Blob
+from repro.topo import TopoSpec
+from repro.vnet import FlowCache
 from repro.vnet.adaptation import AdaptationEngine
 from repro.vnet.heartbeat import HeartbeatService
 from repro.vnet.overlay import DestType, RouteEntry
 
 
-def _tuning(**kw):
-    return dataclasses.replace(VnetTuning(), **kw)
+@contextlib.contextmanager
+def cache_never_hits():
+    """Every flow-cache lookup misses, so every packet walks the full
+    dispatch + routing chain: the reference the cache must reproduce."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FlowCache, "lookup", lambda self, src, dst: None)
+        yield
 
 
 # --- accounting ----------------------------------------------------------------
@@ -33,7 +50,6 @@ def test_hit_miss_accounting():
     tb = build_vnetp(nic_params=NETEFFECT_10G)
     run_ping(tb.endpoints[0], tb.endpoints[1], count=10)
     cache = tb.cores[0].flowcache
-    assert cache is not None
     # First packet of each flow walks the full chain, the rest hit.
     assert cache.misses == cache.installs
     assert cache.hits > 0
@@ -48,26 +64,12 @@ def test_hit_miss_accounting():
     assert snap["vnet.flowcache.h0.misses"] == cache.misses
 
 
-def test_flow_cache_can_be_disabled():
-    tb = build_vnetp(nic_params=NETEFFECT_10G, tuning=_tuning(flow_cache=False))
-    assert tb.cores[0].flowcache is None
-    run_ping(tb.endpoints[0], tb.endpoints[1], count=3)  # datapath intact
-
-
-def test_env_override_disables_default(monkeypatch):
-    monkeypatch.setenv("REPRO_FLOW_CACHE", "0")
-    assert VnetTuning().flow_cache is False
-    monkeypatch.delenv("REPRO_FLOW_CACHE")
-    assert VnetTuning().flow_cache is True
-
-
 # --- timing neutrality ---------------------------------------------------------
 
-def _observables(flow_cache):
-    tuning = _tuning(flow_cache=flow_cache)
-    tb = build_vnetp(nic_params=NETEFFECT_10G, tuning=tuning)
+def _observables():
+    tb = build_vnetp(nic_params=NETEFFECT_10G)
     p = run_ping(tb.endpoints[0], tb.endpoints[1], data_size=1024, count=20)
-    tb2 = build_vnetp(nic_params=NETEFFECT_10G, tuning=tuning)
+    tb2 = build_vnetp(nic_params=NETEFFECT_10G)
     t = run_ttcp_udp(tb2.endpoints[0], tb2.endpoints[1],
                      duration_ns=2 * units.MS)
     events = tb.sim.events_processed + tb2.sim.events_processed
@@ -77,10 +79,73 @@ def _observables(flow_cache):
 def test_bit_identical_observables_cache_on_vs_off():
     """The cache only elides charged-not-performed work: same simulated
     nanoseconds, strictly fewer kernel events."""
-    with_cache, events_on = _observables(True)
-    without_cache, events_off = _observables(False)
+    with_cache, events_on = _observables()
+    with cache_never_hits():
+        without_cache, events_off = _observables()
     assert with_cache == without_cache
     assert events_on < events_off
+
+
+# --- family rows against the reference datapath ------------------------------
+
+def _mesh(n):
+    return TopoSpec(kind="mesh", n_hosts=n)
+
+
+def _resilience_rows():
+    return resilience(quick=True).rows
+
+
+def _loss_2pct_row():
+    return _varying_loss_point("loss 2%", rate=0.02, seed=2027,
+                               horizon_ns=24 * units.MS,
+                               warmup_ns=6 * units.MS, topo=_mesh(2))
+
+
+def _udp_50pct_row():
+    return _background_udp_point("UDP at 50% line rate", udp_fraction=0.5,
+                                 udp_payload=1400, horizon_ns=24 * units.MS,
+                                 warmup_ns=6 * units.MS, topo=_mesh(3))
+
+
+@pytest.fixture(scope="module")
+def reference_rows():
+    """``reference_rows(run)``: ``run()`` on the all-packet datapath whose
+    cache never hits, computed once per module."""
+    memo = {}
+
+    def rows_of(run):
+        if run not in memo:
+            with pytest.MonkeyPatch.context() as mp, cache_never_hits():
+                mp.delenv("REPRO_FLUID", raising=False)
+                memo[run] = run()
+        return memo[run]
+
+    return rows_of
+
+
+@pytest.mark.parametrize("rows, fluid", [
+    pytest.param(_resilience_rows, "0", id="resilience-quick"),
+    pytest.param(_loss_2pct_row, "0", id="fairness-loss-2pct"),
+    pytest.param(_udp_50pct_row, "0", id="fairness-udp-50pct"),
+    pytest.param(_resilience_rows, "1", id="resilience-quick-fluid"),
+])
+def test_family_rows_match_reference_datapath(rows, fluid, reference_rows,
+                                              monkeypatch):
+    """Every result row is bit-identical to the all-packet run whose
+    cache never hits.
+
+    The resilience family crosses seeded and burst loss windows and a
+    partition with failover and failback route rewrites; the fairness
+    points keep the cache hitting through seeded loss and UDP cross
+    traffic.  The fluid case arms the stride engine over the resilience
+    family: its UDP flows are never captured and its fault windows are
+    declared capture blackouts, so the rows must not move either.  The
+    UDP point is exact only on the packet path, so it has no fluid case.
+    """
+    expected = reference_rows(rows)
+    monkeypatch.setenv("REPRO_FLUID", fluid)
+    assert rows() == expected
 
 
 # --- invalidation --------------------------------------------------------------
@@ -102,11 +167,10 @@ def test_route_change_invalidates():
     assert cache.installs > installs_before
 
 
-def _udp_under_fault(flow_cache, place_fault):
+def _udp_under_fault(place_fault):
     """40 datagrams h0 -> h1 with a fault scheduled by ``place_fault``:
     (receive timestamps, frames the fault dropped, h0 cache, h1 cache)."""
-    tb = build_vnetp(nic_params=NETEFFECT_10G,
-                     tuning=_tuning(flow_cache=flow_cache))
+    tb = build_vnetp(nic_params=NETEFFECT_10G)
     sim = tb.sim
     sched = FaultSchedule(sim, name="nofaultflush")
     window = place_fault(tb, sched)
@@ -145,8 +209,9 @@ def test_faults_need_no_flush(place_fault):
     """A fault changes no route, and cached packets still cross the
     faulted port: the cache keeps hitting through it, flushes nothing,
     and every datagram arrives exactly when it does with the cache off."""
-    arrivals_on, dropped, tx_cache, rx_cache = _udp_under_fault(True, place_fault)
-    arrivals_off, dropped_off, _, _ = _udp_under_fault(False, place_fault)
+    arrivals_on, dropped, tx_cache, rx_cache = _udp_under_fault(place_fault)
+    with cache_never_hits():
+        arrivals_off, dropped_off, _, _ = _udp_under_fault(place_fault)
     assert arrivals_on == arrivals_off
     assert dropped == dropped_off > 0
     assert len(arrivals_on) < 40
@@ -236,17 +301,16 @@ def test_rx_path_equivalence_cache_on_vs_off():
     """One-way UDP blast: the receiver core does pure rx work, so this
     isolates the rx dispatcher's cached path.  Same goodput and elapsed
     time, strictly fewer kernel events."""
-    def run(flag):
-        tb = build_vnetp(nic_params=NETEFFECT_10G,
-                         tuning=_tuning(flow_cache=flag))
+    def run():
+        tb = build_vnetp(nic_params=NETEFFECT_10G)
         t = run_ttcp_udp(tb.endpoints[0], tb.endpoints[1],
                          duration_ns=2 * units.MS)
-        cache = tb.cores[1].flowcache
-        rx_hits = cache.hits if cache is not None else 0
+        rx_hits = tb.cores[1].flowcache.hits
         return (t.bytes_moved, t.elapsed_ns), tb.sim.events_processed, rx_hits
 
-    obs_on, events_on, rx_hits = run(True)
-    obs_off, events_off, _ = run(False)
+    obs_on, events_on, rx_hits = run()
+    with cache_never_hits():
+        obs_off, events_off, _ = run()
     assert obs_on == obs_off
     assert events_on < events_off
     assert rx_hits > 0

@@ -51,6 +51,7 @@ def test_lookup_matches_linear_scan(pairs, src, dst):
     table = RoutingTable(COSTS, cache_enabled=False)
     table.load([route(s, d, name=f"l{i}") for i, (s, d) in enumerate(pairs)])
     expected = brute_force(table.entries, src, dst)
+    assert table.peek(src, dst) is expected
     if expected is None:
         with pytest.raises(NoRouteError):
             table.lookup(src, dst)
