@@ -22,16 +22,10 @@ from repro.palacios.vmm import PalaciosVMM
 from repro.proto.ethernet import mac_addr
 from repro.sim import Simulator
 from repro.vnet.bridge import VnetBridge
+from repro.vnet.control import VnetControl
 from repro.vnet.core import VnetCore
-from repro.vnet.overlay import (
-    DestType,
-    InterfaceSpec,
-    LinkProto,
-    LinkSpec,
-    RouteEntry,
-)
-from repro.vnet.vnetu import DEFAULT_VNETU_PORT, VnetUDaemon
-from repro.vnet.overlay import DEFAULT_VNET_PORT
+from repro.vnet.overlay import InterfaceSpec
+from repro.vnet.vnetu import VnetUDaemon
 
 
 def build_mixed_overlay() -> Testbed:
@@ -59,20 +53,19 @@ def build_mixed_overlay() -> Testbed:
     hpc.add_neighbor(cloud)
     cloud.add_neighbor(hpc)
 
-    # Compatible encapsulation: VNET/P's link points at the VNET/U
-    # daemon's UDP port, and vice versa.
-    core.add_link(
-        LinkSpec(name="to-cloud", proto=LinkProto.UDP,
-                 dst_ip=cloud.ip, dst_port=DEFAULT_VNETU_PORT)
-    )
-    core.add_route(RouteEntry("any", macs[1], DestType.LINK, "to-cloud"))
-    core.add_route(RouteEntry("any", macs[0], DestType.INTERFACE, "if0"))
-    daemon.add_link(
-        LinkSpec(name="to-hpc", proto=LinkProto.UDP,
-                 dst_ip=hpc.ip, dst_port=DEFAULT_VNET_PORT)
-    )
-    daemon.add_route(RouteEntry("any", macs[0], DestType.LINK, "to-hpc"))
-    daemon.add_route(RouteEntry("any", macs[1], DestType.INTERFACE, "if0"))
+    # One control component configures both systems in one language.
+    # Both listen on the VNET encapsulation port, a link's default.
+    control_p, control_u = VnetControl(sim, core), VnetControl(sim, daemon)
+    control_p.apply_config(f"""
+        add link to-cloud udp {cloud.ip}
+        add route src any dst {macs[1]} link to-cloud
+        add route src any dst {macs[0]} interface if0
+    """)
+    control_u.apply_config(f"""
+        add link to-hpc udp {hpc.ip}
+        add route src any dst {macs[0]} link to-hpc
+        add route src any dst {macs[1]} interface if0
+    """)
 
     for vm, other, mac in ((vm_p, vm_u, macs[1]), (vm_u, vm_p, macs[0])):
         vm.stack.add_neighbor(other.guest_ip, mac)
@@ -81,7 +74,8 @@ def build_mixed_overlay() -> Testbed:
         Endpoint(stack=vm_u.stack, ip=vm_u.guest_ip, host=cloud, vm=vm_u),
     ]
     return Testbed(sim=sim, config="vnetp<->vnetu", hosts=[hpc, cloud],
-                   endpoints=endpoints, cores=[core], daemons=[daemon])
+                   endpoints=endpoints, cores=[core], daemons=[daemon],
+                   controls=[control_p, control_u])
 
 
 def main() -> None:

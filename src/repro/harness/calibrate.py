@@ -14,9 +14,9 @@ FlowTransport charges separately::
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
-from ..config import DEFAULT_MPI, MPIParams, NICParams
+from ..config import DEFAULT_MPI, NICParams
 from ..mpi.transport import FlowModel
 
 __all__ = ["calibrate_flow_model", "flow_model_for", "clear_cache"]
@@ -36,7 +36,6 @@ def calibrate_flow_model(
     name: str,
     builder: Callable,
     nic_params: NICParams,
-    mpi_params: Optional[MPIParams] = None,
     **builder_kwargs,
 ) -> FlowModel:
     """Measure (alpha, beta) for one configuration; cached by ``name``."""
@@ -46,7 +45,7 @@ def calibrate_flow_model(
     # Imported lazily: apps.imb uses the testbed types from this package.
     from ..apps.imb import run_pingpong
 
-    params = mpi_params or DEFAULT_MPI
+    params = DEFAULT_MPI
     is_virtual = False
 
     def one_way_ns(size: int) -> float:
@@ -84,13 +83,8 @@ def flow_model_for(config: str) -> FlowModel:
     ``config`` is one of ``native-1g``, ``vnetp-1g``, ``native-10g``,
     ``vnetp-10g``, ``native-ipoib``, ``vnetp-ipoib``.
     """
-    from ..config import (
-        BROADCOM_1G,
-        MELLANOX_IPOIB,
-        NETEFFECT_10G,
-        VnetMode,
-        default_tuning,
-    )
+    from ..config import BROADCOM_1G, NETEFFECT_10G
+    from ..interconnect.infiniband import ipoib_nic, untuned_vnetp
     from .testbed import build_native, build_vnetp
 
     table: dict[str, tuple] = {
@@ -98,32 +92,11 @@ def flow_model_for(config: str) -> FlowModel:
         "vnetp-1g": (build_vnetp, BROADCOM_1G, {}),
         "native-10g": (build_native, NETEFFECT_10G, {}),
         "vnetp-10g": (build_vnetp, NETEFFECT_10G, {}),
-        "native-ipoib": (build_native, MELLANOX_IPOIB, {}),
-        # Sect. 6.1: VNET/P has *not* been tuned on IPoIB — the preliminary
-        # numbers reflect guest-driven operation with per-packet interrupts.
-        "vnetp-ipoib": (
-            build_vnetp,
-            MELLANOX_IPOIB,
-            {
-                "tuning": default_tuning(mode=VnetMode.GUEST_DRIVEN),
-                "host_params": _untuned_host(),
-            },
-        ),
+        "native-ipoib": (build_native, ipoib_nic(), {}),
+        # Sect. 6.1: VNET/P has *not* been tuned on IPoIB.
+        "vnetp-ipoib": (build_vnetp, ipoib_nic(), untuned_vnetp()),
     }
     if config not in table:
         raise KeyError(f"unknown configuration {config!r}; options: {sorted(table)}")
     builder, nic, kwargs = table[config]
     return calibrate_flow_model(config, builder, nic, **kwargs)
-
-
-def _untuned_host():
-    """Host params for the untuned IPoIB configuration: no interrupt
-    coalescing in the virtio rx path."""
-    import dataclasses
-
-    from ..config import default_host
-
-    base = default_host()
-    return dataclasses.replace(
-        base, virtio=dataclasses.replace(base.virtio, irq_coalesce_ns=0)
-    )

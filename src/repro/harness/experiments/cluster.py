@@ -98,22 +98,22 @@ def _hpcc_apps_point(cfg: str, procs: int) -> dict:
     return {"gups": gups.gups, "gflops": fft.gflops}
 
 
-def fig13(procs=PROC_COUNTS, quick: bool = False,
-          engine: Engine | None = None) -> ExperimentResult:
-    """Fig. 13: HPCC MPIRandomAccess (GUPs) and MPIFFT (Gflops), 10G."""
-    if quick:
-        procs = (8, 24)
+def _hpcc_apps_tables(experiment_id: str, configs: tuple[str, str],
+                      labels: tuple[str, str], procs, title: str, description: str,
+                      engine: Engine | None) -> ExperimentResult:
+    """HPCC applications, native (first config) vs VNET/P (second)."""
     points = [
-        Point("fig13", f"p{p}.{cfg}", _hpcc_apps_point, {"cfg": cfg, "procs": p})
+        Point(experiment_id, f"p{p}.{cfg}", _hpcc_apps_point, {"cfg": cfg, "procs": p})
         for p in procs
-        for cfg in ("native-10g", "vnetp-10g")
+        for cfg in configs
     ]
     values = run_points(points, engine)
+    nat, vp = labels
     table = Table(
-        ["procs", "Native GUPs", "VNET/P GUPs", "ratio", "Native Gflops", "VNET/P Gflops", "ratio"],
-        title="HPCC application benchmarks, 10G",
+        ["procs", f"{nat} GUPs", f"{vp} GUPs", "ratio", f"{nat} Gflops", f"{vp} Gflops", "ratio"],
+        title=title,
     )
-    result = ExperimentResult("fig13", "HPCC MPIRandomAccess + MPIFFT", tables=[table])
+    result = ExperimentResult(experiment_id, description, tables=[table])
     for i, p in enumerate(procs):
         n, v = values[2 * i], values[2 * i + 1]
         table.add(p, n["gups"], v["gups"], v["gups"] / n["gups"],
@@ -127,6 +127,18 @@ def fig13(procs=PROC_COUNTS, quick: bool = False,
                 "fft_vnetp": v["gflops"],
             }
         )
+    return result
+
+
+def fig13(procs=PROC_COUNTS, quick: bool = False,
+          engine: Engine | None = None) -> ExperimentResult:
+    """Fig. 13: HPCC MPIRandomAccess (GUPs) and MPIFFT (Gflops), 10G."""
+    if quick:
+        procs = (8, 24)
+    result = _hpcc_apps_tables(
+        "fig13", ("native-10g", "vnetp-10g"), ("Native", "VNET/P"), procs,
+        "HPCC application benchmarks, 10G", "HPCC MPIRandomAccess + MPIFFT", engine,
+    )
     result.notes.append(
         "paper anchors: RandomAccess 65-70 % of native, FFT 60-70 %, similar scaling"
     )

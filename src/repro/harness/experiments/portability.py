@@ -15,7 +15,7 @@ from ...interconnect import (
     build_vnetp_ipoib,
 )
 from ..report import ExperimentResult, Table
-from .cluster import PROC_COUNTS, _hpcc_apps_point, _latbw_point
+from .cluster import PROC_COUNTS, _hpcc_apps_tables, _latbw_point
 
 __all__ = ["sec61_infiniband", "fig15", "fig16", "sec62_gemini", "sec63_kitten"]
 
@@ -114,28 +114,10 @@ def fig16(procs=PROC_COUNTS, quick: bool = False,
     """Fig. 16: HPCC applications over IPoIB."""
     if quick:
         procs = (8, 24)
-    points = [
-        Point("fig16", f"p{p}.{cfg}", _hpcc_apps_point, {"cfg": cfg, "procs": p})
-        for p in procs
-        for cfg in ("native-ipoib", "vnetp-ipoib")
-    ]
-    values = run_points(points, engine)
-    table = Table(
-        ["procs", "nat GUPs", "vp GUPs", "ratio", "nat Gflops", "vp Gflops", "ratio"],
-        title="HPCC applications over IPoIB",
+    result = _hpcc_apps_tables(
+        "fig16", ("native-ipoib", "vnetp-ipoib"), ("nat", "vp"), procs,
+        "HPCC applications over IPoIB", "HPCC applications on IPoIB", engine,
     )
-    result = ExperimentResult("fig16", "HPCC applications on IPoIB", tables=[table])
-    for i, p in enumerate(procs):
-        n, v = values[2 * i], values[2 * i + 1]
-        table.add(p, n["gups"], v["gups"], v["gups"] / n["gups"],
-                  n["gflops"], v["gflops"], v["gflops"] / n["gflops"])
-        result.rows.append(
-            {
-                "procs": p,
-                "gups_native": n["gups"], "gups_vnetp": v["gups"],
-                "fft_native": n["gflops"], "fft_vnetp": v["gflops"],
-            }
-        )
     result.notes.append(
         "paper anchors: RandomAccess 75-80 % of native; FFT 30-45 % of native"
     )

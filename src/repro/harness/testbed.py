@@ -26,10 +26,9 @@ from typing import Optional
 from ..config import HostParams, NICParams, VnetTuning
 from ..hw.switch import SwitchParams
 from ..sim import Simulator
-from ..topo.compiler import Endpoint, Testbed, TopologyCompiler
+from ..topo.compiler import Endpoint, Testbed, TopologyCompiler, guest_mtu_for
 from ..topo.generators import full_mesh, generate
 from ..topo.model import GUEST_MAC_PREFIX, TopoSpec, Topology
-from ..vnet.encap import ENCAP_OVERHEAD
 
 __all__ = [
     "Endpoint",
@@ -38,6 +37,7 @@ __all__ = [
     "build_vnetp",
     "build_vnetu",
     "build_topo",
+    "guest_mtu_for",
     "GUEST_MAC_PREFIX",
 ]
 
@@ -57,11 +57,6 @@ def build_native(
         switch_params=switch_params,
     )
     return compiler.compile().build(sim=sim, backend="native")
-
-
-def guest_mtu_for(nic_params: NICParams, tuning: VnetTuning) -> int:
-    """Largest guest MTU whose encapsulation avoids fragmentation."""
-    return min(tuning.vnet_mtu, nic_params.max_mtu - ENCAP_OVERHEAD)
 
 
 def build_vnetp(

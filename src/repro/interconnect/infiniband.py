@@ -19,12 +19,25 @@ import dataclasses
 from ..config import MELLANOX_IPOIB, NICParams, VnetMode, default_host, default_tuning
 from ..harness.testbed import Testbed, build_native, build_vnetp
 
-__all__ = ["ipoib_nic", "build_native_ipoib", "build_vnetp_ipoib"]
+__all__ = ["ipoib_nic", "untuned_vnetp", "build_native_ipoib", "build_vnetp_ipoib"]
 
 
 def ipoib_nic(mtu: int = 65520) -> NICParams:
     """The IPoIB pseudo-Ethernet device (connected mode, large MTU)."""
     return dataclasses.replace(MELLANOX_IPOIB, max_mtu=mtu)
+
+
+def untuned_vnetp() -> dict:
+    """Builder arguments for the paper's *untuned* Sect. 6.1 VNET/P ("out
+    of the box"): guest-driven operation and per-packet receive
+    interrupts (no virtio rx interrupt coalescing)."""
+    base = default_host()
+    return {
+        "tuning": default_tuning(mode=VnetMode.GUEST_DRIVEN),
+        "host_params": dataclasses.replace(
+            base, virtio=dataclasses.replace(base.virtio, irq_coalesce_ns=0)
+        ),
+    }
 
 
 def build_native_ipoib(n_hosts: int = 2, **kw) -> Testbed:
@@ -33,22 +46,9 @@ def build_native_ipoib(n_hosts: int = 2, **kw) -> Testbed:
 
 
 def build_vnetp_ipoib(n_hosts: int = 2, tuned: bool = False, **kw) -> Testbed:
-    """VNET/P over IPoIB.
+    """VNET/P over IPoIB, untuned as in the paper (:func:`untuned_vnetp`).
 
-    The paper's Sect. 6.1 results are explicitly *untuned* ("out of the
-    box"): guest-driven operation and per-packet receive interrupts.
     Pass ``tuned=True`` for the standard adaptive configuration instead.
     """
-    if tuned:
-        return build_vnetp(n_hosts=n_hosts, nic_params=ipoib_nic(), **kw)
-    base = default_host()
-    host_params = dataclasses.replace(
-        base, virtio=dataclasses.replace(base.virtio, irq_coalesce_ns=0)
-    )
-    return build_vnetp(
-        n_hosts=n_hosts,
-        nic_params=ipoib_nic(),
-        tuning=default_tuning(mode=VnetMode.GUEST_DRIVEN),
-        host_params=host_params,
-        **kw,
-    )
+    untuned = {} if tuned else untuned_vnetp()
+    return build_vnetp(n_hosts=n_hosts, nic_params=ipoib_nic(), **untuned, **kw)

@@ -630,32 +630,14 @@ class TcpConnection:
     def _note_sack(self, blocks: tuple) -> None:
         """Merge the peer's SACK blocks into the sender scoreboard."""
         self.sacks_received += 1
-        intervals = self._sacked + [
-            (s, e) for s, e in blocks if e > self.snd_una
-        ]
-        intervals.sort()
-        merged: list[tuple[int, int]] = []
-        for s, e in intervals:
-            if merged and s <= merged[-1][1]:
-                if e > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], e)
-            else:
-                merged.append((s, e))
-        self._sacked = merged
+        self._sacked = _coalesce(
+            self._sacked + [(s, e) for s, e in blocks if e > self.snd_una]
+        )
 
     def _buffer_ooo(self, start: int, end: int) -> None:
         """Buffer an out-of-order byte range, coalescing overlaps."""
-        intervals = self._ooo + [(start, end)]
-        intervals.sort()
-        merged: list[tuple[int, int]] = []
-        for s, e in intervals:
-            if merged and s <= merged[-1][1]:
-                if e > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], e)
-            else:
-                merged.append((s, e))
-        self._ooo = merged
-        self.ooo_bytes = sum(e - s for s, e in merged)
+        self._ooo = _coalesce(self._ooo + [(start, end)])
+        self.ooo_bytes = sum(e - s for s, e in self._ooo)
 
     def _update_rtt(self, sample_ns: int) -> None:
         self.rtt_samples += 1
@@ -665,6 +647,19 @@ class TcpConnection:
         else:
             self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - sample_ns)
             self.srtt = 0.875 * self.srtt + 0.125 * sample_ns
+
+
+def _coalesce(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Sorted union of byte ranges; touching ranges merge."""
+    intervals.sort()
+    merged: list[tuple[int, int]] = []
+    for s, e in intervals:
+        if merged and s <= merged[-1][1]:
+            if e > merged[-1][1]:
+                merged[-1] = (merged[-1][0], e)
+        else:
+            merged.append((s, e))
+    return merged
 
 
 class TcpListener:

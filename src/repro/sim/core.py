@@ -203,27 +203,22 @@ class Process(Event):
         if self._state != _PENDING:
             return
         self._target = None
-        sim = self.sim
-        sim._active_proc = self
         try:
             if event._ok:
                 result = self.gen.send(event._value)
             else:
                 result = self.gen.throw(event._value)
         except StopIteration as stop:
-            sim._active_proc = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            sim._active_proc = None
             if self.callbacks:
                 self.fail(exc)
             else:
                 # No one is watching this process: crash the simulation so
                 # errors are never silently swallowed.
-                sim._crash(exc)
+                self.sim._crash(exc)
             return
-        sim._active_proc = None
         if not isinstance(result, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {result!r}; processes must yield Events"
@@ -231,6 +226,7 @@ class Process(Event):
         if result._state == _PROCESSED:
             # Already-processed events resume the process immediately (next
             # tick at the same timestamp).
+            sim = self.sim
             evt = sim.event()
             if result._ok:
                 evt.succeed(result._value)
@@ -340,7 +336,6 @@ class Simulator:
         "_slots",
         "_times",
         "_immediate",
-        "_active_proc",
         "_crashed",
         "_timeout_pool",
         "_event_pool",
@@ -354,7 +349,6 @@ class Simulator:
         self._slots: dict[int, list[Event]] = {}
         self._times: list[int] = []
         self._immediate: deque[Event] = deque()
-        self._active_proc: Optional[Process] = None
         self._crashed: Optional[BaseException] = None
         self._timeout_pool: list[Timeout] = []
         self._event_pool: list[Event] = []
@@ -369,10 +363,6 @@ class Simulator:
     def now(self) -> int:
         """Current simulation time in nanoseconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_proc
 
     # -- factory helpers ---------------------------------------------------
     def event(self) -> Event:

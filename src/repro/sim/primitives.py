@@ -55,10 +55,6 @@ class Store:
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def is_full(self) -> bool:
-        return self.capacity is not None and len(self.items) >= self.capacity
-
     def put(self, item: Any) -> Event:
         """Return an event that fires once ``item`` is accepted."""
         evt = self.sim.event()

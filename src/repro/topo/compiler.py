@@ -19,7 +19,12 @@ Bit-identity contract: for ``wiring == "mesh"`` topologies the build
 replays the pre-refactor ``build_vnetp``/``build_vnetu`` construction
 order *exactly* — host/VM creation order, link line order, route line
 order, ARP neighbor order — so the golden-trace suites hold through the
-harness facades (which are now one-liners over this module).
+harness facades (which are now one-liners over this module).  Both
+overlay backends are configured the same way: one
+:class:`~repro.vnet.control.VnetControl` per host applies the host's
+compiled commands, links first.  Route load order cannot change a
+VNET/U result: its routes are exact-destination, and the daemon
+charges no lookup cost.
 
 Address plan (a strict superset of the legacy one): host ``i`` gets
 ``10.x.y.z`` with ``x.y.z = i+1`` in base-256 (identical to the old
@@ -59,7 +64,7 @@ from ..vnet.overlay import (
     LinkSpec,
     RouteEntry,
 )
-from ..vnet.vnetu import DEFAULT_VNETU_PORT, VnetUDaemon
+from ..vnet.vnetu import VnetUDaemon
 from .generators import guest_mac
 from .model import Topology
 
@@ -69,6 +74,7 @@ __all__ = [
     "CompiledHost",
     "CompiledTopology",
     "TopologyCompiler",
+    "guest_mtu_for",
     "host_ip",
     "vm_ip",
     "peer_guests",
@@ -87,6 +93,11 @@ def vm_ip(vm_index: int) -> str:
     generalised the same way inside ``172.16.0.0/12``."""
     n = vm_index + 1
     return f"172.{16 + ((n >> 16) & 0xFF)}.{(n >> 8) & 0xFF}.{n & 0xFF}"
+
+
+def guest_mtu_for(nic_params: NICParams, tuning: VnetTuning) -> int:
+    """Largest guest MTU whose encapsulation avoids fragmentation."""
+    return min(tuning.vnet_mtu, nic_params.max_mtu - ENCAP_OVERHEAD)
 
 
 @dataclass
@@ -315,13 +326,10 @@ class TopologyCompiler:
 
         return NETEFFECT_10G
 
-    def _guest_mtu(self, backend: str, nic_params: NICParams,
-                   tuning: VnetTuning) -> int:
+    def _guest_mtu(self, nic_params: NICParams, tuning: VnetTuning) -> int:
         if self.guest_mtu is not None:
             return self.guest_mtu
-        if backend == "vnetu":
-            return nic_params.max_mtu - ENCAP_OVERHEAD
-        return min(tuning.vnet_mtu, nic_params.max_mtu - ENCAP_OVERHEAD)
+        return guest_mtu_for(nic_params, tuning)
 
     def _make_host(self, sim: Simulator, ch: CompiledHost,
                    nic_params: NICParams) -> Host:
@@ -372,7 +380,7 @@ class TopologyCompiler:
         sim = sim or Simulator()
         nic_params = self._resolve_nic("vnetp")
         tuning = self.tuning or VnetTuning()
-        mtu = self._guest_mtu("vnetp", nic_params, tuning)
+        mtu = self._guest_mtu(nic_params, tuning)
         hosts: list[Host] = []
         vms: list[VirtualMachine] = []
         vm_owner: list[int] = []
@@ -430,43 +438,27 @@ class TopologyCompiler:
             )
         sim = sim or Simulator()
         nic_params = self._resolve_nic("vnetu")
-        mtu = self._guest_mtu("vnetu", nic_params, self.tuning or VnetTuning())
+        mtu = self._guest_mtu(nic_params, self.tuning or VnetTuning())
         hosts: list[Host] = []
         vms: list[VirtualMachine] = []
         daemons: list[VnetUDaemon] = []
+        controls: list[VnetControl] = []
         for ch in compiled.hosts:
             host = self._make_host(sim, ch, nic_params)
             vmm = PalaciosVMM(sim, host)
-            idx, mac, guest_ip, _if_name = ch.vms[0]
+            idx, mac, guest_ip, if_name = ch.vms[0]
             vm = vmm.create_vm(f"vm{idx}", guest_ip=guest_ip)
             nic = vm.attach_virtio_nic(mac=mac, mtu=mtu)
             daemon = VnetUDaemon(sim, host)
-            daemon.register_interface(InterfaceSpec(name="if0", mac=mac), nic)
+            daemon.register_interface(InterfaceSpec(name=if_name, mac=mac), nic)
+            controls.append(VnetControl(sim, daemon))
             hosts.append(host)
             vms.append(vm)
             daemons.append(daemon)
         switch = self._wire(sim, hosts)
         if configure:
-            # Legacy VNET/U order: per remote host, link then route
-            # interleaved; the self-interface route last.
-            for ch, daemon in zip(compiled.hosts, daemons):
-                remote = {spec.name: spec for spec in ch.links}
-                for other in compiled.hosts:
-                    if other.name == ch.name:
-                        continue
-                    spec = remote[f"to{other.index}"]
-                    daemon.add_link(
-                        LinkSpec(name=spec.name, proto=spec.proto,
-                                 dst_ip=spec.dst_ip, dst_port=DEFAULT_VNETU_PORT)
-                    )
-                    daemon.add_route(
-                        RouteEntry(src_mac="any", dst_mac=other.vms[0][1],
-                                   dest_type=DestType.LINK, dest_name=spec.name)
-                    )
-                daemon.add_route(
-                    RouteEntry(src_mac="any", dst_mac=ch.vms[0][1],
-                               dest_type=DestType.INTERFACE, dest_name="if0")
-                )
+            for ch, control in zip(compiled.hosts, controls):
+                control.apply_commands(ch.commands)
         macs = [ch.vms[0][1] for ch in compiled.hosts]
         for i, vm in enumerate(vms):
             for j, other in enumerate(vms):
@@ -483,6 +475,7 @@ class TopologyCompiler:
             endpoints=endpoints,
             switch=switch,
             daemons=daemons,
+            controls=controls,
             compiled=compiled,
         )
 

@@ -70,7 +70,7 @@ def provision(
     if compiled is None:
         raise ValueError("provision() needs the compiled topology")
     if not testbed.controls:
-        raise ValueError("provision() needs a vnetp testbed (with controls)")
+        raise ValueError("provision() needs an overlay testbed (with controls)")
     sim = testbed.sim
     tracker = tracker or ConvergenceTracker(sim, expected=len(compiled.hosts))
 

@@ -14,6 +14,7 @@ from .dispatcher import ModeController, wake_penalty
 from .encap import ENCAP_OVERHEAD, VnetEncap
 from .flowcache import FlowCache, FlowCacheEntry
 from .lang import ParseError, parse_config, parse_line
+from .node import VnetNode
 from .overlay import (
     ANY_MAC,
     DEFAULT_VNET_PORT,
@@ -26,7 +27,7 @@ from .overlay import (
 )
 from .routing import NoRouteError, RoutingTable
 from .validation import OverlayIssue, ValidationReport, overlay_graph, validate_overlay
-from .vnetu import DEFAULT_VNETU_PORT, VnetUDaemon
+from .vnetu import VnetUDaemon
 
 __all__ = [
     "AdaptationEngine",
@@ -53,6 +54,7 @@ __all__ = [
     "ParseError",
     "parse_config",
     "parse_line",
+    "VnetNode",
     "ANY_MAC",
     "DEFAULT_VNET_PORT",
     "DestType",
@@ -67,6 +69,5 @@ __all__ = [
     "ValidationReport",
     "overlay_graph",
     "validate_overlay",
-    "DEFAULT_VNETU_PORT",
     "VnetUDaemon",
 ]

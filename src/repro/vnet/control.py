@@ -1,11 +1,13 @@
 """The VNET/P control component (Sect. 4.6).
 
 A user-space daemon that validates configuration commands and applies
-them to the in-VMM core through its expanded interface.  Local control
-comes from configuration text (file contents); remote control arrives
-over a TCP control port speaking the same language as VNET/U clients,
-served inside the simulated network so adaptation engines (e.g. VADAPT)
-can reconfigure a running overlay.
+them to a forwarding node (:class:`~repro.vnet.node.VnetNode`): the
+in-VMM VNET/P core through its expanded interface, or a VNET/U daemon,
+which speaks the same language.  Local control comes from configuration
+text (file contents); remote control arrives over a TCP control port
+speaking the same language as VNET/U clients, served inside the
+simulated network so adaptation engines (e.g. VADAPT) can reconfigure a
+running overlay.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .lang import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .core import VnetCore
+    from .node import VnetNode
 
 __all__ = ["VnetControl", "ControlError"]
 
@@ -39,11 +41,11 @@ class ControlError(RuntimeError):
 
 
 class VnetControl:
-    """Control daemon bound to one VNET/P core."""
+    """Control daemon bound to one forwarding node."""
 
-    def __init__(self, sim: Simulator, core: "VnetCore"):
+    def __init__(self, sim: Simulator, node: "VnetNode"):
         self.sim = sim
-        self.core = core
+        self.node = node
         self.applied = 0
 
     # -- local control ------------------------------------------------------
@@ -55,8 +57,8 @@ class VnetControl:
         """Apply a command sequence, batching consecutive route adds.
 
         Compiler-emitted host configurations are dominated by long runs
-        of ``add route`` lines; those runs go through the core's bulk
-        :meth:`~repro.vnet.core.VnetCore.add_routes` so the routing
+        of ``add route`` lines; those runs go through the node's bulk
+        :meth:`~repro.vnet.node.VnetNode.add_routes` so the routing
         table fires one change notification per run instead of one per
         route.  Semantics are identical to applying the commands one by
         one (``applied`` still counts each command individually).
@@ -68,7 +70,7 @@ class VnetControl:
             if not pending:
                 return
             try:
-                self.core.add_routes([cmd.route for cmd in pending])
+                self.node.add_routes([cmd.route for cmd in pending])
             except (ValueError, KeyError) as exc:
                 raise ControlError(str(exc)) from exc
             self.applied += len(pending)
@@ -84,8 +86,8 @@ class VnetControl:
         return replies
 
     def apply(self, cmd: Command) -> list[str]:
-        """Apply one command to the core; returns any listing output."""
-        core = self.core
+        """Apply one command to the node; returns any listing output."""
+        node = self.node
         try:
             if isinstance(cmd, AddInterface):
                 raise ControlError(
@@ -93,15 +95,15 @@ class VnetControl:
                     f"cannot hot-add {cmd.spec.name!r}"
                 )
             if isinstance(cmd, AddLink):
-                core.add_link(cmd.spec)
+                node.add_link(cmd.spec)
             elif isinstance(cmd, AddRoute):
-                core.add_route(cmd.route)
+                node.add_route(cmd.route)
             elif isinstance(cmd, DelLink):
-                core.remove_link(cmd.name)
+                node.remove_link(cmd.name)
             elif isinstance(cmd, DelInterface):
-                core.remove_interface(cmd.name)
+                node.remove_interface(cmd.name)
             elif isinstance(cmd, DelRoute):
-                n = core.routing.remove_matching(src_mac=cmd.src_mac, dst_mac=cmd.dst_mac)
+                n = node.routing.remove_matching(src_mac=cmd.src_mac, dst_mac=cmd.dst_mac)
                 if n == 0:
                     raise ControlError(
                         f"no route matches src={cmd.src_mac} dst={cmd.dst_mac}"
@@ -116,25 +118,25 @@ class VnetControl:
         return []
 
     def _listing(self, what: str) -> list[str]:
-        core = self.core
+        node = self.node
         if what == "links":
             return [
                 f"link {l.name} {l.proto.value} {l.dst_ip}:{l.dst_port}"
                 if l.dst_ip
                 else f"link {l.name} {l.proto.value}"
-                for l in core.links.values()
+                for l in node.links.values()
             ]
         if what == "interfaces":
-            return [f"interface {s.name} mac {s.mac}" for s in core.if_specs.values()]
+            return [f"interface {s.name} mac {s.mac}" for s in node.if_specs.values()]
         return [
             f"route src {r.src_mac} dst {r.dst_mac} {r.dest_type.value} {r.dest_name}"
-            for r in core.routing.entries
+            for r in node.routing.entries
         ]
 
     # -- remote control (TCP port speaking the VNET/U language) ---------------
     def serve(self, port: int = CONTROL_PORT) -> None:
         """Start the TCP control server on the host stack."""
-        listener = self.core.host.stack.tcp_listen(port)
+        listener = self.node.host.stack.tcp_listen(port)
         self.sim.process(self._accept_loop(listener), name="vnetctl.accept")
 
     def _accept_loop(self, listener):

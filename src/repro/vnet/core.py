@@ -33,6 +33,7 @@ from ..sim import CopyCharger, PacketStage, Simulator, Store
 from .dispatcher import ModeController, YieldState
 from .flowcache import FlowCache, FlowCacheEntry
 from .heartbeat import HeartbeatFrame
+from .node import VnetNode
 from .overlay import DestType, InterfaceSpec, LinkSpec, RouteEntry
 from .routing import NoRouteError, RoutingTable
 
@@ -44,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["VnetCore"]
 
 
-class VnetCore(PacketStage):
+class VnetCore(VnetNode, PacketStage):
     """Per-host VNET/P core embedded in the Palacios VMM."""
 
     def __init__(
@@ -57,7 +58,7 @@ class VnetCore(PacketStage):
         self.host = host
         self.tuning = tuning or VnetTuning()
         self.costs = host.params.vnet_costs
-        self.routing = RoutingTable(self.costs, cache_enabled=self.tuning.routing_cache)
+        self._init_node(RoutingTable(self.costs, cache_enabled=self.tuning.routing_cache))
         # Per-flow fast path (ONCache-style, see repro.vnet.flowcache):
         # subscribes to routing changes so a compiled flow can never
         # outlive the route it was compiled from.
@@ -70,10 +71,6 @@ class VnetCore(PacketStage):
             from .fluidpath import install_fluid
 
             self.fluid_region = install_fluid(sim, self)
-        self.links: dict[str, LinkSpec] = {}
-        self.interfaces: dict[str, "VirtioNIC"] = {}
-        self.if_specs: dict[str, InterfaceSpec] = {}
-        self.if_by_mac: dict[str, "VirtioNIC"] = {}
         self.bridge: Optional["VnetBridge"] = None
         self.controllers: dict[str, ModeController] = {}
         self.rx_queue: Store = Store(sim, capacity=16384, name=f"{host.name}.vnet.rxq")
@@ -146,38 +143,16 @@ class VnetCore(PacketStage):
         return self._vmm_driven_dispatches.value
 
     # -- configuration (driven by the control component) ------------------------
-    def add_link(self, link: LinkSpec) -> None:
-        if link.name in self.links:
-            raise ValueError(f"{self.name}: duplicate link {link.name!r}")
-        self.links[link.name] = link
-
-    def remove_link(self, name: str) -> None:
-        if name not in self.links:
-            raise KeyError(f"{self.name}: no such link {name!r}")
-        if self.routing.routes_to(DestType.LINK, name):
-            raise ValueError(f"{self.name}: link {name!r} still referenced by routes")
-        del self.links[name]
-
     def register_interface(self, spec: InterfaceSpec, nic: "VirtioNIC") -> None:
-        """Register a virtual NIC with VNET/P (done at VM configuration
-        time, Sect. 4.4); installs the kick handler backend."""
-        if spec.name in self.interfaces:
-            raise ValueError(f"{self.name}: duplicate interface {spec.name!r}")
-        if nic.mac != spec.mac:
-            raise ValueError(
-                f"{self.name}: interface {spec.name!r} MAC {spec.mac} != NIC MAC {nic.mac}"
-            )
-        self.interfaces[spec.name] = nic
-        self.if_specs[spec.name] = spec
-        self.if_by_mac[spec.mac] = nic
-        self.controllers[spec.name] = ModeController(self.sim, nic, self.tuning)
+        """Register a virtual NIC with VNET/P; installs its mode
+        controller, the kick handler backend and its tx dispatchers."""
+        super().register_interface(spec, nic)
+        ctl = self.controllers[spec.name] = ModeController(self.sim, nic, self.tuning)
         if self.fluid_region is not None:
             # A guest/VMM mode switch changes per-packet datapath costs,
             # so any analytic rate captured under the old mode is stale:
             # de-escalate at the exact switch instant.
-            self.controllers[spec.name].on_switch.append(
-                self.fluid_region.on_mode_switch
-            )
+            ctl.on_switch.append(self.fluid_region.on_mode_switch)
         nic.register_backend(self._make_kick_handler(spec.name))
         # One or more dispatcher threads per NIC (Fig. 4: idle cores can be
         # employed to raise packet-forwarding bandwidth).
@@ -186,57 +161,16 @@ class VnetCore(PacketStage):
                 self._tx_dispatcher(spec.name), name=f"{self.name}.txd{i}.{spec.name}"
             )
 
-    def remove_interface(self, name: str) -> None:
-        """Detach a virtual NIC (e.g. ahead of a VM migration)."""
-        if name not in self.interfaces:
-            raise KeyError(f"{self.name}: no such interface {name!r}")
-        if self.routing.routes_to(DestType.INTERFACE, name):
-            raise ValueError(f"{self.name}: interface {name!r} still referenced by routes")
-        nic = self.interfaces.pop(name)
-        spec = self.if_specs.pop(name)
-        del self.if_by_mac[spec.mac]
-        ctl = self.controllers.pop(name)
-        # Detach the data path: no more kicks into this core, and wake any
-        # dispatcher blocked on the mode signal so it can exit.
-        nic._kick_handler = None
+    def remove_interface(self, name: str) -> "VirtioNIC":
+        nic = super().remove_interface(name)
+        # Wake any dispatcher blocked on the mode signal so it can exit.
         nic.suppress_kicks = False
-        ctl.mode_changed.fire()
-
-    def _check_destination(self, route: RouteEntry) -> None:
-        if route.dest_type is DestType.LINK and route.dest_name not in self.links:
-            raise ValueError(f"{self.name}: route references unknown link {route.dest_name!r}")
-        if (
-            route.dest_type is DestType.INTERFACE
-            and route.dest_name not in self.interfaces
-        ):
-            raise ValueError(
-                f"{self.name}: route references unknown interface {route.dest_name!r}"
-            )
-
-    def add_route(self, route: RouteEntry) -> None:
-        self._check_destination(route)
-        self.routing.add(route)
-
-    def add_routes(self, routes: list[RouteEntry]) -> int:
-        """Bulk route installation: validate everything, then load once.
-
-        The topology compiler provisions whole host tables in one call;
-        validating every destination up front keeps the all-or-nothing
-        contract of :meth:`add_route`, and the single
-        :meth:`~repro.vnet.routing.RoutingTable.load` keeps derived
-        caches (flow cache, lookup index) from flushing per entry.
-        Returns the number of routes installed.
-        """
-        for route in routes:
-            self._check_destination(route)
-        return self.routing.load(routes)
+        self.controllers.pop(name).mode_changed.fire()
+        return nic
 
     def attach_bridge(self, bridge: "VnetBridge") -> None:
         self.bridge = bridge
         self.host.vnet_bridge = bridge
-
-    def local_macs(self) -> set[str]:
-        return set(self.if_by_mac)
 
     def stats(self) -> dict:
         """Operational counters, as the control interface would expose them."""
@@ -283,7 +217,7 @@ class VnetCore(PacketStage):
                 for frame in frames:
                     ctl.note_packet()
                     self._guest_driven_dispatches.inc()
-                    yield from self._process_outbound(frame)
+                    yield from self._dispatch(frame)
         else:
             # VMM-driven: the dispatcher thread owns the TXQ; the kick (if
             # one slipped in before suppression took effect) is a no-op.
@@ -316,7 +250,7 @@ class VnetCore(PacketStage):
                 ystate.note_work()
                 ctl.note_packet()
                 self._vmm_driven_dispatches.inc()
-                yield from self._process_outbound(frame)
+                yield from self._dispatch(frame)
                 # note_packet above may have switched the controller back
                 # to guest-driven, and the VM may have migrated away: the
                 # drain must re-establish the outer loop's guards before
@@ -332,42 +266,58 @@ class VnetCore(PacketStage):
                     break
                 blocked = False
 
-    def _process_outbound(self, frame: EthernetFrame):
-        """Generator: route one guest frame and hand it onward."""
-        self._pkts_from_guest.inc()
-        if self.monitor is not None:
-            self.monitor.observe(frame.src, frame.dst, frame.size)
-        if frame.dst != BROADCAST_MAC:
+    def _dispatch(self, frame: EthernetFrame, penalty: int = 0,
+                  ystate: Optional[YieldState] = None):
+        """Generator: route one frame and hand it onward.
+
+        Guest frames come from the tx path with no ``ystate``; inbound
+        frames carry the rx dispatcher's wakeup ``penalty``, merged into
+        the dispatch charge (one timeout instead of two) while
+        ``note_work_at`` keeps the adaptive idle clock on the unmerged
+        instant, so the route lookup still happens at exactly
+        now + penalty + dispatch_ns.
+        """
+        from_guest = ystate is None
+        if from_guest:
+            self._pkts_from_guest.inc()
+            if self.monitor is not None:
+                self.monitor.observe(frame.src, frame.dst, frame.size)
+        broadcast = frame.dst == BROADCAST_MAC
+        if not broadcast:
             hit = self.flowcache.lookup(frame.src, frame.dst)
             if hit is not None:
-                yield from self._forward_cached(frame, hit)
+                yield from self._forward_cached(frame, hit, penalty, ystate)
                 return
-        entry = None
         with self.obs.spans.span(
             STAGE_DISPATCH, who=self.name, where="vmm", flow_of=frame
         ):
-            yield self.sim.timeout(self.costs.dispatch_ns)
-            if frame.dst != BROADCAST_MAC:
+            if ystate is not None:
+                ystate.note_work_at(self.sim.now + penalty)
+            yield self.sim.timeout(penalty + self.costs.dispatch_ns)
+            if not broadcast:
                 try:
                     entry, cost = self.routing.lookup(frame.src, frame.dst)
                 except NoRouteError:
                     self._pkts_dropped_no_route.inc()
                     return
                 yield self.sim.timeout(cost)
-        if entry is None:
-            yield from self._broadcast(frame)
+        if broadcast:
+            yield from self._broadcast(frame, from_guest)
         else:
+            # An inbound packet may be destined for a local interface or
+            # forwarded onward (overlay waypoint).
             self.flowcache.install(frame.src, frame.dst, entry)
             yield from self._forward(frame, entry)
 
-    def _broadcast(self, frame: EthernetFrame):
-        """Deliver a broadcast frame to every local interface (except the
-        sender) and every link."""
+    def _broadcast(self, frame: EthernetFrame, from_guest: bool):
+        """Deliver a broadcast frame to every local interface; a guest's
+        own broadcast skips its sender and is flooded to every link."""
         for mac, nic in self.if_by_mac.items():
-            if mac != frame.src:
+            if not from_guest or mac != frame.src:
                 yield from self._deliver_local(frame, nic)
-        for link in self.links.values():
-            yield from self._send_via_bridge(frame, link)
+        if from_guest:
+            for link in self.links.values():
+                yield from self._send_via_bridge(frame, link)
 
     def _forward(self, frame: EthernetFrame, entry: RouteEntry):
         if entry.dest_type is DestType.INTERFACE:
@@ -378,7 +328,7 @@ class VnetCore(PacketStage):
             yield from self._send_via_bridge(frame, link)
 
     def _forward_cached(self, frame: EthernetFrame, hit: FlowCacheEntry,
-                        penalty: int = 0, ystate: Optional[YieldState] = None):
+                        penalty: int, ystate: Optional[YieldState]):
         """The compiled fast path: one merged charge, pre-resolved hand-off.
 
         ``hit.charge_ns`` equals the
@@ -522,48 +472,10 @@ class VnetCore(PacketStage):
                 penalty = ystate.penalty(blocked)
                 if blocked:
                     penalty += self.host.wakeup_noise_ns()
-                yield from self._process_inbound(frame, penalty, ystate)
+                yield from self._dispatch(frame, penalty, ystate)
                 if not drain:
                     break
                 frame = rxq.try_get()
                 if frame is None:
                     break
                 blocked = False
-
-    def _process_inbound(self, frame: EthernetFrame, penalty: int, ystate: YieldState):
-        """Generator: route one inbound frame (rx dispatcher body)."""
-        if frame.dst != BROADCAST_MAC:
-            hit = self.flowcache.lookup(frame.src, frame.dst)
-            if hit is not None:
-                yield from self._forward_cached(
-                    frame, hit, penalty=penalty, ystate=ystate
-                )
-                return
-        entry = None
-        broadcast = False
-        with self.obs.spans.span(
-            STAGE_DISPATCH, who=self.name, where="vmm", flow_of=frame
-        ):
-            # Wakeup penalty and dispatch charge merged into one timeout;
-            # note_work_at keeps the adaptive idle clock on the unmerged
-            # instant, and the route lookup still happens at exactly
-            # now + penalty + dispatch_ns.
-            ystate.note_work_at(self.sim.now + penalty)
-            yield self.sim.timeout(penalty + self.costs.dispatch_ns)
-            if frame.dst == BROADCAST_MAC:
-                broadcast = True
-            else:
-                try:
-                    entry, cost = self.routing.lookup(frame.src, frame.dst)
-                except NoRouteError:
-                    self._pkts_dropped_no_route.inc()
-                    return
-                yield self.sim.timeout(cost)
-        if broadcast:
-            for nic in self.if_by_mac.values():
-                yield from self._deliver_local(frame, nic)
-            return
-        # A packet arriving from the overlay may be destined for a local
-        # interface or may be forwarded onward (overlay waypoint).
-        self.flowcache.install(frame.src, frame.dst, entry)
-        yield from self._forward(frame, entry)

@@ -8,9 +8,11 @@ a copy, plus select()-style dispatch in the daemon.  Those transitions
 are exactly what VNET/P eliminates, and what limits VNET/U to ~71 MB/s
 and ~0.88 ms latency on the paper's hardware.
 
-The daemon reuses the same routing table and link/interface model as
-VNET/P (the two systems speak compatible configuration languages and
-encapsulation, Sect. 4.2).
+The daemon shares VNET/P's node state (:class:`~repro.vnet.node.VnetNode`)
+and is configured by the same control component
+(:class:`~repro.vnet.control.VnetControl`); it listens on VNET/P's UDP
+port, so the two systems speak compatible configuration languages and
+encapsulation (Sect. 4.2).
 """
 
 from __future__ import annotations
@@ -20,35 +22,30 @@ from typing import TYPE_CHECKING
 from ..proto.ethernet import BROADCAST_MAC, EthernetFrame
 from ..sim import Simulator, Store
 from .encap import VnetEncap
-from .overlay import DestType, InterfaceSpec, LinkProto, LinkSpec, RouteEntry
+from .node import VnetNode
+from .overlay import DEFAULT_VNET_PORT, DestType, InterfaceSpec, LinkProto, LinkSpec
 from .routing import NoRouteError, RoutingTable
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..host.machine import Host
     from ..palacios.virtio import VirtioNIC
 
-__all__ = ["VnetUDaemon", "DEFAULT_VNETU_PORT"]
-
-DEFAULT_VNETU_PORT = 5004
+__all__ = ["VnetUDaemon"]
 
 
-class VnetUDaemon:
+class VnetUDaemon(VnetNode):
     """User-level VNET daemon on one host."""
 
-    def __init__(self, sim: Simulator, host: "Host", port: int = DEFAULT_VNETU_PORT):
+    def __init__(self, sim: Simulator, host: "Host"):
         self.sim = sim
         self.host = host
         self.params = host.params.vnetu
-        self.port = port
         self.name = f"{host.name}.vnetu"
-        self.routing = RoutingTable(host.params.vnet_costs, cache_enabled=True)
-        self.links: dict[str, LinkSpec] = {}
-        self.interfaces: dict[str, "VirtioNIC"] = {}
-        self.if_by_mac: dict[str, "VirtioNIC"] = {}
+        self._init_node(RoutingTable(host.params.vnet_costs, cache_enabled=True))
         # The tap device queue between the VMM and the daemon.
         self.tapq: Store = Store(sim, capacity=8192, name=f"{self.name}.tapq")
         # User-level socket: syscalls charged on every send/recv.
-        self.sock = host.stack.udp_socket(port, in_kernel=False)
+        self.sock = host.stack.udp_socket(DEFAULT_VNET_PORT, in_kernel=False)
         self.pkts_routed = 0
         self.pkts_dropped = 0
         sim.process(self._tx_loop(), name=f"{self.name}.tx")
@@ -58,18 +55,10 @@ class VnetUDaemon:
     def add_link(self, link: LinkSpec) -> None:
         if link.proto is not LinkProto.UDP:
             raise ValueError(f"{self.name}: VNET/U links are UDP (got {link.proto})")
-        self.links[link.name] = link
-
-    def add_route(self, route: RouteEntry) -> None:
-        if route.dest_type is DestType.LINK and route.dest_name not in self.links:
-            raise ValueError(f"{self.name}: unknown link {route.dest_name!r}")
-        if route.dest_type is DestType.INTERFACE and route.dest_name not in self.interfaces:
-            raise ValueError(f"{self.name}: unknown interface {route.dest_name!r}")
-        self.routing.add(route)
+        super().add_link(link)
 
     def register_interface(self, spec: InterfaceSpec, nic: "VirtioNIC") -> None:
-        self.interfaces[spec.name] = nic
-        self.if_by_mac[spec.mac] = nic
+        super().register_interface(spec, nic)
         nic.register_backend(self._kick_handler)
 
     # -- data path ---------------------------------------------------------------
@@ -161,49 +150,3 @@ class VnetUDaemon:
         else:
             self.pkts_dropped += 1
 
-
-    # -- control (the same language the VNET/P control component speaks) ------
-    def apply_config(self, text: str) -> list[str]:
-        """Apply VNET configuration text to this daemon.
-
-        VNET/U and VNET/P share the configuration language (Sect. 4.6);
-        the daemon supports the overlay-construction subset (links,
-        routes, listings).
-        """
-        from .lang import AddLink, AddRoute, DelRoute, ListCmd, parse_config
-
-        replies: list[str] = []
-        for cmd in parse_config(text):
-            if isinstance(cmd, AddLink):
-                self.add_link(cmd.spec)
-            elif isinstance(cmd, AddRoute):
-                self.add_route(cmd.route)
-            elif isinstance(cmd, DelRoute):
-                n = self.routing.remove_matching(
-                    src_mac=cmd.src_mac, dst_mac=cmd.dst_mac
-                )
-                if n == 0:
-                    raise ValueError(
-                        f"{self.name}: no route matches src={cmd.src_mac} "
-                        f"dst={cmd.dst_mac}"
-                    )
-            elif isinstance(cmd, ListCmd):
-                if cmd.what == "links":
-                    replies.extend(
-                        f"link {l.name} {l.proto.value} {l.dst_ip}:{l.dst_port}"
-                        for l in self.links.values()
-                    )
-                elif cmd.what == "routes":
-                    replies.extend(
-                        f"route src {r.src_mac} dst {r.dst_mac} "
-                        f"{r.dest_type.value} {r.dest_name}"
-                        for r in self.routing.entries
-                    )
-                else:
-                    replies.extend(
-                        f"interface {name} mac {nic.mac}"
-                        for name, nic in self.interfaces.items()
-                    )
-            else:
-                raise ValueError(f"{self.name}: unsupported command {cmd!r}")
-        return replies

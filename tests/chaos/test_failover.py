@@ -30,6 +30,8 @@ def test_partition_failover_end_to_end():
     assert row["recovery_ms"] < 5.0
     # Routes failed back after heal + backoff.
     assert 0.0 < row["failback_ms"] < 6.0
+    # The monitor logged the heartbeat silence (-1 would mean never).
+    assert row["telemetry_outage_ms"] > 0
     # The detour actually carried packets through the waypoint host.
     assert row["waypoint_pkts"] > 0
     # Most of the stream survived an 8 ms partition in a 20 ms run.

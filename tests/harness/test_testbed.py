@@ -58,8 +58,12 @@ def test_guest_mtu_avoids_fragmentation():
 
 def test_vnetu_testbed_structure():
     tb = build_vnetu(nic_params=BROADCOM_1G)
-    assert len(tb.daemons) == 2
-    for daemon in tb.daemons:
+    assert len(tb.daemons) == len(tb.controls) == 2
+    # Configured by the shared control plane from the compiled commands.
+    for daemon, control, ch in zip(tb.daemons, tb.controls, tb.compiled.hosts):
+        assert control.node is daemon
+        assert tuple(daemon.links.values()) == ch.links
+        assert tuple(daemon.routing.entries) == ch.routes
         assert len(daemon.links) == 1
         assert len(daemon.routing) == 2
 

@@ -8,6 +8,7 @@ from repro.apps.ttcp import run_ttcp_tcp
 from repro.config import BROADCOM_1G
 from repro.harness.testbed import build_vnetp, build_vnetu
 from repro.proto.base import Blob
+from repro.vnet.control import ControlError
 from repro.vnet.overlay import LinkProto, LinkSpec
 
 
@@ -89,16 +90,17 @@ def test_vnetu_drops_unroutable_frames():
 
 def test_vnetu_speaks_the_shared_config_language():
     tb = build_vnetu(nic_params=BROADCOM_1G)
-    daemon = tb.daemons[0]
-    daemon.apply_config(
+    daemon, control = tb.daemons[0], tb.controls[0]
+    assert control.node is daemon
+    control.apply_config(
         """
-        add link extra udp 10.0.0.9:5004
+        add link extra udp 10.0.0.9:5002
         add route src any dst 52:00:00:00:00:77 link extra
         """
     )
     assert "extra" in daemon.links
-    listing = daemon.apply_config("list routes")
+    listing = control.apply_config("list routes")
     assert any("52:00:00:00:00:77" in line for line in listing)
-    daemon.apply_config("del route src any dst 52:00:00:00:00:77")
-    with pytest.raises(ValueError, match="no route matches"):
-        daemon.apply_config("del route src any dst 52:00:00:00:00:77")
+    control.apply_config("del route src any dst 52:00:00:00:00:77")
+    with pytest.raises(ControlError, match="no route matches"):
+        control.apply_config("del route src any dst 52:00:00:00:00:77")
