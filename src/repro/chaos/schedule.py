@@ -15,7 +15,7 @@ without keeping any timer pending).
 Everything is deterministic: windows fire at exact virtual times and
 each stochastic injector owns a seeded generator, so the same schedule
 over the same workload produces bit-identical results — the property
-the ``chaos-suite`` CI job asserts by diffing two same-seed runs.
+the ``determinism-suite`` CI job asserts by diffing two same-seed runs.
 
 Example::
 

@@ -54,10 +54,6 @@ class CPUParams:
     freq_hz: float = 2.4e9
     cores: int = 4
 
-    def cycles_ns(self, cycles: float) -> int:
-        """Convert a cycle count to nanoseconds on this CPU."""
-        return int(round(cycles * 1e9 / self.freq_hz))
-
 
 @dataclass(frozen=True)
 class MemoryParams:

@@ -194,9 +194,18 @@ def _routing_cache_point(n_routes: int, cache: bool, duration_ns: int) -> dict:
             ]
         )
     ping = run_ping(tb.endpoints[0], tb.endpoints[1], count=10)
-    tb.cores[0].routing._cache.clear()
+    core = tb.cores[0]
+
+    def charged_lookups() -> tuple[int, int]:
+        # A flow-cache hit charges warm_lookup_cost(): a hash-cache hit
+        # when the cache is on, a full scan when it is off.
+        hits = core.routing.cache_hits + (core.flowcache.hits if cache else 0)
+        return hits, core.routing.lookups + core.flowcache.hits
+
+    hits0, lookups0 = charged_lookups()
     udp = run_ttcp_udp(tb.endpoints[0], tb.endpoints[1], duration_ns=duration_ns)
-    hit_rate = tb.cores[0].routing.cache_hit_rate
+    hits1, lookups1 = charged_lookups()
+    hit_rate = (hits1 - hits0) / (lookups1 - lookups0) if lookups1 > lookups0 else 0.0
     return {
         "routes": n_routes,
         "cache": cache,

@@ -8,7 +8,7 @@ they parallelize and cache like every other experiment:
   Gilbert–Elliott burst-loss) window on the sender's physical NIC.  The
   ``loss=0`` row must be bit-identical to the clean row: injectors are
   timing-transparent when they pass a frame, which is what makes the
-  same-seed ``chaos-suite`` CI diff meaningful.
+  same-seed ``determinism-suite`` CI diff meaningful.
 * **partition / failover** — a three-host testbed with heartbeats on
   every overlay link, a phi-style failure detector
   (:class:`~repro.vnet.monitor.TrafficMonitor`) and the

@@ -66,7 +66,6 @@ def build_vnetp(
     tuning: Optional[VnetTuning] = None,
     switch_params: Optional[SwitchParams] = None,
     guest_mtu: Optional[int] = None,
-    direct_receive: bool = False,
     vms_per_host: int = 1,
     sim: Optional[Simulator] = None,
 ) -> Testbed:
@@ -83,7 +82,6 @@ def build_vnetp(
         tuning=tuning,
         switch_params=switch_params,
         guest_mtu=guest_mtu,
-        direct_receive=direct_receive,
     )
     return compiler.compile().build(sim=sim, backend="vnetp")
 
@@ -114,7 +112,6 @@ def build_topo(
     tuning: Optional[VnetTuning] = None,
     switch_params: Optional[SwitchParams] = None,
     guest_mtu: Optional[int] = None,
-    direct_receive: bool = False,
     sim: Optional[Simulator] = None,
     configure: bool = True,
 ) -> Testbed:
@@ -134,6 +131,5 @@ def build_topo(
         tuning=tuning,
         switch_params=switch_params,
         guest_mtu=guest_mtu,
-        direct_receive=direct_receive,
     )
     return compiler.compile().build(sim=sim, backend="vnetp", configure=configure)

@@ -17,20 +17,20 @@ environment gives it very low jitter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..config import HostParams, NICParams, VnetTuning, default_host
-from ..hw.cpu import CPU
-from ..hw.link import Link
-from ..hw.memory import MemorySystem
-from ..hw.nic import PhysicalNIC
-from ..palacios.vmm import PalaciosVMM
-from ..proto.ethernet import BROADCAST_MAC, EthernetFrame, mac_addr
+from ..config import MELLANOX_IPOIB, HostParams, NICParams, VnetTuning
+from ..hw.switch import SwitchParams
+from ..proto.ethernet import BROADCAST_MAC, EthernetFrame
 from ..sim import PacketStage, Simulator, Store
 from ..vnet.core import VnetCore
-from ..vnet.overlay import DestType, InterfaceSpec, LinkProto, LinkSpec, RouteEntry
+from ..vnet.overlay import LinkProto
 
-__all__ = ["BridgeVMParams", "KittenBridgeVM", "KittenHost", "build_vnetp_kitten"]
+if TYPE_CHECKING:  # pragma: no cover
+    from ..topo.compiler import Testbed
+    from .machine import Host
+
+__all__ = ["BridgeVMParams", "KittenBridgeVM", "build_vnetp_kitten"]
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class KittenBridgeVM(PacketStage):
     def __init__(
         self,
         sim: Simulator,
-        host: "KittenHost",
+        host: "Host",
         core: VnetCore,
         params: Optional[BridgeVMParams] = None,
     ):
@@ -71,7 +71,9 @@ class KittenBridgeVM(PacketStage):
         self.rx_frames = 0
         self.rx_dropped = 0
         core.attach_bridge(self)
-        host.nic.rx_port.connect(self._on_ib_rx)
+        # The service VM has direct access to the IB device: it, not the
+        # host stack, owns the NIC's receive port.
+        host.nic.rx_port.rebind(self._on_ib_rx)
         sim.process(self._tx_loop(), name=f"{self.name}.tx")
         sim.process(self._rx_loop(), name=f"{self.name}.rx")
 
@@ -96,9 +98,8 @@ class KittenBridgeVM(PacketStage):
             yield self.host.nic.txq.put(frame)
 
     def _on_ib_rx(self, frame: EthernetFrame) -> bool:
-        # Accept only frames for local guests (or broadcasts) — the same
-        # MAC filter the Linux bridge applies in direct-receive mode.
-        # Without it, switch flooding would be re-forwarded by every
+        # Accept only frames for local guests (or broadcasts).  Without
+        # this MAC filter, switch flooding would be re-forwarded by every
         # non-target node's core, creating a storm.
         if frame.dst not in self.core.if_by_mac and frame.dst != BROADCAST_MAC:
             return True  # filtered, not backpressure
@@ -122,42 +123,6 @@ class KittenBridgeVM(PacketStage):
             self.core.inbound.push(frame)
 
 
-class KittenHost:
-    """A compute node running Kitten + Palacios (a 'type-I' arrangement)."""
-
-    _counter = 0
-
-    def __init__(
-        self,
-        sim: Simulator,
-        params: HostParams,
-        nic_params: NICParams,
-        name: Optional[str] = None,
-    ):
-        KittenHost._counter += 1
-        self.sim = sim
-        self.params = params
-        self.name = name or f"kitten{KittenHost._counter}"
-        self.cpu = CPU(sim, params.cpu, name=f"{self.name}.cpu")
-        self.memory = MemorySystem(sim, params.memory, name=f"{self.name}.mem")
-        self.nic = PhysicalNIC(sim, nic_params, name=f"{self.name}.ib")
-        self.vmm: Optional[PalaciosVMM] = None
-        self.vnet_core = None
-        self.vnet_bridge = None
-        from ..config import KITTEN_NOISE
-        from ..sim import RandomStreams
-
-        self._noise_params = KITTEN_NOISE
-        self._noise_rng = RandomStreams(seed=0).stream(f"{self.name}.noise")
-
-    def wakeup_noise_ns(self) -> int:
-        """Kitten is a low-noise LWK: almost no scheduling jitter (Sect. 6.3)."""
-        jitter = self._noise_params.jitter_max_ns
-        if jitter <= 0:
-            return 0
-        return int(self._noise_rng.integers(0, jitter + 1))
-
-
 def build_vnetp_kitten(
     n_hosts: int = 2,
     nic_params: Optional[NICParams] = None,
@@ -165,88 +130,32 @@ def build_vnetp_kitten(
     tuning: Optional[VnetTuning] = None,
     guest_mtu: int = 8958,
     sim: Optional[Simulator] = None,
-):
+) -> "Testbed":
     """Two (or more) Kitten nodes over InfiniBand, one guest VM each.
 
     Returns a Testbed whose endpoints are the guest stacks, as with the
     Linux builders.  The testbed's 8900-byte-payload ttcp measurement is
     the Sect. 6.3 experiment.
     """
-    import dataclasses
+    # Imported here: the topology compiler imports KittenBridgeVM.
+    from ..topo import TopologyCompiler, full_mesh
 
-    from ..config import MELLANOX_IPOIB
-    from ..harness.testbed import Endpoint, Testbed
-    from ..hw.switch import Switch, SwitchParams
-
-    sim = sim or Simulator()
-    nic_params = nic_params or dataclasses.replace(MELLANOX_IPOIB, max_mtu=65520)
-    hosts: list[KittenHost] = []
-    vms = []
-    cores = []
-    macs = [mac_addr(i + 1, prefix=0x5B) for i in range(n_hosts)]
-    for i in range(n_hosts):
-        host = KittenHost(sim, host_params or default_host(), nic_params, name=f"kitten{i}")
-        vmm = PalaciosVMM(sim, host)  # type: ignore[arg-type]
-        vm = vmm.create_vm(f"kvm{i}", guest_ip=f"172.16.1.{i + 1}")
-        nic = vm.attach_virtio_nic(mac=macs[i], mtu=guest_mtu)
-        core = VnetCore(sim, host, tuning=tuning)  # type: ignore[arg-type]
-        core.register_interface(InterfaceSpec(name="if0", mac=macs[i]), nic)
-        KittenBridgeVM(sim, host, core)
-        hosts.append(host)
-        vms.append(vm)
-        cores.append(core)
+    nic_params = nic_params or MELLANOX_IPOIB
     # Two nodes are cabled directly (the Sect. 6.3 testbed); more go
     # through an InfiniBand switch (Mellanox MTS3600-style).  The switch
     # forwards on the *guest* MACs, since Kitten's bridge VM maps guest
     # Ethernet frames directly onto IB frames.
-    switch = None
-    if n_hosts == 2:
-        Link(sim, hosts[0].nic, hosts[1].nic)
-    else:
-        switch = Switch(
-            sim,
-            SwitchParams(
-                name="mellanox-mts3600",
-                latency_ns=700,
-                port_rate_bps=nic_params.rate_bps,
-            ),
+    switch_params = None
+    if n_hosts > 2:
+        switch_params = SwitchParams(
+            name="mellanox-mts3600", latency_ns=700, port_rate_bps=nic_params.rate_bps
         )
-        for host in hosts:
-            switch.attach(host.nic)
-    for i, core in enumerate(cores):
-        for j in range(n_hosts):
-            if i == j:
-                continue
-            core.add_link(LinkSpec(name=f"ib{j}", proto=LinkProto.DIRECT))
-            core.add_route(
-                RouteEntry(
-                    src_mac="any",
-                    dst_mac=macs[j],
-                    dest_type=DestType.LINK,
-                    dest_name=f"ib{j}",
-                )
-            )
-        core.add_route(
-            RouteEntry(
-                src_mac="any",
-                dst_mac=macs[i],
-                dest_type=DestType.INTERFACE,
-                dest_name="if0",
-            )
-        )
-    for i, vm in enumerate(vms):
-        for j, other in enumerate(vms):
-            if i != j:
-                vm.stack.add_neighbor(other.guest_ip, macs[j])
-    endpoints = [
-        Endpoint(stack=vm.stack, ip=vm.guest_ip, host=hosts[i], vm=vm)  # type: ignore[arg-type]
-        for i, vm in enumerate(vms)
-    ]
-    return Testbed(
-        sim=sim,
-        config="vnet/p-kitten",
-        hosts=hosts,  # type: ignore[arg-type]
-        endpoints=endpoints,
-        switch=switch,
-        cores=cores,
+    compiler = TopologyCompiler(
+        full_mesh(n_hosts, proto="direct", prefix="kitten"),
+        nic_params=nic_params,
+        host_params=host_params,
+        tuning=tuning,
+        switch_params=switch_params,
+        guest_mtu=guest_mtu,
     )
+    return compiler.compile().build(sim=sim, backend="kitten")

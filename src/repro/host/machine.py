@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from ipaddress import IPv4Address
 from typing import Optional
 
 from ..config import HostParams, NICParams
@@ -15,15 +16,15 @@ from .linux import EthernetDevice
 
 __all__ = ["Host"]
 
-_host_counter = 0
-
 
 class Host:
     """One physical machine running Linux (optionally hosting Palacios).
 
     Construction wires: PhysicalNIC <-> EthernetDevice <-> host Stack.
     The topology builder attaches the NIC to a link or a switch, and
-    fills in neighbor tables.
+    fills in neighbor tables.  The host's MAC (and, when unnamed, its
+    name) derive from the low 24 bits of its IP, so identical testbeds
+    get identical addresses whatever was built before them.
     """
 
     def __init__(
@@ -34,16 +35,15 @@ class Host:
         ip: str,
         name: Optional[str] = None,
     ):
-        global _host_counter
-        _host_counter += 1
+        index = int(IPv4Address(ip)) & 0xFFFFFF
         self.sim = sim
         self.params = params
         self.ip = ip
-        self.name = name or f"host{_host_counter}"
+        self.name = name or f"host{index}"
         self.cpu = CPU(sim, params.cpu, name=f"{self.name}.cpu")
         self.memory = MemorySystem(sim, params.memory, name=f"{self.name}.mem")
         self.nic = PhysicalNIC(sim, nic_params, name=f"{self.name}.nic")
-        self.dev = EthernetDevice(self.nic, mac=mac_addr(_host_counter), name=f"{self.name}.eth0")
+        self.dev = EthernetDevice(self.nic, mac=mac_addr(index), name=f"{self.name}.eth0")
         self.stack = Stack(sim, params.stack, ip=ip, name=f"{self.name}.stack")
         self.dev.bind(self.stack)
         # Seeded by name (not creation order) so identical testbeds built

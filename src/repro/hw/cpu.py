@@ -9,7 +9,6 @@ measures with otherwise-idle machines.
 
 from __future__ import annotations
 
-from typing import Optional
 
 from ..config import CPUParams
 from ..sim import Resource, Simulator
@@ -55,12 +54,6 @@ class CPU:
 
     def core(self, index: int) -> Core:
         return self.cores[index]
-
-    def any_idle_core(self) -> Optional[Core]:
-        for core in self.cores:
-            if core.idle:
-                return core
-        return None
 
     def utilization(self, elapsed_ns: int) -> float:
         """Aggregate busy fraction across cores over ``elapsed_ns``."""

@@ -74,8 +74,6 @@ from .health import (
     HealthHub,
     HealthLog,
     HeartbeatSilenceDetector,
-    LatencySpikeDetector,
-    SloMonitor,
 )
 from .fairness import (
     FairnessScore,
@@ -139,9 +137,7 @@ __all__ = [
     "HealthEvent",
     "HealthLog",
     "HealthHub",
-    "SloMonitor",
     "GoodputCollapseDetector",
-    "LatencySpikeDetector",
     "HeartbeatSilenceDetector",
     "normalize_metrics_dump",
     "KernelProfiler",

@@ -11,7 +11,7 @@ Two modes:
 
 * **exact** — any leaf difference is a difference.  This is the
   same-seed determinism check: two runs of the same code at the same
-  seeds must produce *identical* artifacts (the chaos-suite A/B, the
+  seeds must produce *identical* artifacts (the determinism-suite A/Bs, the
   cold/warm cache legs, the nightly soak legs).
 * **tolerance** — numeric leaves may differ within ``rel_tol`` /
   ``abs_tol`` and are counted as *tolerated* rather than different;

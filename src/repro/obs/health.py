@@ -1,4 +1,4 @@
-"""Health: declarative SLO monitors and anomaly detectors over telemetry.
+"""Health: an event log and anomaly detectors over telemetry.
 
 The chaos subsystem (:mod:`repro.chaos`) can break an overlay; this
 module is how the breakage is *read off the telemetry* instead of by
@@ -10,10 +10,8 @@ poking route tables.  Three pieces:
   fault windows in :mod:`repro.chaos.schedule`) emit state transitions
   here with exact virtual timestamps, so "when was the partition
   detected" is a log query, not a data-structure inspection.
-* detectors — :class:`SloMonitor` (declarative bound on a series),
-  :class:`GoodputCollapseDetector` (rate falls below a fraction of its
-  observed peak), :class:`LatencySpikeDetector` (latency exceeds a
-  multiple of its observed median), :class:`HeartbeatSilenceDetector`
+* detectors — :class:`GoodputCollapseDetector` (rate falls below a
+  fraction of its observed peak) and :class:`HeartbeatSilenceDetector`
   (a counter stops advancing).  Each consumes one
   :class:`~repro.obs.timeline.Series` (or counter) and emits paired
   breach/recovery events, so durations fall out of the log.
@@ -31,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .metrics import Counter
 from .timeline import Series, Timeline
@@ -40,9 +38,7 @@ __all__ = [
     "HealthEvent",
     "HealthLog",
     "HealthHub",
-    "SloMonitor",
     "GoodputCollapseDetector",
-    "LatencySpikeDetector",
     "HeartbeatSilenceDetector",
 ]
 
@@ -172,44 +168,6 @@ class Monitor:
                           message, value)
 
 
-class SloMonitor(Monitor):
-    """Declarative SLO: a series must stay within ``[min_value, max_value]``.
-
-    NaN samples (empty windows) are skipped.  ``for_windows`` debounces:
-    the bound must be violated for that many consecutive samples before
-    the breach event fires (1 = immediate).
-    """
-
-    def __init__(self, name: str, log: HealthLog, series: Series,
-                 min_value: float = -math.inf, max_value: float = math.inf,
-                 for_windows: int = 1, severity: str = "critical"):
-        super().__init__(name, log)
-        if for_windows < 1:
-            raise ValueError(f"for_windows must be >= 1, got {for_windows}")
-        self.series = series
-        self.min_value = min_value
-        self.max_value = max_value
-        self.for_windows = for_windows
-        self.severity = severity
-        self._bad_streak = 0
-
-    def check(self, now_ns: int) -> None:
-        """Compare the newest sample against the declared bounds."""
-        last = self.series.last()
-        if last is None or math.isnan(last[1]):
-            return
-        value = last[1]
-        violated = not (self.min_value <= value <= self.max_value)
-        self._bad_streak = self._bad_streak + 1 if violated else 0
-        self._transition(
-            now_ns, self._bad_streak >= self.for_windows, "slo-violation",
-            self.severity,
-            f"{self.series.name}={value:g} outside "
-            f"[{self.min_value:g}, {self.max_value:g}]",
-            value,
-        )
-
-
 class GoodputCollapseDetector(Monitor):
     """Fires when a rate series collapses below a fraction of its peak.
 
@@ -246,49 +204,6 @@ class GoodputCollapseDetector(Monitor):
             f"peak {self.peak:g}",
             value,
         )
-
-
-class LatencySpikeDetector(Monitor):
-    """Fires when latency exceeds a multiple of its observed median.
-
-    The baseline is the median of the finite samples seen so far (at
-    least ``warmup`` of them); spike = newest sample above
-    ``factor * median`` and above ``floor_ns``.  Emits
-    ``latency-spike`` / ``-recovered``.
-    """
-
-    def __init__(self, name: str, log: HealthLog, series: Series,
-                 factor: float = 3.0, floor_ns: float = 0.0, warmup: int = 5):
-        super().__init__(name, log)
-        if factor <= 1:
-            raise ValueError(f"factor must be > 1, got {factor}")
-        self.series = series
-        self.factor = factor
-        self.floor_ns = floor_ns
-        self.warmup = warmup
-        self._history: list[float] = []
-
-    def check(self, now_ns: int) -> None:
-        """Compare the newest latency sample against the running median."""
-        last = self.series.last()
-        if last is None or math.isnan(last[1]):
-            return
-        value = last[1]
-        history = self._history
-        if len(history) >= self.warmup:
-            ordered = sorted(history)
-            median = ordered[len(ordered) // 2]
-            self._transition(
-                now_ns,
-                value > max(self.factor * median, self.floor_ns),
-                "latency-spike", "warning",
-                f"{self.series.name}={value:g} > {self.factor:g} x "
-                f"median {median:g}",
-                value,
-            )
-        # Spikes do not poison the baseline: only accepted samples join.
-        if not self.breached:
-            history.append(value)
 
 
 class HeartbeatSilenceDetector(Monitor):
@@ -350,10 +265,6 @@ class HealthHub:
         self.monitors.append(monitor)
         return monitor
 
-    def slo(self, name: str, series: Series, **kwargs) -> SloMonitor:
-        """Shorthand: add an :class:`SloMonitor` on ``series``."""
-        return self.add(SloMonitor(name, self.log, series, **kwargs))
-
     def attach_to(self, timeline: Timeline) -> "HealthHub":
         """Check all monitors after every tick of ``timeline``."""
         timeline.attach(self.check)
@@ -363,23 +274,3 @@ class HealthHub:
         """Run every monitor once against the current telemetry."""
         for monitor in self.monitors:
             monitor.check(now_ns)
-
-
-def make_detector(kind: str, name: str, log: HealthLog, target,
-                  **kwargs) -> Monitor:
-    """Factory for the built-in detectors by kind name.
-
-    ``kind`` is one of ``slo``, ``goodput-collapse``, ``latency-spike``,
-    ``heartbeat-silence``; ``target`` is the series (or counter, for
-    heartbeat silence) to watch.  Declarative configs (experiment
-    harnesses, CLI) map straight onto this.
-    """
-    factories: dict[str, Callable[..., Monitor]] = {
-        "slo": SloMonitor,
-        "goodput-collapse": GoodputCollapseDetector,
-        "latency-spike": LatencySpikeDetector,
-        "heartbeat-silence": HeartbeatSilenceDetector,
-    }
-    if kind not in factories:
-        raise ValueError(f"unknown detector kind {kind!r}")
-    return factories[kind](name, log, target, **kwargs)

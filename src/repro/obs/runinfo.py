@@ -13,8 +13,8 @@ ships observability across ``repro.exec`` workers and the result cache.
 
 Artifacts exist to be *compared*: :mod:`repro.obs.compare` diffs two of
 them structurally (exact mode for same-seed determinism checks,
-tolerance mode for fluid/ablation A/Bs), which is what the chaos-,
-fairness-suite and soak CI jobs run in place of text row diffs.
+tolerance mode for fluid/ablation A/Bs), which is what the
+determinism-suite and soak CI jobs run in place of text row diffs.
 Everything in the diffable sections is simulated (deterministic) data;
 wall-clock facts live in ``volatile``, which the diff engine never
 reads.

@@ -62,10 +62,6 @@ class PalaciosVMM:
         self.count_exit(reason)
         yield self.sim.timeout(self.params.exit_ns + handler_ns + self.params.entry_ns)
 
-    @property
-    def total_exits(self) -> int:
-        return self.exit_counts.total()
-
 
 class VirtualMachine:
     """An application VM: guest OS stack plus virtio NICs.

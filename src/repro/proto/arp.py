@@ -3,8 +3,8 @@
 The paper's testbeds use static configuration, and so do the harness
 builders — but the guests *believe* they share a simple Ethernet LAN,
 so the stack also implements real ARP: broadcast who-has requests,
-unicast replies, caching, retries, and gratuitous ARP (which live
-migration uses to update peers quickly).  Enable per stack with
+unicast replies, caching and retries; every ARP packet teaches the
+receiver its sender's binding.  Enable per stack with
 ``stack.arp_enabled = True``; unresolvable destinations then fail
 instead of falling back to broadcast delivery.
 """

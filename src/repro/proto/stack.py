@@ -13,7 +13,7 @@ that transmit, receive, and wire time pipeline naturally.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Protocol, runtime_checkable
+from typing import Any, Optional, Protocol, runtime_checkable
 
 from ..config import HostStackParams
 from ..obs.context import Observability
@@ -130,7 +130,6 @@ class Stack:
         self._tcp_conns: dict[tuple[int, str, int], TcpConnection] = {}
         self._tcp_listeners: dict[int, TcpListener] = {}
         self._ping_waiters: dict[tuple[int, int], Event] = {}
-        self._promisc: Optional[Callable[[NetDevice, EthernetFrame], None]] = None
         self._reasm = Reassembler()
         self._rxq: Store = Store(sim, capacity=16384, name=f"{name}.rxq")
         self._rx_idle_since = 0
@@ -157,12 +156,6 @@ class Stack:
         self.neighbors[ip] = mac
         if dev is not None:
             self.routes[ip] = dev
-
-    def set_promiscuous(
-        self, handler: Optional[Callable[[NetDevice, EthernetFrame], None]]
-    ) -> None:
-        """Raw tap used by the VNET/P bridge's direct receive (Sect. 4.5)."""
-        self._promisc = handler
 
     def route(self, dst_ip: str) -> tuple[NetDevice, str]:
         dev = self.routes.get(dst_ip, self._default_dev)
@@ -298,23 +291,6 @@ class Stack:
         self._arp_pending.pop(dst_ip, None)
         raise ArpTimeout(f"{self.name}: no ARP reply for {dst_ip}")
 
-    def gratuitous_arp(self):
-        """Generator: announce our (ip, mac) to the LAN (used after a VM
-        migration so peers update their caches immediately)."""
-        dev = self._default_dev
-        if dev is None:
-            raise RuntimeError(f"{self.name}: no device for gratuitous ARP")
-        announce = ArpMessage(
-            op=ARP_REQUEST,
-            sender_ip=self.ip,
-            sender_mac=dev.mac,
-            target_ip=self.ip,
-        )
-        frame = EthernetFrame(
-            src=dev.mac, dst=BROADCAST_MAC, payload=announce, ethertype=ETHERTYPE_ARP
-        )
-        yield from dev.send_blocking(frame)
-
     def _handle_arp(self, dev: NetDevice, msg: ArpMessage):
         # Every ARP packet teaches us the sender's binding (incl. gratuitous).
         self.neighbors[msg.sender_ip] = msg.sender_mac
@@ -359,11 +335,8 @@ class Stack:
     # -- receive path ----------------------------------------------------------------
     def rx_frame(self, dev: NetDevice, frame: EthernetFrame) -> None:
         """Device upcall: a frame is visible to host software."""
-        if self._promisc is not None:
-            self._promisc(dev, frame)
         if frame.dst != dev.mac and frame.dst != BROADCAST_MAC:
-            # Not ours; promiscuous handler (if any) already saw it.
-            return
+            return  # not ours
         if not self._rxq.try_put((dev, frame)):
             self.rx_dropped += 1
 

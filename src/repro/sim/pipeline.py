@@ -203,10 +203,6 @@ class PacketStage:
     def ingress(self, frame: Any) -> bool:
         raise NotImplementedError(f"{type(self).__name__} has no ingress")
 
-    def port_stats(self) -> dict:
-        """Per-port counters, keyed by port label."""
-        return {label: port.stats() for label, port in self.ports.items()}
-
 
 class CopyCharger:
     """Charged-not-performed copy accounting for descriptor frames.

@@ -19,8 +19,10 @@ Bit-identity contract: for ``wiring == "mesh"`` topologies the build
 replays the pre-refactor ``build_vnetp``/``build_vnetu`` construction
 order *exactly* — host/VM creation order, link line order, route line
 order, ARP neighbor order — so the golden-trace suites hold through the
-harness facades (which are now one-liners over this module).  Both
-overlay backends are configured the same way: one
+harness facades (which are now one-liners over this module).  One
+routine builds every overlay backend — VNET/P, VNET/U and the Kitten
+embedding differ only in each host's forwarding node and bridge — and
+configures it the same way: one
 :class:`~repro.vnet.control.VnetControl` per host applies the host's
 compiled commands, links first.  Route load order cannot change a
 VNET/U result: its routes are exact-destination, and the daemon
@@ -36,15 +38,20 @@ same scheme span 1024-host fabrics without renumbering small testbeds.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..config import (
+    BROADCOM_1G,
+    KITTEN_NOISE,
+    MELLANOX_IPOIB,
+    NETEFFECT_10G,
     HostParams,
     NICParams,
     VnetTuning,
     default_host,
 )
+from ..host.kitten import KittenBridgeVM
 from ..host.machine import Host
 from ..hw.link import Link
 from ..hw.switch import Switch, SwitchParams
@@ -56,6 +63,7 @@ from ..vnet.control import VnetControl
 from ..vnet.core import VnetCore
 from ..vnet.encap import ENCAP_OVERHEAD
 from ..vnet.lang import AddLink, AddRoute, Command, render_config
+from ..vnet.node import VnetNode
 from ..vnet.overlay import (
     DEFAULT_VNET_PORT,
     DestType,
@@ -79,6 +87,10 @@ __all__ = [
     "vm_ip",
     "peer_guests",
 ]
+
+
+#: ``Testbed.config`` of each overlay backend.
+_CONFIG_NAMES = {"vnetp": "vnet/p", "vnetu": "vnet/u", "kitten": "vnet/p-kitten"}
 
 
 def host_ip(index: int) -> str:
@@ -210,17 +222,18 @@ class CompiledTopology:
         """Materialise the compiled overlay as a live testbed.
 
         ``backend`` selects the data path: ``"vnetp"`` (in-VMM core +
-        bridge), ``"vnetu"`` (user-level daemon; mesh topologies only)
-        or ``"native"`` (no virtualisation; host stacks are the
-        endpoints).  ``configure=False`` builds the machines and
-        physical wiring but applies no overlay configuration — that is
-        the entry point for :mod:`repro.topo.provision`, which applies
-        it *inside* simulated time to measure convergence.
+        bridge), ``"vnetu"`` (user-level daemon; single-VM mesh
+        topologies only), ``"kitten"`` (Sect. 6.3: in-VMM core on a
+        low-noise Kitten host, bridge in a service VM; the topology's
+        links must be ``direct``) or ``"native"`` (no virtualisation;
+        host stacks are the endpoints).  ``configure=False`` builds the
+        machines and physical wiring but applies no overlay
+        configuration — that is the entry point for
+        :mod:`repro.topo.provision`, which applies it *inside* simulated
+        time to measure convergence.
         """
-        if backend == "vnetp":
-            return self.compiler._build_vnetp(self, sim, configure)
-        if backend == "vnetu":
-            return self.compiler._build_vnetu(self, sim, configure)
+        if backend in _CONFIG_NAMES:
+            return self.compiler._build_overlay(self, sim, backend, configure)
         if backend == "native":
             return self.compiler._build_native(self, sim)
         raise ValueError(f"unknown backend {backend!r}")
@@ -232,8 +245,8 @@ class TopologyCompiler:
 
     Construction parameters mirror the legacy testbed builders; ``None``
     leaves the backend default in force (NetEffect 10G NICs for
-    VNET/P / native, Broadcom 1G for VNET/U, guest MTU clamped so the
-    encapsulated packet fits the physical MTU).
+    VNET/P / native, Broadcom 1G for VNET/U, Mellanox IPoIB for Kitten,
+    guest MTU clamped so the encapsulated packet fits the physical MTU).
     """
 
     def __init__(
@@ -244,7 +257,6 @@ class TopologyCompiler:
         tuning: Optional[VnetTuning] = None,
         switch_params: Optional[SwitchParams] = None,
         guest_mtu: Optional[int] = None,
-        direct_receive: bool = False,
     ):
         self.topo = topo
         self.nic_params = nic_params
@@ -252,7 +264,6 @@ class TopologyCompiler:
         self.tuning = tuning
         self.switch_params = switch_params
         self.guest_mtu = guest_mtu
-        self.direct_receive = direct_receive
         self._index = {h.name: i for i, h in enumerate(topo.hosts)}
 
     # -- compilation -------------------------------------------------------
@@ -318,13 +329,7 @@ class TopologyCompiler:
     def _resolve_nic(self, backend: str) -> NICParams:
         if self.nic_params is not None:
             return self.nic_params
-        if backend == "vnetu":
-            from ..config import BROADCOM_1G
-
-            return BROADCOM_1G
-        from ..config import NETEFFECT_10G
-
-        return NETEFFECT_10G
+        return {"vnetu": BROADCOM_1G, "kitten": MELLANOX_IPOIB}.get(backend, NETEFFECT_10G)
 
     def _guest_mtu(self, nic_params: NICParams, tuning: VnetTuning) -> int:
         if self.guest_mtu is not None:
@@ -332,14 +337,12 @@ class TopologyCompiler:
         return guest_mtu_for(nic_params, tuning)
 
     def _make_host(self, sim: Simulator, ch: CompiledHost,
-                   nic_params: NICParams) -> Host:
-        return Host(
-            sim,
-            self.host_params or default_host(ch.name),
-            nic_params,
-            ip=ch.ip,
-            name=ch.name,
-        )
+                   nic_params: NICParams, backend: str) -> Host:
+        params = self.host_params or default_host(ch.name)
+        if backend == "kitten":
+            # Kitten is a lightweight kernel with almost no OS noise.
+            params = replace(params, noise=KITTEN_NOISE)
+        return Host(sim, params, nic_params, ip=ch.ip, name=ch.name)
 
     def _wire(self, sim: Simulator, hosts: list[Host]) -> Optional[Switch]:
         """Physical substrate: the legacy mesh wiring, or link-scoped
@@ -375,36 +378,51 @@ class TopologyCompiler:
             switch.attach(h.nic)
         return switch
 
-    def _build_vnetp(self, compiled: CompiledTopology, sim: Optional[Simulator],
-                     configure: bool) -> Testbed:
+    def _build_overlay(self, compiled: CompiledTopology, sim: Optional[Simulator],
+                       backend: str, configure: bool) -> Testbed:
+        """Every overlay backend: hosts, VMs, one forwarding node per
+        host (:class:`VnetCore`, or :class:`VnetUDaemon` for VNET/U),
+        its bridge, and one :class:`VnetControl` that configures it."""
+        topo = self.topo
+        if backend == "vnetu" and (topo.wiring != "mesh" or topo.vms_per_host != 1):
+            raise ValueError(
+                "vnetu backend supports single-VM mesh topologies only "
+                f"(got wiring={topo.wiring!r}, vms_per_host={topo.vms_per_host})"
+            )
         sim = sim or Simulator()
-        nic_params = self._resolve_nic("vnetp")
+        nic_params = self._resolve_nic(backend)
         tuning = self.tuning or VnetTuning()
         mtu = self._guest_mtu(nic_params, tuning)
         hosts: list[Host] = []
         vms: list[VirtualMachine] = []
-        vm_owner: list[int] = []
-        cores: list[VnetCore] = []
+        vm_hosts: list[Host] = []
+        nodes: list[VnetNode] = []
         controls: list[VnetControl] = []
         for ch in compiled.hosts:
-            host = self._make_host(sim, ch, nic_params)
+            host = self._make_host(sim, ch, nic_params, backend)
             vmm = PalaciosVMM(sim, host) if ch.vms else None
-            core = VnetCore(sim, host, tuning=tuning)
+            if backend == "vnetu":
+                node: VnetNode = VnetUDaemon(sim, host)
+            else:
+                node = VnetCore(sim, host, tuning=tuning)
             for idx, mac, guest_ip, if_name in ch.vms:
                 vm = vmm.create_vm(f"vm{idx}", guest_ip=guest_ip)
                 nic = vm.attach_virtio_nic(mac=mac, mtu=mtu)
-                core.register_interface(InterfaceSpec(name=if_name, mac=mac), nic)
+                node.register_interface(InterfaceSpec(name=if_name, mac=mac), nic)
                 vms.append(vm)
-                vm_owner.append(ch.index)
-            VnetBridge(sim, host, core, direct_receive=self.direct_receive)
-            controls.append(VnetControl(sim, core))
+                vm_hosts.append(host)
+            if backend == "vnetp":
+                VnetBridge(sim, host, node)
+            elif backend == "kitten":
+                KittenBridgeVM(sim, host, node)
+            controls.append(VnetControl(sim, node))
             hosts.append(host)
-            cores.append(core)
+            nodes.append(node)
         switch = self._wire(sim, hosts)
         if configure:
             for ch, control in zip(compiled.hosts, controls):
                 control.apply_commands(ch.commands)
-        if self.topo.wiring == "mesh":
+        if topo.wiring == "mesh":
             # Guests believe they share a simple Ethernet LAN: static
             # neighbors, all pairs (the legacy behaviour; cluster-scale
             # topologies peer probe pairs explicitly via peer_guests).
@@ -414,76 +432,29 @@ class TopologyCompiler:
                     if i != j:
                         vm.stack.add_neighbor(other.guest_ip, macs[j])
         endpoints = [
-            Endpoint(stack=vm.stack, ip=vm.guest_ip, host=hosts[vm_owner[i]], vm=vm)
-            for i, vm in enumerate(vms)
+            Endpoint(stack=vm.stack, ip=vm.guest_ip, host=host, vm=vm)
+            for vm, host in zip(vms, vm_hosts)
         ]
-        return Testbed(
+        testbed = Testbed(
             sim=sim,
-            config="vnet/p",
+            config=_CONFIG_NAMES[backend],
             hosts=hosts,
             endpoints=endpoints,
             switch=switch,
-            cores=cores,
             controls=controls,
             compiled=compiled,
         )
-
-    def _build_vnetu(self, compiled: CompiledTopology, sim: Optional[Simulator],
-                     configure: bool) -> Testbed:
-        topo = self.topo
-        if topo.wiring != "mesh" or topo.vms_per_host != 1:
-            raise ValueError(
-                "vnetu backend supports single-VM mesh topologies only "
-                f"(got wiring={topo.wiring!r}, vms_per_host={topo.vms_per_host})"
-            )
-        sim = sim or Simulator()
-        nic_params = self._resolve_nic("vnetu")
-        mtu = self._guest_mtu(nic_params, self.tuning or VnetTuning())
-        hosts: list[Host] = []
-        vms: list[VirtualMachine] = []
-        daemons: list[VnetUDaemon] = []
-        controls: list[VnetControl] = []
-        for ch in compiled.hosts:
-            host = self._make_host(sim, ch, nic_params)
-            vmm = PalaciosVMM(sim, host)
-            idx, mac, guest_ip, if_name = ch.vms[0]
-            vm = vmm.create_vm(f"vm{idx}", guest_ip=guest_ip)
-            nic = vm.attach_virtio_nic(mac=mac, mtu=mtu)
-            daemon = VnetUDaemon(sim, host)
-            daemon.register_interface(InterfaceSpec(name=if_name, mac=mac), nic)
-            controls.append(VnetControl(sim, daemon))
-            hosts.append(host)
-            vms.append(vm)
-            daemons.append(daemon)
-        switch = self._wire(sim, hosts)
-        if configure:
-            for ch, control in zip(compiled.hosts, controls):
-                control.apply_commands(ch.commands)
-        macs = [ch.vms[0][1] for ch in compiled.hosts]
-        for i, vm in enumerate(vms):
-            for j, other in enumerate(vms):
-                if i != j:
-                    vm.stack.add_neighbor(other.guest_ip, macs[j])
-        endpoints = [
-            Endpoint(stack=vm.stack, ip=vm.guest_ip, host=hosts[i], vm=vm)
-            for i, vm in enumerate(vms)
-        ]
-        return Testbed(
-            sim=sim,
-            config="vnet/u",
-            hosts=hosts,
-            endpoints=endpoints,
-            switch=switch,
-            daemons=daemons,
-            controls=controls,
-            compiled=compiled,
-        )
+        if backend == "vnetu":
+            testbed.daemons = nodes
+        else:
+            testbed.cores = nodes
+        return testbed
 
     def _build_native(self, compiled: CompiledTopology,
                       sim: Optional[Simulator]) -> Testbed:
         sim = sim or Simulator()
         nic_params = self._resolve_nic("native")
-        hosts = [self._make_host(sim, ch, nic_params) for ch in compiled.hosts]
+        hosts = [self._make_host(sim, ch, nic_params, "native") for ch in compiled.hosts]
         switch = self._wire(sim, hosts)
         endpoints = [Endpoint(stack=h.stack, ip=h.ip, host=h) for h in hosts]
         return Testbed(sim=sim, config="native", hosts=hosts,

@@ -81,21 +81,25 @@ def _vm_macs(n_hosts: int, vms_per_host: int) -> list[list[str]]:
     ]
 
 
-def full_mesh(n_hosts: int, vms_per_host: int = 1) -> Topology:
+def full_mesh(n_hosts: int, vms_per_host: int = 1, proto: str = "udp",
+              prefix: str = "h") -> Topology:
     """The legacy testbed as data: all-pairs links, exact per-VM routes.
 
     Compiling this topology reproduces ``build_vnetp``'s wiring and
     configuration bit-for-bit (link order, route order, naming), which
     is what lets the harness facades keep their golden observables.
+    ``proto`` is the overlay link protocol (``"direct"`` for the Kitten
+    embedding, which maps guest frames straight onto InfiniBand), and
+    hosts are named ``<prefix><i>`` (a host's name seeds its noise).
     """
     if n_hosts < 1:
         raise ValueError(f"full_mesh: n_hosts must be >= 1, got {n_hosts}")
+    names = [f"{prefix}{i}" for i in range(n_hosts)]
     hosts = tuple(
-        HostSpec(name=f"h{i}", role="compute", vms=vms_per_host)
-        for i in range(n_hosts)
+        HostSpec(name=name, role="compute", vms=vms_per_host) for name in names
     )
     links = tuple(
-        OverlayLink(f"h{i}", f"h{j}")
+        OverlayLink(names[i], names[j], proto)
         for i in range(n_hosts)
         for j in range(n_hosts)
         if i != j
@@ -107,11 +111,11 @@ def full_mesh(n_hosts: int, vms_per_host: int = 1) -> Topology:
             owner, v = divmod(idx, vms_per_host)
             if owner == i:
                 routes.append(
-                    RoutePlan(f"h{i}", "any", macs[owner][v], via_interface=f"if{v}")
+                    RoutePlan(names[i], "any", macs[owner][v], via_interface=f"if{v}")
                 )
             else:
                 routes.append(
-                    RoutePlan(f"h{i}", "any", macs[owner][v], via_link=f"h{owner}")
+                    RoutePlan(names[i], "any", macs[owner][v], via_link=names[owner])
                 )
     return Topology(
         name=f"mesh-{n_hosts}x{vms_per_host}",

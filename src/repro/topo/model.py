@@ -167,11 +167,6 @@ class Topology:
         """Forwarding-only hosts in the fabric."""
         return len(self.routers)
 
-    @property
-    def total_vms(self) -> int:
-        """Guest VMs across every host."""
-        return sum(h.vms for h in self.hosts)
-
 
 @dataclass(frozen=True)
 class TopoSpec:

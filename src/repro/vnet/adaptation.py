@@ -131,11 +131,8 @@ class AdaptationEngine:
             self._log(core_idx, f"created direct link {link_name} -> {target_host.ip}")
             changed = True
         # Is the current best route already using it?
-        try:
-            entry, _ = core.routing.lookup("00:00:00:00:00:00", dst_mac)
-            current = (entry.dest_type, entry.dest_name)
-        except Exception:
-            current = None
+        entry = core.routing.peek("00:00:00:00:00:00", dst_mac)
+        current = None if entry is None else (entry.dest_type, entry.dest_name)
         if current != (DestType.LINK, link_name):
             core.routing.remove_matching(dst_mac=dst_mac)
             core.add_route(

@@ -10,10 +10,11 @@ passes along):
 * **direct send** — the raw frame goes straight onto the local physical
   network (overlay exit point).
 
-Reception likewise runs both modes simultaneously: UDP datagrams arriving
-on the VNET link port are unwrapped (**encapsulated receive**), and — when
-enabled — the host NIC runs promiscuous so frames whose destination MACs
-belong to registered interfaces are picked up raw (**direct receive**).
+Reception is **encapsulated receive**: UDP datagrams (or TCP messages)
+arriving on the VNET link port are unwrapped and handed to the core.
+The paper's other receive mode, direct receive (a promiscuous host NIC
+picking up raw frames for local guests), is not modelled: no testbed
+in this reproduction enables it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from ..obs.context import Observability
 from ..obs.span import STAGE_BRIDGE_TX, STAGE_DECAP, STAGE_ENCAP
-from ..proto.ethernet import BROADCAST_MAC, EthernetFrame
+from ..proto.ethernet import EthernetFrame
 from ..sim import PacketStage, Simulator, Store
 from ..sim.pipeline import Port
 from .dispatcher import YieldState
@@ -50,7 +51,6 @@ class VnetBridge(PacketStage):
         host: "Host",
         core: "VnetCore",
         port: int = DEFAULT_VNET_PORT,
-        direct_receive: bool = False,
     ):
         self._init_stage(sim, f"{host.name}.vbridge")
         self.host = host
@@ -70,9 +70,6 @@ class VnetBridge(PacketStage):
         self._encap_tx = metrics.counter(f"{prefix}.encap_tx")
         self._encap_rx = metrics.counter(f"{prefix}.encap_rx")
         self._direct_tx = metrics.counter(f"{prefix}.direct_tx")
-        self._direct_rx = metrics.counter(f"{prefix}.direct_rx")
-        if direct_receive:
-            host.stack.set_promiscuous(self._promisc_rx)
         core.attach_bridge(self)
         # The bridge's send path parallelizes with the dispatcher count
         # (side-core offload of in-VMM processing beyond dispatch, Fig. 5).
@@ -92,10 +89,6 @@ class VnetBridge(PacketStage):
     @property
     def direct_tx(self) -> int:
         return self._direct_tx.value
-
-    @property
-    def direct_rx(self) -> int:
-        return self._direct_rx.value
 
     # -- per-link egress filters -------------------------------------------------
     def link_out(self, link_name: str) -> Port:
@@ -213,9 +206,3 @@ class VnetBridge(PacketStage):
                 yield self.sim.timeout(self.costs.bridge_rx_ns + self.costs.decap_ns)
             self._encap_rx.inc()
             self.core.inbound.push(payload.inner)
-
-    def _promisc_rx(self, dev, frame: EthernetFrame) -> None:
-        """Direct receive: raw frames for MACs the core asked for."""
-        if frame.dst in self.core.if_by_mac or frame.dst == BROADCAST_MAC:
-            self._direct_rx.inc()
-            self.core.inbound.push(frame)

@@ -75,8 +75,8 @@ class VnetCore(VnetNode, PacketStage):
         self.controllers: dict[str, ModeController] = {}
         self.rx_queue: Store = Store(sim, capacity=16384, name=f"{host.name}.vnet.rxq")
         # Inbound pipeline port: bridges (Linux UDP/TCP decap, Kitten
-        # bridge VM, promiscuous direct receive) push unwrapped guest
-        # frames here; the sink feeds the dispatcher rx queue.
+        # bridge VM) push unwrapped guest frames here; the sink feeds
+        # the dispatcher rx queue.
         self.inbound = self.make_port("inbound")
         self.inbound.connect(self._accept_inbound)
         # Statistics live in the shared metrics registry under

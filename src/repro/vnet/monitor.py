@@ -19,7 +19,7 @@ to the actual heartbeat cadence the link has been delivering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..obs.context import Observability
 from ..sim import Simulator
@@ -142,11 +142,6 @@ class TrafficMonitor:
 
     def total_bytes(self) -> int:
         return sum(f.bytes for f in self.flows.values())
-
-    def communicating_pairs(self, min_bytes: int = 0) -> Iterable[tuple[str, str]]:
-        for key, flow in self.flows.items():
-            if flow.bytes >= min_bytes:
-                yield key
 
     # -- link liveness (phi-style heartbeat timeout detector) -------------
     def watch_link(self, link_name: str, peer_ip: str,

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Optional
 import networkx as nx
 
 from .overlay import DestType, LinkProto
-from .routing import NoRouteError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import VnetCore
@@ -103,9 +102,8 @@ def validate_overlay(cores: list["VnetCore"]) -> ValidationReport:
             visited = []
             for _hop in range(MAX_HOPS):
                 visited.append(current.name)
-                try:
-                    entry, _ = current.routing.lookup(src_probe, mac)
-                except NoRouteError:
+                entry = current.routing.peek(src_probe, mac)
+                if entry is None:
                     report.issues.append(
                         OverlayIssue(
                             kind="unreachable" if current is start else "black-hole",

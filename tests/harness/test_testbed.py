@@ -49,6 +49,14 @@ def test_vnetp_mesh_scales_with_hosts():
         assert len(core.routing) == 4
 
 
+def test_identical_testbeds_get_identical_host_addresses():
+    # Host MACs derive from host IPs, not from how many hosts the
+    # process built before: pcap output and span flow ids depend on them.
+    first, second = build_vnetp(), build_vnetp()
+    macs = [[h.dev.mac for h in tb.hosts] for tb in (first, second)]
+    assert macs[0] == macs[1] == ["52:00:00:00:00:01", "52:00:00:00:00:02"]
+
+
 def test_guest_mtu_avoids_fragmentation():
     assert guest_mtu_for(BROADCOM_1G, default_tuning()) == 1458
     assert guest_mtu_for(NETEFFECT_10G, default_tuning()) == 8958

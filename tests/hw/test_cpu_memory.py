@@ -44,17 +44,6 @@ def test_cpu_utilization():
     assert cpu.utilization(0) == 0.0
 
 
-def test_any_idle_core():
-    sim = Simulator()
-    cpu = CPU(sim, CPUParams(cores=2))
-    assert cpu.any_idle_core() is cpu.core(0)
-
-
-def test_cycles_ns_conversion():
-    p = CPUParams(freq_hz=2.0e9)
-    assert p.cycles_ns(2000) == 1000
-
-
 def test_memory_copy_cost_model():
     p = MemoryParams(copy_bw_Bps=1e9, copy_setup_ns=100)
     assert p.copy_ns(1000) == 100 + 1000

@@ -5,6 +5,7 @@ import pytest
 from repro import units
 from repro.apps.ping import run_ping
 from repro.apps.ttcp import run_ttcp_tcp
+from repro.config import KITTEN_NOISE
 from repro.host.kitten import KittenBridgeVM, build_vnetp_kitten
 from repro.interconnect import (
     Torus3D,
@@ -104,6 +105,15 @@ def test_kitten_testbed_structure():
     assert len(tb.endpoints) == 2
     for host in tb.hosts:
         assert isinstance(host.vnet_bridge, KittenBridgeVM)
+        assert host.params.noise == KITTEN_NOISE
+    # Compiled and configured like every other overlay testbed: one
+    # control per host applied that host's compiled commands.
+    assert tb.compiled is not None
+    assert [h.name for h in tb.hosts] == ["kitten0", "kitten1"]
+    for core, control, ch in zip(tb.cores, tb.controls, tb.compiled.hosts, strict=True):
+        assert control.node is core
+        assert tuple(core.links.values()) == ch.links
+        assert tuple(core.routing.entries) == ch.routes
     # No Linux host stack on the data path: frames go straight from the
     # bridge VM to the IB NIC (direct links, not UDP).
     for core in tb.cores:
@@ -146,7 +156,8 @@ def test_kitten_bridge_vm_rejects_udp_links():
     bad = LinkSpec(name="x", proto=LinkProto.UDP, dst_ip="10.0.0.9")
     from repro.proto.ethernet import EthernetFrame
 
-    frame = EthernetFrame(src="5b:00:00:00:00:01", dst="5b:00:00:00:00:02", payload=Blob(64))
+    a, b = (ep.vm.virtio_nics[0].mac for ep in tb.endpoints)
+    frame = EthernetFrame(src=a, dst=b, payload=Blob(64))
     bridge.txq.try_put((frame, bad))
     with pytest.raises(ValueError, match="directly to IB"):
         sim.run()

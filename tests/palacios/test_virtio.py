@@ -140,7 +140,6 @@ def test_exit_accounting_totals():
     sim.run(until=p)
     assert vmm.exit_counts["io"] == 2
     assert vmm.exit_counts["npf"] == 1
-    assert vmm.total_exits == 3
 
 
 def test_exit_entry_charges_time():

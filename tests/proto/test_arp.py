@@ -4,8 +4,9 @@ import pytest
 
 from repro.config import NETEFFECT_10G
 from repro.harness.testbed import build_native, build_vnetp
-from repro.proto.arp import ArpTimeout
+from repro.proto.arp import ARP_REQUEST, ETHERTYPE_ARP, ArpMessage, ArpTimeout
 from repro.proto.base import Blob
+from repro.proto.ethernet import BROADCAST_MAC, EthernetFrame
 from repro import units
 
 
@@ -103,9 +104,17 @@ def test_gratuitous_arp_updates_peers():
     clear_neighbors(tb)
     a, b = tb.endpoints
     sim = tb.sim
+    dev = a.host.dev
+    # An unsolicited who-has for our own IP, broadcast to the LAN.
+    announce_msg = ArpMessage(
+        op=ARP_REQUEST, sender_ip=a.ip, sender_mac=dev.mac, target_ip=a.ip
+    )
 
     def announce():
-        yield from a.stack.gratuitous_arp()
+        yield from dev.send_blocking(
+            EthernetFrame(src=dev.mac, dst=BROADCAST_MAC, payload=announce_msg,
+                          ethertype=ETHERTYPE_ARP)
+        )
 
     p = sim.process(announce())
     sim.run(until=p)

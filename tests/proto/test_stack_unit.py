@@ -58,30 +58,6 @@ def test_unknown_neighbor_broadcasts():
     assert mac == BROADCAST_MAC
 
 
-def test_promiscuous_tap_sees_foreign_frames():
-    sim, a, b = make_pair()
-    seen = []
-    b.stack.set_promiscuous(lambda dev, frame: seen.append(frame.dst))
-    # Send a frame to a MAC that is not b's: normally dropped, but the
-    # tap still observes it.
-    from repro.proto.ethernet import EthernetFrame
-    from repro.proto.ip import PROTO_UDP, IPv4Packet
-    from repro.proto.udp import UDPDatagram
-
-    dgram = UDPDatagram(sport=1, dport=2, payload=Blob(64))
-    pkt = IPv4Packet(src=a.ip, dst="10.0.0.77", proto=PROTO_UDP, payload=dgram)
-    frame = EthernetFrame(src=a.dev.mac, dst="02:00:00:00:00:77", payload=pkt)
-
-    def tx():
-        yield from a.stack.send_raw_frame(frame)
-
-    p = sim.process(tx())
-    sim.run(until=p)
-    sim.run()
-    assert seen == ["02:00:00:00:00:77"]
-    assert b.stack.rx_dropped == 0  # not queued, just tapped
-
-
 def test_udp_unreachable_port_counts():
     sim, a, b = make_pair()
 

@@ -176,7 +176,7 @@ def test_stage_composition_and_port_registry():
     assert a.ports == {"out": a.out}
     assert a.ingress(Frame())
     assert len(b.frames) == 2
-    assert a.port_stats() == {"out": {"frames": 2, "bytes": 200, "drops": 0}}
+    assert a.out.stats() == {"frames": 2, "bytes": 200, "drops": 0}
 
 
 def test_stage_backpressure_propagates():

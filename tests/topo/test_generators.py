@@ -50,7 +50,7 @@ def test_mesh_shape():
     topo = full_mesh(4, vms_per_host=2)
     assert len(topo.hosts) == 4
     assert topo.n_routers == 0
-    assert topo.total_vms == 8
+    assert sum(h.vms for h in topo.hosts) == 8
     assert len(topo.links) == 12  # directed all-pairs
     assert topo.wiring == "mesh"
 

@@ -11,6 +11,7 @@ from repro.vnet.adaptation import AdaptationEngine
 from repro.vnet.migration import migrate_vm
 from repro.vnet.monitor import TrafficMonitor
 from repro.vnet.overlay import DestType, RouteEntry
+from repro.vnet.validation import validate_overlay
 
 
 # --- monitor -------------------------------------------------------------------
@@ -95,6 +96,26 @@ def test_adaptation_is_idempotent():
     run_ping(a, b, count=10)
     engine.adapt()
     assert engine.adapt() == 0  # second pass finds nothing to change
+
+
+def test_control_plane_queries_leave_datapath_lookups_untouched():
+    """Adaptation and validation read routes with ``peek``: they count
+    no datapath lookup and leave no probe key in the hash cache."""
+    tb = waypoint_overlay()
+    engine = AdaptationEngine(tb.sim, tb.cores, tb.controls, min_flow_bytes=100)
+    a, b, _ = tb.endpoints
+    run_ping(a, b, count=10)
+    engine.adapt()
+    run_ping(a, b, count=3)
+
+    def lookup_state():
+        return [(c.routing.lookups, c.routing.cache_hits, dict(c.routing._cache))
+                for c in tb.cores]
+
+    before = lookup_state()
+    assert engine.adapt() == 0
+    assert validate_overlay(tb.cores).ok
+    assert lookup_state() == before
 
 
 # --- migration ----------------------------------------------------------------------

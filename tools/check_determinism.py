@@ -3,7 +3,7 @@
 
 Simulated results must be a pure function of (code, config, seed): the
 repro's golden tests, the content-addressed result cache and the
-chaos-suite same-seed diff all depend on it.  This lint statically
+determinism-suite same-seed diff all depend on it.  This lint statically
 rejects the calls that break that property inside ``src/repro``:
 
 * ``time.time()`` / ``time.time_ns()`` — wall-clock reads;
