@@ -14,11 +14,14 @@ send/recv built on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
-from ..config import MPIParams
+from ..config import DEFAULT_MPI, MPIParams
 from ..sim import Event, Signal, Simulator
-from .transport import Transport
+from . import collectives
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .transport import Transport
 
 __all__ = ["ANY_SOURCE", "ANY_TAG", "Message", "Request", "Communicator", "MPIWorld"]
 
@@ -26,7 +29,7 @@ ANY_SOURCE = -1
 ANY_TAG = -1
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One delivered MPI message."""
 
@@ -140,54 +143,34 @@ class Communicator:
 
     # -- collectives (implemented in collectives.py) ---------------------------
     def barrier(self):
-        from .collectives import barrier
-
-        yield from barrier(self)
+        yield from collectives.barrier(self)
 
     def bcast(self, nbytes: int, root: int = 0):
-        from .collectives import bcast
-
-        yield from bcast(self, nbytes, root)
+        yield from collectives.bcast(self, nbytes, root)
 
     def reduce(self, nbytes: int, root: int = 0):
-        from .collectives import reduce
-
-        yield from reduce(self, nbytes, root)
+        yield from collectives.reduce(self, nbytes, root)
 
     def allreduce(self, nbytes: int):
-        from .collectives import allreduce
-
-        yield from allreduce(self, nbytes)
+        yield from collectives.allreduce(self, nbytes)
 
     def allgather(self, nbytes_per_rank: int):
-        from .collectives import allgather
-
-        yield from allgather(self, nbytes_per_rank)
+        yield from collectives.allgather(self, nbytes_per_rank)
 
     def alltoall(self, nbytes_per_pair: int):
-        from .collectives import alltoall
-
-        yield from alltoall(self, nbytes_per_pair)
+        yield from collectives.alltoall(self, nbytes_per_pair)
 
     def gather(self, nbytes_per_rank: int, root: int = 0):
-        from .collectives import gather
-
-        yield from gather(self, nbytes_per_rank, root)
+        yield from collectives.gather(self, nbytes_per_rank, root)
 
     def scatter(self, nbytes_per_rank: int, root: int = 0):
-        from .collectives import scatter
-
-        yield from scatter(self, nbytes_per_rank, root)
+        yield from collectives.scatter(self, nbytes_per_rank, root)
 
     def reduce_scatter(self, nbytes_per_rank: int):
-        from .collectives import reduce_scatter
-
-        yield from reduce_scatter(self, nbytes_per_rank)
+        yield from collectives.reduce_scatter(self, nbytes_per_rank)
 
     def scan(self, nbytes: int):
-        from .collectives import scan
-
-        yield from scan(self, nbytes)
+        yield from collectives.scan(self, nbytes)
 
     def compute(self, duration_ns: int):
         """Generator: local computation for ``duration_ns`` (skeleton apps)."""
@@ -204,8 +187,6 @@ class MPIWorld:
         size: int,
         params: Optional[MPIParams] = None,
     ):
-        from ..config import DEFAULT_MPI
-
         self.sim = sim
         self.transport = transport
         self.size = size

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional, Protocol
 
-from ..config import MPIParams
+from ..config import DEFAULT_MPI, MPIParams
+from ..proto.tcp import TcpMessageChannel
 from ..sim import Resource, Simulator
+from .api import Message
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..harness.testbed import Endpoint
@@ -58,8 +60,6 @@ class SocketTransport:
         rank_map: Optional[list[int]] = None,
         params: Optional[MPIParams] = None,
     ):
-        from ..config import DEFAULT_MPI
-
         self.endpoints = endpoints
         self.params = params or DEFAULT_MPI
         self.sim: Simulator = endpoints[0].stack.sim
@@ -92,8 +92,6 @@ class SocketTransport:
         raise KeyError(f"no endpoint with ip {stack_ip}")
 
     def _start_listeners(self) -> None:
-        from ..proto.tcp import TcpMessageChannel
-
         for i, ep in enumerate(self.endpoints):
             listener = ep.stack.tcp_listen(MPI_PORT_BASE + i)
 
@@ -110,8 +108,6 @@ class SocketTransport:
 
     def _channel(self, src_ep: int, dst_ep: int):
         """Generator: get or lazily dial the channel src_ep -> dst_ep."""
-        from ..proto.tcp import TcpMessageChannel
-
         entry = self._channels.get((src_ep, dst_ep))
         if entry is None:
             conn = yield from self.endpoints[src_ep].stack.tcp_connect(
@@ -126,8 +122,6 @@ class SocketTransport:
 
     # -- data path ------------------------------------------------------------------
     def send(self, src: int, dst: int, nbytes: int, tag: int, meta: Any):
-        from .api import Message
-
         params = self.params
         msg = Message(src=src, tag=tag, nbytes=nbytes, meta=meta, dst=dst)
         yield self.sim.timeout(
@@ -158,8 +152,6 @@ class SocketTransport:
 
     def _rx_pump(self, channel):
         """Drain a channel into mailboxes, charging receive-side copies."""
-        from .api import Message
-
         while True:
             try:
                 msg: Message = yield from channel.recv_message()
@@ -231,8 +223,6 @@ class FlowTransport:
         ranks_per_node: int = 1,
         params: Optional[MPIParams] = None,
     ):
-        from ..config import DEFAULT_MPI
-
         self.sim = sim
         self.n_nodes = n_nodes
         self.model = model
@@ -258,8 +248,6 @@ class FlowTransport:
         return rank // self.ranks_per_node
 
     def send(self, src: int, dst: int, nbytes: int, tag: int, meta: Any):
-        from .api import Message
-
         params = self.params
         msg = Message(src=src, tag=tag, nbytes=nbytes, meta=meta, dst=dst)
         self.messages += 1

@@ -166,9 +166,6 @@ class Port:
         else:
             sim._immediate.append(evt)
 
-    def stats(self) -> dict:
-        return {"frames": self.frames, "bytes": self.bytes, "drops": self.drops}
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "connected" if self.connected else "unconnected"
         return f"<Port {self.name} {state} frames={self.frames}>"

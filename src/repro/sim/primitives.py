@@ -11,11 +11,18 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque, Optional, Union
 
 from .core import _TRIGGERED, Event, SimulationError, Simulator
 
 __all__ = ["Store", "Resource", "Signal"]
+
+#: Shared stand-in for a queue that has never held anything.  A testbed
+#: builds thousands of stores and resources that never queue (an empty
+#: ``deque`` is 760 B, a list 56 B), so each queue is allocated on its
+#: first append and replaced only while it is this sentinel: checks use
+#: ``is``, never truthiness, so a drained queue is reused, not rebuilt.
+_EMPTY: tuple = ()
 
 
 def _trigger_now(sim: Simulator, evt: Event, value: Any = None) -> None:
@@ -48,9 +55,12 @@ class Store:
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
+        # ``items`` becomes a deque on the first put (bulk queues hold
+        # thousands of frames); the waiter queues are almost always 0-1
+        # long, so they become plain lists.
+        self.items: Union[Deque[Any], tuple] = _EMPTY
+        self._getters: Union[list[Event], tuple] = _EMPTY
+        self._putters: Union[list[tuple[Event, Any]], tuple] = _EMPTY
 
     def __len__(self) -> int:
         return len(self.items)
@@ -61,11 +71,15 @@ class Store:
         capacity = self.capacity
         items = self.items
         if capacity is None or len(items) < capacity:
+            if items is _EMPTY:
+                items = self.items = deque()
             items.append(item)
             _trigger_now(self.sim, evt)
             if self._getters:
                 self._wake_getter()
         else:
+            if self._putters is _EMPTY:
+                self._putters = []
             self._putters.append((evt, item))
         return evt
 
@@ -75,6 +89,8 @@ class Store:
         items = self.items
         if capacity is not None and len(items) >= capacity:
             return False
+        if items is _EMPTY:
+            items = self.items = deque()
         items.append(item)
         if self._getters:
             self._wake_getter()
@@ -89,6 +105,8 @@ class Store:
             if self._putters:
                 self._admit_putter()
         else:
+            if self._getters is _EMPTY:
+                self._getters = []
             self._getters.append(evt)
         return evt
 
@@ -124,7 +142,7 @@ class Store:
         getters = self._getters
         items = self.items
         while getters and items:
-            getter = getters.popleft()
+            getter = getters.pop(0)
             if getter.cancelled:
                 continue  # waiter was interrupted away; keep the item
             _trigger_now(sim, getter, items.popleft())
@@ -137,10 +155,10 @@ class Store:
         items = self.items
         capacity = self.capacity
         while putters and (capacity is None or len(items) < capacity):
-            putter, item = putters.popleft()
+            putter, item = putters.pop(0)
             if putter.cancelled:
                 continue  # interrupted putter: its item is not enqueued
-            items.append(item)
+            items.append(item)  # a putter only blocks on a full deque
             _trigger_now(sim, putter)
             # The newly stored item may satisfy a waiting getter.
             if self._getters:
@@ -168,7 +186,7 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self.in_use = 0
-        self._waiters: Deque[Event] = deque()
+        self._waiters: Union[list[Event], tuple] = _EMPTY  # list on first wait
 
     @property
     def available(self) -> int:
@@ -180,14 +198,17 @@ class Resource:
             self.in_use += 1
             evt.succeed()
         else:
+            if self._waiters is _EMPTY:
+                self._waiters = []
             self._waiters.append(evt)
         return evt
 
     def release(self) -> None:
         if self.in_use <= 0:
             raise SimulationError(f"release of idle resource {self.name!r}")
-        while self._waiters:
-            waiter = self._waiters.popleft()
+        waiters = self._waiters
+        while waiters:
+            waiter = waiters.pop(0)
             if waiter.cancelled:
                 continue  # interrupted away before acquiring
             # Hand the slot directly to the next live waiter.

@@ -48,7 +48,7 @@ __all__ = [
 GUEST_MAC_PREFIX = 0x5A
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subnet:
     """One address block, e.g. the physical ``10.0.0.0/8`` substrate."""
 
@@ -56,7 +56,7 @@ class Subnet:
     cidr: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Network:
     """A named network: the subnets an overlay deployment spans."""
 
@@ -64,7 +64,7 @@ class Network:
     subnets: tuple[Subnet, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HostSpec:
     """One simulated machine: a VM-carrying compute host or a router.
 
@@ -82,7 +82,7 @@ class HostSpec:
     vms: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Router:
     """A forwarding-only overlay participant (a :class:`HostSpec` with
     ``vms == 0``), tagged with its tier in the fabric."""
@@ -91,7 +91,7 @@ class Router:
     tier: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OverlayLink:
     """A directed overlay link: ``src`` can encapsulate frames to ``dst``.
 
@@ -106,7 +106,7 @@ class OverlayLink:
     proto: str = "udp"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoutePlan:
     """One abstract routing rule on ``host``.
 
@@ -130,7 +130,7 @@ class RoutePlan:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Topology:
     """A complete declarative overlay: the compiler's input.
 
@@ -168,7 +168,7 @@ class Topology:
         return len(self.routers)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TopoSpec:
     """Plain-data topology request: the exec-engine-friendly handle.
 

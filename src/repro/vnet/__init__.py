@@ -26,7 +26,7 @@ from .overlay import (
     validate_mac,
 )
 from .routing import NoRouteError, RoutingTable
-from .validation import OverlayIssue, ValidationReport, overlay_graph, validate_overlay
+from .validation import OverlayIssue, ValidationReport, validate_overlay
 from .vnetu import VnetUDaemon
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
     "RoutingTable",
     "OverlayIssue",
     "ValidationReport",
-    "overlay_graph",
     "validate_overlay",
     "VnetUDaemon",
 ]

@@ -53,7 +53,7 @@ class LinkProto(enum.Enum):
     DIRECT = "direct"    # raw Ethernet onto the local physical network
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkSpec:
     """An overlay destination on some other machine (or the local net)."""
 
@@ -67,7 +67,7 @@ class LinkSpec:
             raise ValueError(f"link {self.name!r}: {self.proto.value} link needs dst_ip")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InterfaceSpec:
     """A local destination: a virtual NIC registered with the core."""
 

@@ -7,9 +7,6 @@ adaptation pass, :func:`validate_overlay` walks every (source VM,
 destination MAC) pair through the cores' routing tables — following
 links hop by hop, exactly as packets would — and reports unreachable
 destinations, forwarding loops, and dangling links.
-
-The overlay graph itself (cores as nodes, links as edges) is exposed as
-a :mod:`networkx` digraph for further analysis.
 """
 
 from __future__ import annotations
@@ -17,14 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-import networkx as nx
-
 from .overlay import DestType, LinkProto
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import VnetCore
 
-__all__ = ["OverlayIssue", "ValidationReport", "overlay_graph", "validate_overlay"]
+__all__ = ["OverlayIssue", "ValidationReport", "validate_overlay"]
 
 MAX_HOPS = 16
 
@@ -56,22 +51,6 @@ class ValidationReport:
         for issue in self.issues:
             lines.append(f"  [{issue.kind}] {issue.where}: {issue.detail}")
         return "\n".join(lines)
-
-
-def overlay_graph(cores: list["VnetCore"]) -> nx.DiGraph:
-    """Cores as nodes, UDP/TCP links as directed edges (by target host IP)."""
-    by_ip = {core.host.ip: core for core in cores}
-    graph = nx.DiGraph()
-    for core in cores:
-        graph.add_node(core.name, ip=core.host.ip, macs=sorted(core.local_macs()))
-    for core in cores:
-        for link in core.links.values():
-            if link.proto is LinkProto.DIRECT:
-                continue
-            target = by_ip.get(link.dst_ip)
-            if target is not None:
-                graph.add_edge(core.name, target.name, link=link.name)
-    return graph
 
 
 def validate_overlay(cores: list["VnetCore"]) -> ValidationReport:

@@ -66,7 +66,7 @@ def test_push_counts_frames_and_bytes():
     port.connect(lambda f: True)
     assert port.push(Frame(size=60))
     assert port.push(Frame(size=40))
-    assert port.stats() == {"frames": 2, "bytes": 100, "drops": 0}
+    assert (port.frames, port.bytes, port.drops) == (2, 100, 0)
 
 
 def test_push_backpressure_counts_drop():
@@ -74,7 +74,7 @@ def test_push_backpressure_counts_drop():
     port = Port(sim, "p")
     port.connect(lambda f: False)  # sink refuses: ring full
     assert port.push(Frame()) is False
-    assert port.stats()["drops"] == 1
+    assert port.drops == 1
     # Unconnected port also drops (and does not raise).
     loose = Port(sim, "q")
     assert loose.push(Frame()) is False
@@ -176,7 +176,7 @@ def test_stage_composition_and_port_registry():
     assert a.ports == {"out": a.out}
     assert a.ingress(Frame())
     assert len(b.frames) == 2
-    assert a.out.stats() == {"frames": 2, "bytes": 200, "drops": 0}
+    assert (a.out.frames, a.out.bytes, a.out.drops) == (2, 200, 0)
 
 
 def test_stage_backpressure_propagates():
@@ -185,7 +185,7 @@ def test_stage_backpressure_propagates():
     b = Sink(sim, "sink", capacity=1)
     a.out.connect(b.ingress)
     assert a.ingress(Frame()) is False  # second copy refused downstream
-    assert a.out.stats()["drops"] == 1
+    assert a.out.drops == 1
 
 
 def test_base_stage_ingress_is_abstract():

@@ -331,3 +331,203 @@ def test_interrupted_putter_item_not_enqueued():
     sim.process(driver(sim, p))
     sim.run()
     assert outcomes == ["put-interrupted", "occupying"]
+
+
+# --- lazily allocated queues -------------------------------------------------
+
+def test_fresh_store_queues_are_shared_and_empty():
+    sim = Simulator()
+    a, b = Store(sim), Store(sim, capacity=1)
+    assert a.items is b.items and a._getters is b._putters  # one sentinel
+    assert len(a) == 0
+    assert a.try_get() is None
+    assert a.get_batch() == [] and a.get_batch(limit=3) == []
+    assert a.items is b.items  # non-blocking reads allocate nothing
+    assert a.try_put("x") and len(a) == 1 and a.items is not b.items
+    assert a.get_batch() == ["x"] and len(a) == 0
+
+
+def test_first_waiter_on_fresh_store_and_resource():
+    sim = Simulator()
+    store, res = Store(sim), Resource(sim, capacity=1)
+    got = []
+
+    def getter(sim):
+        item = yield store.get()
+        got.append((sim.now, item))
+
+    def holder(sim):
+        yield res.request()
+        yield sim.timeout(30)
+        res.release()
+
+    def contender(sim):
+        yield res.request()
+        got.append((sim.now, "acquired"))
+        res.release()
+
+    def producer(sim):
+        yield sim.timeout(10)
+        yield store.put("item")
+
+    for proc in (getter, holder, contender, producer):
+        sim.process(proc(sim))
+    sim.run()
+    assert got == [(10, "item"), (30, "acquired")]
+    assert res.available == 1
+
+
+def test_drained_queues_are_reused_not_reallocated():
+    sim = Simulator()
+    store, res = Store(sim), Resource(sim, capacity=1)
+    seen = []
+
+    def consumer(sim):
+        for _ in range(3):
+            seen.append((yield store.get()))
+
+    def contender(sim):
+        for _ in range(3):
+            yield res.request()
+            yield sim.timeout(3)
+            res.release()
+
+    def producer(sim):
+        for i in range(3):
+            yield sim.timeout(5)
+            yield store.put(i)
+
+    sim.process(consumer(sim))
+    sim.process(contender(sim))
+    sim.process(contender(sim))
+    sim.process(producer(sim))
+    sim.run(until=6)  # item 0 handed over, resource passed on once
+    assert seen == [0]
+    getters, items, waiters = store._getters, store.items, res._waiters
+    assert isinstance(getters, list) and isinstance(waiters, list)
+    sim.run()
+    assert seen == [0, 1, 2]  # two more waits on each queue ...
+    assert not getters and not items and not waiters  # ... drained ...
+    assert store._getters is getters and store.items is items  # ... and kept
+    assert res._waiters is waiters
+
+
+def test_resource_waiters_served_fifo():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    order = []
+
+    def user(sim, i):
+        yield sim.timeout(i)
+        yield res.request()
+        order.append(i)
+        yield sim.timeout(10)
+        res.release()
+
+    for i in range(4):
+        sim.process(user(sim, i))
+    sim.run()
+    assert order == [0, 1, 2, 3]
+
+
+def test_putter_blocks_on_fresh_capacity_one_store():
+    sim = Simulator()
+    store = Store(sim, capacity=1)
+    log = []
+
+    def producer(sim, name):
+        for i in range(2):
+            yield store.put(f"{name}{i}")
+            log.append((sim.now, "put", f"{name}{i}"))
+
+    def consumer(sim):
+        yield sim.timeout(10)
+        for _ in range(4):
+            item = yield store.get()
+            log.append((sim.now, "got", item))
+            yield sim.timeout(10)
+
+    sim.process(producer(sim, "a"))
+    sim.process(producer(sim, "b"))
+    sim.process(consumer(sim))
+    sim.run()
+    # Blocked putters are admitted in arrival order as space frees up.
+    assert log == [
+        (0, "put", "a0"), (10, "got", "a0"), (10, "put", "b0"),
+        (20, "got", "b0"), (20, "put", "a1"), (30, "got", "a1"),
+        (30, "put", "b1"), (40, "got", "b1"),
+    ]
+
+
+@pytest.mark.parametrize("queue_exists", [False, True])
+def test_interrupted_waiters_around_queue_allocation(queue_exists):
+    from repro.sim import Interrupt
+
+    sim = Simulator()
+    store, res = Store(sim), Resource(sim, capacity=1)
+    if queue_exists:
+        # Allocate both waiter queues and drain them again.
+        blocker = res.request()
+        res.request()
+        store.get()
+        store.try_put("warm-up")
+        res.release()
+        res.release()
+        assert blocker.triggered and store._getters == [] and res._waiters == []
+    outcomes = []
+
+    def impatient(sim):
+        try:
+            yield sim.timeout(100)  # interrupted before touching the queues
+        except Interrupt:
+            outcomes.append("early")
+        for wait in (store.get, res.request):
+            try:
+                yield wait()  # the first waiter on each queue
+            except Interrupt:
+                outcomes.append("late")
+
+    def patient(sim):
+        yield sim.timeout(2)
+        outcomes.append(("got", (yield store.get())))
+        yield res.request()
+        outcomes.append(("acquired", sim.now))
+        res.release()
+
+    def driver(sim, victim):
+        yield res.request()
+        victim.interrupt()
+        yield sim.timeout(5)
+        victim.interrupt()  # out of store.get
+        yield sim.timeout(1)
+        victim.interrupt()  # out of res.request
+        yield sim.timeout(5)
+        yield store.put("item")
+        yield sim.timeout(5)
+        res.release()
+
+    victim = sim.process(impatient(sim))
+    sim.process(patient(sim))
+    sim.process(driver(sim, victim))
+    sim.run()
+    assert outcomes == ["early", "late", "late", ("got", "item"), ("acquired", 16)]
+    assert res.available == 1 and len(store) == 0
+
+
+def test_idle_stores_and_resources_allocate_no_queues():
+    import sys
+    import tracemalloc
+    from collections import deque
+
+    sim = Simulator()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        objs = [Store(sim) for _ in range(10_000)] + [Resource(sim) for _ in range(10_000)]
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(objs) == 20_000
+    # Well under a third of one empty deque per object (760 B each on
+    # CPython 3.11): idle queues must not be allocated at all.
+    assert used < 20_000 * sys.getsizeof(deque()) / 3

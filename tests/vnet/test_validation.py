@@ -1,11 +1,9 @@
 """Tests for overlay configuration validation."""
 
-import networkx as nx
-
 from repro.config import NETEFFECT_10G
 from repro.harness.testbed import build_vnetp
 from repro.vnet.overlay import DestType, LinkProto, LinkSpec, RouteEntry
-from repro.vnet.validation import overlay_graph, validate_overlay
+from repro.vnet.validation import validate_overlay
 
 
 def test_healthy_mesh_validates_clean():
@@ -66,13 +64,3 @@ def test_misrouted_interface_is_black_hole():
     report = validate_overlay(tb.cores)
     assert any(i.kind == "black-hole" for i in report.issues)
 
-
-def test_overlay_graph_structure():
-    tb = build_vnetp(n_hosts=3, nic_params=NETEFFECT_10G)
-    graph = overlay_graph(tb.cores)
-    assert graph.number_of_nodes() == 3
-    assert graph.number_of_edges() == 6  # full mesh
-    assert nx.is_strongly_connected(graph)
-    # Node attributes carry the guest MACs.
-    macs = nx.get_node_attributes(graph, "macs")
-    assert all(len(m) == 1 for m in macs.values())

@@ -12,7 +12,9 @@ probe gets no replies.
 Wall-clock stage timings are printed *informationally* (they never go
 into a committed artifact — CI determinism diffs forbid wall-clock in
 results); the asserted facts are all simulated/deterministic:
-convergence, table sizes, and the cross-fabric RTT.
+convergence, table sizes, and the cross-fabric RTT.  Peak RSS after the
+build, and what it comes to per simulated machine, is printed the same
+informational way.
 
 Usage::
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import sys
 import time
 
@@ -32,12 +35,18 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 from repro.topo import TopologyCompiler, fat_tree, probe_rtt_ns, provision  # noqa: E402
 
 
+def _peak_rss_bytes() -> int:
+    """This process's peak resident set size (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--hosts", type=int, default=1024,
                     help="compute hosts in the fat-tree (default 1024)")
     args = ap.parse_args(argv)
 
+    rss0 = _peak_rss_bytes()
     t0 = time.perf_counter()
     topo = fat_tree(args.hosts)
     t1 = time.perf_counter()
@@ -58,6 +67,10 @@ def main(argv=None) -> int:
     t3 = time.perf_counter()
     print(f"build:    {len(tb.hosts)} simulated machines, "
           f"{len(tb.endpoints)} guest endpoints [{t3 - t2:.2f}s wall]")
+    rss = _peak_rss_bytes()
+    print(f"memory:   peak RSS {rss / 2**20:.1f} MB, "
+          f"{(rss - rss0) / len(tb.hosts) / 1024:.1f} KiB per simulated machine "
+          f"above the {rss0 / 2**20:.1f} MB after import")
 
     report = provision(tb)
     t4 = time.perf_counter()
