@@ -15,7 +15,7 @@ import enum
 import os
 from dataclasses import dataclass, field, replace
 
-from .units import Gbps, usec
+from .units import Gbps, tx_time_ns, usec
 
 __all__ = [
     "CPUParams",
@@ -86,8 +86,6 @@ class NICParams:
     tx_queue_frames: int = 512
 
     def serialize_ns(self, nbytes: int) -> int:
-        from .units import tx_time_ns
-
         return tx_time_ns(nbytes + self.header_bytes, self.rate_bps)
 
 

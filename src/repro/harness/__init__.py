@@ -2,7 +2,6 @@
 
 from .breakdown import native_one_way_breakdown, vnetp_one_way_breakdown
 from .calibrate import calibrate_flow_model, clear_cache, flow_model_for
-from .pcap import PacketCapture, describe_frame
 from .sweep import sweep_host_param
 from .report import ExperimentResult, Table
 from .testbed import Endpoint, Testbed, build_native, build_vnetp, build_vnetu
@@ -10,8 +9,6 @@ from .testbed import Endpoint, Testbed, build_native, build_vnetp, build_vnetu
 __all__ = [
     "native_one_way_breakdown",
     "vnetp_one_way_breakdown",
-    "PacketCapture",
-    "describe_frame",
     "sweep_host_param",
     "calibrate_flow_model",
     "clear_cache",

@@ -12,8 +12,8 @@ wire, excluding the link header accounted by ``NICParams``), ``src`` and
 
 The NIC is a :class:`~repro.sim.pipeline.PacketStage` with two ports:
 ``tx`` (to the attached medium — link or switch port) and ``rx`` (to
-the host driver).  Harnesses that interpose on a NIC (pcap taps, chaos
-stages) wrap and restore those ports' sinks with ``Port.rebind``.
+the host driver).  Harnesses that interpose on a NIC (chaos stages, test
+taps) wrap and restore those ports' sinks with ``Port.rebind``.
 """
 
 from __future__ import annotations
@@ -98,16 +98,21 @@ class PhysicalNIC(PacketStage):
     def _tx_loop(self):
         params = self.params
         tx_port = self.tx_port
+        spans = self.obs.spans
         while True:
             frame = yield self.txq.get()
             if not tx_port.connected:
                 raise RuntimeError(f"NIC {self.name} transmitting while unattached")
-            with self.obs.spans.span(
+            span = spans.open(
                 STAGE_NIC_TX, who=self.name, where="host", flow_of=frame
-            ):
+            ) if spans.enabled else None
+            try:
                 yield self.sim.timeout(
                     params.tx_ring_ns + params.serialize_ns(frame.size)
                 )
+            finally:
+                if span is not None:
+                    spans.close(span)
             self._tx_bytes.inc(frame.size)
             self._tx_frames.inc()
             tx_port.push(frame)

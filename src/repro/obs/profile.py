@@ -70,9 +70,10 @@ def _category(event: Event, callbacks: list) -> str:
     """
     if callbacks:
         cb = callbacks[0]
+        # A process is its own wake-up callback (see Process).
+        if isinstance(cb, Process):
+            return "proc:" + _INDEX_SUFFIX.sub("", cb.name)
         bound = getattr(cb, "__self__", None)
-        if isinstance(bound, Process):
-            return "proc:" + _INDEX_SUFFIX.sub("", bound.name)
         if bound is not None:
             return f"cb:{type(bound).__name__}.{cb.__name__}"
         qualname = getattr(cb, "__qualname__", None) or type(cb).__name__
@@ -220,9 +221,10 @@ class KernelProfiler:
         self.runs = 0
         # Start of the run and of the open attribution interval (ns).
         self._t_start = self._t = 0
-        # Category memos (see _key): process name -> key, and
-        # qualname / (class, method name) / event class -> key.
-        self._proc_keys: dict = {}
+        # Memos: process name -> its category's [events, wall_ns] record
+        # (see charge), and qualname / (class, method name) / event
+        # class -> category (see _key).
+        self._proc_recs: dict = {}
         self._fn_keys: dict = {}
 
     @classmethod
@@ -255,6 +257,7 @@ class KernelProfiler:
     def reset(self) -> None:
         """Drop all collected attribution data."""
         self.categories.clear()
+        self._proc_recs.clear()
         self.advance_ns = 0
         self.heap_pops = 0
         self.total_wall_ns = 0
@@ -280,13 +283,25 @@ class KernelProfiler:
         (the kernel detaches it from the event before running it).
         """
         t = self.clock()
+        if callbacks and callbacks[0].__class__ is Process:
+            # Most events wake a process: one lookup by its name.
+            name = callbacks[0].name
+            rec = self._proc_recs.get(name)
+            if rec is None:
+                rec = self._proc_recs[name] = self._record(event, callbacks)
+        else:
+            rec = self._record(event, callbacks)
+        rec[0] += 1
+        rec[1] += t - self._t
+        self._t = t
+
+    def _record(self, event: Event, callbacks: list) -> list:
+        """The ``[events, wall_ns]`` record of ``event``'s category."""
         key = self._key(event, callbacks)
         rec = self.categories.get(key)
         if rec is None:
             self.categories[key] = rec = [0, 0]
-        rec[0] += 1
-        rec[1] += t - self._t
-        self._t = t
+        return rec
 
     def end(self, processed: int) -> None:
         """A run returned or raised after processing ``processed`` events."""
@@ -295,26 +310,23 @@ class KernelProfiler:
         self.total_wall_ns += self.clock() - self._t_start
 
     def _key(self, event: Event, callbacks: list) -> str:
-        """:func:`_category`, memoised per process name and per function.
+        """:func:`_category`, memoised per function and event class.
 
         Memo keys are strings and classes, never simulation objects, so
         the memo keeps no process, closure or bound instance alive.
+        Processes are memoised by name in :meth:`charge`.
         """
         if not callbacks:
-            memo, keys = type(event), self._fn_keys
+            memo = type(event)
         elif type(cb := callbacks[0]) is MethodType:
-            bound = cb.__self__
-            if isinstance(bound, Process):
-                memo, keys = bound.name, self._proc_keys
-            else:
-                memo, keys = (type(bound), cb.__name__), self._fn_keys
+            memo = (type(cb.__self__), cb.__name__)
         elif type(cb) is FunctionType:
-            memo, keys = cb.__qualname__, self._fn_keys
+            memo = cb.__qualname__
         else:
             return _category(event, callbacks)
-        key = keys.get(memo)
+        key = self._fn_keys.get(memo)
         if key is None:
-            key = keys[memo] = _category(event, callbacks)
+            key = self._fn_keys[memo] = _category(event, callbacks)
         return key
 
     # -- reporting ---------------------------------------------------------

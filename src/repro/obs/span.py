@@ -180,7 +180,7 @@ _NULL_SPAN = _NullSpan()
 
 
 class _LiveSpan:
-    """Context manager that stamps ``sim.now`` on entry and exit."""
+    """Context manager that closes an opened span on exit."""
 
     __slots__ = ("recorder", "span")
 
@@ -189,20 +189,20 @@ class _LiveSpan:
         self.span = span
 
     def __enter__(self):
-        self.span.t0 = self.recorder.sim.now
         return self.span
 
     def __exit__(self, *exc):
-        self.span.t1 = self.recorder.sim.now
-        self.recorder._commit(self.span)
+        self.recorder.close(self.span)
         return False
 
 
 class SpanRecorder:
     """Collects spans against one simulator's virtual clock.
 
-    ``enabled`` may be flipped at any time; components call :meth:`span`
-    unconditionally and pay only a cheap guard while recording is off.
+    ``enabled`` may be flipped at any time.  :meth:`span` is the
+    readable idiom; packet-path stages guard on ``enabled`` and use
+    :meth:`open`/:meth:`close` in ``try``/``finally`` so that a disabled
+    span costs one attribute read (see :meth:`open`).
     """
 
     def __init__(self, sim: "Simulator", enabled: bool = False):
@@ -222,24 +222,11 @@ class SpanRecorder:
     ):
         """Context manager bracketing one stage of the packet path.
 
-        ``flow_of`` is the lazy form of ``flow``: pass the PDU itself and
-        the flow id string (and, when not given explicitly, the packet
-        id) is only built when recording is enabled, so hot paths do not
-        pay for string formatting while spans are off.
+        Opens the span (see :meth:`open`) on the call and closes it on
+        exit, also when the body raises; a no-op while recording is off.
         """
-        if not self.enabled:
-            return _NULL_SPAN
-        if flow_of is not None:
-            if flow is None:
-                flow = f"{flow_of.src}>{flow_of.dst}"
-            if packet is None:
-                packet = getattr(flow_of, "id", None)
-        self._seq += 1
-        return _LiveSpan(
-            self,
-            Span(stage=stage, t0=0, t1=0, who=who, where=where,
-                 flow=flow, packet=packet, seq=self._seq),
-        )
+        span = self.open(stage, who, where, flow, packet, flow_of)
+        return _NULL_SPAN if span is None else _LiveSpan(self, span)
 
     def open(
         self,
@@ -248,18 +235,34 @@ class SpanRecorder:
         where: str = "",
         flow: Optional[str] = None,
         packet: Optional[int] = None,
+        flow_of: Any = None,
     ) -> Optional[Span]:
-        """Manually-closed span for callback-style (non-generator) stages.
+        """Manually-closed span, stamped ``t0 = now``.
 
-        Returns a :class:`Span` stamped ``t0 = now`` — close it with
-        :meth:`close` when the deferred work completes — or ``None``
-        while recording is disabled (callers pass that straight back to
-        :meth:`close`, which ignores it).  This is the span idiom used
-        by :meth:`repro.sim.pipeline.Port.push_after`, where the stage
-        has no generator for a ``with`` block to live in.
+        Close it with :meth:`close` when the stage ends.  Returns
+        ``None`` while recording is disabled (:meth:`close` ignores it).
+        ``flow_of`` is the lazy form of ``flow``: pass the PDU itself and
+        the flow id string (and, when not given explicitly, the packet
+        id) is only built when recording is enabled.  Hot generator
+        stages skip even the call while recording is off::
+
+            span = spans.open(STAGE_NIC_TX, who=name, flow_of=frame) if spans.enabled else None
+            try:
+                yield sim.timeout(cost)
+            finally:
+                if span is not None:
+                    spans.close(span)
+
+        Callback stages such as :meth:`repro.sim.pipeline.Port.push_after`
+        open at charge time and close at delivery.
         """
         if not self.enabled:
             return None
+        if flow_of is not None:
+            if flow is None:
+                flow = f"{flow_of.src}>{flow_of.dst}"
+            if packet is None:
+                packet = getattr(flow_of, "id", None)
         self._seq += 1
         return Span(stage=stage, t0=self.sim.now, t1=0, who=who, where=where,
                     flow=flow, packet=packet, seq=self._seq)
@@ -288,9 +291,6 @@ class SpanRecorder:
             Span(stage=stage, t0=now, t1=now, who=who, where=where,
                  flow=flow, packet=packet, seq=self._seq)
         )
-
-    def _commit(self, span: Span) -> None:
-        self.spans.append(span)
 
     # -- queries ----------------------------------------------------------
     def of_stage(self, stage: str) -> list[Span]:

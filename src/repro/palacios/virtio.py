@@ -125,8 +125,14 @@ class VirtioNIC(PacketStage):
         # frames in the ring; the new core drains them after reattachment.
         params = self.params
         spans = self.obs.spans
-        with spans.span(STAGE_VIRTIO_TX, who=self.name, where="guest", flow_of=frame):
+        span = spans.open(
+            STAGE_VIRTIO_TX, who=self.name, where="guest", flow_of=frame
+        ) if spans.enabled else None
+        try:
             yield self.sim.timeout(params.guest_driver_tx_ns + params.per_descriptor_ns)
+        finally:
+            if span is not None:
+                spans.close(span)
         yield self.txq.put(frame)
         self._tx_packets.inc()
         if not self.suppress_kicks:
@@ -135,13 +141,25 @@ class VirtioNIC(PacketStage):
             # inside the exit, stalling this VCPU.
             self._tx_kicks.inc()
             self.vm.vmm.count_exit("virtio-kick")
-            with spans.span(STAGE_VMEXIT, who=self.name, where="vmm", flow_of=frame):
+            span = spans.open(
+                STAGE_VMEXIT, who=self.name, where="vmm", flow_of=frame
+            ) if spans.enabled else None
+            try:
                 yield self.sim.timeout(self.vmm_params.exit_ns + params.kick_ns)
+            finally:
+                if span is not None:
+                    spans.close(span)
             handler = self._kick_handler
             if handler is not None:  # may detach mid-send (VM migration)
                 yield from handler(self)
-            with spans.span(STAGE_VMENTRY, who=self.name, where="vmm", flow_of=frame):
+            span = spans.open(
+                STAGE_VMENTRY, who=self.name, where="vmm", flow_of=frame
+            ) if spans.enabled else None
+            try:
                 yield self.sim.timeout(self.vmm_params.entry_ns)
+            finally:
+                if span is not None:
+                    spans.close(span)
 
     # -- VMM-side receive path (called from dispatcher context) ----------------
     def deliver_to_guest(self, frame: EthernetFrame) -> bool:
@@ -176,7 +194,7 @@ class VirtioNIC(PacketStage):
         spans = self.obs.spans
         last_work = 0
         while True:
-            if len(self.rxq) == 0:
+            if not self.rxq.items:
                 yield self._irq.wait()
                 # Interrupt delivery: vector injection always costs an
                 # exit/entry; waking the halted VCPU on top of that is only
@@ -190,8 +208,14 @@ class VirtioNIC(PacketStage):
                 if self.sim.now - last_work > params.irq_coalesce_ns:
                     cost += params.irq_wakeup_ns
                     self._full_irq_wakeups.inc()
-                with spans.span(STAGE_GUEST_WAKE, who=self.name, where="vmm"):
+                span = spans.open(
+                    STAGE_GUEST_WAKE, who=self.name, where="vmm"
+                ) if spans.enabled else None
+                try:
                     yield self.sim.timeout(cost)
+                finally:
+                    if span is not None:
+                        spans.close(span)
             # NAPI batch: one wakeup drains the whole backlog, one frame per
             # descriptor charge.  The ring is popped frame-by-frame (not
             # bulk-drained) so concurrent deliveries observe the true ring
@@ -200,12 +224,16 @@ class VirtioNIC(PacketStage):
             if frame is None:
                 continue
             self._rxq_depth.set(len(self.rxq), now_ns=self.sim.now)
-            with spans.span(
+            span = spans.open(
                 STAGE_VIRTIO_RX, who=self.name, where="guest", flow_of=frame
-            ):
+            ) if spans.enabled else None
+            try:
                 yield self.sim.timeout(
                     params.guest_driver_rx_ns + params.per_descriptor_ns
                 )
+            finally:
+                if span is not None:
+                    spans.close(span)
             self._rx_packets.inc()
             last_work = self.sim.now
             self.guest_rx.push(frame)

@@ -72,15 +72,18 @@ class UdpSocket:
         stack = self.stack
         params = stack.params
         spans = stack.obs.spans
-        with spans.span(
-            STAGE_UDP_TX, who=stack.name, where=stack.where,
-            flow=f"{stack.ip}>{dst_ip}" if spans.enabled else None,
-        ):
+        span = spans.open(
+            STAGE_UDP_TX, who=stack.name, where=stack.where, flow=f"{stack.ip}>{dst_ip}"
+        ) if spans.enabled else None
+        try:
             if not self.in_kernel:
                 yield stack.sim.timeout(params.syscall_ns)
             yield stack.sim.timeout(
                 params.udp_tx_ns + params.checksum_ns(payload.size)
             )
+        finally:
+            if span is not None:
+                spans.close(span)
         dgram = UDPDatagram(sport=self.port, dport=dport, payload=payload)
         yield from stack.ip_send(dst_ip, PROTO_UDP, dgram)
 
@@ -88,13 +91,18 @@ class UdpSocket:
         """Generator: wait for the next datagram; returns (payload, src_ip, sport)."""
         stack = self.stack
         params = stack.params
-        blocked = len(self.rx) == 0
+        blocked = not self.rx.items
         item = yield self.rx.get()
         if blocked:
-            with stack.obs.spans.span(
+            spans = stack.obs.spans
+            span = spans.open(
                 STAGE_SOCK_WAKE, who=stack.name, where=stack.where
-            ):
+            ) if spans.enabled else None
+            try:
                 yield stack.sim.timeout(params.sched_wakeup_ns)
+            finally:
+                if span is not None:
+                    spans.close(span)
         if not self.in_kernel:
             yield stack.sim.timeout(params.syscall_ns)
         return item
@@ -241,11 +249,16 @@ class Stack:
         Stack._ping_ident += 1
         ident, seq = Stack._ping_ident, 1
         start = self.sim.now
-        with self.obs.spans.span(
+        spans = self.obs.spans
+        span = spans.open(
             STAGE_ICMP_TX, who=self.name, where=self.where,
             flow=f"{self.ip}>{dst_ip}", packet=f"icmp:{ident}:{seq}",
-        ):
+        ) if spans.enabled else None
+        try:
             yield self.sim.timeout(params.syscall_ns + params.icmp_ns)
+        finally:
+            if span is not None:
+                spans.close(span)
         msg = ICMPMessage(ICMP_ECHO_REQUEST, ident, seq, data_size)
         waiter = self.sim.event()
         self._ping_waiters[(ident, seq)] = waiter
@@ -342,14 +355,19 @@ class Stack:
 
     def _softirq_loop(self):
         params = self.params
+        spans = self.obs.spans
         while True:
-            blocked = len(self._rxq) == 0
+            blocked = not self._rxq.items
             dev, frame = yield self._rxq.get()
             if blocked:
-                with self.obs.spans.span(
+                span = spans.open(
                     STAGE_SOFTIRQ_WAKE, who=self.name, where=self.where
-                ):
+                ) if spans.enabled else None
+                try:
                     yield self.sim.timeout(params.softirq_wakeup_ns)
+                finally:
+                    if span is not None:
+                        spans.close(span)
             if frame.ethertype == ETHERTYPE_ARP:
                 yield from self._handle_arp(dev, frame.payload)
                 continue
@@ -371,20 +389,28 @@ class Stack:
         flow = f"{pkt.src}>{pkt.dst}" if spans.enabled else None
         if pkt.proto == PROTO_ICMP:
             msg: ICMPMessage = pkt.payload
-            with spans.span(
+            span = spans.open(
                 STAGE_ICMP_RX, who=self.name, where=self.where,
                 flow=flow, packet=f"icmp:{msg.ident}:{msg.seq}",
-            ):
+            ) if spans.enabled else None
+            try:
                 yield self.sim.timeout(params.icmp_ns)
+            finally:
+                if span is not None:
+                    spans.close(span)
             yield from self._handle_icmp(pkt)
         elif pkt.proto == PROTO_UDP:
             dgram: UDPDatagram = pkt.payload
-            with spans.span(
+            span = spans.open(
                 STAGE_UDP_RX, who=self.name, where=self.where, flow=flow
-            ):
+            ) if spans.enabled else None
+            try:
                 yield self.sim.timeout(
                     params.udp_rx_ns + params.checksum_ns(dgram.payload.size)
                 )
+            finally:
+                if span is not None:
+                    spans.close(span)
             sock = self._udp_socks.get(dgram.dport)
             if sock is not None:
                 sock.deliver(dgram, pkt.src)
@@ -395,10 +421,14 @@ class Stack:
         elif pkt.proto == PROTO_TCP:
             seg: TcpSegment = pkt.payload
             cost = params.tcp_rx_ns if seg.payload_bytes else params.tcp_ack_rx_ns
-            with spans.span(
+            span = spans.open(
                 STAGE_TCP_RX, who=self.name, where=self.where, flow=flow
-            ):
+            ) if spans.enabled else None
+            try:
                 yield self.sim.timeout(cost + params.checksum_ns(seg.payload_bytes))
+            finally:
+                if span is not None:
+                    spans.close(span)
             key = (seg.dport, pkt.src, seg.sport)
             conn = self._tcp_conns.get(key)
             if conn is not None:

@@ -159,24 +159,25 @@ class Process(Event):
     generator returns (with the return value) or raises (with the
     exception, unless nothing is waiting on it, in which case the
     exception propagates out of :meth:`Simulator.run`).
+
+    A process is its own wake-up callback: it sits in the callback list
+    of the event it waits on, :meth:`Simulator.run` recognises it there
+    and resumes it inline, and anything else that fires callbacks
+    (:meth:`Event._process`, hence :meth:`Simulator.step`) calls it,
+    which is :meth:`_resume`.
     """
 
-    __slots__ = ("gen", "_target", "name", "_resume_cb")
+    __slots__ = ("gen", "_target", "name")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: Optional[str] = None):
         super().__init__(sim)
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
-        self._target: Optional[Event] = None
-        # One bound method for the life of the process: _resume is
-        # registered as a callback on every event the process waits on,
-        # and binding it per wait shows up at fast-path scale.
-        self._resume_cb = self._resume
         # Bootstrap: start executing at the current time.
         init = sim.event()
         init.succeed()
-        init.callbacks.append(self._resume_cb)
-        self._target = init
+        init.callbacks.append(self)
+        self._target: Optional[Event] = init
 
     @property
     def is_alive(self) -> bool:
@@ -193,11 +194,12 @@ class Process(Event):
             self._target.cancelled = True
         evt = self.sim.event()
         evt.fail(Interrupt(cause))
-        evt.callbacks.append(self._resume_cb)
+        evt.callbacks.append(self)
 
     def _resume(self, event: Event) -> None:
         # Stale wake-up: the process was interrupted (or otherwise resumed)
         # while this event was pending; ignore the original target firing.
+        # Simulator.run inlines this method; keep the two in step.
         if event is not self._target and not isinstance(event._value, Interrupt):
             return
         if self._state != _PENDING:
@@ -208,17 +210,26 @@ class Process(Event):
                 result = self.gen.send(event._value)
             else:
                 result = self.gen.throw(event._value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
         except BaseException as exc:
-            if self.callbacks:
-                self.fail(exc)
-            else:
-                # No one is watching this process: crash the simulation so
-                # errors are never silently swallowed.
-                self.sim._crash(exc)
+            self._exit(exc)
             return
+        self._wait(result)
+
+    __call__ = _resume
+
+    def _exit(self, exc: BaseException) -> None:
+        """The generator returned (``StopIteration``) or raised ``exc``."""
+        if isinstance(exc, StopIteration):
+            self.succeed(exc.value)
+        elif self.callbacks:
+            self.fail(exc)
+        else:
+            # No one is watching this process: crash the simulation so
+            # errors are never silently swallowed.
+            self.sim._crash(exc)
+
+    def _wait(self, result: Any) -> None:
+        """Park on ``result``, the event the generator just yielded."""
         if not isinstance(result, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {result!r}; processes must yield Events"
@@ -236,11 +247,9 @@ class Process(Event):
                 evt._value = result._value
                 evt._ok = False
                 sim._schedule(evt, 0)
-            evt.callbacks.append(self._resume_cb)
-            self._target = evt
-        else:
-            result.callbacks.append(self._resume_cb)
-            self._target = result
+            result = evt
+        result.callbacks.append(self)
+        self._target = result
 
 
 class Condition(Event):
@@ -316,7 +325,8 @@ class Simulator:
       as later eids sorted behind earlier ones).
     * **batched event application** — advancing time pops one timestamp
       and applies its whole slot through the immediate deque, one heap
-      pop per distinct time instead of one per event.
+      pop per distinct time instead of one per event; :meth:`run` takes
+      the event of a one-event slot directly.
     * **event pools** — processed :class:`Timeout` and plain
       :class:`Event` instances are recycled through free lists.  An
       object is only pooled when its refcount proves nothing outside
@@ -325,14 +335,15 @@ class Simulator:
       reused object.
     """
 
-    #: Upper bound on each free list; beyond this, events are left to the GC.
+    #: Upper bound on each free list: a full pool drops its oldest event
+    #: to the GC as a new one comes in.
     POOL_MAX = 2048
 
     # Slotted: kernel attributes are read on every event; the extra slots
     # host the lazily-attached observability context (obs.context) and the
     # optional kernel self-profiler (obs.profile).
     __slots__ = (
-        "_now",
+        "now",
         "_slots",
         "_times",
         "_immediate",
@@ -345,24 +356,20 @@ class Simulator:
     )
 
     def __init__(self):
-        self._now: int = 0
+        #: Current simulation time in nanoseconds (written by the kernel only).
+        self.now: int = 0
         self._slots: dict[int, list[Event]] = {}
         self._times: list[int] = []
         self._immediate: deque[Event] = deque()
         self._crashed: Optional[BaseException] = None
-        self._timeout_pool: list[Timeout] = []
-        self._event_pool: list[Event] = []
+        self._timeout_pool: deque[Timeout] = deque(maxlen=self.POOL_MAX)
+        self._event_pool: deque[Event] = deque(maxlen=self.POOL_MAX)
         #: Number of events processed by :meth:`step`.
         self.events_processed = 0
         # Optional repro.obs.profile.KernelProfiler.  run() reads it once
         # per call and calls its hooks only while it is enabled; otherwise
         # each event pays one local ``is not None`` check.
         self._profiler = None
-
-    @property
-    def now(self) -> int:
-        """Current simulation time in nanoseconds."""
-        return self._now
 
     # -- factory helpers ---------------------------------------------------
     def event(self) -> Event:
@@ -389,7 +396,7 @@ class Simulator:
             evt.cancelled = False
             # _schedule inlined: timeouts are the most common event kind.
             if delay:
-                when = self._now + delay
+                when = self.now + delay
                 slots = self._slots
                 slot = slots.get(when)
                 if slot is None:
@@ -414,7 +421,7 @@ class Simulator:
     # -- scheduling --------------------------------------------------------
     def _schedule(self, event: Event, delay: int = 0) -> None:
         if delay:
-            when = self._now + int(delay)
+            when = self.now + int(delay)
             slots = self._slots
             slot = slots.get(when)
             if slot is None:
@@ -435,7 +442,7 @@ class Simulator:
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or ``None`` if none is pending."""
         if self._immediate:
-            return self._now
+            return self.now
         return self._times[0] if self._times else None
 
     def step(self) -> None:
@@ -443,9 +450,9 @@ class Simulator:
         immediate = self._immediate
         if not immediate:
             when = heapq.heappop(self._times)
-            if when < self._now:  # pragma: no cover - defensive
+            if when < self.now:  # pragma: no cover - defensive
                 raise SimulationError("time went backwards")
-            self._now = when
+            self.now = when
             immediate.extend(self._slots.pop(when))
         event = immediate.popleft()
         self.events_processed += 1
@@ -459,13 +466,11 @@ class Simulator:
         if getrefcount(event) == 2:
             cls = event.__class__
             if cls is Timeout:
-                if len(self._timeout_pool) < self.POOL_MAX:
-                    event._value = None
-                    self._timeout_pool.append(event)
+                event._value = None
+                self._timeout_pool.append(event)
             elif cls is Event:
-                if len(self._event_pool) < self.POOL_MAX:
-                    event._value = None
-                    self._event_pool.append(event)
+                event._value = None
+                self._event_pool.append(event)
 
     def run(self, until: Optional[int | Event] = None) -> Any:
         """Run until the queues drain, a deadline passes, or an event fires.
@@ -477,9 +482,12 @@ class Simulator:
         array, immediate queue, free lists — lives in locals for the whole
         run instead of calling :meth:`step` per event; :meth:`step` remains
         the single-event reference implementation and the two are
-        behaviour-identical.  Deadline and drain runs wait on
-        ``_NEVER``, an event that is never processed, so both run modes
-        share one loop.  An enabled
+        behaviour-identical.  A :class:`Process` callback is resumed
+        inline (the body of :meth:`Process._resume`); any other callback
+        is called.  No local outlives its event's turn: a held slot list
+        or yielded event would fail the pooling refcount test.  Deadline
+        and drain runs wait on ``_NEVER``, an event that is never
+        processed, so both run modes share one loop.  An enabled
         :class:`~repro.obs.profile.KernelProfiler` is fetched once per call
         and hooked in per clock advance and per event; it never touches
         the schedule.
@@ -507,7 +515,6 @@ class Simulator:
         timeout_pool = self._timeout_pool
         event_pool = self._event_pool
         refcount = getrefcount
-        pool_max = self.POOL_MAX
         processed = 0
         try:
             while stop._state != _PROCESSED:
@@ -518,11 +525,17 @@ class Simulator:
                     if deadline is not None and when > deadline:
                         break
                     pop(times)
-                    self._now = when
-                    immediate.extend(slots.pop(when))
+                    self.now = when
+                    slot = slots.pop(when)
+                    if len(slot) == 1:
+                        event = slot[0]
+                    else:
+                        immediate.extend(slot)
+                        event = immediate.popleft()
+                    # A held slot list would pin its events out of the pools.
+                    slot = None
                     if profiler is not None:
                         profiler.advanced()
-                    event = immediate.popleft()
                 elif stop is _NEVER:
                     break
                 else:
@@ -535,20 +548,41 @@ class Simulator:
                 if callbacks:
                     event.callbacks = []
                     for cb in callbacks:
-                        cb(event)
+                        if cb.__class__ is not Process:
+                            cb(event)
+                            continue
+                        # Process._resume, inlined.
+                        if event is not cb._target and not isinstance(event._value, Interrupt):
+                            continue
+                        if cb._state != _PENDING:
+                            continue
+                        cb._target = None
+                        try:
+                            if event._ok:
+                                result = cb.gen.send(event._value)
+                            else:
+                                result = cb.gen.throw(event._value)
+                        except BaseException as exc:
+                            cb._exit(exc)
+                            continue
+                        if isinstance(result, Event) and result._state != _PROCESSED:
+                            result.callbacks.append(cb)
+                            cb._target = result
+                        else:
+                            cb._wait(result)
+                        # A held yielded event would miss the pools when it fires.
+                        result = None
                 if self._crashed is not None:
                     exc, self._crashed = self._crashed, None
                     raise exc
                 if refcount(event) == 2:
                     cls = event.__class__
                     if cls is Timeout:
-                        if len(timeout_pool) < pool_max:
-                            event._value = None
-                            timeout_pool.append(event)
+                        event._value = None
+                        timeout_pool.append(event)
                     elif cls is Event:
-                        if len(event_pool) < pool_max:
-                            event._value = None
-                            event_pool.append(event)
+                        event._value = None
+                        event_pool.append(event)
                 if profiler is not None:
                     profiler.charge(event, callbacks)
         finally:
@@ -557,7 +591,7 @@ class Simulator:
                 profiler.end(processed)
         if stop is _NEVER:
             if deadline is not None:
-                self._now = deadline
+                self.now = deadline
             return None
         if stop._ok:
             return stop._value

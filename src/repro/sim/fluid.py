@@ -212,7 +212,11 @@ class FluidRegion:
         #: declared transition instant (golden fluid-fault test).
         self.stride_log: list[tuple[int, int]] = []
         from ..obs.context import Observability  # lazy: sim must not hard-depend on obs
+        from ..proto.tcp import CongestionState, TcpState  # lazy: nor on proto
 
+        # The states _eligible tests on every probe.
+        self._established = TcpState.ESTABLISHED
+        self._fast_recovery = CongestionState.FAST_RECOVERY
         self.obs = Observability.of(sim)
         metrics = self.obs.metrics
         self._captures = metrics.counter("sim.fluid.captures")
@@ -309,16 +313,14 @@ class FluidRegion:
         self._capture(conn, (rate + prev_rate) / 2.0)
 
     def _eligible(self, conn: "TcpConnection", now: int) -> bool:
-        from ..proto.tcp import CongestionState, TcpState
-
-        if conn.state is not TcpState.ESTABLISHED or conn.peer is None:
+        if conn.state is not self._established or conn.peer is None:
             return False
         if conn.srtt is None or conn._backoff or conn._dup_acks:
             return False
         # A sender in fast recovery (or with unresolved SACK holes) is
         # mid loss-episode: it must stay packet-level until the Reno
         # machinery converges back to a steady window.
-        if conn.cc_state is CongestionState.FAST_RECOVERY or conn._sacked:
+        if conn.cc_state is self._fast_recovery or conn._sacked:
             return False
         if conn.app_written - conn.snd_una < self.min_bytes:
             return False

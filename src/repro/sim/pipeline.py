@@ -31,7 +31,7 @@ Ownership rules (see ``docs/architecture.md``):
 3. A Port has exactly one sink.  Build-time wiring uses
    :meth:`Port.connect`, which raises on double connection (a NIC
    cannot be cabled twice); instrumentation harnesses that
-   wrap-and-restore a sink (pcap taps, fault injectors) use
+   wrap-and-restore a sink (fault injectors, test taps) use
    :meth:`Port.rebind`.
 
 Span integration: a Port constructed with a recorder and a stage name
@@ -155,7 +155,7 @@ class Port:
         # costs one slot append (or an immediate-queue append).
         evt._state = _TRIGGERED
         if delay_ns:
-            when = sim._now + int(delay_ns)
+            when = sim.now + int(delay_ns)
             slots = sim._slots
             slot = slots.get(when)
             if slot is None:
@@ -222,13 +222,14 @@ class CopyCharger:
         self._counter = counter
 
     def charge(self, nbytes: int):
-        """Generator: charge one copy of ``nbytes`` at the configured rate.
+        """Count one copy of ``nbytes`` and return the generator charging it.
 
-        Yields exactly the events ``memory.copy_at`` yields, so swapping
-        a performed copy for a charged one is timing-neutral.
+        Callers ``yield from`` the result: ``memory.copy_at``'s own
+        generator, so swapping a performed copy for a charged one is
+        timing-neutral and the copy's waits resume no extra frame.
         """
         self.copies += 1
         self.bytes += nbytes
         if self._counter is not None:
             self._counter.inc(nbytes)
-        yield from self.memory.copy_at(nbytes, self.bw_Bps)
+        return self.memory.copy_at(nbytes, self.bw_Bps)

@@ -196,7 +196,7 @@ class Resource:
         evt = self.sim.event()
         if self.in_use < self.capacity:
             self.in_use += 1
-            evt.succeed()
+            _trigger_now(self.sim, evt)
         else:
             if self._waiters is _EMPTY:
                 self._waiters = []

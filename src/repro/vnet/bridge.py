@@ -115,7 +115,7 @@ class VnetBridge(PacketStage):
         """Bridge thread: demultiplex on the link and transmit."""
         ystate = YieldState(self.sim, self.core.tuning, base_wakeup_ns=self.costs.idle_wakeup_ns)
         while True:
-            blocked = len(self.txq) == 0
+            blocked = not self.txq.items
             frame, link = yield self.txq.get()
             penalty = ystate.penalty(blocked)
             if blocked:
@@ -129,25 +129,43 @@ class VnetBridge(PacketStage):
     def _transmit(self, frame: EthernetFrame, link: LinkSpec, penalty: int = 0):
         spans = self.obs.spans
         if link.proto is LinkProto.DIRECT:
-            with spans.span(STAGE_BRIDGE_TX, who=self.name, where="host", flow_of=frame):
+            span = spans.open(
+                STAGE_BRIDGE_TX, who=self.name, where="host", flow_of=frame
+            ) if spans.enabled else None
+            try:
                 yield self.sim.timeout(penalty + self.costs.bridge_tx_ns)
+            finally:
+                if span is not None:
+                    spans.close(span)
             self._direct_tx.inc()
             yield from self.host.stack.send_raw_frame(frame)
         elif link.proto is LinkProto.UDP:
-            with spans.span(STAGE_ENCAP, who=self.name, where="host", flow_of=frame):
+            span = spans.open(
+                STAGE_ENCAP, who=self.name, where="host", flow_of=frame
+            ) if spans.enabled else None
+            try:
                 yield self.sim.timeout(
                     penalty + self.costs.bridge_tx_ns + self.costs.encap_ns
                 )
+            finally:
+                if span is not None:
+                    spans.close(span)
             encap = VnetEncap(inner=frame, link_name=link.name)
             if not self.link_out(link.name).push(encap):
                 return  # chaos filter dropped the datagram on this link
             self._encap_tx.inc()
             yield from self.sock.sendto(encap, link.dst_ip, link.dst_port)
         elif link.proto is LinkProto.TCP:
-            with spans.span(STAGE_ENCAP, who=self.name, where="host", flow_of=frame):
+            span = spans.open(
+                STAGE_ENCAP, who=self.name, where="host", flow_of=frame
+            ) if spans.enabled else None
+            try:
                 yield self.sim.timeout(
                     penalty + self.costs.bridge_tx_ns + self.costs.encap_ns
                 )
+            finally:
+                if span is not None:
+                    spans.close(span)
             encap = VnetEncap(inner=frame, link_name=link.name)
             if not self.link_out(link.name).push(encap):
                 return  # chaos filter dropped the message on this link
@@ -184,25 +202,35 @@ class VnetBridge(PacketStage):
             self.sim.process(self._tcp_rx_loop(channel), name=f"{self.name}.tcprx")
 
     def _tcp_rx_loop(self, channel):
+        spans = self.obs.spans
         while True:
             encap = yield from channel.recv_message()
-            with self.obs.spans.span(
+            span = spans.open(
                 STAGE_DECAP, who=self.name, where="host", flow_of=encap.inner
-            ):
+            ) if spans.enabled else None
+            try:
                 yield self.sim.timeout(self.costs.bridge_rx_ns + self.costs.decap_ns)
+            finally:
+                if span is not None:
+                    spans.close(span)
             self._encap_rx.inc()
             self.core.inbound.push(encap.inner)
 
     # -- receive --------------------------------------------------------------------
     def _rx_loop(self):
         """Encapsulated receive: unwrap VNET UDP datagrams."""
+        spans = self.obs.spans
         while True:
             payload, _src_ip, _sport = yield from self.sock.recv()
             if not isinstance(payload, VnetEncap):
                 continue  # stray traffic on the link port
-            with self.obs.spans.span(
+            span = spans.open(
                 STAGE_DECAP, who=self.name, where="host", flow_of=payload.inner
-            ):
+            ) if spans.enabled else None
+            try:
                 yield self.sim.timeout(self.costs.bridge_rx_ns + self.costs.decap_ns)
+            finally:
+                if span is not None:
+                    spans.close(span)
             self._encap_rx.inc()
             self.core.inbound.push(payload.inner)

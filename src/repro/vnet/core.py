@@ -230,23 +230,28 @@ class VnetCore(VnetNode, PacketStage):
         ystate = YieldState(self.sim, self.tuning, base_wakeup_ns=self.costs.idle_wakeup_ns)
         # Single-dispatcher backlog drain, mirroring _rx_dispatcher.
         drain = self.tuning.n_dispatchers == 1
+        spans = self.obs.spans
         while True:
             if self.interfaces.get(if_name) is not nic:
                 return  # interface unregistered (VM migrated away)
             if ctl.mode is not VnetMode.VMM_DRIVEN:
                 yield ctl.mode_changed.wait()
                 continue
-            blocked = len(nic.txq) == 0
+            blocked = not nic.txq.items
             frame = yield nic.txq.get()
             while True:
                 penalty = ystate.penalty(blocked)
                 if blocked:
                     penalty += self.host.wakeup_noise_ns()
                 if penalty:
-                    with self.obs.spans.span(
+                    span = spans.open(
                         STAGE_DISPATCH, who=self.name, where="vmm", flow_of=frame
-                    ):
+                    ) if spans.enabled else None
+                    try:
                         yield self.sim.timeout(penalty)
+                    finally:
+                        if span is not None:
+                            spans.close(span)
                 ystate.note_work()
                 ctl.note_packet()
                 self._vmm_driven_dispatches.inc()
@@ -288,9 +293,11 @@ class VnetCore(VnetNode, PacketStage):
             if hit is not None:
                 yield from self._forward_cached(frame, hit, penalty, ystate)
                 return
-        with self.obs.spans.span(
+        spans = self.obs.spans
+        span = spans.open(
             STAGE_DISPATCH, who=self.name, where="vmm", flow_of=frame
-        ):
+        ) if spans.enabled else None
+        try:
             if ystate is not None:
                 ystate.note_work_at(self.sim.now + penalty)
             yield self.sim.timeout(penalty + self.costs.dispatch_ns)
@@ -301,6 +308,9 @@ class VnetCore(VnetNode, PacketStage):
                     self._pkts_dropped_no_route.inc()
                     return
                 yield self.sim.timeout(cost)
+        finally:
+            if span is not None:
+                spans.close(span)
         if broadcast:
             yield from self._broadcast(frame, from_guest)
         else:
@@ -340,12 +350,17 @@ class VnetCore(VnetNode, PacketStage):
         and ``note_work_at`` pins the adaptive yield strategy's idle
         clock to the instant the unmerged chain would have noted work.
         """
-        with self.obs.spans.span(
+        spans = self.obs.spans
+        span = spans.open(
             STAGE_DISPATCH, who=self.name, where="vmm", flow_of=frame
-        ):
+        ) if spans.enabled else None
+        try:
             if ystate is not None:
                 ystate.note_work_at(self.sim.now + penalty)
             yield self.sim.timeout(penalty + hit.charge_ns)
+        finally:
+            if span is not None:
+                spans.close(span)
         if hit.nic is not None:
             yield from self._deliver_local(frame, hit.nic)
         else:
@@ -360,31 +375,45 @@ class VnetCore(VnetNode, PacketStage):
         *optimistic interrupts* the irq is raised while the data is still
         moving, overlapping the guest's wakeup with the copy.
         """
+        spans = self.obs.spans
         if self.tuning.cut_through:
-            with self.obs.spans.span(
+            span = spans.open(
                 STAGE_COPY, who=self.name, where="vmm", flow_of=frame
-            ):
+            ) if spans.enabled else None
+            try:
                 yield self.sim.timeout(self.costs.cut_through_ns)
+            finally:
+                if span is not None:
+                    spans.close(span)
             if self.tuning.optimistic_interrupts:
                 nic.raise_irq()  # guest starts waking while the copy streams
             self.sim.process(self._finish_local_copy(frame, nic), name=f"{self.name}.ct")
             return
-        with self.obs.spans.span(
+        span = spans.open(
             STAGE_COPY, who=self.name, where="vmm", flow_of=frame
-        ):
+        ) if spans.enabled else None
+        try:
             yield from self.copier.charge(frame.size)
+        finally:
+            if span is not None:
+                spans.close(span)
         yield from self._complete_delivery(frame, nic)
 
     def _finish_local_copy(self, frame: EthernetFrame, nic: "VirtioNIC"):
         """Overlapped tail of a cut-through delivery (own process)."""
-        with self.obs.spans.span(
+        spans = self.obs.spans
+        span = spans.open(
             STAGE_COPY_ASYNC, who=self.name, where="vmm", flow_of=frame
-        ):
+        ) if spans.enabled else None
+        try:
             yield from self.copier.charge(frame.size)
+        finally:
+            if span is not None:
+                spans.close(span)
         yield from self._complete_delivery(frame, nic)
 
     def _complete_delivery(self, frame: EthernetFrame, nic: "VirtioNIC"):
-        ring_was_empty = len(nic.rxq) == 0
+        ring_was_empty = not nic.rxq.items
         if nic.deliver_to_guest(frame):
             self._pkts_to_guest.inc()
             for name, inic in self.interfaces.items():
@@ -394,10 +423,15 @@ class VnetCore(VnetNode, PacketStage):
             if ring_was_empty:
                 # Interrupt injection work on the dispatching side (possibly
                 # a cross-core IPI, Sect. 4.3).
-                with self.obs.spans.span(
+                spans = self.obs.spans
+                span = spans.open(
                     STAGE_INJECT, who=self.name, where="vmm", flow_of=frame
-                ):
+                ) if spans.enabled else None
+                try:
                     yield self.sim.timeout(self.host.params.vmm.interrupt_inject_ns)
+                finally:
+                    if span is not None:
+                        spans.close(span)
             nic.raise_irq()
         else:
             self._pkts_dropped_ring_full.inc()
@@ -411,26 +445,40 @@ class VnetCore(VnetNode, PacketStage):
         """
         if self.bridge is None:
             raise RuntimeError(f"{self.name}: no bridge attached for link {link.name!r}")
+        spans = self.obs.spans
         if self.tuning.cut_through:
-            with self.obs.spans.span(
+            span = spans.open(
                 STAGE_COPY, who=self.name, where="vmm", flow_of=frame
-            ):
+            ) if spans.enabled else None
+            try:
                 yield self.sim.timeout(self.costs.cut_through_ns)
+            finally:
+                if span is not None:
+                    spans.close(span)
             self.sim.process(
                 self._shadow_copy(frame.size), name=f"{self.name}.ctcopy"
             )
         else:
-            with self.obs.spans.span(
+            span = spans.open(
                 STAGE_COPY, who=self.name, where="vmm", flow_of=frame
-            ):
+            ) if spans.enabled else None
+            try:
                 yield from self.copier.charge(frame.size)
+            finally:
+                if span is not None:
+                    spans.close(span)
         self._pkts_to_bridge.inc()
         yield self.bridge.txq.put((frame, link))
 
     def _shadow_copy(self, nbytes: int):
         """Body copy streaming off the critical path (memory contention only)."""
-        with self.obs.spans.span(STAGE_COPY_ASYNC, who=self.name, where="vmm"):
+        spans = self.obs.spans
+        span = spans.open(STAGE_COPY_ASYNC, who=self.name, where="vmm") if spans.enabled else None
+        try:
             yield from self.copier.charge(nbytes)
+        finally:
+            if span is not None:
+                spans.close(span)
 
     # -- inbound path (from the bridge) -----------------------------------------------
     def _accept_inbound(self, frame: EthernetFrame) -> bool:
@@ -465,7 +513,7 @@ class VnetCore(VnetNode, PacketStage):
         drain = self.tuning.n_dispatchers == 1
         rxq = self.rx_queue
         while True:
-            blocked = len(rxq) == 0
+            blocked = not rxq.items
             frame = yield rxq.get()
             while True:
                 self._rxq_depth.set(len(rxq), now_ns=self.sim.now)

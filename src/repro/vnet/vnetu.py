@@ -97,7 +97,7 @@ class VnetUDaemon(VnetNode):
         """Daemon: read tap, route, encapsulate, send on the UDP socket."""
         params = self.params
         while True:
-            blocked = len(self.tapq) == 0
+            blocked = not self.tapq.items
             frame = yield self.tapq.get()
             if blocked:
                 # Daemon was asleep; pay user-process scheduling latency.
@@ -120,7 +120,7 @@ class VnetUDaemon(VnetNode):
         """Daemon: receive encapsulated packets, deliver into the guest."""
         params = self.params
         while True:
-            blocked = len(self.sock.rx) == 0
+            blocked = not self.sock.rx.items
             payload, _src, _sport = yield from self.sock.recv()
             if not isinstance(payload, VnetEncap):
                 continue

@@ -51,7 +51,7 @@ def test_vnetp_mesh_scales_with_hosts():
 
 def test_identical_testbeds_get_identical_host_addresses():
     # Host MACs derive from host IPs, not from how many hosts the
-    # process built before: pcap output and span flow ids depend on them.
+    # process built before: span flow ids depend on them.
     first, second = build_vnetp(), build_vnetp()
     macs = [[h.dev.mac for h in tb.hosts] for tb in (first, second)]
     assert macs[0] == macs[1] == ["52:00:00:00:00:01", "52:00:00:00:00:02"]

@@ -1,5 +1,13 @@
 """Span recording: enable gating, bracketing, nesting reconstruction."""
 
+import hashlib
+
+import pytest
+
+from repro.apps.ping import run_ping
+from repro.config import NETEFFECT_10G
+from repro.harness.testbed import build_vnetp
+from repro.obs.context import Observability
 from repro.obs.span import (
     Span,
     SpanRecorder,
@@ -7,7 +15,7 @@ from repro.obs.span import (
     flow_id,
     self_ns,
 )
-from repro.sim import Simulator
+from repro.sim import Interrupt, Simulator
 
 
 def test_disabled_recorder_records_nothing():
@@ -112,3 +120,86 @@ def test_flow_id_uses_src_dst():
 def test_span_dict_round_trip():
     s = Span("encap", 5, 17, who="vb", where="host", flow="a>b", packet=3, seq=9)
     assert Span.from_dict(s.to_dict()) == s
+
+
+# -- the instrumented packet path --------------------------------------------
+
+
+def _normalised(spans, tb) -> list[str]:
+    """``stage|t0|t1|seq|who|where|flow|packet`` per span.
+
+    Host MACs and packet ids come from process-global counters, so they
+    are renamed in first-appearance order (see ``tests/golden/README.md``);
+    everything else is compared verbatim.
+    """
+    macs = {h.dev.mac: f"hmac{i}" for i, h in enumerate(tb.hosts)}
+    packets: dict = {}
+    rows = []
+    for s in spans:
+        flow = s.flow or ""
+        for mac, name in macs.items():
+            flow = flow.replace(mac, name)
+        packet = None if s.packet is None else packets.setdefault(s.packet, f"p{len(packets)}")
+        rows.append(f"{s.stage}|{s.t0}|{s.t1}|{s.seq}|{s.who}|{s.where}|{flow}|{packet}")
+    return rows
+
+
+def _vnetp_testbed(record: bool):
+    tb = build_vnetp(nic_params=NETEFFECT_10G)
+    Observability.of(tb.sim).spans.enabled = record
+    return tb
+
+
+def test_disabled_spans_cost_no_recorder_calls(monkeypatch):
+    """With recording off the packet path never calls into the recorder:
+    each stage guards on ``spans.enabled`` before building arguments."""
+    calls = {"span": 0, "open": 0}
+    for name in calls:
+        method = getattr(SpanRecorder, name)
+
+        def counted(self, *args, _name=name, _method=method, **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpanRecorder, name, counted)
+    tb = _vnetp_testbed(record=False)
+    result = run_ping(tb.endpoints[0], tb.endpoints[1], count=3)
+    assert len(result.rtt_ns.samples) == 3
+    assert calls == {"span": 0, "open": 0}
+
+
+def test_recorded_ping_spans_are_pinned():
+    """Three VNET/P pings record exactly these spans: stage, t0, t1, seq,
+    who, where, flow and packet, in recording order."""
+    tb = _vnetp_testbed(record=True)
+    run_ping(tb.endpoints[0], tb.endpoints[1], count=3)
+    rows = _normalised(Observability.of(tb.sim).spans.spans, tb)
+    assert len(rows) == 129
+    assert rows[:5] == [
+        "icmp-tx|0|1900|1|vm0.gstack|guest|172.16.0.1>172.16.0.2|p0",
+        "virtio-tx|1900|2950|2|vm0.virtio0|guest|5a:00:00:00:00:01>5a:00:00:00:00:02|p1",
+        "vmexit|2950|4500|3|vm0.virtio0|vmm|5a:00:00:00:00:01>5a:00:00:00:00:02|p1",
+        "dispatch|4500|5130|4|h0.vnet|vmm|5a:00:00:00:00:01>5a:00:00:00:00:02|p1",
+        "copy|5130|5279|5|h0.vnet|vmm|5a:00:00:00:00:01>5a:00:00:00:00:02|p1",
+    ]
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == "49288af59ada3cc64e3487dfd99cc54fcb0d033e320ae08961b34f9320fa05c3"
+
+
+def test_interrupted_stage_still_records_its_span():
+    """A stage cut short by an interrupt is committed with t1 at the
+    interrupt: here the VNET/P dispatch inside the guest's kick exit."""
+    tb = _vnetp_testbed(record=True)
+    sim = tb.sim
+    src, dst = tb.endpoints
+    proc = sim.process(src.stack.ping(dst.ip))
+    sim.run(until=4_700)
+    proc.interrupt("cut")
+    with pytest.raises(Interrupt):
+        sim.run(until=proc)
+    assert _normalised(Observability.of(sim).spans.spans, tb) == [
+        "icmp-tx|0|1900|1|vm0.gstack|guest|172.16.0.1>172.16.0.2|p0",
+        "virtio-tx|1900|2950|2|vm0.virtio0|guest|5a:00:00:00:00:01>5a:00:00:00:00:02|p1",
+        "vmexit|2950|4500|3|vm0.virtio0|vmm|5a:00:00:00:00:01>5a:00:00:00:00:02|p1",
+        "dispatch|4500|4700|4|h0.vnet|vmm|5a:00:00:00:00:01>5a:00:00:00:00:02|p1",
+    ]

@@ -9,6 +9,7 @@ from repro.sim import (
     Interrupt,
     SimulationError,
     Simulator,
+    Timeout,
 )
 
 
@@ -433,3 +434,78 @@ def test_event_pool_never_recycles_a_held_event(drive):
     assert len(sim._timeout_pool) == 1 and len(sim._event_pool) == 1
     fresh = [sim.timeout(1) for _ in range(4)] + [sim.event() for _ in range(4)]
     assert not any(f is h for f in fresh for h in held)
+
+
+@pytest.fixture
+def timeouts_built(monkeypatch):
+    """A one-element list counting ``Timeout`` constructions (pool misses)."""
+    built = [0]
+    init = Timeout.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Timeout, "__init__", counting_init)
+    return built
+
+
+def _drive(sim, drive):
+    if drive == "run":
+        sim.run()
+    else:
+        while sim.peek() is not None:
+            sim.step()
+
+
+@pytest.mark.parametrize("drive", ["run", "step"])
+def test_timeout_pool_serves_looping_processes(drive, timeouts_built):
+    """Processes that loop on fresh timeouts reuse pooled ones: in steady
+    state each fired timeout is recycled before its process asks for the
+    next, so the kernel constructs about one ``Timeout`` per process.  A
+    kernel local that still references a fired event (such as the slot
+    list it came from) keeps it out of the pool and shows up here as one
+    construction per event."""
+    sim = Simulator()
+    n_procs, iterations = 10, 10_000
+
+    def looper(sim, delay):
+        for _ in range(iterations):
+            yield sim.timeout(delay)
+
+    # Colliding delays: slots hold one event at some times, several at others.
+    for i in range(n_procs):
+        sim.process(looper(sim, 1 + i % 3))
+    _drive(sim, drive)
+    assert sim.events_processed > n_procs * iterations
+    assert timeouts_built[0] <= n_procs + 2
+
+
+@pytest.mark.parametrize("drive", ["run", "step"])
+def test_timeout_pool_serves_short_lived_processes(drive, timeouts_built):
+    """A process whose last wait ends (it returns) resumes no further:
+    the timeout it last yielded must still be recycled, so the kernel
+    may not keep it in a local past the wake-up."""
+    sim = Simulator()
+
+    def worker(sim):
+        yield sim.timeout(1)
+
+    def spawner(sim):
+        for _ in range(1_000):
+            sim.process(worker(sim))
+            yield sim.timeout(2)
+
+    sim.process(spawner(sim))
+    _drive(sim, drive)
+    assert timeouts_built[0] <= 4
+
+
+def test_event_pools_are_bounded():
+    """A burst of recyclable events fills each pool to ``POOL_MAX``, no further."""
+    sim = Simulator()
+    for _ in range(Simulator.POOL_MAX + 100):
+        sim.timeout(1)
+        sim.event().succeed()
+    sim.run()
+    assert len(sim._timeout_pool) == len(sim._event_pool) == Simulator.POOL_MAX

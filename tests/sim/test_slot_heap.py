@@ -18,7 +18,7 @@ import heapq
 from hypothesis import given, settings, strategies as st
 
 from repro.obs.profile import KernelProfiler
-from repro.sim import Simulator
+from repro.sim import Interrupt, Resource, Simulator, Store
 
 # A schedule program is a list of root timers; each timer carries a delay
 # and a list of child timers to schedule when it fires (children with
@@ -178,3 +178,81 @@ def test_step_matches_run_batching():
         assert sim_step.now == sim_run.now
         assert sim_step.events_processed == sim_run.events_processed
     assert profiler.events == sim_run.events_processed
+
+
+# A process program: each process runs a list of operations against one
+# shared store (capacity 2, so puts block), one single-slot resource and
+# the other processes.  Gets may wait forever; the run then drains.
+_op = st.one_of(
+    st.tuples(st.just("timeout"), st.integers(min_value=0, max_value=20)),
+    st.tuples(st.just("put"), st.integers(min_value=0, max_value=9)),
+    st.tuples(st.just("get"), st.just(0)),
+    st.tuples(st.just("hold"), st.integers(min_value=0, max_value=20)),
+    st.tuples(st.just("any"), st.integers(min_value=0, max_value=20)),
+    st.tuples(st.just("interrupt"), st.integers(min_value=0, max_value=5)),
+)
+_process_programs = st.lists(st.lists(_op, max_size=8), min_size=1, max_size=6)
+
+
+def _process_trace(program, drive: str) -> tuple[list, int]:
+    """``[(time, label), ...]`` of a process program, and the event count.
+
+    ``drive`` is ``"run"``, ``"step"`` (a ``step()`` loop) or
+    ``"profiled"`` (``run()`` with an enabled kernel profiler).
+    """
+    sim = Simulator()
+    if drive == "profiled":
+        KernelProfiler.install(sim).enable()
+    store = Store(sim, capacity=2)
+    resource = Resource(sim, capacity=1)
+    trace: list = []
+    procs: list = []
+
+    def body(pid, ops):
+        for j, (kind, arg) in enumerate(ops):
+            try:
+                if kind == "timeout":
+                    yield sim.timeout(arg)
+                elif kind == "put":
+                    yield store.put(arg)
+                elif kind == "get":
+                    arg = yield store.get()
+                elif kind == "hold":
+                    yield resource.request()
+                    try:
+                        yield sim.timeout(arg)
+                    finally:
+                        resource.release()
+                elif kind == "any":
+                    fired = yield sim.any_of([sim.timeout(arg, "a"), sim.timeout(arg // 2, "b")])
+                    arg = sorted(fired.values())
+                else:
+                    yield sim.timeout(arg)
+                    target = procs[(pid + 1) % len(procs)]
+                    if target is not procs[pid] and target.is_alive:
+                        target.interrupt(pid)
+                trace.append((sim.now, (pid, j, kind, arg)))
+            except Interrupt as exc:
+                trace.append((sim.now, (pid, j, "interrupted", exc.cause)))
+        trace.append((sim.now, (pid, "done")))
+
+    for pid, ops in enumerate(program):
+        procs.append(sim.process(body(pid, ops)))
+    if drive == "step":
+        while sim.peek() is not None:
+            sim.step()
+    else:
+        sim.run()
+    return trace, sim.events_processed
+
+
+@settings(max_examples=120, deadline=None)
+@given(program=_process_programs)
+def test_process_programs_identical_under_run_step_and_profiler(program):
+    """Generated process programs (timeouts, store hand-offs, a resource,
+    ``any_of`` and interrupts) give the same trace and event count when
+    driven by ``run()``, by a ``step()`` loop and by a profiled ``run()``:
+    the run loop's inlined process wake-up behaves like ``Process._resume``."""
+    reference = _process_trace(program, "step")
+    assert _process_trace(program, "run") == reference
+    assert _process_trace(program, "profiled") == reference
