@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ... import units
 from ...mpi import MPIWorld
 from ...mpi.transport import FlowTransport
+from ...sim.rng import Rng
 
 __all__ = ["HpccLatBw", "run_latency_bandwidth"]
 
@@ -45,6 +44,20 @@ class HpccLatBw:
     random_ring_bw_MBps: float
 
 
+def _mean(values: list) -> float:
+    """``numpy.mean(values)``, bit for bit, for the lists averaged here.
+
+    A left-to-right sum over the count: exact for int ns totals far
+    below 2**53, and numpy's own order for fewer than 8 floats (its
+    pairwise sum adds short runs sequentially).  ``sum()`` compensates
+    float rounding on Python 3.12+, so it could differ.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
 def _pingpong_phase(world: MPIWorld, pairs: list[tuple[int, int]], nbytes: int) -> float:
     """Average one-way time (ns) over the given pairs, run serially."""
     sim = world.sim
@@ -63,7 +76,7 @@ def _pingpong_phase(world: MPIWorld, pairs: list[tuple[int, int]], nbytes: int) 
                 yield from comm.send(i, nbytes, tag=idx)
 
     world.run(program)
-    return float(np.mean(times))
+    return _mean(times)
 
 
 def _ring_phase(world: MPIWorld, order: list[int], nbytes: int) -> float:
@@ -103,7 +116,7 @@ def run_latency_bandwidth(
     ``make_world`` builds a fresh MPIWorld for each phase (phases must not
     share simulators, since each run consumes its simulation).
     """
-    rng = np.random.default_rng(seed)
+    rng = Rng(seed)
     all_pairs = [(i, j) for i in range(n_procs) for j in range(i + 1, n_procs)]
     # HPCC benchmarks a bounded subset of pairs on large runs.
     if len(all_pairs) > 64:
@@ -119,7 +132,7 @@ def run_latency_bandwidth(
     nat_bw_ns = _ring_phase(make_world(), natural, BW_BYTES)
     rand_lats, rand_bws = [], []
     for _ in range(RANDOM_RINGS):
-        order = list(rng.permutation(n_procs))
+        order = rng.permutation(n_procs)
         rand_lats.append(_ring_phase(make_world(), order, LAT_BYTES))
         rand_bws.append(_ring_phase(make_world(), order, BW_BYTES))
 
@@ -134,8 +147,8 @@ def run_latency_bandwidth(
         pingpong_bw_MBps=BW_BYTES / (bw_ns / units.SECOND) / units.MB,
         natural_ring_lat_us=nat_lat_ns / 1_000,
         natural_ring_bw_MBps=ring_bw(nat_bw_ns),
-        random_ring_lat_us=float(np.mean(rand_lats)) / 1_000,
-        random_ring_bw_MBps=ring_bw(float(np.mean(rand_bws))),
+        random_ring_lat_us=_mean(rand_lats) / 1_000,
+        random_ring_bw_MBps=ring_bw(_mean(rand_bws)),
     )
 
 

@@ -20,8 +20,8 @@ Two properties the old wrappers lacked:
   :mod:`repro.obs` registry, so exporters and the cross-process metrics
   merge see fault activity like any other subsystem.
 
-Determinism: all randomness comes from a per-injector
-``numpy.random.default_rng(seed)``; two runs with the same seeds and
+Determinism: all randomness comes from a per-injector, explicitly
+seeded :class:`~repro.sim.rng.Rng`; two runs with the same seeds and
 the same schedule drop/delay/duplicate exactly the same frames.
 
 Drop-family injectors (:class:`LossStage`, :class:`GilbertElliottStage`,
@@ -38,11 +38,10 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-import numpy as np
-
 from ..obs.context import Observability
 from ..sim import Simulator
 from ..sim.pipeline import PacketStage, Port
+from ..sim.rng import Rng
 
 __all__ = [
     "FaultInjector",
@@ -149,7 +148,7 @@ class LossStage(FaultInjector):
             raise ValueError(f"loss rate must be in [0, 1], got {rate}")
         super().__init__(sim, name)
         self.rate = rate
-        self._rng = np.random.default_rng(seed)
+        self._rng = Rng(seed)
 
     @property
     def dropped(self) -> int:
@@ -200,7 +199,7 @@ class GilbertElliottStage(FaultInjector):
         self.loss_good = loss_good
         self.loss_bad = loss_bad
         self.bad = False
-        self._rng = np.random.default_rng(seed)
+        self._rng = Rng(seed)
 
     @property
     def dropped(self) -> int:
@@ -295,7 +294,7 @@ class ReorderStage(FaultInjector):
         super().__init__(sim, name)
         self.prob = prob
         self.delay_ns = int(delay_ns)
-        self._rng = np.random.default_rng(seed)
+        self._rng = Rng(seed)
 
     @property
     def reordered(self) -> int:
@@ -372,7 +371,7 @@ class DuplicateStage(FaultInjector):
             raise ValueError(f"duplicate prob must be in [0, 1], got {prob}")
         super().__init__(sim, name)
         self.prob = prob
-        self._rng = np.random.default_rng(seed)
+        self._rng = Rng(seed)
 
     @property
     def duplicated(self) -> int:

@@ -16,11 +16,6 @@ from .linux import EthernetDevice
 
 __all__ = ["Host"]
 
-#: OS-noise samples drawn per refill.  numpy's bounded-integer draw with
-#: ``size=n`` yields exactly the sequence of ``n`` scalar draws (pinned by
-#: ``tests/host/test_machine.py``), so batching only saves call overhead.
-_NOISE_BATCH = 256
-
 
 class Host:
     """One physical machine running Linux (optionally hosting Palacios).
@@ -54,7 +49,6 @@ class Host:
         # Seeded by name (not creation order) so identical testbeds built
         # in one process behave identically — determinism tests rely on it.
         self._noise_rng = RandomStreams(seed=0).stream(f"{self.name}.noise")
-        self._noise_buf: list[int] = []  # upcoming samples, next one last
         # Populated when a VM / VNET components are instantiated on this host.
         self.vmm = None
         self.vnet_core = None
@@ -62,14 +56,10 @@ class Host:
 
     def wakeup_noise_ns(self) -> int:
         """One sample of OS scheduling noise (Linux: up to a few us)."""
-        buf = self._noise_buf
-        if not buf:
-            jitter = self.params.noise.jitter_max_ns
-            if jitter <= 0:
-                return 0
-            buf.extend(self._noise_rng.integers(0, jitter + 1, size=_NOISE_BATCH).tolist())
-            buf.reverse()
-        return buf.pop()
+        jitter = self.params.noise.jitter_max_ns
+        if jitter <= 0:
+            return 0
+        return self._noise_rng.integers(0, jitter + 1)
 
     def add_neighbor(self, other: "Host") -> None:
         """Static ARP entry for a peer host on the same L2 segment."""

@@ -15,8 +15,6 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .monitor import TrafficMonitor
 
 __all__ = ["Topology", "InferredTopology", "aggregate_matrix", "infer_topology"]
@@ -39,7 +37,7 @@ class InferredTopology:
 
     topology: Topology
     nodes: list[str]              # MACs, in matrix order
-    matrix: np.ndarray            # normalised traffic fractions
+    matrix: list[list[float]]     # normalised traffic fractions, by row
     density: float                # fraction of possible edges carrying traffic
 
     def describe(self) -> str:
@@ -52,7 +50,7 @@ class InferredTopology:
 def aggregate_matrix(
     monitors: Iterable[TrafficMonitor],
     threshold: float = 0.02,
-) -> tuple[list[str], np.ndarray]:
+) -> tuple[list[str], list[list[float]]]:
     """Merge per-core traffic matrices into one normalised adjacency matrix.
 
     Entries below ``threshold`` (as a fraction of the largest flow) are
@@ -64,12 +62,13 @@ def aggregate_matrix(
             totals[(src, dst)] = totals.get((src, dst), 0) + nbytes
     nodes = sorted({mac for pair in totals for mac in pair})
     index = {mac: i for i, mac in enumerate(nodes)}
-    matrix = np.zeros((len(nodes), len(nodes)))
+    matrix = [[0.0] * len(nodes) for _ in nodes]
     for (src, dst), nbytes in totals.items():
-        matrix[index[src], index[dst]] = nbytes
-    if matrix.size and matrix.max() > 0:
-        matrix = matrix / matrix.max()
-        matrix[matrix < threshold] = 0.0
+        matrix[index[src]][index[dst]] = float(nbytes)
+    peak = max((max(row) for row in matrix), default=0.0)
+    if peak > 0:
+        matrix = [[v / peak for v in row] for row in matrix]
+        matrix = [[v if v >= threshold else 0.0 for v in row] for row in matrix]
     return nodes, matrix
 
 
@@ -80,16 +79,17 @@ def infer_topology(
     """Classify the application's communication pattern."""
     nodes, matrix = aggregate_matrix(monitors, threshold)
     n = len(nodes)
-    if n == 0 or matrix.size == 0 or matrix.max() == 0:
+    adj = [[v > 0 for v in row] for row in matrix]
+    edges = sum(map(sum, adj))
+    if edges == 0:
         return InferredTopology(Topology.NONE, nodes, matrix, 0.0)
-    adj = matrix > 0
     possible = n * (n - 1)
-    density = adj.sum() / possible if possible else 0.0
-    out_deg = adj.sum(axis=1)
-    in_deg = adj.sum(axis=0)
+    density = edges / possible if possible else 0.0
+    out_deg = [sum(row) for row in adj]
+    in_deg = [sum(col) for col in zip(*adj)]
 
     topology = Topology.IRREGULAR
-    if n == 2 or (adj.sum() <= 2 and (out_deg > 0).sum() <= 2):
+    if n == 2 or (edges <= 2 and sum(d > 0 for d in out_deg) <= 2):
         topology = Topology.PAIR
     elif density >= 0.9:
         topology = Topology.ALL_TO_ALL
@@ -100,20 +100,24 @@ def infer_topology(
     return InferredTopology(topology, nodes, matrix, float(density))
 
 
-def _is_ring(adj: np.ndarray) -> bool:
-    """Every node sends to exactly 1-2 peers and the graph is one cycle."""
+def _symmetric(adj: list[list[bool]]) -> list[list[bool]]:
+    """Undirected adjacency: an edge either way links both nodes."""
+    return [[a or b for a, b in zip(row, col)] for row, col in zip(adj, zip(*adj))]
+
+
+def _is_ring(adj: list[list[bool]]) -> bool:
+    """Every node exchanges with exactly 2 peers and the graph is one cycle."""
     n = len(adj)
     if n < 3:
         return False
-    sym = adj | adj.T
-    deg = sym.sum(axis=1)
-    if not np.all((deg >= 1) & (deg <= 2)) or not np.all(deg == 2):
+    sym = _symmetric(adj)
+    if any(sum(row) != 2 for row in sym):
         return False
     # Walk the cycle: it must visit every node.
     visited = {0}
     prev, cur = None, 0
     for _ in range(n):
-        neighbours = [j for j in range(n) if sym[cur, j] and j != prev]
+        neighbours = [j for j in range(n) if sym[cur][j] and j != prev]
         if not neighbours:
             return False
         prev, cur = cur, neighbours[0]
@@ -123,20 +127,20 @@ def _is_ring(adj: np.ndarray) -> bool:
     return len(visited) == n
 
 
-def _is_star(adj: np.ndarray, out_deg: np.ndarray, in_deg: np.ndarray) -> bool:
+def _is_star(adj: list[list[bool]], out_deg: list[int], in_deg: list[int]) -> bool:
     """One hub exchanging with everyone; leaves talk only to the hub."""
     n = len(adj)
     if n < 3:
         return False
-    total_deg = out_deg + in_deg
-    hub = int(np.argmax(total_deg))
-    sym = adj | adj.T
-    if not all(sym[hub, j] for j in range(n) if j != hub):
+    total_deg = [o + i for o, i in zip(out_deg, in_deg)]
+    hub = total_deg.index(max(total_deg))
+    sym = _symmetric(adj)
+    if not all(sym[hub][j] for j in range(n) if j != hub):
         return False
     for j in range(n):
         if j == hub:
             continue
-        peers = {k for k in range(n) if sym[j, k]}
+        peers = {k for k in range(n) if sym[j][k]}
         if peers - {hub}:
             return False
     return True

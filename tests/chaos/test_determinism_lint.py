@@ -54,6 +54,45 @@ random.seed(0)
     assert check_determinism.check_source(ok, "fine.py") == []
 
 
+PACKAGE_COUNTEREXAMPLE = """\
+import numpy
+import numpy.random as npr
+from numpy.random import default_rng
+from repro.sim.rng import Rng
+from repro.sim import rng as rng_mod
+
+
+def draws():
+    return Rng().random() + Rng(None).random() + rng_mod.Rng(seed=None).random()
+"""
+
+
+def test_numpy_imports_and_unseeded_rng_fail_in_package():
+    findings = check_determinism.check_source(PACKAGE_COUNTEREXAMPLE, "src/repro/evil.py")
+    joined = "\n".join(findings)
+    assert joined.count("[numpy-import]") == 3
+    assert joined.count("[unseeded-rng]") == 3
+    assert len(findings) == 6
+
+
+def test_numpy_import_only_flagged_in_package():
+    # Tests and tools may import numpy (it cross-checks the port).
+    src = "import numpy as np\nfrom numpy import random\n"
+    assert len(check_determinism.check_source(src, "src/repro/sim/x.py")) == 2
+    assert check_determinism.check_source(src, "tests/sim/test_rng.py") == []
+
+
+def test_seeded_rng_is_fine():
+    ok = """\
+from repro.sim.rng import Rng
+
+a = Rng(0)
+b = Rng([7, 3])
+c = Rng(seed=5)
+"""
+    assert check_determinism.check_source(ok, "src/repro/fine.py") == []
+
+
 def test_allowlist_respected():
     src = "import time\nt = time.time()\n"
     assert check_determinism.check_source(src, "src/repro/__main__.py") == []

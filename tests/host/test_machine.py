@@ -15,11 +15,11 @@ from repro.sim import RandomStreams, Simulator
 
 @pytest.mark.parametrize(
     "jitter",
-    [DEFAULT_NOISE.jitter_max_ns, KITTEN_NOISE.jitter_max_ns, 1, 65535, 2**31],
+    [DEFAULT_NOISE.jitter_max_ns, KITTEN_NOISE.jitter_max_ns, 1, 65535, 2**31, 2**32 - 1, 2**40],
 )
 def test_wakeup_noise_matches_scalar_draws(jitter):
-    # Samples come from a batched draw; they must equal one scalar draw
-    # per call from a fresh stream of the same name, across refills.
+    # Each sample is one scalar draw from a fresh stream of the same
+    # name; 2**32 - 1 and 2**40 take the full-32-bit and 64-bit paths.
     params = default_host().with_(noise=OsNoiseParams(jitter_max_ns=jitter))
     host = Host(Simulator(), params, NETEFFECT_10G, ip="10.0.0.7", name="h7")
     ref = RandomStreams(seed=0).stream("h7.noise")

@@ -5,16 +5,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
 
 
-def test_experiments_import_pulls_in_no_networkx():
-    # pyproject.toml declares only numpy; networkx must not ride along
-    # (a clean install could not import the package, and every bench
-    # pass pays the import in its set-up time).
+@pytest.mark.parametrize("module", ["networkx", "numpy"])
+def test_experiments_import_pulls_in_no(module):
+    # pyproject.toml declares no runtime dependencies: neither may ride
+    # along (a clean install could not import the package, and every
+    # bench pass and CLI run pays the import in set-up time and memory).
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, repro.harness.experiments; print('networkx' in sys.modules)"
+    code = f"import sys, repro.harness.experiments; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

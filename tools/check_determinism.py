@@ -10,6 +10,11 @@ rejects the calls that break that property inside ``src/repro``:
 * ``datetime.now()`` / ``utcnow()`` / ``today()`` — same, dressed up;
 * ``numpy.random.default_rng()`` **with no seed argument** — OS-entropy
   seeded generator;
+* ``Rng()`` (:class:`repro.sim.rng.Rng`) with no seed or a ``None``
+  seed — it has no entropy default, so this fails at run time anyway;
+* ``import numpy`` / ``from numpy ...`` under ``src/repro`` — the
+  package draws from its own bit-exact port of numpy's generator and
+  must run without numpy installed;
 * ``random.<fn>()`` on the global ``random`` module — hidden global
   state (``random.seed`` and seeded ``random.Random(n)`` instances are
   allowed; the exec engine seeds the global generator per point).
@@ -70,6 +75,10 @@ def _finding(call: ast.Call) -> tuple[str, str] | None:
     )
     if is_default_rng and not call.args and not call.keywords:
         return "unseeded-default-rng", "default_rng() without a seed"
+    if dotted is not None and (dotted == "Rng" or dotted.endswith(".Rng")):
+        seeds = call.args[:1] + [kw.value for kw in call.keywords if kw.arg == "seed"]
+        if not seeds or any(isinstance(s, ast.Constant) and s.value is None for s in seeds):
+            return "unseeded-rng", "Rng() without a seed"
     if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
             and func.value.id == "random":
         if func.attr in _RANDOM_ALLOWED:
@@ -80,15 +89,33 @@ def _finding(call: ast.Call) -> tuple[str, str] | None:
     return None
 
 
+def _numpy_import(node: ast.AST) -> tuple[str, str] | None:
+    """(pattern, message) when this statement imports numpy, else None."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+        names = [node.module]
+    else:
+        return None
+    for name in names:
+        if name == "numpy" or name.startswith("numpy."):
+            return "numpy-import", f"import of {name} (use repro.sim.rng.Rng)"
+    return None
+
+
 def check_source(source: str, rel_path: str) -> list[str]:
     """Findings for one file's source text, as ``path:line: message``."""
     allowed = ALLOWLIST.get(rel_path, set())
+    in_package = rel_path.startswith("src/repro/")
     findings = []
     tree = ast.parse(source, filename=rel_path)
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
+        if in_package and isinstance(node, (ast.Import, ast.ImportFrom)):
+            hit = _numpy_import(node)
+        elif isinstance(node, ast.Call):
+            hit = _finding(node)
+        else:
             continue
-        hit = _finding(node)
         if hit is None or hit[0] in allowed:
             continue
         findings.append(f"{rel_path}:{node.lineno}: {hit[1]} [{hit[0]}]")
@@ -118,7 +145,7 @@ def main(argv: list[str]) -> int:
     if findings:
         print(f"{len(findings)} determinism problem(s)", file=sys.stderr)
         return 1
-    print("determinism OK: no wall-clock or unseeded-randomness calls in src/repro")
+    print("determinism OK: no wall-clock, unseeded-randomness or numpy use in src/repro")
     return 0
 
 
