@@ -50,7 +50,7 @@ def run_ping(
         for _ in range(count):
             rtt = yield from src.stack.ping(dst.ip, data_size=data_size)
             stats.add(rtt)
-            yield sim.timeout(interval_ns)
+            yield interval_ns
         return stats
 
     proc = sim.process(pinger(), name="ping")

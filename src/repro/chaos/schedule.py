@@ -235,16 +235,18 @@ class FaultSchedule:
             region.deescalate_port(port.name, "chaos")
 
     def _run_window(self, window: FaultWindow):
+        # Window times are user input and may be floats; a sleep takes an
+        # int, truncated as sim.timeout() truncates.
         port: Port = window.params["_port"]
         if window.start_ns > self.sim.now:
-            yield self.sim.timeout(window.start_ns - self.sim.now)
+            yield int(window.start_ns - self.sim.now)
         window.stage.install(port)
         self._note(f"install {window.kind} on {window.target}")
         if window.kind in self._RELEASES_FLUID:
             self._release_fluid(port)
         if window.stop_ns is None:
             return
-        yield self.sim.timeout(window.stop_ns - self.sim.now)
+        yield int(window.stop_ns - self.sim.now)
         window.stage.remove()
         self._note(f"remove {window.kind} from {window.target}")
 
@@ -252,16 +254,16 @@ class FaultSchedule:
         port: Port = window.params["_port"]
         stage: PartitionStage = window.stage
         if window.start_ns > self.sim.now:
-            yield self.sim.timeout(window.start_ns - self.sim.now)
+            yield int(window.start_ns - self.sim.now)
         stage.install(port)
         for _ in range(window.params["cycles"]):
             stage.fail()
             self._note(f"flap down {window.target}")
             self._release_fluid(port)
-            yield self.sim.timeout(window.params["down_ns"])
+            yield int(window.params["down_ns"])
             stage.heal()
             self._note(f"flap up {window.target}")
-            yield self.sim.timeout(window.params["up_ns"])
+            yield int(window.params["up_ns"])
         stage.remove()
         self._note(f"remove flap from {window.target}")
 
@@ -269,14 +271,14 @@ class FaultSchedule:
         tx_stage: PartitionStage = window.stage
         rx_stage: PartitionStage = window.params["_rx_stage"]
         if window.start_ns > self.sim.now:
-            yield self.sim.timeout(window.start_ns - self.sim.now)
+            yield int(window.start_ns - self.sim.now)
         tx_stage.install(window.params["_tx_port"])
         rx_stage.install(window.params["_rx_port"])
         self._note(f"pause host {window.target}")
         # Host-level fault: below link granularity, so every fluid flow
         # is released (conservative, timing-free).
         self._release_fluid(window.params["_tx_port"])
-        yield self.sim.timeout(window.stop_ns - self.sim.now)
+        yield int(window.stop_ns - self.sim.now)
         tx_stage.remove()
         rx_stage.remove()
         self._note(f"resume host {window.target}")

@@ -268,7 +268,7 @@ class PartitionStage(FaultInjector):
     def fail_for(self, sim: Simulator, duration_ns: int):
         """Generator: partition for a fixed window, then heal."""
         self.fail()
-        yield sim.timeout(duration_ns)
+        yield int(duration_ns)
         self.heal()
 
 

@@ -111,7 +111,7 @@ def _run_competing_flows(
         while True:
             yield from sock.sendto(Blob(udp_payload), dst.ip, port)
             if udp_gap_ns:
-                yield sim.timeout(udp_gap_ns)
+                yield udp_gap_ns
 
     for i, (s, d) in enumerate(udp_pairs):
         src, dst = tb.endpoints[s], tb.endpoints[d]
@@ -121,7 +121,7 @@ def _run_competing_flows(
     baseline: dict[int, int] = {}
 
     def sampler():
-        yield sim.timeout(warmup_ns)
+        yield warmup_ns
         for key, conn in server_conns.items():
             baseline[key] = conn.bytes_delivered
 

@@ -148,11 +148,11 @@ def _partition_failover_point(
 
     def tx():
         sock = src.stack.udp_socket()
-        yield sim.timeout(500_000)
+        yield 500_000
         while sim.now < stop_tx_ns:
             yield from sock.sendto(Blob(payload), dst.ip, PROBE_PORT)
             sent[0] += 1
-            yield sim.timeout(send_gap_ns)
+            yield send_gap_ns
 
     sim.process(rx(), name="resilience.rx")
     sim.process(tx(), name="resilience.tx")

@@ -91,9 +91,7 @@ class KittenBridgeVM(PacketStage):
                 )
             # Cross into the bridge VM with the frame, then post it on the
             # InfiniBand queue pair.
-            yield self.sim.timeout(
-                params.vm_crossing_ns + self._copy_ns(frame.size) + params.ipoib_tx_ns
-            )
+            yield params.vm_crossing_ns + self._copy_ns(frame.size) + params.ipoib_tx_ns
             self.tx_frames += 1
             yield self.host.nic.txq.put(frame)
 
@@ -116,9 +114,7 @@ class KittenBridgeVM(PacketStage):
         params = self.params
         while True:
             frame = yield self.rxq.get()
-            yield self.sim.timeout(
-                params.ipoib_rx_ns + self._copy_ns(frame.size) + params.vm_crossing_ns
-            )
+            yield params.ipoib_rx_ns + self._copy_ns(frame.size) + params.vm_crossing_ns
             self.rx_frames += 1
             self.core.inbound.push(frame)
 

@@ -12,6 +12,7 @@ from ..hw.nic import PhysicalNIC
 from ..proto.ethernet import mac_addr
 from ..proto.stack import Stack
 from ..sim import RandomStreams, Simulator
+from ..sim.rng import Rng
 from .linux import EthernetDevice
 
 __all__ = ["Host"]
@@ -46,13 +47,23 @@ class Host:
         self.dev = EthernetDevice(self.nic, mac=mac_addr(index), name=f"{self.name}.eth0")
         self.stack = Stack(sim, params.stack, ip=ip, name=f"{self.name}.stack")
         self.dev.bind(self.stack)
-        # Seeded by name (not creation order) so identical testbeds built
-        # in one process behave identically — determinism tests rely on it.
-        self._noise_rng = RandomStreams(seed=0).stream(f"{self.name}.noise")
+        # The OS-noise stream is seeded on its first draw (_noise_rng):
+        # most hosts of a large testbed never draw.
+        self._noise_stream: Optional[Rng] = None
         # Populated when a VM / VNET components are instantiated on this host.
         self.vmm = None
         self.vnet_core = None
         self.vnet_bridge = None
+
+    @property
+    def _noise_rng(self) -> Rng:
+        """The OS-noise stream.  Seeded by name (not creation order) so
+        identical testbeds built in one process behave identically —
+        determinism tests rely on it."""
+        rng = self._noise_stream
+        if rng is None:
+            rng = self._noise_stream = RandomStreams(seed=0).stream(f"{self.name}.noise")
+        return rng
 
     def wakeup_noise_ns(self) -> int:
         """One sample of OS scheduling noise (Linux: up to a few us)."""

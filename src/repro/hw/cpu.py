@@ -30,7 +30,7 @@ class Core:
         """Generator: occupy this core for ``duration_ns``."""
         yield self._res.request()
         try:
-            yield self.sim.timeout(duration_ns)
+            yield duration_ns
             self.busy_ns += duration_ns
         finally:
             self._res.release()

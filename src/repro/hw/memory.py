@@ -27,7 +27,7 @@ class MemorySystem:
         """Generator: perform one packet copy of ``nbytes``."""
         yield self._res.request()
         try:
-            yield self.sim.timeout(self.params.copy_ns(nbytes))
+            yield self.params.copy_ns(nbytes)
             self.bytes_copied += nbytes
         finally:
             self._res.release()
@@ -42,9 +42,7 @@ class MemorySystem:
         """
         yield self._res.request()
         try:
-            yield self.sim.timeout(
-                self.params.copy_setup_ns + int(round(nbytes * 1e9 / bw_Bps))
-            )
+            yield self.params.copy_setup_ns + int(round(nbytes * 1e9 / bw_Bps))
             self.bytes_copied += nbytes
         finally:
             self._res.release()

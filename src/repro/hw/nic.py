@@ -107,9 +107,7 @@ class PhysicalNIC(PacketStage):
                 STAGE_NIC_TX, who=self.name, where="host", flow_of=frame
             ) if spans.enabled else None
             try:
-                yield self.sim.timeout(
-                    params.tx_ring_ns + params.serialize_ns(frame.size)
-                )
+                yield params.tx_ring_ns + params.serialize_ns(frame.size)
             finally:
                 if span is not None:
                     spans.close(span)

@@ -74,7 +74,6 @@ class _Port:
             self.dropped += 1
 
     def _egress_loop(self):
-        sim = self.switch.sim
         params = self.switch.params
         # Egress serializes at the attached device's line rate (switches
         # with mixed-speed ports negotiate per port), falling back to the
@@ -82,8 +81,8 @@ class _Port:
         rate = min(self.nic.params.rate_bps, params.port_rate_bps)
         while True:
             frame = yield self.egress.get()
-            yield sim.timeout(tx_time_ns(frame.size + params.header_bytes, rate))
-            yield sim.timeout(self.nic.params.propagation_ns)
+            yield tx_time_ns(frame.size + params.header_bytes, rate)
+            yield self.nic.params.propagation_ns
             self.nic.deliver(frame)
 
 

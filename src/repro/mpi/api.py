@@ -108,7 +108,7 @@ class Communicator:
     def recv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Generator: blocking receive; returns the matched Message."""
         params = self.world.params
-        yield self.sim.timeout(params.overhead_ns)
+        yield params.overhead_ns
         msg = yield from self.world.mailbox(self.rank).recv(src, tag)
         return msg
 
@@ -174,7 +174,7 @@ class Communicator:
 
     def compute(self, duration_ns: int):
         """Generator: local computation for ``duration_ns`` (skeleton apps)."""
-        yield self.sim.timeout(int(duration_ns))
+        yield int(duration_ns)
 
 
 class MPIWorld:

@@ -124,15 +124,11 @@ class SocketTransport:
     def send(self, src: int, dst: int, nbytes: int, tag: int, meta: Any):
         params = self.params
         msg = Message(src=src, tag=tag, nbytes=nbytes, meta=meta, dst=dst)
-        yield self.sim.timeout(
-            params.overhead_ns + _copy_ns(nbytes, self._copy_bw(self.rank_map[src]))
-        )
+        yield params.overhead_ns + _copy_ns(nbytes, self._copy_bw(self.rank_map[src]))
         src_ep, dst_ep = self.rank_map[src], self.rank_map[dst]
         if src_ep == dst_ep:
             # Shared-memory BTL: latency + one copy through the shm segment.
-            yield self.sim.timeout(
-                params.shm_latency_ns + _copy_ns(nbytes, params.shm_bw_Bps)
-            )
+            yield params.shm_latency_ns + _copy_ns(nbytes, params.shm_bw_Bps)
             self.world.mailbox(dst).deliver(msg)
             return
         channel, lock = yield from self._channel(src_ep, dst_ep)
@@ -157,9 +153,7 @@ class SocketTransport:
                 msg: Message = yield from channel.recv_message()
             except EOFError:
                 return
-            yield self.sim.timeout(
-                _copy_ns(msg.nbytes, self._copy_bw(self.rank_map[msg.dst]))
-            )
+            yield _copy_ns(msg.nbytes, self._copy_bw(self.rank_map[msg.dst]))
             self.world.mailbox(msg.dst).deliver(msg)
 
 
@@ -252,12 +246,10 @@ class FlowTransport:
         msg = Message(src=src, tag=tag, nbytes=nbytes, meta=meta, dst=dst)
         self.messages += 1
         self.bytes_moved += nbytes
-        yield self.sim.timeout(params.overhead_ns + _copy_ns(nbytes, self._copy_bw))
+        yield params.overhead_ns + _copy_ns(nbytes, self._copy_bw)
         ns, nd = self.node_of(src), self.node_of(dst)
         if ns == nd:
-            yield self.sim.timeout(
-                params.shm_latency_ns + _copy_ns(nbytes, params.shm_bw_Bps)
-            )
+            yield params.shm_latency_ns + _copy_ns(nbytes, params.shm_bw_Bps)
             self.world.mailbox(dst).deliver(msg)
             return
         occ = self.model.occupancy_ns(nbytes)
@@ -267,12 +259,12 @@ class FlowTransport:
         self.sim.process(self._deliver(msg, dst, nd, occ), name="flow.deliver")
         yield self._tx[ns].request()
         try:
-            yield self.sim.timeout(occ)
+            yield occ
         finally:
             self._tx[ns].release()
 
     def _deliver(self, msg, dst_rank: int, dst_node: int, occ: int):
-        yield self.sim.timeout(self.model.alpha_ns)
+        yield self.model.alpha_ns
         rx = self._rx[dst_node]
         contended = len(rx._waiters) >= 1 or rx.in_use >= rx.capacity
         yield rx.request()
@@ -283,8 +275,8 @@ class FlowTransport:
                 and self.model.rx_path_limited
             ):
                 occ = int(occ * self.model.fanin_penalty)
-            yield self.sim.timeout(occ)
+            yield occ
         finally:
             rx.release()
-        yield self.sim.timeout(_copy_ns(msg.nbytes, self._copy_bw))
+        yield _copy_ns(msg.nbytes, self._copy_bw)
         self.world.mailbox(dst_rank).deliver(msg)

@@ -7,9 +7,10 @@ is called by the kernel's run loop after every event and clock advance;
 it timestamps each with ``time.perf_counter_ns`` and charges the
 elapsed wall time to a **category**:
 
-* ``proc:<name>`` — events that resume a named simulator process
-  (trailing ``.N`` instance indices are folded, so ``fair.server.0``
-  and ``fair.server.1`` aggregate under ``proc:fair.server``).  Fluid
+* ``proc:<name>`` — events that resume a named simulator process,
+  and its wake-ups from a ``yield delay`` sleep (trailing ``.N``
+  instance indices are folded, so ``fair.server.0`` and
+  ``fair.server.1`` aggregate under ``proc:fair.server``).  Fluid
   strides show up here as ``proc:sim.fluid.strides``, timeline sampling
   as ``proc:obs.timeline``, and so on.
 * ``cb:<Class.method>`` — events whose first callback is a bound method
@@ -276,19 +277,26 @@ class KernelProfiler:
         self.heap_pops += 1
         self._t = t
 
-    def charge(self, event: Event, callbacks: list) -> None:
+    def charge(self, event: Event, callbacks: Optional[list]) -> None:
         """``event`` was processed: charge the interval to its category.
 
         ``callbacks`` is the callback list the event held when it fired
-        (the kernel detaches it from the event before running it).
+        (the kernel detaches it from the event before running it), or
+        ``None`` when ``event`` is a process woken from a sleep.
         """
         t = self.clock()
-        if callbacks and callbacks[0].__class__ is Process:
+        if callbacks is None:
+            proc = event
+        elif callbacks and callbacks[0].__class__ is Process:
+            proc = callbacks[0]
+        else:
+            proc = None
+        if proc is not None:
             # Most events wake a process: one lookup by its name.
-            name = callbacks[0].name
+            name = proc.name
             rec = self._proc_recs.get(name)
             if rec is None:
-                rec = self._proc_recs[name] = self._record(event, callbacks)
+                rec = self._proc_recs[name] = self._record(event, [proc])
         else:
             rec = self._record(event, callbacks)
         rec[0] += 1

@@ -19,7 +19,7 @@ enclosed charges take::
 
     with obs.spans.span(STAGE_DISPATCH, who=self.name, where="vmm",
                         flow=flow_id(frame), packet=frame.id):
-        yield self.sim.timeout(self.costs.dispatch_ns)
+        yield self.costs.dispatch_ns
 
 The stage taxonomy is documented in ``docs/observability.md``; the
 canonical names below cover the VNET/P one-way path so that the recorded
@@ -248,7 +248,7 @@ class SpanRecorder:
 
             span = spans.open(STAGE_NIC_TX, who=name, flow_of=frame) if spans.enabled else None
             try:
-                yield sim.timeout(cost)
+                yield cost
             finally:
                 if span is not None:
                     spans.close(span)

@@ -289,10 +289,10 @@ class Timeline:
 
     def _run(self, until_ns: int):
         while self.sim.now + self.interval_ns <= until_ns:
-            yield self.sim.timeout(self.interval_ns)
+            yield self.interval_ns
             self.tick()
         if self.sim.now < until_ns:
-            yield self.sim.timeout(until_ns - self.sim.now)
+            yield until_ns - self.sim.now
             self.tick()
         self._running = False
 

@@ -129,7 +129,7 @@ class VirtioNIC(PacketStage):
             STAGE_VIRTIO_TX, who=self.name, where="guest", flow_of=frame
         ) if spans.enabled else None
         try:
-            yield self.sim.timeout(params.guest_driver_tx_ns + params.per_descriptor_ns)
+            yield params.guest_driver_tx_ns + params.per_descriptor_ns
         finally:
             if span is not None:
                 spans.close(span)
@@ -145,7 +145,7 @@ class VirtioNIC(PacketStage):
                 STAGE_VMEXIT, who=self.name, where="vmm", flow_of=frame
             ) if spans.enabled else None
             try:
-                yield self.sim.timeout(self.vmm_params.exit_ns + params.kick_ns)
+                yield self.vmm_params.exit_ns + params.kick_ns
             finally:
                 if span is not None:
                     spans.close(span)
@@ -156,7 +156,7 @@ class VirtioNIC(PacketStage):
                 STAGE_VMENTRY, who=self.name, where="vmm", flow_of=frame
             ) if spans.enabled else None
             try:
-                yield self.sim.timeout(self.vmm_params.entry_ns)
+                yield self.vmm_params.entry_ns
             finally:
                 if span is not None:
                     spans.close(span)
@@ -212,7 +212,7 @@ class VirtioNIC(PacketStage):
                     STAGE_GUEST_WAKE, who=self.name, where="vmm"
                 ) if spans.enabled else None
                 try:
-                    yield self.sim.timeout(cost)
+                    yield cost
                 finally:
                     if span is not None:
                         spans.close(span)
@@ -228,9 +228,7 @@ class VirtioNIC(PacketStage):
                 STAGE_VIRTIO_RX, who=self.name, where="guest", flow_of=frame
             ) if spans.enabled else None
             try:
-                yield self.sim.timeout(
-                    params.guest_driver_rx_ns + params.per_descriptor_ns
-                )
+                yield params.guest_driver_rx_ns + params.per_descriptor_ns
             finally:
                 if span is not None:
                     spans.close(span)

@@ -60,7 +60,7 @@ class PalaciosVMM:
         """Generator: charge one full exit + handler + entry to the caller
         (i.e. the guest VCPU is stalled for this long)."""
         self.count_exit(reason)
-        yield self.sim.timeout(self.params.exit_ns + handler_ns + self.params.entry_ns)
+        yield self.params.exit_ns + handler_ns + self.params.entry_ns
 
 
 class VirtualMachine:

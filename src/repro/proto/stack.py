@@ -77,10 +77,8 @@ class UdpSocket:
         ) if spans.enabled else None
         try:
             if not self.in_kernel:
-                yield stack.sim.timeout(params.syscall_ns)
-            yield stack.sim.timeout(
-                params.udp_tx_ns + params.checksum_ns(payload.size)
-            )
+                yield params.syscall_ns
+            yield params.udp_tx_ns + params.checksum_ns(payload.size)
         finally:
             if span is not None:
                 spans.close(span)
@@ -99,12 +97,12 @@ class UdpSocket:
                 STAGE_SOCK_WAKE, who=stack.name, where=stack.where
             ) if spans.enabled else None
             try:
-                yield stack.sim.timeout(params.sched_wakeup_ns)
+                yield params.sched_wakeup_ns
             finally:
                 if span is not None:
                     spans.close(span)
         if not self.in_kernel:
-            yield stack.sim.timeout(params.syscall_ns)
+            yield params.syscall_ns
         return item
 
     def deliver(self, dgram: UDPDatagram, src_ip: str) -> None:
@@ -220,7 +218,7 @@ class Stack:
         self.register_tcp(conn)
         conn.state = TcpState.SYN_SENT
         if not in_kernel:
-            yield self.sim.timeout(self.params.syscall_ns)
+            yield self.params.syscall_ns
         # SYN with retransmission: handshake segments are lossy too.
         for _attempt in range(8):
             yield from conn._emit(syn=True, is_ack=False)
@@ -255,7 +253,7 @@ class Stack:
             flow=f"{self.ip}>{dst_ip}", packet=f"icmp:{ident}:{seq}",
         ) if spans.enabled else None
         try:
-            yield self.sim.timeout(params.syscall_ns + params.icmp_ns)
+            yield params.syscall_ns + params.icmp_ns
         finally:
             if span is not None:
                 spans.close(span)
@@ -264,7 +262,7 @@ class Stack:
         self._ping_waiters[(ident, seq)] = waiter
         yield from self.ip_send(dst_ip, PROTO_ICMP, msg)
         yield waiter
-        yield self.sim.timeout(params.sched_wakeup_ns + params.syscall_ns)
+        yield params.sched_wakeup_ns + params.syscall_ns
         return self.sim.now - start
 
     # -- ARP ---------------------------------------------------------------------
@@ -333,7 +331,7 @@ class Stack:
         pkt = IPv4Packet(src=self.ip, dst=dst_ip, proto=proto, payload=payload)
         frags = fragment(pkt, dev.mtu)
         if len(frags) > 1:
-            yield self.sim.timeout(900 * (len(frags) - 1))  # fragmentation work
+            yield 900 * (len(frags) - 1)  # fragmentation work
         for frag in frags:
             frame = EthernetFrame(src=dev.mac, dst=dst_mac, payload=frag)
             yield from dev.send_blocking(frame)
@@ -364,7 +362,7 @@ class Stack:
                     STAGE_SOFTIRQ_WAKE, who=self.name, where=self.where
                 ) if spans.enabled else None
                 try:
-                    yield self.sim.timeout(params.softirq_wakeup_ns)
+                    yield params.softirq_wakeup_ns
                 finally:
                     if span is not None:
                         spans.close(span)
@@ -377,7 +375,7 @@ class Stack:
             if pkt.dst != self.ip:
                 continue
             if pkt.is_fragment:
-                yield self.sim.timeout(1_100)  # per-fragment reassembly work
+                yield 1_100  # per-fragment reassembly work
                 pkt = self._reasm.push(pkt)
                 if pkt is None:
                     continue
@@ -394,7 +392,7 @@ class Stack:
                 flow=flow, packet=f"icmp:{msg.ident}:{msg.seq}",
             ) if spans.enabled else None
             try:
-                yield self.sim.timeout(params.icmp_ns)
+                yield params.icmp_ns
             finally:
                 if span is not None:
                     spans.close(span)
@@ -405,9 +403,7 @@ class Stack:
                 STAGE_UDP_RX, who=self.name, where=self.where, flow=flow
             ) if spans.enabled else None
             try:
-                yield self.sim.timeout(
-                    params.udp_rx_ns + params.checksum_ns(dgram.payload.size)
-                )
+                yield params.udp_rx_ns + params.checksum_ns(dgram.payload.size)
             finally:
                 if span is not None:
                     spans.close(span)
@@ -425,7 +421,7 @@ class Stack:
                 STAGE_TCP_RX, who=self.name, where=self.where, flow=flow
             ) if spans.enabled else None
             try:
-                yield self.sim.timeout(cost + params.checksum_ns(seg.payload_bytes))
+                yield cost + params.checksum_ns(seg.payload_bytes)
             finally:
                 if span is not None:
                     spans.close(span)

@@ -303,7 +303,7 @@ class TcpConnection:
             raise ValueError("negative send size")
         params = self.stack.params
         if not self.in_kernel:
-            yield self.sim.timeout(params.syscall_ns)
+            yield params.syscall_ns
         remaining = nbytes
         while remaining > 0:
             space = self.send_space
@@ -328,9 +328,9 @@ class TcpConnection:
             if self.peer_fin:
                 break
             yield self._recv_signal.wait()
-            yield self.sim.timeout(params.sched_wakeup_ns)
+            yield params.sched_wakeup_ns
         if not self.in_kernel:
-            yield self.sim.timeout(params.syscall_ns)
+            yield params.syscall_ns
         return got
 
     def drain(self):
@@ -405,7 +405,7 @@ class TcpConnection:
             **flags,
         )
         cost = params.tcp_tx_ns if payload_bytes else params.tcp_ack_tx_ns
-        yield self.sim.timeout(cost + params.checksum_ns(payload_bytes))
+        yield cost + params.checksum_ns(payload_bytes)
         self.segments_sent += 1
         yield from self.stack.ip_send(self.remote_ip, PROTO_TCP, seg)
 
@@ -424,7 +424,7 @@ class TcpConnection:
                 # a go-back-N reset), keep the timer armed instead.
                 yield self._send_signal.wait()
                 continue
-            yield self.sim.timeout(self.rto_ns)
+            yield self.rto_ns
             if self.inflight == 0:
                 if (
                     self.snd_nxt < self.app_written

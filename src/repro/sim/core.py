@@ -10,12 +10,16 @@ Typical use::
     sim = Simulator()
 
     def worker(sim):
-        yield sim.timeout(100)      # wait 100 ns
+        yield 100                   # sleep 100 ns
         return "done"
 
     proc = sim.process(worker(sim))
     sim.run()
     assert proc.value == "done"
+
+A process yields either an :class:`Event` to wait for or a non-negative
+``int`` delay to sleep for.  A sleep needs no event object: the process
+itself is queued where a :class:`Timeout` would have been.
 
 Time is an integer number of nanoseconds throughout the library; see
 :mod:`repro.units` for conversion helpers.
@@ -160,11 +164,19 @@ class Process(Event):
     exception, unless nothing is waiting on it, in which case the
     exception propagates out of :meth:`Simulator.run`).
 
-    A process is its own wake-up callback: it sits in the callback list
-    of the event it waits on, :meth:`Simulator.run` recognises it there
-    and resumes it inline, and anything else that fires callbacks
-    (:meth:`Event._process`, hence :meth:`Simulator.step`) calls it,
-    which is :meth:`_resume`.
+    The generator yields either an :class:`Event` to wait for or a
+    non-negative ``int`` delay in nanoseconds to sleep for.
+
+    * **Waiting** — a process is its own wake-up callback: it sits in the
+      callback list of the event it waits on, :meth:`Simulator.run`
+      recognises it there and resumes it inline, and anything else that
+      fires callbacks (:meth:`Event._process`, hence
+      :meth:`Simulator.step`) calls it, which is :meth:`_resume`.
+    * **Sleeping** — the process itself is queued (slot array, or the
+      immediate deque for 0) at the position a :class:`Timeout` of that
+      delay would take, while still pending; the kernel resumes a
+      pending process it pops with ``None`` (:meth:`_wake`).  ``_target``
+      then holds the wake-up time.  A new process sleeps for 0 to start.
     """
 
     __slots__ = ("gen", "_target", "name")
@@ -174,24 +186,27 @@ class Process(Event):
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         # Bootstrap: start executing at the current time.
-        init = sim.event()
-        init.succeed()
-        init.callbacks.append(self)
-        self._target: Optional[Event] = init
+        sim._immediate.append(self)
+        self._target: Event | int | None = sim.now
 
     @property
     def is_alive(self) -> bool:
         return self._state == _PENDING
 
     def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current wait."""
+        """Throw :class:`Interrupt` into the process at its current wait.
+
+        A sleep is cut short when the interrupt is delivered: its queued
+        wake-up is removed then, so no stale wake-up fires later.
+        """
         if not self.is_alive:
             raise SimulationError(f"cannot interrupt finished process {self.name}")
-        if self._target is None:
+        target = self._target
+        if target is None:
             raise SimulationError(f"cannot interrupt unstarted process {self.name}")
-        if not self._target.triggered:
+        if target.__class__ is not int and not target.triggered:
             # Abandon the wait: queue primitives must not serve it.
-            self._target.cancelled = True
+            target.cancelled = True
         evt = self.sim.event()
         evt.fail(Interrupt(cause))
         evt.callbacks.append(self)
@@ -200,7 +215,7 @@ class Process(Event):
         # Stale wake-up: the process was interrupted (or otherwise resumed)
         # while this event was pending; ignore the original target firing.
         # Simulator.run inlines this method; keep the two in step.
-        if event is not self._target and not isinstance(event._value, Interrupt):
+        if event is not self._target and not self._interrupted_by(event):
             return
         if self._state != _PENDING:
             return
@@ -217,6 +232,26 @@ class Process(Event):
 
     __call__ = _resume
 
+    def _wake(self) -> None:
+        """The sleep ended: resume with ``None`` (:meth:`Simulator.run`
+        inlines this method; keep the two in step)."""
+        self._target = None
+        try:
+            result = self.gen.send(None)
+        except BaseException as exc:
+            self._exit(exc)
+            return
+        self._wait(result)
+
+    def _interrupted_by(self, event: Event) -> bool:
+        """Whether ``event``, which is not the awaited one, resumes the
+        process: an :class:`Interrupt` does, and cancels a pending sleep."""
+        if not isinstance(event._value, Interrupt):
+            return False
+        if self._target.__class__ is int:
+            self.sim._unschedule(self, self._target)
+        return True
+
     def _exit(self, exc: BaseException) -> None:
         """The generator returned (``StopIteration``) or raised ``exc``."""
         if isinstance(exc, StopIteration):
@@ -229,15 +264,22 @@ class Process(Event):
             self.sim._crash(exc)
 
     def _wait(self, result: Any) -> None:
-        """Park on ``result``, the event the generator just yielded."""
+        """Park on ``result``: the event or delay the generator just yielded."""
+        sim = self.sim
+        if result.__class__ is int:
+            if result < 0:
+                raise ValueError(f"negative timeout delay: {result}")
+            sim._schedule(self, result)
+            self._target = sim.now + result
+            return
         if not isinstance(result, Event):
             raise SimulationError(
-                f"process {self.name!r} yielded {result!r}; processes must yield Events"
+                f"process {self.name!r} yielded {result!r}; "
+                "processes must yield Events or int delays"
             )
         if result._state == _PROCESSED:
             # Already-processed events resume the process immediately (next
             # tick at the same timestamp).
-            sim = self.sim
             evt = sim.event()
             if result._ok:
                 evt.succeed(result._value)
@@ -312,9 +354,17 @@ class Simulator:
     plain ints, and the heap only grows with the number of distinct
     future times rather than the number of pending events.
 
-    Three fast paths keep the per-event cost low without changing the
+    An entry is either a triggered event or a sleeping :class:`Process`
+    (still pending: it yielded an ``int`` delay, see :class:`Process`).
+    Popping either is one processed event; a sleeping process is resumed
+    directly, with no event object, callback list or pooling.
+
+    Four fast paths keep the per-event cost low without changing the
     observable schedule:
 
+    * **sleeping processes** — ``yield delay`` queues the process itself
+      where a ``sim.timeout(delay)`` would queue its :class:`Timeout`,
+      so the schedule is the same and a wake-up needs no event object.
     * **immediate queue** — a zero-delay event goes straight onto a FIFO
       deque.  Whenever time advances, the *entire* slot at the new time
       is transferred onto that deque before any of it is processed, so
@@ -383,6 +433,12 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
+        """An event that fires ``delay`` ns from now with ``value``.
+
+        A process sleeps with ``yield delay``; a :class:`Timeout` is for
+        code that needs the event object (``any_of``, ``run(until=...)``,
+        a timer it keeps).
+        """
         delay = int(delay)
         pool = self._timeout_pool
         if pool:
@@ -394,7 +450,7 @@ class Simulator:
             evt._value = value
             evt._ok = True
             evt.cancelled = False
-            # _schedule inlined: timeouts are the most common event kind.
+            # _schedule inlined.
             if delay:
                 when = self.now + delay
                 slots = self._slots
@@ -436,6 +492,23 @@ class Simulator:
             # preserves global (time, scheduling-order) order.
             self._immediate.append(event)
 
+    def _unschedule(self, proc: Process, when: int) -> None:
+        """Remove the wake-up a sleeping ``proc`` has queued for ``when``.
+
+        No slot exists at the current time (see :meth:`_schedule`), so a
+        wake-up due now sits in the immediate deque and a later one in
+        its slot; an emptied slot leaves the heap too.
+        """
+        if when == self.now:
+            self._immediate.remove(proc)
+            return
+        slot = self._slots[when]
+        slot.remove(proc)
+        if not slot:
+            del self._slots[when]
+            self._times.remove(when)
+            heapq.heapify(self._times)
+
     def _crash(self, exc: BaseException) -> None:
         self._crashed = exc
 
@@ -456,7 +529,10 @@ class Simulator:
             immediate.extend(self._slots.pop(when))
         event = immediate.popleft()
         self.events_processed += 1
-        event._process()
+        if event._state == _PENDING:
+            event._wake()
+        else:
+            event._process()
         if self._crashed is not None:
             exc, self._crashed = self._crashed, None
             raise exc
@@ -482,8 +558,9 @@ class Simulator:
         array, immediate queue, free lists — lives in locals for the whole
         run instead of calling :meth:`step` per event; :meth:`step` remains
         the single-event reference implementation and the two are
-        behaviour-identical.  A :class:`Process` callback is resumed
-        inline (the body of :meth:`Process._resume`); any other callback
+        behaviour-identical.  A popped sleeping process is resumed inline
+        (the body of :meth:`Process._wake`), and so is a :class:`Process`
+        callback (the body of :meth:`Process._resume`); any other callback
         is called.  No local outlives its event's turn: a held slot list
         or yielded event would fail the pooling refcount test.  Deadline
         and drain runs wait on ``_NEVER``, an event that is never
@@ -512,6 +589,7 @@ class Simulator:
         times = self._times
         immediate = self._immediate
         pop = heapq.heappop
+        push = heapq.heappush
         timeout_pool = self._timeout_pool
         event_pool = self._event_pool
         refcount = getrefcount
@@ -543,46 +621,94 @@ class Simulator:
                         "simulation ran out of events before the awaited event fired"
                     )
                 processed += 1
-                event._state = _PROCESSED
-                callbacks = event.callbacks
-                if callbacks:
-                    event.callbacks = []
-                    for cb in callbacks:
-                        if cb.__class__ is not Process:
-                            cb(event)
-                            continue
-                        # Process._resume, inlined.
-                        if event is not cb._target and not isinstance(event._value, Interrupt):
-                            continue
-                        if cb._state != _PENDING:
-                            continue
-                        cb._target = None
-                        try:
-                            if event._ok:
-                                result = cb.gen.send(event._value)
+                if event._state == _PENDING:
+                    # A sleeping process wakes: Process._wake, inlined.
+                    event._target = None
+                    try:
+                        result = event.gen.send(None)
+                    except StopIteration as ret:
+                        # Process._exit -> succeed, inlined: a returning
+                        # process triggers itself now.
+                        event._state = _TRIGGERED
+                        event._value = ret.value
+                        immediate.append(event)
+                    except BaseException as exc:
+                        event._exit(exc)
+                    else:
+                        if result.__class__ is int and result >= 0:
+                            # Process._wait of a delay, inlined.
+                            if result:
+                                when = self.now + result
+                                slot = slots.get(when)
+                                if slot is None:
+                                    slots[when] = [event]
+                                    push(times, when)
+                                else:
+                                    slot.append(event)
+                                event._target = when
                             else:
-                                result = cb.gen.throw(event._value)
-                        except BaseException as exc:
-                            cb._exit(exc)
-                            continue
-                        if isinstance(result, Event) and result._state != _PROCESSED:
-                            result.callbacks.append(cb)
-                            cb._target = result
+                                immediate.append(event)
+                                event._target = self.now
+                        elif isinstance(result, Event) and result._state != _PROCESSED:
+                            result.callbacks.append(event)
+                            event._target = result
                         else:
-                            cb._wait(result)
+                            event._wait(result)
                         # A held yielded event would miss the pools when it fires.
                         result = None
+                    # Charged to the process itself (KernelProfiler.charge).
+                    callbacks = None
+                else:
+                    event._state = _PROCESSED
+                    callbacks = event.callbacks
+                    if callbacks:
+                        event.callbacks = []
+                        for cb in callbacks:
+                            if cb.__class__ is not Process:
+                                cb(event)
+                                continue
+                            # Process._resume, inlined.
+                            if event is not cb._target and not cb._interrupted_by(event):
+                                continue
+                            if cb._state != _PENDING:
+                                continue
+                            cb._target = None
+                            try:
+                                if event._ok:
+                                    result = cb.gen.send(event._value)
+                                else:
+                                    result = cb.gen.throw(event._value)
+                            except BaseException as exc:
+                                cb._exit(exc)
+                                continue
+                            if result.__class__ is int and result > 0:
+                                # Process._wait of a delay, inlined.
+                                when = self.now + result
+                                slot = slots.get(when)
+                                if slot is None:
+                                    slots[when] = [cb]
+                                    push(times, when)
+                                else:
+                                    slot.append(cb)
+                                cb._target = when
+                            elif isinstance(result, Event) and result._state != _PROCESSED:
+                                result.callbacks.append(cb)
+                                cb._target = result
+                            else:
+                                cb._wait(result)
+                            # A held yielded event would miss the pools when it fires.
+                            result = None
+                    if refcount(event) == 2:
+                        cls = event.__class__
+                        if cls is Timeout:
+                            event._value = None
+                            timeout_pool.append(event)
+                        elif cls is Event:
+                            event._value = None
+                            event_pool.append(event)
                 if self._crashed is not None:
                     exc, self._crashed = self._crashed, None
                     raise exc
-                if refcount(event) == 2:
-                    cls = event.__class__
-                    if cls is Timeout:
-                        event._value = None
-                        timeout_pool.append(event)
-                    elif cls is Event:
-                        event._value = None
-                        event_pool.append(event)
                 if profiler is not None:
                     profiler.charge(event, callbacks)
         finally:

@@ -16,7 +16,7 @@ of ns-3-class simulators — while everything else stays packet-level:
 * A captured flow is *parked*: its sender and retransmit loops block on
   a region event, in-flight segments drain through normal ACK
   processing, and once ``snd_una == snd_nxt`` the region advances the
-  flow in **strides** — one kernel timeout per stride instead of one
+  flow in **strides** — one kernel wake-up per stride instead of one
   event per packet — applying aggregate byte/segment/counter updates
   computed from max-min fair rate shares on the links the active flows
   share (:func:`max_min_rates`).
@@ -470,7 +470,7 @@ class FluidRegion:
             self._recompute()
             end = self._stride_end(now)
             self._strides.inc()
-            yield sim.timeout(end - now)
+            yield end - now
             now = sim.now
             for flow in list(self.active):
                 self._advance_flow(flow, flow.last_advance_ns, now)

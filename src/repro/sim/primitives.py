@@ -32,7 +32,7 @@ def _trigger_now(sim: Simulator, evt: Event, value: Any = None) -> None:
     the zero-delay branch of ``Simulator._schedule`` — valid only for
     events this module created itself and therefore knows are pending
     (fresh from ``sim.event()``, or parked on a waiter queue that nothing
-    else can trigger).  Store hand-offs are the hottest non-timeout event
+    else can trigger).  Store hand-offs are the hottest non-sleep event
     source in the simulator, which is why they get this shortcut.
     """
     evt._state = _TRIGGERED

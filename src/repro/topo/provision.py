@@ -76,13 +76,13 @@ def provision(
 
     def apply_host(ch, control):
         for cmd in ch.commands:
-            yield sim.timeout(apply_ns)
+            yield apply_ns
             control.apply(cmd)
         tracker.host_ready(ch.name)
 
     def kickoff(delay_ns, ch, control):
         if delay_ns:
-            yield sim.timeout(delay_ns)
+            yield delay_ns
         yield from apply_host(ch, control)
 
     for i, (ch, control) in enumerate(zip(compiled.hosts, testbed.controls)):

@@ -182,7 +182,7 @@ class AdaptationEngine:
         """Generator: run :meth:`failover` every ``interval_ns`` until the
         ``until_ns`` horizon (spawn with ``sim.process``)."""
         while self.sim.now + interval_ns <= until_ns:
-            yield self.sim.timeout(interval_ns)
+            yield interval_ns
             self.failover()
 
     def _host_index(self, ip: str) -> Optional[int]:

@@ -133,7 +133,7 @@ class VnetBridge(PacketStage):
                 STAGE_BRIDGE_TX, who=self.name, where="host", flow_of=frame
             ) if spans.enabled else None
             try:
-                yield self.sim.timeout(penalty + self.costs.bridge_tx_ns)
+                yield penalty + self.costs.bridge_tx_ns
             finally:
                 if span is not None:
                     spans.close(span)
@@ -144,9 +144,7 @@ class VnetBridge(PacketStage):
                 STAGE_ENCAP, who=self.name, where="host", flow_of=frame
             ) if spans.enabled else None
             try:
-                yield self.sim.timeout(
-                    penalty + self.costs.bridge_tx_ns + self.costs.encap_ns
-                )
+                yield penalty + self.costs.bridge_tx_ns + self.costs.encap_ns
             finally:
                 if span is not None:
                     spans.close(span)
@@ -160,9 +158,7 @@ class VnetBridge(PacketStage):
                 STAGE_ENCAP, who=self.name, where="host", flow_of=frame
             ) if spans.enabled else None
             try:
-                yield self.sim.timeout(
-                    penalty + self.costs.bridge_tx_ns + self.costs.encap_ns
-                )
+                yield penalty + self.costs.bridge_tx_ns + self.costs.encap_ns
             finally:
                 if span is not None:
                     spans.close(span)
@@ -209,7 +205,7 @@ class VnetBridge(PacketStage):
                 STAGE_DECAP, who=self.name, where="host", flow_of=encap.inner
             ) if spans.enabled else None
             try:
-                yield self.sim.timeout(self.costs.bridge_rx_ns + self.costs.decap_ns)
+                yield self.costs.bridge_rx_ns + self.costs.decap_ns
             finally:
                 if span is not None:
                     spans.close(span)
@@ -228,7 +224,7 @@ class VnetBridge(PacketStage):
                 STAGE_DECAP, who=self.name, where="host", flow_of=payload.inner
             ) if spans.enabled else None
             try:
-                yield self.sim.timeout(self.costs.bridge_rx_ns + self.costs.decap_ns)
+                yield self.costs.bridge_rx_ns + self.costs.decap_ns
             finally:
                 if span is not None:
                     spans.close(span)

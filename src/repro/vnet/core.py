@@ -205,7 +205,7 @@ class VnetCore(VnetNode, PacketStage):
         if ctl is None:
             # The interface was unregistered (VM migrating away) while this
             # kick was in flight; the frame stays queued for the new core.
-            yield self.sim.timeout(0)
+            yield 0
             return
         if ctl.mode is VnetMode.GUEST_DRIVEN:
             # Batched ring drain: one VM exit dispatches every frame the
@@ -221,7 +221,7 @@ class VnetCore(VnetNode, PacketStage):
         else:
             # VMM-driven: the dispatcher thread owns the TXQ; the kick (if
             # one slipped in before suppression took effect) is a no-op.
-            yield self.sim.timeout(0)
+            yield 0
 
     def _tx_dispatcher(self, if_name: str):
         """Per-NIC transmit dispatcher thread (active in VMM-driven mode)."""
@@ -248,7 +248,7 @@ class VnetCore(VnetNode, PacketStage):
                         STAGE_DISPATCH, who=self.name, where="vmm", flow_of=frame
                     ) if spans.enabled else None
                     try:
-                        yield self.sim.timeout(penalty)
+                        yield penalty
                     finally:
                         if span is not None:
                             spans.close(span)
@@ -277,7 +277,7 @@ class VnetCore(VnetNode, PacketStage):
 
         Guest frames come from the tx path with no ``ystate``; inbound
         frames carry the rx dispatcher's wakeup ``penalty``, merged into
-        the dispatch charge (one timeout instead of two) while
+        the dispatch charge (one sleep instead of two) while
         ``note_work_at`` keeps the adaptive idle clock on the unmerged
         instant, so the route lookup still happens at exactly
         now + penalty + dispatch_ns.
@@ -300,14 +300,14 @@ class VnetCore(VnetNode, PacketStage):
         try:
             if ystate is not None:
                 ystate.note_work_at(self.sim.now + penalty)
-            yield self.sim.timeout(penalty + self.costs.dispatch_ns)
+            yield penalty + self.costs.dispatch_ns
             if not broadcast:
                 try:
                     entry, cost = self.routing.lookup(frame.src, frame.dst)
                 except NoRouteError:
                     self._pkts_dropped_no_route.inc()
                     return
-                yield self.sim.timeout(cost)
+                yield cost
         finally:
             if span is not None:
                 spans.close(span)
@@ -343,10 +343,10 @@ class VnetCore(VnetNode, PacketStage):
 
         ``hit.charge_ns`` equals the
         dispatch + warm-lookup charges of the full chain, collapsed into
-        a single timeout, so simulated time is bit-identical while the
+        a single sleep, so simulated time is bit-identical while the
         kernel processes fewer events.  ``penalty``/``ystate`` mirror
         the rx dispatcher's wakeup accounting: the wakeup penalty is
-        merged into the same timeout (one kernel event instead of two)
+        merged into the same sleep (one kernel event instead of two)
         and ``note_work_at`` pins the adaptive yield strategy's idle
         clock to the instant the unmerged chain would have noted work.
         """
@@ -357,7 +357,7 @@ class VnetCore(VnetNode, PacketStage):
         try:
             if ystate is not None:
                 ystate.note_work_at(self.sim.now + penalty)
-            yield self.sim.timeout(penalty + hit.charge_ns)
+            yield penalty + hit.charge_ns
         finally:
             if span is not None:
                 spans.close(span)
@@ -381,7 +381,7 @@ class VnetCore(VnetNode, PacketStage):
                 STAGE_COPY, who=self.name, where="vmm", flow_of=frame
             ) if spans.enabled else None
             try:
-                yield self.sim.timeout(self.costs.cut_through_ns)
+                yield self.costs.cut_through_ns
             finally:
                 if span is not None:
                     spans.close(span)
@@ -428,7 +428,7 @@ class VnetCore(VnetNode, PacketStage):
                     STAGE_INJECT, who=self.name, where="vmm", flow_of=frame
                 ) if spans.enabled else None
                 try:
-                    yield self.sim.timeout(self.host.params.vmm.interrupt_inject_ns)
+                    yield self.host.params.vmm.interrupt_inject_ns
                 finally:
                     if span is not None:
                         spans.close(span)
@@ -451,7 +451,7 @@ class VnetCore(VnetNode, PacketStage):
                 STAGE_COPY, who=self.name, where="vmm", flow_of=frame
             ) if spans.enabled else None
             try:
-                yield self.sim.timeout(self.costs.cut_through_ns)
+                yield self.costs.cut_through_ns
             finally:
                 if span is not None:
                     spans.close(span)

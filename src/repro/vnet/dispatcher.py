@@ -109,7 +109,7 @@ class YieldState:
         """Record work found at a known (future) instant.
 
         The merged-charge fast paths collapse wakeup penalty and
-        dispatch charge into a single timeout; this keeps the adaptive
+        dispatch charge into a single sleep; this keeps the adaptive
         strategy's idle clock at the exact instant the work *would* have
         been noted on the unmerged chain.  ``last_work_ns`` is only read
         at the next blocked wakeup, which is always later still.

@@ -10,7 +10,7 @@ full :class:`~repro.sim.pipeline.PacketStage` chain (dispatch span,
 routing-table lookup, link/interface resolution) and the core *compiles*
 the outcome into a :class:`FlowCacheEntry`: the destination virtio NIC
 **or** the overlay :class:`~repro.vnet.overlay.LinkSpec`.  Subsequent
-packets take the cached chain, which charges one merged timeout and
+packets take the cached chain, which charges one merged sleep and
 skips the Python-level lookup; linked packets then go down the bridge's
 ordinary transmit path, so per-link chaos filters see every one of them.
 

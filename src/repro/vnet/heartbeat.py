@@ -125,4 +125,4 @@ class HeartbeatService:
                     self._sent.inc()
                 else:
                     self._send_failed.inc()
-            yield self.sim.timeout(self.interval_ns)
+            yield self.interval_ns

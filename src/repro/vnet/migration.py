@@ -104,13 +104,13 @@ def migrate_vm(
     blackout_ns = int(mem_bytes * stop_copy_fraction / migration_bw_Bps * units.SECOND)
 
     # Pre-copy phase: the VM keeps running and communicating.
-    yield sim.timeout(precopy_ns)
+    yield precopy_ns
 
     # Stop-and-copy: detach from the source overlay; packets to this MAC
     # now drop (no-route) until reattachment.
     src.routing.remove_matching(dst_mac=nic.mac)
     src.remove_interface(if_name)
-    yield sim.timeout(blackout_ns)
+    yield blackout_ns
 
     # Reattach at the destination and fix up routing everywhere.
     dst.register_interface(InterfaceSpec(name=dst_if_name, mac=nic.mac), nic)

@@ -73,9 +73,7 @@ class VnetUDaemon(VnetNode):
             frame = nic.txq.try_get()
             if frame is None:
                 break
-            yield self.sim.timeout(
-                params.transition_ns + self._copy_ns(frame.size)
-            )
+            yield params.transition_ns + self._copy_ns(frame.size)
             if not self.tapq.try_put(frame):
                 self.pkts_dropped += 1
 
@@ -101,8 +99,8 @@ class VnetUDaemon(VnetNode):
             frame = yield self.tapq.get()
             if blocked:
                 # Daemon was asleep; pay user-process scheduling latency.
-                yield self.sim.timeout(params.sched_latency_ns)
-            yield self.sim.timeout(self._daemon_work_ns(frame.size))
+                yield params.sched_latency_ns
+            yield self._daemon_work_ns(frame.size)
             try:
                 entry, _ = self.routing.lookup(frame.src, frame.dst)
             except NoRouteError:
@@ -127,9 +125,9 @@ class VnetUDaemon(VnetNode):
             if blocked:
                 # Daemon was asleep; pay user-process scheduling latency
                 # (amortised away under streaming load).
-                yield self.sim.timeout(params.sched_latency_ns)
+                yield params.sched_latency_ns
             frame = payload.inner
-            yield self.sim.timeout(self._daemon_work_ns(frame.size))
+            yield self._daemon_work_ns(frame.size)
             nic = self.if_by_mac.get(frame.dst)
             if nic is None and frame.dst != BROADCAST_MAC:
                 self.pkts_dropped += 1
@@ -143,7 +141,7 @@ class VnetUDaemon(VnetNode):
     def _deliver_local(self, frame: EthernetFrame, nic: "VirtioNIC"):
         """Daemon -> VMM ioctl -> guest RXQ + interrupt."""
         params = self.params
-        yield self.sim.timeout(params.transition_ns + self._copy_ns(frame.size))
+        yield params.transition_ns + self._copy_ns(frame.size)
         if nic.deliver_to_guest(frame):
             self.pkts_routed += 1
             nic.raise_irq()

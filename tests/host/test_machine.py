@@ -34,3 +34,21 @@ def test_noise_free_host_draws_nothing():
     # The stream is untouched: its next draw is the stream's first.
     ref = RandomStreams(seed=0).stream("h7.noise")
     assert host._noise_rng.integers(0, 1 << 30) == ref.integers(0, 1 << 30)
+
+
+def test_idle_host_seeds_no_noise_stream(monkeypatch):
+    """The OS-noise stream is seeded on the first draw, once: building a
+    host seeds nothing, and later draws reuse the stream."""
+    seeded = []
+    stream = RandomStreams.stream
+
+    def counting_stream(self, name):
+        seeded.append(name)
+        return stream(self, name)
+
+    monkeypatch.setattr(RandomStreams, "stream", counting_stream)
+    host = Host(Simulator(), default_host(), NETEFFECT_10G, ip="10.0.0.7", name="h7")
+    assert seeded == [] and host._noise_stream is None
+    host.wakeup_noise_ns()
+    host.wakeup_noise_ns()
+    assert seeded == ["h7.noise"]

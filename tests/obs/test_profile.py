@@ -66,6 +66,26 @@ def test_event_counts_reconcile_with_events_processed():
     assert rep.categories["proc:count.proc"]["events"] == 202
 
 
+def test_sleep_wakeups_charge_the_sleeping_process():
+    """A ``yield delay`` wake-up, which has no event object, books to the
+    same ``proc:<name>`` record as the ``Timeout`` it replaces."""
+
+    def categories(sleeps):
+        sim = Simulator()
+        prof = KernelProfiler.install(sim).enable()
+
+        def proc(sim):
+            for _ in range(40):
+                yield 10 if sleeps else sim.timeout(10)
+
+        sim.process(proc(sim), name="nap.proc.0")
+        sim.run()
+        return {k: c["events"] for k, c in prof.report().categories.items()}
+
+    assert categories(sleeps=True) == categories(sleeps=False)
+    assert categories(sleeps=True)["proc:nap.proc"] == 41  # start + 40 wake-ups
+
+
 def test_wall_time_reconciles_within_five_percent():
     # The acceptance check: attributed nanoseconds (categories + the
     # clock-advance bucket) must land within ±5% of the wall time

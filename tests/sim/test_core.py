@@ -13,6 +13,14 @@ from repro.sim import (
 )
 
 
+def _drive(sim, drive):
+    if drive == "run":
+        sim.run()
+    else:
+        while sim.peek() is not None:
+            sim.step()
+
+
 def test_clock_starts_at_zero():
     sim = Simulator()
     assert sim.now == 0
@@ -181,14 +189,226 @@ def test_yield_already_processed_event():
 
 
 def test_yield_non_event_is_error():
+    """A process yields an Event or an int delay; anything else, including
+    a float or a bool delay, is a kernel misuse."""
+    for value in ("x", 1.5, True, None):
+        for drive in ("run", "step"):
+            sim = Simulator()
+
+            def proc(sim):
+                yield value
+
+            sim.process(proc(sim))
+            with pytest.raises(SimulationError, match="must yield Events"):
+                _drive(sim, drive)
+
+
+@pytest.mark.parametrize("drive", ["run", "step"])
+def test_negative_sleep_rejected(drive):
+    """``yield -1`` raises the error ``sim.timeout(-1)`` raises."""
     sim = Simulator()
 
     def proc(sim):
-        yield 42
+        yield 5
+        yield -1
 
     sim.process(proc(sim))
-    with pytest.raises(SimulationError, match="must yield Events"):
-        sim.run()
+    with pytest.raises(ValueError, match="negative timeout delay: -1"):
+        _drive(sim, drive)
+
+
+@pytest.mark.parametrize("drive", ["run", "step"])
+def test_sleep_advances_clock_like_timeout(drive):
+    """``yield d`` and ``yield sim.timeout(d)`` wake at the same time,
+    resume with the same value (None) and count one event each."""
+    traces = []
+    for sleep in (True, False):
+        sim = Simulator()
+        log = []
+
+        def proc(sim, tag, delays):
+            for d in delays:
+                got = yield (d if sleep else sim.timeout(d))
+                log.append((sim.now, tag, got))
+
+        sim.process(proc(sim, "a", [10, 0, 5, 0]))
+        sim.process(proc(sim, "b", [0, 10, 5]))
+        _drive(sim, drive)
+        traces.append((log, sim.now, sim.events_processed))
+    assert traces[0] == traces[1]
+    # two starts, seven wake-ups, two exits
+    assert traces[0][2] == 2 + 7 + 2
+
+
+@pytest.mark.parametrize("drive", ["run", "step"])
+def test_sleep_zero_keeps_fifo_order(drive):
+    """``yield 0`` queues behind every event already due now, in order."""
+    sim = Simulator()
+    order = []
+
+    def sleeper(sim, tag):
+        yield 0
+        order.append(tag)
+
+    def trigger(evt, tag):
+        evt.succeed()
+        evt.callbacks.append(lambda _e: order.append(tag))
+
+    trigger(sim.event(), "e1")
+    sim.process(sleeper(sim, "p1"))
+    trigger(sim.event(), "e2")
+    sim.process(sleeper(sim, "p2"))
+    _drive(sim, drive)
+    assert order == ["e1", "e2", "p1", "p2"]
+
+
+@pytest.mark.parametrize("drive", ["run", "step"])
+def test_stale_sleep_after_interrupt_is_removed(drive):
+    """An interrupt during ``yield d`` removes the queued wake-up: the
+    process is not resumed at the old wake-up time and the queue holds
+    nothing for it (the sleep counterpart of
+    ``test_stale_timeout_after_interrupt_is_ignored``)."""
+    sim = Simulator()
+    resumed = []
+
+    def victim(sim):
+        try:
+            yield 100
+        except Interrupt:
+            resumed.append(("interrupted", sim.now))
+        yield 500
+        resumed.append(("woke", sim.now))
+
+    def attacker(sim, target):
+        yield 10
+        target.interrupt()
+
+    v = sim.process(victim(sim))
+    sim.process(attacker(sim, v))
+    sim.run(until=50)
+    assert resumed == [("interrupted", 10)]
+    assert sorted(sim._slots) == sim._times == [510]
+    _drive(sim, drive)
+    assert resumed == [("interrupted", 10), ("woke", 510)]
+    # two starts, two wake-ups, one interrupt, two exits
+    assert sim.events_processed == 7
+
+
+@pytest.mark.parametrize("drive", ["run", "step"])
+def test_interrupt_removes_sleep_due_now_and_in_shared_slot(drive):
+    """A wake-up due at the current time leaves the immediate deque; one
+    sharing its slot with another event leaves the slot, which still fires."""
+    sim = Simulator()
+    log = []
+    go = sim.event()
+
+    def now_sleeper(sim):
+        yield go
+        try:
+            yield 0  # queued behind the interrupt issued with ``go``
+            log.append(("woke", 0, sim.now))
+        except Interrupt:
+            log.append(("interrupted", 0, sim.now))
+
+    def sleeper(sim, delay):
+        try:
+            yield delay
+            log.append(("woke", delay, sim.now))
+        except Interrupt:
+            log.append(("interrupted", delay, sim.now))
+
+    def attacker(sim, targets):
+        yield 10
+        go.succeed()
+        for t in targets:
+            t.interrupt()
+
+    targets = [sim.process(now_sleeper(sim)), sim.process(sleeper(sim, 30))]
+    timer = sim.timeout(30)
+    timer.callbacks.append(lambda _e: log.append(("timer", 30, sim.now)))
+    sim.process(attacker(sim, targets))
+    _drive(sim, drive)
+    assert log == [("interrupted", 0, 10), ("interrupted", 30, 10), ("timer", 30, 30)]
+    assert not sim._immediate and not sim._slots and not sim._times
+
+
+@pytest.mark.parametrize("drive", ["run", "step"])
+def test_wakeup_queued_before_interrupt_still_wins(drive):
+    """A wake-up already queued for now ahead of the interrupt resumes the
+    process normally, as a ``Timeout`` would; the interrupt then reaches
+    the process at its next wait."""
+    sim = Simulator()
+    log = []
+
+    def victim(sim):
+        for delay in (10, 50):
+            try:
+                yield delay
+                log.append(("woke", sim.now))
+            except Interrupt:
+                log.append(("interrupted", sim.now))
+
+    def attacker(sim, targets):
+        yield 10
+        targets[0].interrupt()
+
+    targets = []
+    sim.process(attacker(sim, targets))
+    # The victim's 10 ns wake-up follows the attacker's, so it is queued
+    # when the interrupt is issued, ahead of it.
+    targets.append(sim.process(victim(sim)))
+    _drive(sim, drive)
+    assert log == [("woke", 10), ("interrupted", 10)]
+    assert sim.now == 10
+
+
+@pytest.mark.parametrize("drive", ["run", "step"])
+def test_interrupted_unstarted_process_starts_first(drive):
+    """Interrupting a process that has not run yet lets it start, then
+    delivers the interrupt at its first wait — here a sleep."""
+    sim = Simulator()
+    log = []
+
+    def victim(sim):
+        log.append(("started", sim.now))
+        try:
+            yield 100
+        except Interrupt as exc:
+            log.append(("interrupted", sim.now, exc.cause))
+        yield 1
+        log.append(("done", sim.now))
+
+    v = sim.process(victim(sim))
+    v.interrupt("early")
+    _drive(sim, drive)
+    assert log == [("started", 0), ("interrupted", 0, "early"), ("done", 1)]
+
+
+@pytest.mark.parametrize("drive", ["run", "step"])
+def test_double_interrupt_of_sleeper_reaches_next_sleep(drive):
+    """Two interrupts queued together: the first cuts the sleep short,
+    the second the sleep after it; neither leaves a wake-up behind."""
+    sim = Simulator()
+    log = []
+
+    def victim(sim):
+        for delay in (100, 200, 5):
+            try:
+                yield delay
+                log.append(("woke", sim.now))
+            except Interrupt as exc:
+                log.append(("interrupted", sim.now, exc.cause))
+
+    def attacker(sim, target):
+        yield 10
+        target.interrupt(1)
+        target.interrupt(2)
+
+    v = sim.process(victim(sim))
+    sim.process(attacker(sim, v))
+    _drive(sim, drive)
+    assert log == [("interrupted", 10, 1), ("interrupted", 10, 2), ("woke", 15)]
+    assert sim.now == 15
 
 
 def test_process_chaining():
@@ -449,13 +669,6 @@ def timeouts_built(monkeypatch):
     monkeypatch.setattr(Timeout, "__init__", counting_init)
     return built
 
-
-def _drive(sim, drive):
-    if drive == "run":
-        sim.run()
-    else:
-        while sim.peek() is not None:
-            sim.step()
 
 
 @pytest.mark.parametrize("drive", ["run", "step"])

@@ -183,8 +183,12 @@ def test_step_matches_run_batching():
 # A process program: each process runs a list of operations against one
 # shared store (capacity 2, so puts block), one single-slot resource and
 # the other processes.  Gets may wait forever; the run then drains.
+# ``sleep``, ``hold`` and ``interrupt`` wait by ``yield delay`` (or, in
+# the timeout form, by ``yield sim.timeout(delay)``), so interrupts also
+# land on sleeping processes.
 _op = st.one_of(
     st.tuples(st.just("timeout"), st.integers(min_value=0, max_value=20)),
+    st.tuples(st.just("sleep"), st.integers(min_value=0, max_value=20)),
     st.tuples(st.just("put"), st.integers(min_value=0, max_value=9)),
     st.tuples(st.just("get"), st.just(0)),
     st.tuples(st.just("hold"), st.integers(min_value=0, max_value=20)),
@@ -194,13 +198,18 @@ _op = st.one_of(
 _process_programs = st.lists(st.lists(_op, max_size=8), min_size=1, max_size=6)
 
 
-def _process_trace(program, drive: str) -> tuple[list, int]:
+def _process_trace(program, drive: str, sleeps: bool = True) -> tuple[list, int]:
     """``[(time, label), ...]`` of a process program, and the event count.
 
     ``drive`` is ``"run"``, ``"step"`` (a ``step()`` loop) or
-    ``"profiled"`` (``run()`` with an enabled kernel profiler).
+    ``"profiled"`` (``run()`` with an enabled kernel profiler).  With
+    ``sleeps=False`` every sleep is a yielded ``sim.timeout`` instead.
     """
     sim = Simulator()
+
+    def wait(delay):
+        return delay if sleeps else sim.timeout(delay)
+
     if drive == "profiled":
         KernelProfiler.install(sim).enable()
     store = Store(sim, capacity=2)
@@ -213,6 +222,8 @@ def _process_trace(program, drive: str) -> tuple[list, int]:
             try:
                 if kind == "timeout":
                     yield sim.timeout(arg)
+                elif kind == "sleep":
+                    yield wait(arg)
                 elif kind == "put":
                     yield store.put(arg)
                 elif kind == "get":
@@ -220,14 +231,14 @@ def _process_trace(program, drive: str) -> tuple[list, int]:
                 elif kind == "hold":
                     yield resource.request()
                     try:
-                        yield sim.timeout(arg)
+                        yield wait(arg)
                     finally:
                         resource.release()
                 elif kind == "any":
                     fired = yield sim.any_of([sim.timeout(arg, "a"), sim.timeout(arg // 2, "b")])
                     arg = sorted(fired.values())
                 else:
-                    yield sim.timeout(arg)
+                    yield wait(arg)
                     target = procs[(pid + 1) % len(procs)]
                     if target is not procs[pid] and target.is_alive:
                         target.interrupt(pid)
@@ -249,10 +260,27 @@ def _process_trace(program, drive: str) -> tuple[list, int]:
 @settings(max_examples=120, deadline=None)
 @given(program=_process_programs)
 def test_process_programs_identical_under_run_step_and_profiler(program):
-    """Generated process programs (timeouts, store hand-offs, a resource,
-    ``any_of`` and interrupts) give the same trace and event count when
-    driven by ``run()``, by a ``step()`` loop and by a profiled ``run()``:
-    the run loop's inlined process wake-up behaves like ``Process._resume``."""
+    """Generated process programs (timeouts, sleeps, store hand-offs, a
+    resource, ``any_of`` and interrupts, also of sleeping processes) give
+    the same trace and event count when driven by ``run()``, by a
+    ``step()`` loop and by a profiled ``run()``: the run loop's inlined
+    wake-ups behave like ``Process._resume`` and ``Process._wake``."""
     reference = _process_trace(program, "step")
     assert _process_trace(program, "run") == reference
     assert _process_trace(program, "profiled") == reference
+
+
+@settings(max_examples=120, deadline=None)
+@given(program=_process_programs)
+def test_sleeps_schedule_like_timeouts(program):
+    """``yield delay`` fires every process step at the time and in the
+    order ``yield sim.timeout(delay)`` does.  The event counts match too,
+    except that an interrupted sleep leaves no stale wake-up to count
+    where an interrupted timeout still fires (ignored)."""
+    trace, events = _process_trace(program, "run")
+    timeout_trace, timeout_events = _process_trace(program, "run", sleeps=False)
+    assert trace == timeout_trace
+    if any(kind == "interrupt" for ops in program for kind, _ in ops):
+        assert events <= timeout_events
+    else:
+        assert events == timeout_events

@@ -106,6 +106,23 @@ def test_golden_ttcp():
             "frames": _frames(tcp_tb, udp_tb)} == golden["fig8_quick"]
 
 
+# Kernel events of two packet-level runs, pinned exactly.  Host-cost work
+# in the kernel (sleeping processes, pools, inlined wake-ups) must leave
+# them alone; a change that merges, splits or drops events moves them and
+# must say so here.
+EVENT_COUNT_PINS = {"ping": 14_022, "ttcp": 80_743}
+
+
+def test_kernel_event_counts_pinned():
+    """200 VNET/P-10G pings and a packet-level 10 MB TCP ttcp."""
+    tb = build_vnetp(nic_params=NETEFFECT_10G)
+    run_ping(tb.endpoints[0], tb.endpoints[1], count=200)
+    tcp = build_vnetp(nic_params=NETEFFECT_10G, tuning=VnetTuning(fluid=False))
+    run_ttcp_tcp(tcp.endpoints[0], tcp.endpoints[1], total_bytes=10 * units.MB)
+    counts = {"ping": tb.sim.events_processed, "ttcp": tcp.sim.events_processed}
+    assert counts == EVENT_COUNT_PINS
+
+
 def test_golden_trace():
     """The full per-packet span trace of a 5-ping run is bit-identical.
 
