@@ -5,7 +5,6 @@ from .core import (
     AnyOf,
     Condition,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
@@ -21,7 +20,6 @@ __all__ = [
     "AnyOf",
     "Condition",
     "Event",
-    "Interrupt",
     "Process",
     "SimulationError",
     "Simulator",

@@ -39,7 +39,6 @@ __all__ = [
     "Condition",
     "AnyOf",
     "AllOf",
-    "Interrupt",
     "SimulationError",
     "Simulator",
 ]
@@ -47,17 +46,6 @@ __all__ = [
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation kernel (e.g. double-trigger)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when :meth:`Process.interrupt` is called.
-
-    The interrupt ``cause`` is available as ``exc.cause``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 # Event lifecycle: PENDING -> TRIGGERED (scheduled on the heap) -> PROCESSED
@@ -76,7 +64,7 @@ class Event:
     are resumed when the event is processed.
     """
 
-    __slots__ = ("sim", "callbacks", "_state", "_value", "_ok", "cancelled")
+    __slots__ = ("sim", "callbacks", "_state", "_value", "_ok")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -84,10 +72,6 @@ class Event:
         self._state = _PENDING
         self._value: Any = None
         self._ok = True
-        # Set when the waiting process was interrupted away from this
-        # event; queue primitives skip cancelled waiters instead of
-        # handing them items nobody will consume.
-        self.cancelled = False
 
     @property
     def triggered(self) -> bool:
@@ -144,13 +128,12 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` nanoseconds after creation."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: int, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
         super().__init__(sim)
-        self.delay = delay
         self._state = _TRIGGERED
         self._value = value
         sim._schedule(self, delay)
@@ -175,11 +158,14 @@ class Process(Event):
     * **Sleeping** — the process itself is queued (slot array, or the
       immediate deque for 0) at the position a :class:`Timeout` of that
       delay would take, while still pending; the kernel resumes a
-      pending process it pops with ``None`` (:meth:`_wake`).  ``_target``
-      then holds the wake-up time.  A new process sleeps for 0 to start.
+      pending process it pops with ``None`` (:meth:`_wake`).  A new
+      process sleeps for 0 to start.
+
+    A process sits in exactly one queue or callback list at a time, so
+    every wake-up it receives is the one it waits for.
     """
 
-    __slots__ = ("gen", "_target", "name")
+    __slots__ = ("gen", "name")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: Optional[str] = None):
         super().__init__(sim)
@@ -187,39 +173,14 @@ class Process(Event):
         self.name = name or getattr(gen, "__name__", "process")
         # Bootstrap: start executing at the current time.
         sim._immediate.append(self)
-        self._target: Event | int | None = sim.now
 
     @property
     def is_alive(self) -> bool:
         return self._state == _PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current wait.
-
-        A sleep is cut short when the interrupt is delivered: its queued
-        wake-up is removed then, so no stale wake-up fires later.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt finished process {self.name}")
-        target = self._target
-        if target is None:
-            raise SimulationError(f"cannot interrupt unstarted process {self.name}")
-        if target.__class__ is not int and not target.triggered:
-            # Abandon the wait: queue primitives must not serve it.
-            target.cancelled = True
-        evt = self.sim.event()
-        evt.fail(Interrupt(cause))
-        evt.callbacks.append(self)
-
     def _resume(self, event: Event) -> None:
-        # Stale wake-up: the process was interrupted (or otherwise resumed)
-        # while this event was pending; ignore the original target firing.
-        # Simulator.run inlines this method; keep the two in step.
-        if event is not self._target and not self._interrupted_by(event):
-            return
-        if self._state != _PENDING:
-            return
-        self._target = None
+        """The awaited ``event`` fired (:meth:`Simulator.run` inlines this
+        method; keep the two in step)."""
         try:
             if event._ok:
                 result = self.gen.send(event._value)
@@ -235,22 +196,12 @@ class Process(Event):
     def _wake(self) -> None:
         """The sleep ended: resume with ``None`` (:meth:`Simulator.run`
         inlines this method; keep the two in step)."""
-        self._target = None
         try:
             result = self.gen.send(None)
         except BaseException as exc:
             self._exit(exc)
             return
         self._wait(result)
-
-    def _interrupted_by(self, event: Event) -> bool:
-        """Whether ``event``, which is not the awaited one, resumes the
-        process: an :class:`Interrupt` does, and cancels a pending sleep."""
-        if not isinstance(event._value, Interrupt):
-            return False
-        if self._target.__class__ is int:
-            self.sim._unschedule(self, self._target)
-        return True
 
     def _exit(self, exc: BaseException) -> None:
         """The generator returned (``StopIteration``) or raised ``exc``."""
@@ -270,7 +221,6 @@ class Process(Event):
             if result < 0:
                 raise ValueError(f"negative timeout delay: {result}")
             sim._schedule(self, result)
-            self._target = sim.now + result
             return
         if not isinstance(result, Event):
             raise SimulationError(
@@ -291,7 +241,6 @@ class Process(Event):
                 sim._schedule(evt, 0)
             result = evt
         result.callbacks.append(self)
-        self._target = result
 
 
 class Condition(Event):
@@ -377,15 +326,15 @@ class Simulator:
       and applies its whole slot through the immediate deque, one heap
       pop per distinct time instead of one per event; :meth:`run` takes
       the event of a one-event slot directly.
-    * **event pools** — processed :class:`Timeout` and plain
-      :class:`Event` instances are recycled through free lists.  An
-      object is only pooled when its refcount proves nothing outside
-      :meth:`step` still references it, so user code that holds onto an
-      event (conditions, queued waiters, saved timers) is never handed a
-      reused object.
+    * **event pool** — processed plain :class:`Event` instances (store
+      hand-offs, resource grants, signals) are recycled through a free
+      list.  An object is only pooled when its refcount proves nothing
+      outside :meth:`step` still references it, so user code that holds
+      onto an event (conditions, queued waiters, saved events) is never
+      handed a reused object.
     """
 
-    #: Upper bound on each free list: a full pool drops its oldest event
+    #: Upper bound on the free list: a full pool drops its oldest event
     #: to the GC as a new one comes in.
     POOL_MAX = 2048
 
@@ -398,7 +347,6 @@ class Simulator:
         "_times",
         "_immediate",
         "_crashed",
-        "_timeout_pool",
         "_event_pool",
         "events_processed",
         "_repro_obs",
@@ -412,7 +360,6 @@ class Simulator:
         self._times: list[int] = []
         self._immediate: deque[Event] = deque()
         self._crashed: Optional[BaseException] = None
-        self._timeout_pool: deque[Timeout] = deque(maxlen=self.POOL_MAX)
         self._event_pool: deque[Event] = deque(maxlen=self.POOL_MAX)
         #: Number of events processed by :meth:`step`.
         self.events_processed = 0
@@ -428,7 +375,6 @@ class Simulator:
             evt = pool.pop()
             evt._state = _PENDING
             evt._ok = True
-            evt.cancelled = False
             return evt
         return Event(self)
 
@@ -439,31 +385,7 @@ class Simulator:
         code that needs the event object (``any_of``, ``run(until=...)``,
         a timer it keeps).
         """
-        delay = int(delay)
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise ValueError(f"negative timeout delay: {delay}")
-            evt = pool.pop()
-            evt.delay = delay
-            evt._state = _TRIGGERED
-            evt._value = value
-            evt._ok = True
-            evt.cancelled = False
-            # _schedule inlined.
-            if delay:
-                when = self.now + delay
-                slots = self._slots
-                slot = slots.get(when)
-                if slot is None:
-                    slots[when] = [evt]
-                    heapq.heappush(self._times, when)
-                else:
-                    slot.append(evt)
-            else:
-                self._immediate.append(evt)
-            return evt
-        return Timeout(self, delay, value)
+        return Timeout(self, int(delay), value)
 
     def process(self, gen: Generator, name: Optional[str] = None) -> Process:
         return Process(self, gen, name)
@@ -491,23 +413,6 @@ class Simulator:
             # positive delays land strictly in the future), so appending
             # preserves global (time, scheduling-order) order.
             self._immediate.append(event)
-
-    def _unschedule(self, proc: Process, when: int) -> None:
-        """Remove the wake-up a sleeping ``proc`` has queued for ``when``.
-
-        No slot exists at the current time (see :meth:`_schedule`), so a
-        wake-up due now sits in the immediate deque and a later one in
-        its slot; an emptied slot leaves the heap too.
-        """
-        if when == self.now:
-            self._immediate.remove(proc)
-            return
-        slot = self._slots[when]
-        slot.remove(proc)
-        if not slot:
-            del self._slots[when]
-            self._times.remove(when)
-            heapq.heapify(self._times)
 
     def _crash(self, exc: BaseException) -> None:
         self._crashed = exc
@@ -538,24 +443,20 @@ class Simulator:
             raise exc
         # Recycle the event if nothing else can see it any more: refcount 2
         # is exactly our local binding plus getrefcount's own argument, so
-        # user code holding a timer (any_of, saved events) blocks pooling.
-        if getrefcount(event) == 2:
-            cls = event.__class__
-            if cls is Timeout:
-                event._value = None
-                self._timeout_pool.append(event)
-            elif cls is Event:
-                event._value = None
-                self._event_pool.append(event)
+        # user code holding an event (any_of, saved events) blocks pooling.
+        if getrefcount(event) == 2 and event.__class__ is Event:
+            event._value = None
+            self._event_pool.append(event)
 
     def run(self, until: Optional[int | Event] = None) -> Any:
         """Run until the queues drain, a deadline passes, or an event fires.
 
-        ``until`` may be an absolute time (ns) or an :class:`Event`; when an
-        event is given its value is returned (or its exception raised).
+        ``until`` may be an absolute time (ns), not before :attr:`now`, or
+        an :class:`Event`; when an event is given its value is returned (or
+        its exception raised).
 
         This is the kernel's only event loop.  Hot kernel state — slot
-        array, immediate queue, free lists — lives in locals for the whole
+        array, immediate queue, free list — lives in locals for the whole
         run instead of calling :meth:`step` per event; :meth:`step` remains
         the single-event reference implementation and the two are
         behaviour-identical.  A popped sleeping process is resumed inline
@@ -579,6 +480,8 @@ class Simulator:
         else:
             stop = _NEVER
             deadline = None if until is None else int(until)
+            if deadline is not None and deadline < self.now:
+                raise ValueError(f"deadline {deadline} ns is before now ({self.now} ns)")
         profiler = self._profiler
         if profiler is not None:
             if profiler.enabled:
@@ -590,7 +493,6 @@ class Simulator:
         immediate = self._immediate
         pop = heapq.heappop
         push = heapq.heappush
-        timeout_pool = self._timeout_pool
         event_pool = self._event_pool
         refcount = getrefcount
         processed = 0
@@ -610,7 +512,7 @@ class Simulator:
                     else:
                         immediate.extend(slot)
                         event = immediate.popleft()
-                    # A held slot list would pin its events out of the pools.
+                    # A held slot list would pin its events out of the pool.
                     slot = None
                     if profiler is not None:
                         profiler.advanced()
@@ -623,7 +525,6 @@ class Simulator:
                 processed += 1
                 if event._state == _PENDING:
                     # A sleeping process wakes: Process._wake, inlined.
-                    event._target = None
                     try:
                         result = event.gen.send(None)
                     except StopIteration as ret:
@@ -645,16 +546,13 @@ class Simulator:
                                     push(times, when)
                                 else:
                                     slot.append(event)
-                                event._target = when
                             else:
                                 immediate.append(event)
-                                event._target = self.now
                         elif isinstance(result, Event) and result._state != _PROCESSED:
                             result.callbacks.append(event)
-                            event._target = result
                         else:
                             event._wait(result)
-                        # A held yielded event would miss the pools when it fires.
+                        # A held yielded event would miss the pool when it fires.
                         result = None
                     # Charged to the process itself (KernelProfiler.charge).
                     callbacks = None
@@ -668,11 +566,6 @@ class Simulator:
                                 cb(event)
                                 continue
                             # Process._resume, inlined.
-                            if event is not cb._target and not cb._interrupted_by(event):
-                                continue
-                            if cb._state != _PENDING:
-                                continue
-                            cb._target = None
                             try:
                                 if event._ok:
                                     result = cb.gen.send(event._value)
@@ -690,22 +583,15 @@ class Simulator:
                                     push(times, when)
                                 else:
                                     slot.append(cb)
-                                cb._target = when
                             elif isinstance(result, Event) and result._state != _PROCESSED:
                                 result.callbacks.append(cb)
-                                cb._target = result
                             else:
                                 cb._wait(result)
-                            # A held yielded event would miss the pools when it fires.
+                            # A held yielded event would miss the pool when it fires.
                             result = None
-                    if refcount(event) == 2:
-                        cls = event.__class__
-                        if cls is Timeout:
-                            event._value = None
-                            timeout_pool.append(event)
-                        elif cls is Event:
-                            event._value = None
-                            event_pool.append(event)
+                    if refcount(event) == 2 and event.__class__ is Event:
+                        event._value = None
+                        event_pool.append(event)
                 if self._crashed is not None:
                     exc, self._crashed = self._crashed, None
                     raise exc

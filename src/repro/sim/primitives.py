@@ -142,10 +142,7 @@ class Store:
         getters = self._getters
         items = self.items
         while getters and items:
-            getter = getters.pop(0)
-            if getter.cancelled:
-                continue  # waiter was interrupted away; keep the item
-            _trigger_now(sim, getter, items.popleft())
+            _trigger_now(sim, getters.pop(0), items.popleft())
             if self._putters:
                 self._admit_putter()
 
@@ -156,8 +153,6 @@ class Store:
         capacity = self.capacity
         while putters and (capacity is None or len(items) < capacity):
             putter, item = putters.pop(0)
-            if putter.cancelled:
-                continue  # interrupted putter: its item is not enqueued
             items.append(item)  # a putter only blocks on a full deque
             _trigger_now(sim, putter)
             # The newly stored item may satisfy a waiting getter.
@@ -207,14 +202,11 @@ class Resource:
         if self.in_use <= 0:
             raise SimulationError(f"release of idle resource {self.name!r}")
         waiters = self._waiters
-        while waiters:
-            waiter = waiters.pop(0)
-            if waiter.cancelled:
-                continue  # interrupted away before acquiring
-            # Hand the slot directly to the next live waiter.
-            waiter.succeed()
-            return
-        self.in_use -= 1
+        if waiters:
+            # Hand the slot directly to the next waiter.
+            waiters.pop(0).succeed()
+        else:
+            self.in_use -= 1
 
 
 class Signal:

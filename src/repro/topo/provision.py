@@ -91,7 +91,7 @@ def provision(
 
     horizon = (len(compiled.hosts) * stagger_ns
                + compiled.n_commands * apply_ns + until_slack_ns)
-    sim.run(until=horizon)
+    sim.run(until=sim.now + horizon)
     if not tracker.converged:
         raise RuntimeError(
             f"overlay failed to converge within {horizon} ns "

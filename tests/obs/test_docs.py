@@ -44,6 +44,31 @@ def test_checker_flags_broken_reference(tmp_path):
     assert any("also/missing.py" in e for e in errors)
 
 
+def test_docs_test_references_resolve():
+    mod = _load_checker()
+    assert mod.check_test_refs(REPO) == []
+
+
+def test_checker_flags_stale_test_reference(tmp_path):
+    mod = _load_checker()
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text(
+        "def test_kept():\n    pass\n\n\nclass TestGroup:\n"
+        "    def test_method(self):\n        pass\n"
+    )
+    (tmp_path / "docs" / "a.md").write_text(
+        "Kept (`tests/test_a.py::test_kept`, `::test_method`), gone\n"
+        "(`::test_deleted`), and `tests/test_missing.py::test_kept`.\n"
+    )
+    (tmp_path / "docs" / "b.md").write_text("An orphan `::test_kept`.\n")
+    assert mod.check_test_refs(tmp_path) == [
+        "docs/a.md: stale test reference 'tests/test_a.py::test_deleted'",
+        "docs/a.md: stale test reference 'tests/test_missing.py::test_kept'",
+        "docs/b.md: '::test_kept' follows no test file reference",
+    ]
+
+
 def test_checker_flags_missing_docstring(tmp_path):
     mod = _load_checker()
     obs = tmp_path / "src" / "repro" / "obs"

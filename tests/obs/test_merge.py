@@ -1,6 +1,5 @@
 """Tests for cross-process metrics aggregation: dump/merge and capture."""
 
-import math
 import pickle
 
 import pytest
@@ -8,7 +7,6 @@ import pytest
 from repro.obs.context import Observability, capture_run
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator
-from repro.sim.trace import SampleStats
 
 
 def _populated() -> MetricsRegistry:
@@ -79,37 +77,3 @@ def test_capture_run_collects_new_simulations():
     with capture_run() as empty:
         pass
     assert empty.dump() == {"metrics": {}, "timelines": [], "health": []}
-
-
-def test_sample_stats_merge_matches_streaming():
-    xs = [1.0, 2.0, 5.5, -3.0, 8.25, 0.5, 4.0]
-    whole = SampleStats()
-    whole.extend(xs)
-    left, right = SampleStats(), SampleStats()
-    left.extend(xs[:3])
-    right.extend(xs[3:])
-    left.merge(right)
-    assert left.n == whole.n
-    assert left.mean == pytest.approx(whole.mean)
-    assert left.variance == pytest.approx(whole.variance)
-    assert left.min == whole.min and left.max == whole.max
-    assert left.samples == xs
-
-
-def test_sample_stats_merge_empty_cases():
-    empty = SampleStats()
-    filled = SampleStats()
-    filled.extend([1.0, 2.0])
-    assert empty.merge(filled).mean == pytest.approx(1.5)
-    other = SampleStats()
-    assert filled.merge(other).n == 2
-    both = SampleStats().merge(SampleStats())
-    assert both.n == 0 and math.isnan(both.mean)
-
-
-def test_sample_stats_merge_drops_reservoir_if_either_side_did():
-    kept = SampleStats()
-    kept.extend([1.0, 2.0])
-    dropped = SampleStats(keep_samples=False)
-    dropped.extend([3.0])
-    assert kept.merge(dropped).samples is None

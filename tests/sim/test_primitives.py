@@ -234,107 +234,6 @@ def test_signal_rearms_after_fire():
     assert sig.fire_count == 2
 
 
-def test_interrupted_getter_does_not_swallow_items():
-    from repro.sim import Interrupt
-
-    sim = Simulator()
-    store = Store(sim)
-    outcomes = []
-
-    def impatient(sim):
-        try:
-            yield store.get()
-        except Interrupt:
-            outcomes.append("interrupted")
-
-    def patient(sim):
-        item = yield store.get()
-        outcomes.append(("got", item))
-
-    def driver(sim, victim):
-        yield sim.timeout(10)
-        victim.interrupt()
-        yield sim.timeout(10)
-        yield store.put("the-item")
-
-    v = sim.process(impatient(sim))
-    sim.process(patient(sim))
-    sim.process(driver(sim, v))
-    sim.run()
-    # The interrupted waiter must not consume the item; the patient one gets it.
-    assert outcomes == ["interrupted", ("got", "the-item")]
-
-
-def test_interrupted_resource_waiter_releases_slot():
-    from repro.sim import Interrupt
-
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    order = []
-
-    def holder(sim):
-        yield res.request()
-        yield sim.timeout(100)
-        res.release()
-
-    def quitter(sim):
-        try:
-            yield res.request()
-        except Interrupt:
-            order.append("quit")
-
-    def heir(sim):
-        yield sim.timeout(1)
-        yield res.request()
-        order.append(("acquired", sim.now))
-        res.release()
-
-    sim.process(holder(sim))
-    q = sim.process(quitter(sim))
-    sim.process(heir(sim))
-
-    def driver(sim):
-        yield sim.timeout(50)
-        q.interrupt()
-
-    sim.process(driver(sim))
-    sim.run()
-    # The slot skips the interrupted waiter and goes to the next in line.
-    assert order == ["quit", ("acquired", 100)]
-    assert res.available == 1
-
-
-def test_interrupted_putter_item_not_enqueued():
-    from repro.sim import Interrupt
-
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    store.try_put("occupying")
-    outcomes = []
-
-    def blocked_putter(sim):
-        try:
-            yield store.put("abandoned")
-        except Interrupt:
-            outcomes.append("put-interrupted")
-
-    def driver(sim, victim):
-        yield sim.timeout(5)
-        victim.interrupt()
-        yield sim.timeout(5)
-        first = yield store.get()
-        outcomes.append(first)
-        # The abandoned item must never appear.
-        assert store.try_get() is None
-
-    p = sim.process(blocked_putter(sim))
-    sim.process(driver(sim, p))
-    sim.run()
-    assert outcomes == ["put-interrupted", "occupying"]
-
-
-# --- lazily allocated queues -------------------------------------------------
-
 def test_fresh_store_queues_are_shared_and_empty():
     sim = Simulator()
     a, b = Store(sim), Store(sim, capacity=1)
@@ -457,61 +356,6 @@ def test_putter_blocks_on_fresh_capacity_one_store():
         (20, "got", "b0"), (20, "put", "a1"), (30, "got", "a1"),
         (30, "put", "b1"), (40, "got", "b1"),
     ]
-
-
-@pytest.mark.parametrize("queue_exists", [False, True])
-def test_interrupted_waiters_around_queue_allocation(queue_exists):
-    from repro.sim import Interrupt
-
-    sim = Simulator()
-    store, res = Store(sim), Resource(sim, capacity=1)
-    if queue_exists:
-        # Allocate both waiter queues and drain them again.
-        blocker = res.request()
-        res.request()
-        store.get()
-        store.try_put("warm-up")
-        res.release()
-        res.release()
-        assert blocker.triggered and store._getters == [] and res._waiters == []
-    outcomes = []
-
-    def impatient(sim):
-        try:
-            yield sim.timeout(100)  # interrupted before touching the queues
-        except Interrupt:
-            outcomes.append("early")
-        for wait in (store.get, res.request):
-            try:
-                yield wait()  # the first waiter on each queue
-            except Interrupt:
-                outcomes.append("late")
-
-    def patient(sim):
-        yield sim.timeout(2)
-        outcomes.append(("got", (yield store.get())))
-        yield res.request()
-        outcomes.append(("acquired", sim.now))
-        res.release()
-
-    def driver(sim, victim):
-        yield res.request()
-        victim.interrupt()
-        yield sim.timeout(5)
-        victim.interrupt()  # out of store.get
-        yield sim.timeout(1)
-        victim.interrupt()  # out of res.request
-        yield sim.timeout(5)
-        yield store.put("item")
-        yield sim.timeout(5)
-        res.release()
-
-    victim = sim.process(impatient(sim))
-    sim.process(patient(sim))
-    sim.process(driver(sim, victim))
-    sim.run()
-    assert outcomes == ["early", "late", "late", ("got", "item"), ("acquired", 16)]
-    assert res.available == 1 and len(store) == 0
 
 
 def test_idle_stores_and_resources_allocate_no_queues():

@@ -18,7 +18,7 @@ import heapq
 from hypothesis import given, settings, strategies as st
 
 from repro.obs.profile import KernelProfiler
-from repro.sim import Interrupt, Resource, Simulator, Store
+from repro.sim import Resource, Simulator, Store
 
 # A schedule program is a list of root timers; each timer carries a delay
 # and a list of child timers to schedule when it fires (children with
@@ -183,9 +183,8 @@ def test_step_matches_run_batching():
 # A process program: each process runs a list of operations against one
 # shared store (capacity 2, so puts block), one single-slot resource and
 # the other processes.  Gets may wait forever; the run then drains.
-# ``sleep``, ``hold`` and ``interrupt`` wait by ``yield delay`` (or, in
-# the timeout form, by ``yield sim.timeout(delay)``), so interrupts also
-# land on sleeping processes.
+# ``sleep`` and ``hold`` wait by ``yield delay`` (or, in the timeout form,
+# by ``yield sim.timeout(delay)``).
 _op = st.one_of(
     st.tuples(st.just("timeout"), st.integers(min_value=0, max_value=20)),
     st.tuples(st.just("sleep"), st.integers(min_value=0, max_value=20)),
@@ -193,7 +192,6 @@ _op = st.one_of(
     st.tuples(st.just("get"), st.just(0)),
     st.tuples(st.just("hold"), st.integers(min_value=0, max_value=20)),
     st.tuples(st.just("any"), st.integers(min_value=0, max_value=20)),
-    st.tuples(st.just("interrupt"), st.integers(min_value=0, max_value=5)),
 )
 _process_programs = st.lists(st.lists(_op, max_size=8), min_size=1, max_size=6)
 
@@ -215,40 +213,29 @@ def _process_trace(program, drive: str, sleeps: bool = True) -> tuple[list, int]
     store = Store(sim, capacity=2)
     resource = Resource(sim, capacity=1)
     trace: list = []
-    procs: list = []
 
     def body(pid, ops):
         for j, (kind, arg) in enumerate(ops):
-            try:
-                if kind == "timeout":
-                    yield sim.timeout(arg)
-                elif kind == "sleep":
-                    yield wait(arg)
-                elif kind == "put":
-                    yield store.put(arg)
-                elif kind == "get":
-                    arg = yield store.get()
-                elif kind == "hold":
-                    yield resource.request()
-                    try:
-                        yield wait(arg)
-                    finally:
-                        resource.release()
-                elif kind == "any":
-                    fired = yield sim.any_of([sim.timeout(arg, "a"), sim.timeout(arg // 2, "b")])
-                    arg = sorted(fired.values())
-                else:
-                    yield wait(arg)
-                    target = procs[(pid + 1) % len(procs)]
-                    if target is not procs[pid] and target.is_alive:
-                        target.interrupt(pid)
-                trace.append((sim.now, (pid, j, kind, arg)))
-            except Interrupt as exc:
-                trace.append((sim.now, (pid, j, "interrupted", exc.cause)))
+            if kind == "timeout":
+                yield sim.timeout(arg)
+            elif kind == "sleep":
+                yield wait(arg)
+            elif kind == "put":
+                yield store.put(arg)
+            elif kind == "get":
+                arg = yield store.get()
+            elif kind == "hold":
+                yield resource.request()
+                yield wait(arg)
+                resource.release()
+            else:
+                fired = yield sim.any_of([sim.timeout(arg, "a"), sim.timeout(arg // 2, "b")])
+                arg = sorted(fired.values())
+            trace.append((sim.now, (pid, j, kind, arg)))
         trace.append((sim.now, (pid, "done")))
 
     for pid, ops in enumerate(program):
-        procs.append(sim.process(body(pid, ops)))
+        sim.process(body(pid, ops))
     if drive == "step":
         while sim.peek() is not None:
             sim.step()
@@ -261,8 +248,7 @@ def _process_trace(program, drive: str, sleeps: bool = True) -> tuple[list, int]
 @given(program=_process_programs)
 def test_process_programs_identical_under_run_step_and_profiler(program):
     """Generated process programs (timeouts, sleeps, store hand-offs, a
-    resource, ``any_of`` and interrupts, also of sleeping processes) give
-    the same trace and event count when driven by ``run()``, by a
+    resource and ``any_of``) give the same trace and event count when driven by ``run()``, by a
     ``step()`` loop and by a profiled ``run()``: the run loop's inlined
     wake-ups behave like ``Process._resume`` and ``Process._wake``."""
     reference = _process_trace(program, "step")
@@ -274,13 +260,8 @@ def test_process_programs_identical_under_run_step_and_profiler(program):
 @given(program=_process_programs)
 def test_sleeps_schedule_like_timeouts(program):
     """``yield delay`` fires every process step at the time and in the
-    order ``yield sim.timeout(delay)`` does.  The event counts match too,
-    except that an interrupted sleep leaves no stale wake-up to count
-    where an interrupted timeout still fires (ignored)."""
+    order ``yield sim.timeout(delay)`` does, with the same event count."""
     trace, events = _process_trace(program, "run")
     timeout_trace, timeout_events = _process_trace(program, "run", sleeps=False)
     assert trace == timeout_trace
-    if any(kind == "interrupt" for ops in program for kind, _ in ops):
-        assert events <= timeout_events
-    else:
-        assert events == timeout_events
+    assert events == timeout_events

@@ -32,13 +32,6 @@ def test_sample_stats_empty():
     assert s.variance == 0.0
 
 
-def test_sample_stats_no_reservoir():
-    s = SampleStats(keep_samples=False)
-    s.add(5.0)
-    with pytest.raises(ValueError):
-        s.percentile(50)
-
-
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=100))
 def test_property_streaming_mean_matches_batch(xs):
     s = SampleStats()

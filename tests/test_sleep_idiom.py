@@ -1,7 +1,7 @@
 """Source-wide check: processes sleep by yielding their delay.
 
 ``yield delay`` queues the process itself; ``yield sim.timeout(delay)``
-schedules the same wake-up through a pooled :class:`~repro.sim.Timeout`
+schedules the same wake-up through a :class:`~repro.sim.Timeout` event
 at about twice the host cost.  ``Simulator.timeout`` stays for code that
 needs an event object (``any_of``, ``run(until=...)``, saved timers).
 """

@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
 """Documentation checks run by CI.
 
-Two checks, importable individually by the test suite:
+Three checks, importable individually by the test suite:
 
 * :func:`check_links` — every internal file reference in ``docs/*.md``
   (markdown links plus backticked ``path/to/file.md``/``.py`` mentions)
   resolves to a real file in the repository;
+* :func:`check_test_refs` — every ``tests/….py::test_name`` reference in
+  ``docs/*.md`` names a test defined in that file; a bare
+  ``::test_name`` resolves against the previous full reference in the
+  same doc;
 * :func:`check_docstrings` — every public module in ``src/repro/obs/``,
   ``src/repro/exec/``, ``src/repro/chaos/`` and ``src/repro/topo/`` has
   a module docstring,
@@ -29,6 +33,9 @@ _MD_LINK = re.compile(r"\[[^\]]*\]\(([^)#\s]+)(?:#[^)\s]*)?\)")
 # Backticked repo-file mentions: `docs/foo.md`, `vnet/core.py`, ...
 _TICK_REF = re.compile(r"`([A-Za-z0-9_.\-/]+\.(?:md|py))`")
 _EXTERNAL = ("http://", "https://", "mailto:")
+# Test references: `tests/sim/test_core.py::test_x`, or a bare `::test_y`
+# naming another test of the file referenced last.
+_TEST_REF = re.compile(r"([A-Za-z0-9_./\-]+\.py)?::(test_[A-Za-z0-9_]+)")
 
 
 def _resolves(ref: str, md_file: Path, repo: Path) -> bool:
@@ -53,6 +60,35 @@ def check_links(repo: Path) -> list[str]:
         for ref in refs:
             if not _resolves(ref, md_file, repo):
                 errors.append(f"{md_file.relative_to(repo)}: broken reference {ref!r}")
+    return errors
+
+
+def _defined_tests(py_file: Path) -> set[str]:
+    tree = ast.parse(py_file.read_text(encoding="utf-8"))
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+def check_test_refs(repo: Path) -> list[str]:
+    """Test references in ``docs/*.md`` that name no defined test."""
+    errors = []
+    defined: dict[str, set[str]] = {}
+    for md_file in sorted((repo / "docs").glob("*.md")):
+        rel = md_file.relative_to(repo)
+        current = None
+        for path, name in _TEST_REF.findall(md_file.read_text(encoding="utf-8")):
+            current = path or current
+            if current is None:
+                errors.append(f"{rel}: '::{name}' follows no test file reference")
+                continue
+            if current not in defined:
+                test_file = repo / current
+                defined[current] = _defined_tests(test_file) if test_file.is_file() else set()
+            if name not in defined[current]:
+                errors.append(f"{rel}: stale test reference '{current}::{name}'")
     return errors
 
 
@@ -132,14 +168,14 @@ def check_docstrings(repo: Path) -> list[str]:
 
 def main() -> int:
     repo = Path(__file__).resolve().parent.parent
-    errors = check_links(repo) + check_docstrings(repo)
+    errors = check_links(repo) + check_test_refs(repo) + check_docstrings(repo)
     for err in errors:
         print(err, file=sys.stderr)
     if errors:
         print(f"{len(errors)} documentation problem(s)", file=sys.stderr)
         return 1
     print(
-        "docs OK: links resolve, repro.obs/repro.exec/repro.chaos/repro.topo "
+        "docs OK: links and test references resolve, repro.obs/repro.exec/repro.chaos/repro.topo "
         "(+ flowcache) public surfaces documented"
     )
     return 0
