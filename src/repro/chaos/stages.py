@@ -58,8 +58,9 @@ class FaultInjector(PacketStage):
 
     Subclasses implement :meth:`ingress`; on a pass they must forward by
     returning ``self.forward(frame)``, on a drop they count and return
-    ``False`` (the wrapped port then counts the drop too, exactly as if
-    the sink itself had refused the frame).
+    ``False`` (the port's ``push`` then reports the refusal, exactly as
+    if the sink itself had refused the frame).  :meth:`counts` reads
+    every counter.
     """
 
     kind = "fault"
@@ -86,7 +87,11 @@ class FaultInjector(PacketStage):
         return c
 
     def counts(self) -> dict:
-        """Snapshot of this injector's chaos counters."""
+        """Snapshot of this injector's chaos counters.
+
+        Counters are created on first use, so a metric this injector has
+        not bumped yet (say ``dropped`` before any drop) is absent.
+        """
         return {metric: c.value for metric, c in sorted(self._counters.items())}
 
     # -- chain management --------------------------------------------------
@@ -150,14 +155,6 @@ class LossStage(FaultInjector):
         self.rate = rate
         self._rng = Rng(seed)
 
-    @property
-    def dropped(self) -> int:
-        return self.counter("dropped").value
-
-    @property
-    def passed(self) -> int:
-        return self.counter("passed").value
-
     def ingress(self, frame: Any) -> Any:
         """Drop with probability ``rate``; otherwise forward."""
         if self._rng.random() < self.rate:
@@ -201,14 +198,6 @@ class GilbertElliottStage(FaultInjector):
         self.bad = False
         self._rng = Rng(seed)
 
-    @property
-    def dropped(self) -> int:
-        return self.counter("dropped").value
-
-    @property
-    def passed(self) -> int:
-        return self.counter("passed").value
-
     def ingress(self, frame: Any) -> Any:
         """Advance the channel state, then drop per the state's loss prob."""
         rng = self._rng
@@ -238,14 +227,6 @@ class PartitionStage(FaultInjector):
                  failed: bool = False):
         super().__init__(sim, name)
         self.failed = failed
-
-    @property
-    def blackholed(self) -> int:
-        return self.counter("blackholed").value
-
-    @property
-    def passed(self) -> int:
-        return self.counter("passed").value
 
     def ingress(self, frame: Any) -> Any:
         """Blackhole while failed; otherwise forward untouched."""
@@ -296,14 +277,6 @@ class ReorderStage(FaultInjector):
         self.delay_ns = int(delay_ns)
         self._rng = Rng(seed)
 
-    @property
-    def reordered(self) -> int:
-        return self.counter("reordered").value
-
-    @property
-    def passed(self) -> int:
-        return self.counter("passed").value
-
     def ingress(self, frame: Any) -> Any:
         """Hold the frame for ``delay_ns`` with probability ``prob``."""
         if self._rng.random() < self.prob:
@@ -339,10 +312,6 @@ class DelayStage(FaultInjector):
         super().__init__(sim, name)
         self.delay_ns = int(delay_ns)
 
-    @property
-    def delayed(self) -> int:
-        return self.counter("delayed").value
-
     def ingress(self, frame: Any) -> Any:
         """Hold the frame for exactly ``delay_ns``, then deliver it."""
         self.counter("delayed").inc()
@@ -372,14 +341,6 @@ class DuplicateStage(FaultInjector):
         super().__init__(sim, name)
         self.prob = prob
         self._rng = Rng(seed)
-
-    @property
-    def duplicated(self) -> int:
-        return self.counter("duplicated").value
-
-    @property
-    def passed(self) -> int:
-        return self.counter("passed").value
 
     def ingress(self, frame: Any) -> Any:
         """Forward once, and a second time with probability ``prob``."""

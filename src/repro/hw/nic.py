@@ -49,33 +49,12 @@ class PhysicalNIC(PacketStage):
         )
         metrics = self.obs.metrics
         prefix = f"hw.nic.{name}"
-        self._tx_bytes = metrics.counter(f"{prefix}.tx_bytes")
-        self._rx_bytes = metrics.counter(f"{prefix}.rx_bytes")
-        self._tx_frames = metrics.counter(f"{prefix}.tx_frames")
-        self._rx_frames = metrics.counter(f"{prefix}.rx_frames")
-        self._dropped_frames = metrics.counter(f"{prefix}.dropped_frames")
+        self.tx_bytes = metrics.counter(f"{prefix}.tx_bytes")
+        self.rx_bytes = metrics.counter(f"{prefix}.rx_bytes")
+        self.tx_frames = metrics.counter(f"{prefix}.tx_frames")
+        self.rx_frames = metrics.counter(f"{prefix}.rx_frames")
+        self.dropped_frames = metrics.counter(f"{prefix}.dropped_frames")
         sim.process(self._tx_loop(), name=f"{name}.tx")
-
-    # -- counters (registry-backed, read-only views) -----------------------
-    @property
-    def tx_bytes(self) -> int:
-        return self._tx_bytes.value
-
-    @property
-    def rx_bytes(self) -> int:
-        return self._rx_bytes.value
-
-    @property
-    def tx_frames(self) -> int:
-        return self._tx_frames.value
-
-    @property
-    def rx_frames(self) -> int:
-        return self._rx_frames.value
-
-    @property
-    def dropped_frames(self) -> int:
-        return self._dropped_frames.value
 
     # -- attachment --------------------------------------------------------
     @property
@@ -92,7 +71,7 @@ class PhysicalNIC(PacketStage):
             )
         ok = self.txq.try_put(frame)
         if not ok:
-            self._dropped_frames.inc()
+            self.dropped_frames.inc()
         return ok
 
     def _tx_loop(self):
@@ -111,8 +90,8 @@ class PhysicalNIC(PacketStage):
             finally:
                 if span is not None:
                     spans.close(span)
-            self._tx_bytes.inc(frame.size)
-            self._tx_frames.inc()
+            self.tx_bytes.inc(frame.size)
+            self.tx_frames.inc()
             tx_port.push(frame)
 
     # -- receive -----------------------------------------------------------
@@ -123,8 +102,8 @@ class PhysicalNIC(PacketStage):
         the hand-off to the driver is a single latency-charged port push
         (no per-frame process).
         """
-        self._rx_bytes.inc(frame.size)
-        self._rx_frames.inc()
+        self.rx_bytes.inc(frame.size)
+        self.rx_frames.inc()
         params = self.params
         self.rx_port.push_after(
             frame, params.rx_ring_ns + params.rx_interrupt_delay_ns

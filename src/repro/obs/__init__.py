@@ -82,7 +82,7 @@ from .fairness import (
     publish_fairness,
     score_flows,
 )
-from .metrics import Counter, Gauge, Histogram, LabeledCounters, MetricsRegistry
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .profile import (
     KernelProfiler,
     ProfileReport,
@@ -106,7 +106,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "LabeledCounters",
     "MetricsRegistry",
     "CANONICAL_STAGES",
     "Span",

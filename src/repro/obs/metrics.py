@@ -14,23 +14,22 @@ Naming convention (see ``docs/observability.md``): dot-separated
     hw.nic.h0.nic.tx_bytes
     palacios.h0.exits.virtio-kick
 
-Counter *families* that the old code kept as ``collections.Counter``
-(e.g. per-reason VM-exit counts) are modelled by :class:`LabeledCounters`
-— a mapping-like view over ``<prefix>.<label>`` counters that preserves
-``family["label"]`` read access.
+A counter *family* (per-reason VM-exit counts) is one counter per
+label, named ``<prefix>.<label>`` and created at the label's first use.
+Components hold their counters as public attributes and read
+``counter.value``; the registry is the only place a count is kept.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "LabeledCounters",
     "MetricsRegistry",
 ]
 
@@ -214,52 +213,6 @@ class Histogram:
         return f"<Histogram {self.name} n={self.count}>"
 
 
-class LabeledCounters:
-    """Mapping-like family of counters sharing a dotted name prefix.
-
-    Replaces the private ``collections.Counter`` pattern: reads keep the
-    familiar ``family["label"]`` shape (missing labels read as 0), while
-    every label lives in the registry as ``<prefix>.<label>``.
-    """
-
-    def __init__(self, registry: "MetricsRegistry", prefix: str):
-        self._registry = registry
-        self._prefix = prefix
-        self._by_label: dict[str, Counter] = {}
-
-    def inc(self, label: str, n: int = 1) -> None:
-        counter = self._by_label.get(label)
-        if counter is None:
-            counter = self._registry.counter(f"{self._prefix}.{label}")
-            self._by_label[label] = counter
-        counter.inc(n)
-
-    def __getitem__(self, label: str) -> int:
-        counter = self._by_label.get(label)
-        return counter.value if counter is not None else 0
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._by_label
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._by_label)
-
-    def keys(self) -> Iterable[str]:
-        return self._by_label.keys()
-
-    def items(self) -> Iterable[tuple[str, int]]:
-        return [(label, c.value) for label, c in self._by_label.items()]
-
-    def values(self) -> Iterable[int]:
-        return [c.value for c in self._by_label.values()]
-
-    def total(self) -> int:
-        return sum(c.value for c in self._by_label.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<LabeledCounters {self._prefix} {dict(self.items())}>"
-
-
 class MetricsRegistry:
     """Name-keyed home for every metric one simulation publishes.
 
@@ -297,9 +250,6 @@ class MetricsRegistry:
                 f"histogram {name!r} already registered with edges {hist.edges}"
             )
         return hist
-
-    def labeled(self, prefix: str) -> LabeledCounters:
-        return LabeledCounters(self, prefix)
 
     # -- queries ----------------------------------------------------------
     def get(self, name: str) -> Optional[Counter | Gauge | Histogram]:

@@ -13,13 +13,20 @@ Spans are recorded through :class:`SpanRecorder`, usually reached via
 default** (it is O(events) memory); the always-on counterpart is the
 metrics registry (:mod:`repro.obs.metrics`).
 
-Instrumentation idiom — a ``with`` block inside a simulation process
-works across ``yield``s, so a span brackets exactly the virtual time the
-enclosed charges take::
+Instrumentation idiom — inside a simulation process, a span opened
+before a charge and closed in ``finally`` brackets exactly the virtual
+time the charge takes, across its ``yield``; the ``enabled`` guard keeps
+a disabled span to one attribute read::
 
-    with obs.spans.span(STAGE_DISPATCH, who=self.name, where="vmm",
-                        flow=flow_id(frame), packet=frame.id):
+    spans = obs.spans
+    span = spans.open(
+        STAGE_DISPATCH, who=self.name, where="vmm", flow_of=frame
+    ) if spans.enabled else None
+    try:
         yield self.costs.dispatch_ns
+    finally:
+        if span is not None:
+            spans.close(span)
 
 The stage taxonomy is documented in ``docs/observability.md``; the
 canonical names below cover the VNET/P one-way path so that the recorded
@@ -164,45 +171,12 @@ class Span:
         )
 
 
-class _NullSpan:
-    """No-op context manager returned while recording is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class _LiveSpan:
-    """Context manager that closes an opened span on exit."""
-
-    __slots__ = ("recorder", "span")
-
-    def __init__(self, recorder: "SpanRecorder", span: Span):
-        self.recorder = recorder
-        self.span = span
-
-    def __enter__(self):
-        return self.span
-
-    def __exit__(self, *exc):
-        self.recorder.close(self.span)
-        return False
-
-
 class SpanRecorder:
     """Collects spans against one simulator's virtual clock.
 
-    ``enabled`` may be flipped at any time.  :meth:`span` is the
-    readable idiom; packet-path stages guard on ``enabled`` and use
-    :meth:`open`/:meth:`close` in ``try``/``finally`` so that a disabled
-    span costs one attribute read (see :meth:`open`).
+    ``enabled`` may be flipped at any time.  Packet-path stages guard on
+    ``enabled`` and use :meth:`open`/:meth:`close` in ``try``/``finally``
+    so that a disabled span costs one attribute read (see :meth:`open`).
     """
 
     def __init__(self, sim: "Simulator", enabled: bool = False):
@@ -210,23 +184,6 @@ class SpanRecorder:
         self.enabled = enabled
         self.spans: list[Span] = []
         self._seq = 0
-
-    def span(
-        self,
-        stage: str,
-        who: str = "",
-        where: str = "",
-        flow: Optional[str] = None,
-        packet: Optional[int] = None,
-        flow_of: Any = None,
-    ):
-        """Context manager bracketing one stage of the packet path.
-
-        Opens the span (see :meth:`open`) on the call and closes it on
-        exit, also when the body raises; a no-op while recording is off.
-        """
-        span = self.open(stage, who, where, flow, packet, flow_of)
-        return _NULL_SPAN if span is None else _LiveSpan(self, span)
 
     def open(
         self,

@@ -61,41 +61,16 @@ class VirtioNIC(PacketStage):
         self.obs = Observability.of(self.sim)
         metrics = self.obs.metrics
         prefix = f"palacios.virtio.{self.name}"
-        self._irq_injections = metrics.counter(f"{prefix}.irq_injections")
-        self._full_irq_wakeups = metrics.counter(f"{prefix}.full_irq_wakeups")
-        self._tx_packets = metrics.counter(f"{prefix}.tx_packets")
-        self._rx_packets = metrics.counter(f"{prefix}.rx_packets")
-        self._rx_drops = metrics.counter(f"{prefix}.rx_drops")
-        self._tx_kicks = metrics.counter(f"{prefix}.tx_kicks")
+        self.irq_injections = metrics.counter(f"{prefix}.irq_injections")
+        self.full_irq_wakeups = metrics.counter(f"{prefix}.full_irq_wakeups")
+        self.tx_packets = metrics.counter(f"{prefix}.tx_packets")
+        self.rx_packets = metrics.counter(f"{prefix}.rx_packets")
+        self.rx_drops = metrics.counter(f"{prefix}.rx_drops")
+        self.tx_kicks = metrics.counter(f"{prefix}.tx_kicks")
         # Ring occupancy as a time-weighted gauge: set with timestamps so
         # time_avg() reads true mean depth, not the last sampled value.
         self._rxq_depth = metrics.gauge(f"{prefix}.rxq_depth")
         self.sim.process(self._guest_rx_loop(), name=f"{self.name}.rxloop")
-
-    # -- counters (registry-backed, read-only views) ----------------------------
-    @property
-    def irq_injections(self) -> int:
-        return self._irq_injections.value
-
-    @property
-    def full_irq_wakeups(self) -> int:
-        return self._full_irq_wakeups.value
-
-    @property
-    def tx_packets(self) -> int:
-        return self._tx_packets.value
-
-    @property
-    def rx_packets(self) -> int:
-        return self._rx_packets.value
-
-    @property
-    def rx_drops(self) -> int:
-        return self._rx_drops.value
-
-    @property
-    def tx_kicks(self) -> int:
-        return self._tx_kicks.value
 
     # -- registration -----------------------------------------------------------
     def bind(self, stack: Stack, default: bool = True) -> None:
@@ -134,12 +109,12 @@ class VirtioNIC(PacketStage):
             if span is not None:
                 spans.close(span)
         yield self.txq.put(frame)
-        self._tx_packets.inc()
+        self.tx_packets.inc()
         if not self.suppress_kicks:
             # I/O port write -> VM exit; the kick handler (packet dispatch in
             # guest-driven mode, a cheap wakeup in VMM-driven mode) runs
             # inside the exit, stalling this VCPU.
-            self._tx_kicks.inc()
+            self.tx_kicks.inc()
             self.vm.vmm.count_exit("virtio-kick")
             span = spans.open(
                 STAGE_VMEXIT, who=self.name, where="vmm", flow_of=frame
@@ -165,7 +140,7 @@ class VirtioNIC(PacketStage):
     def deliver_to_guest(self, frame: EthernetFrame) -> bool:
         """Place a frame in the RXQ; returns False if the ring overflowed."""
         if not self.rxq.try_put(frame):
-            self._rx_drops.inc()
+            self.rx_drops.inc()
             return False
         self._rxq_depth.set(len(self.rxq), now_ns=self.sim.now)
         return True
@@ -177,7 +152,7 @@ class VirtioNIC(PacketStage):
         """Interrupt injection request (the injection cost itself is charged
         by the dispatcher; the guest-side exit/entry is charged in the rx
         loop when it wakes)."""
-        self._irq_injections.inc()
+        self.irq_injections.inc()
         self._irq.fire()
 
     # -- guest receive loop ------------------------------------------------------
@@ -207,7 +182,7 @@ class VirtioNIC(PacketStage):
                 )
                 if self.sim.now - last_work > params.irq_coalesce_ns:
                     cost += params.irq_wakeup_ns
-                    self._full_irq_wakeups.inc()
+                    self.full_irq_wakeups.inc()
                 span = spans.open(
                     STAGE_GUEST_WAKE, who=self.name, where="vmm"
                 ) if spans.enabled else None
@@ -232,7 +207,7 @@ class VirtioNIC(PacketStage):
             finally:
                 if span is not None:
                     spans.close(span)
-            self._rx_packets.inc()
+            self.rx_packets.inc()
             last_work = self.sim.now
             self.guest_rx.push(frame)
 

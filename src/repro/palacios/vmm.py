@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 from ..config import VMMParams, VirtioParams
 from ..obs.context import Observability
-from ..obs.metrics import LabeledCounters
+from ..obs.metrics import Counter
 from ..proto.stack import Stack
 from ..sim import Simulator
 
@@ -33,12 +33,9 @@ class PalaciosVMM:
         self.virtio_params: VirtioParams = host.params.virtio
         self.vms: list[VirtualMachine] = []
         self.obs = Observability.of(sim)
-        # Per-reason VM-exit counts, published as
-        # ``palacios.<host>.exits.<reason>`` in the metrics registry while
-        # keeping the familiar ``exit_counts["reason"]`` read shape.
-        self.exit_counts: LabeledCounters = self.obs.metrics.labeled(
-            f"palacios.{host.name}.exits"
-        )
+        # Per-reason VM-exit counters ``palacios.<host>.exits.<reason>``,
+        # each created at its reason's first exit.
+        self.exit_counts: dict[str, Counter] = {}
         host.vmm = self
 
     def create_vm(
@@ -54,7 +51,12 @@ class PalaciosVMM:
 
     # -- exit accounting ------------------------------------------------------
     def count_exit(self, reason: str) -> None:
-        self.exit_counts.inc(reason)
+        counter = self.exit_counts.get(reason)
+        if counter is None:
+            counter = self.exit_counts[reason] = self.obs.metrics.counter(
+                f"palacios.{self.host.name}.exits.{reason}"
+            )
+        counter.inc()
 
     def exit_entry(self, reason: str, handler_ns: int = 0):
         """Generator: charge one full exit + handler + entry to the caller

@@ -10,7 +10,7 @@ from .core import (
     Simulator,
     Timeout,
 )
-from .pipeline import CopyCharger, PacketStage, Port
+from .pipeline import PacketStage, Port
 from .primitives import Resource, Signal, Store
 from .rng import RandomStreams
 from .trace import SampleStats
@@ -24,7 +24,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Timeout",
-    "CopyCharger",
     "PacketStage",
     "Port",
     "Resource",

@@ -220,7 +220,6 @@ class FluidRegion:
         self.obs = Observability.of(sim)
         metrics = self.obs.metrics
         self._captures = metrics.counter("sim.fluid.captures")
-        self._releases = metrics.labeled("sim.fluid.releases")
         self._strides = metrics.counter("sim.fluid.strides")
         self._bytes = metrics.counter("sim.fluid.bytes")
         self._active_gauge = metrics.gauge("sim.fluid.active_flows")
@@ -400,7 +399,7 @@ class FluidRegion:
         del self.flows[conn]
         conn.fluid = None
         flow._wake()
-        self._releases.inc(reason)
+        self.obs.metrics.counter(f"sim.fluid.releases.{reason}").inc()
         self._active_gauge.set(len(self.active), now_ns=self.sim.now)
         self.obs.health.log.emit(
             self.sim.now, "sim.fluid", "release", "info",

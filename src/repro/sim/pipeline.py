@@ -1,5 +1,4 @@
-"""Unified datapath pipeline: :class:`Port`, :class:`PacketStage`,
-:class:`CopyCharger`.
+"""Unified datapath pipeline: :class:`Port` and :class:`PacketStage`.
 
 Every hop of the simulated packet path — virtio ring, VNET/P core,
 bridge, host stack, physical NIC, link/switch — hands frames to the
@@ -14,20 +13,15 @@ next layer through one abstraction:
 * :class:`PacketStage` — base class for datapath components.  A stage
   accepts frames through ``ingress(frame) -> bool`` and emits them
   through named :class:`Port`\\ s registered in ``stage.ports``.
-* :class:`CopyCharger` — charged-not-performed copy accounting.  Frames
-  are slotted descriptors whose payloads are shared by reference; a
-  "copy" charges virtual time against the host memory system and counts
-  the bytes, but never duplicates the payload object (the zero-copy
-  analogue of VNET/P+ cut-through forwarding).
 
 Ownership rules (see ``docs/architecture.md``):
 
 1. Pushing a frame into a Port transfers ownership downstream; the
    pushing stage must not mutate or re-send the descriptor afterwards.
 2. Payloads are immutable once a descriptor is in flight.  Stages that
-   conceptually copy (VMM copy, bridge-VM crossing) go through
-   :class:`CopyCharger` / ``MemorySystem.copy_at`` so the *time* and
-   *bandwidth contention* of the copy are modelled without moving data.
+   conceptually copy (VMM copy, bridge-VM crossing) charge
+   ``MemorySystem.copy_at`` so the *time* and *bandwidth contention* of
+   the copy are modelled without moving data.
 3. A Port has exactly one sink.  Build-time wiring uses
    :meth:`Port.connect`, which raises on double connection (a NIC
    cannot be cabled twice); instrumentation harnesses that
@@ -48,24 +42,20 @@ from typing import Any, Callable, Optional
 
 from .core import _TRIGGERED, Simulator
 
-__all__ = ["Port", "PacketStage", "CopyCharger"]
+__all__ = ["Port", "PacketStage"]
 
 
 class Port:
     """A unidirectional frame hand-off point between two pipeline stages.
 
-    Counters (``frames``, ``bytes``, ``drops``) are plain integers so a
-    push costs two additions; expose them through the metrics registry
-    at the owning stage if aggregate visibility is needed.
+    A port keeps no counts: the stages on either side count what they
+    send, take or refuse.
     """
 
     __slots__ = (
         "sim",
         "name",
         "sink",
-        "frames",
-        "bytes",
-        "drops",
         "_spans",
         "_stage",
         "_who",
@@ -84,9 +74,6 @@ class Port:
         self.sim = sim
         self.name = name
         self.sink: Optional[Callable[[Any], Any]] = None
-        self.frames = 0
-        self.bytes = 0
-        self.drops = 0
         # Optional span configuration for push_after (one span per frame).
         self._spans = spans
         self._stage = stage
@@ -112,16 +99,11 @@ class Port:
 
         Returns ``False`` when the sink refused the frame (backpressure:
         ring full, queue overflow) or no sink is connected; either way
-        the drop is counted and the frame is gone — descriptor ownership
-        passed to this port at the call.
+        the frame is gone — descriptor ownership passed to this port at
+        the call, and a refusing sink counts its own drop.
         """
-        self.frames += 1
-        self.bytes += frame.size
         sink = self.sink
-        if sink is None or sink(frame) is False:
-            self.drops += 1
-            return False
-        return True
+        return sink is not None and sink(frame) is not False
 
     def push_after(self, frame: Any, delay_ns: int) -> None:
         """Deliver ``frame`` after charging ``delay_ns`` of latency.
@@ -168,15 +150,15 @@ class Port:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "connected" if self.connected else "unconnected"
-        return f"<Port {self.name} {state} frames={self.frames}>"
+        return f"<Port {self.name} {state}>"
 
 
 class PacketStage:
     """Base class for datapath components.
 
     A stage accepts frames synchronously through ``ingress(frame)``
-    (return ``False`` to signal backpressure — the caller counts the
-    drop) and emits them through named egress :class:`Port`\\ s created
+    (return ``False`` to signal backpressure, having counted the drop
+    itself) and emits them through named egress :class:`Port`\\ s created
     with :meth:`make_port`.  Stages whose ingress must *block* the
     producer (bridge tx buffers, virtio rings on the guest side) keep a
     :class:`~repro.sim.primitives.Store` in front instead; the
@@ -199,37 +181,3 @@ class PacketStage:
 
     def ingress(self, frame: Any) -> bool:
         raise NotImplementedError(f"{type(self).__name__} has no ingress")
-
-
-class CopyCharger:
-    """Charged-not-performed copy accounting for descriptor frames.
-
-    Wraps ``MemorySystem.copy_at``: the virtual time of the copy is
-    charged against the shared memory system (so concurrent copies
-    contend for bandwidth exactly as before), the copied bytes are
-    counted, and **no data moves** — descriptor payloads are shared by
-    reference end to end.
-    """
-
-    __slots__ = ("memory", "bw_Bps", "copies", "bytes", "_counter")
-
-    def __init__(self, memory: Any, bw_Bps: float, counter: Any = None):
-        self.memory = memory
-        self.bw_Bps = bw_Bps
-        self.copies = 0
-        self.bytes = 0
-        # Optional metrics-registry counter (charged bytes).
-        self._counter = counter
-
-    def charge(self, nbytes: int):
-        """Count one copy of ``nbytes`` and return the generator charging it.
-
-        Callers ``yield from`` the result: ``memory.copy_at``'s own
-        generator, so swapping a performed copy for a charged one is
-        timing-neutral and the copy's waits resume no extra frame.
-        """
-        self.copies += 1
-        self.bytes += nbytes
-        if self._counter is not None:
-            self._counter.inc(nbytes)
-        return self.memory.copy_at(nbytes, self.bw_Bps)

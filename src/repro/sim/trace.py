@@ -1,13 +1,12 @@
 """Streaming statistics collection.
 
 Benchmarks use :class:`SampleStats` for latency distributions: streaming
-moments plus the raw samples that percentiles are read from.
+moments plus the raw samples.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 __all__ = ["SampleStats"]
 
@@ -32,10 +31,6 @@ class SampleStats:
         self.max = max(self.max, x)
         self.samples.append(x)
 
-    def extend(self, xs: Iterable[float]) -> None:
-        for x in xs:
-            self.add(x)
-
     @property
     def mean(self) -> float:
         return self._mean if self.n else math.nan
@@ -47,18 +42,3 @@ class SampleStats:
     @property
     def stdev(self) -> float:
         return math.sqrt(self.variance)
-
-    def percentile(self, q: float) -> float:
-        """Linearly interpolated percentile (the numpy ``linear`` method)."""
-        if not self.samples:
-            return math.nan
-        if not 0 <= q <= 100:
-            raise ValueError(f"percentile out of range: {q}")
-        ordered = sorted(self.samples)
-        pos = q / 100 * (len(ordered) - 1)
-        lo = math.floor(pos)
-        hi = math.ceil(pos)
-        if lo == hi:
-            return ordered[lo]
-        frac = pos - lo
-        return ordered[lo] * (1 - frac) + ordered[hi] * frac

@@ -67,28 +67,15 @@ class VnetBridge(PacketStage):
         self.obs = Observability.of(sim)
         metrics = self.obs.metrics
         prefix = f"vnet.bridge.{host.name}"
-        self._encap_tx = metrics.counter(f"{prefix}.encap_tx")
-        self._encap_rx = metrics.counter(f"{prefix}.encap_rx")
-        self._direct_tx = metrics.counter(f"{prefix}.direct_tx")
+        self.encap_tx = metrics.counter(f"{prefix}.encap_tx")
+        self.encap_rx = metrics.counter(f"{prefix}.encap_rx")
+        self.direct_tx = metrics.counter(f"{prefix}.direct_tx")
         core.attach_bridge(self)
         # The bridge's send path parallelizes with the dispatcher count
         # (side-core offload of in-VMM processing beyond dispatch, Fig. 5).
         for i in range(core.tuning.n_dispatchers):
             sim.process(self._tx_loop(), name=f"{self.name}.tx{i}")
         sim.process(self._rx_loop(), name=f"{self.name}.rx")
-
-    # -- counters (registry-backed, read-only views) ----------------------------
-    @property
-    def encap_tx(self) -> int:
-        return self._encap_tx.value
-
-    @property
-    def encap_rx(self) -> int:
-        return self._encap_rx.value
-
-    @property
-    def direct_tx(self) -> int:
-        return self._direct_tx.value
 
     # -- per-link egress filters -------------------------------------------------
     def link_out(self, link_name: str) -> Port:
@@ -137,7 +124,7 @@ class VnetBridge(PacketStage):
             finally:
                 if span is not None:
                     spans.close(span)
-            self._direct_tx.inc()
+            self.direct_tx.inc()
             yield from self.host.stack.send_raw_frame(frame)
         elif link.proto is LinkProto.UDP:
             span = spans.open(
@@ -151,7 +138,7 @@ class VnetBridge(PacketStage):
             encap = VnetEncap(inner=frame, link_name=link.name)
             if not self.link_out(link.name).push(encap):
                 return  # chaos filter dropped the datagram on this link
-            self._encap_tx.inc()
+            self.encap_tx.inc()
             yield from self.sock.sendto(encap, link.dst_ip, link.dst_port)
         elif link.proto is LinkProto.TCP:
             span = spans.open(
@@ -165,7 +152,7 @@ class VnetBridge(PacketStage):
             encap = VnetEncap(inner=frame, link_name=link.name)
             if not self.link_out(link.name).push(encap):
                 return  # chaos filter dropped the message on this link
-            self._encap_tx.inc()
+            self.encap_tx.inc()
             channel = yield from self._tcp_link(link)
             yield from channel.send_message(encap, frame.size)
         else:  # pragma: no cover - enum is exhaustive
@@ -209,7 +196,7 @@ class VnetBridge(PacketStage):
             finally:
                 if span is not None:
                     spans.close(span)
-            self._encap_rx.inc()
+            self.encap_rx.inc()
             self.core.inbound.push(encap.inner)
 
     # -- receive --------------------------------------------------------------------
@@ -228,5 +215,5 @@ class VnetBridge(PacketStage):
             finally:
                 if span is not None:
                     spans.close(span)
-            self._encap_rx.inc()
+            self.encap_rx.inc()
             self.core.inbound.push(payload.inner)

@@ -29,7 +29,7 @@ from ..obs.span import (
     STAGE_INJECT,
 )
 from ..proto.ethernet import BROADCAST_MAC, EthernetFrame
-from ..sim import CopyCharger, PacketStage, Simulator, Store
+from ..sim import PacketStage, Simulator, Store
 from .dispatcher import ModeController, YieldState
 from .flowcache import FlowCache, FlowCacheEntry
 from .heartbeat import HeartbeatFrame
@@ -79,68 +79,30 @@ class VnetCore(VnetNode, PacketStage):
         # the dispatcher rx queue.
         self.inbound = self.make_port("inbound")
         self.inbound.connect(self._accept_inbound)
-        # Statistics live in the shared metrics registry under
-        # ``vnet.core.<host>.*``; the attribute names below stay readable
-        # as plain ints through the properties that follow.
         self.obs = Observability.of(sim)
         metrics = self.obs.metrics
         prefix = f"vnet.core.{host.name}"
-        self._pkts_from_guest = metrics.counter(f"{prefix}.pkts_from_guest")
-        self._pkts_to_guest = metrics.counter(f"{prefix}.pkts_to_guest")
-        self._pkts_to_bridge = metrics.counter(f"{prefix}.pkts_to_bridge")
-        self._pkts_dropped_no_route = metrics.counter(f"{prefix}.dropped_no_route")
-        self._pkts_dropped_ring_full = metrics.counter(f"{prefix}.dropped_ring_full")
-        self._guest_driven_dispatches = metrics.counter(
+        self.pkts_from_guest = metrics.counter(f"{prefix}.pkts_from_guest")
+        self.pkts_to_guest = metrics.counter(f"{prefix}.pkts_to_guest")
+        self.pkts_to_bridge = metrics.counter(f"{prefix}.pkts_to_bridge")
+        self.dropped_no_route = metrics.counter(f"{prefix}.dropped_no_route")
+        self.dropped_ring_full = metrics.counter(f"{prefix}.dropped_ring_full")
+        self.guest_driven_dispatches = metrics.counter(
             f"{prefix}.guest_driven_dispatches"
         )
-        self._vmm_driven_dispatches = metrics.counter(
+        self.vmm_driven_dispatches = metrics.counter(
             f"{prefix}.vmm_driven_dispatches"
         )
         # Dispatcher backlog as a time-weighted gauge (set with
         # timestamps so time_avg() reads mean depth, not last value).
         self._rxq_depth = metrics.gauge(f"{prefix}.rxq_depth")
-        # Descriptor-frame copies are charged, never performed: the
-        # charger accounts the single in-VMM copy (Sect. 4.7) against
-        # the host memory system and counts the bytes.
-        self.copier = CopyCharger(
-            host.memory,
-            self.costs.copy_bw_Bps,
-            counter=metrics.counter(f"{prefix}.copied_bytes"),
-        )
+        # Bytes of the in-VMM copies charged by _charge_copy.
+        self.copied_bytes = metrics.counter(f"{prefix}.copied_bytes")
         # Optional observers (see repro.vnet.monitor).
         self.monitor = None
         host.vnet_core = self
         for i in range(self.tuning.n_dispatchers):
             sim.process(self._rx_dispatcher(i), name=f"{self.name}.rxd{i}")
-
-    # -- statistics (registry-backed, read-only views) ---------------------------
-    @property
-    def pkts_from_guest(self) -> int:
-        return self._pkts_from_guest.value
-
-    @property
-    def pkts_to_guest(self) -> int:
-        return self._pkts_to_guest.value
-
-    @property
-    def pkts_to_bridge(self) -> int:
-        return self._pkts_to_bridge.value
-
-    @property
-    def pkts_dropped_no_route(self) -> int:
-        return self._pkts_dropped_no_route.value
-
-    @property
-    def pkts_dropped_ring_full(self) -> int:
-        return self._pkts_dropped_ring_full.value
-
-    @property
-    def guest_driven_dispatches(self) -> int:
-        return self._guest_driven_dispatches.value
-
-    @property
-    def vmm_driven_dispatches(self) -> int:
-        return self._vmm_driven_dispatches.value
 
     # -- configuration (driven by the control component) ------------------------
     def register_interface(self, spec: InterfaceSpec, nic: "VirtioNIC") -> None:
@@ -175,13 +137,13 @@ class VnetCore(VnetNode, PacketStage):
     def stats(self) -> dict:
         """Operational counters, as the control interface would expose them."""
         return {
-            "pkts_from_guest": self.pkts_from_guest,
-            "pkts_to_guest": self.pkts_to_guest,
-            "pkts_to_bridge": self.pkts_to_bridge,
-            "dropped_no_route": self.pkts_dropped_no_route,
-            "dropped_ring_full": self.pkts_dropped_ring_full,
-            "guest_driven_dispatches": self.guest_driven_dispatches,
-            "vmm_driven_dispatches": self.vmm_driven_dispatches,
+            "pkts_from_guest": self.pkts_from_guest.value,
+            "pkts_to_guest": self.pkts_to_guest.value,
+            "pkts_to_bridge": self.pkts_to_bridge.value,
+            "dropped_no_route": self.dropped_no_route.value,
+            "dropped_ring_full": self.dropped_ring_full.value,
+            "guest_driven_dispatches": self.guest_driven_dispatches.value,
+            "vmm_driven_dispatches": self.vmm_driven_dispatches.value,
             "routing_entries": len(self.routing),
             "routing_cache_hit_rate": self.routing.cache_hit_rate,
             "flow_cache": self.flowcache.stats(),
@@ -216,7 +178,7 @@ class VnetCore(VnetNode, PacketStage):
                     break
                 for frame in frames:
                     ctl.note_packet()
-                    self._guest_driven_dispatches.inc()
+                    self.guest_driven_dispatches.inc()
                     yield from self._dispatch(frame)
         else:
             # VMM-driven: the dispatcher thread owns the TXQ; the kick (if
@@ -254,7 +216,7 @@ class VnetCore(VnetNode, PacketStage):
                             spans.close(span)
                 ystate.note_work()
                 ctl.note_packet()
-                self._vmm_driven_dispatches.inc()
+                self.vmm_driven_dispatches.inc()
                 yield from self._dispatch(frame)
                 # note_packet above may have switched the controller back
                 # to guest-driven, and the VM may have migrated away: the
@@ -284,7 +246,7 @@ class VnetCore(VnetNode, PacketStage):
         """
         from_guest = ystate is None
         if from_guest:
-            self._pkts_from_guest.inc()
+            self.pkts_from_guest.inc()
             if self.monitor is not None:
                 self.monitor.observe(frame.src, frame.dst, frame.size)
         broadcast = frame.dst == BROADCAST_MAC
@@ -305,7 +267,7 @@ class VnetCore(VnetNode, PacketStage):
                 try:
                     entry, cost = self.routing.lookup(frame.src, frame.dst)
                 except NoRouteError:
-                    self._pkts_dropped_no_route.inc()
+                    self.dropped_no_route.inc()
                     return
                 yield cost
         finally:
@@ -393,7 +355,7 @@ class VnetCore(VnetNode, PacketStage):
             STAGE_COPY, who=self.name, where="vmm", flow_of=frame
         ) if spans.enabled else None
         try:
-            yield from self.copier.charge(frame.size)
+            yield from self._charge_copy(frame.size)
         finally:
             if span is not None:
                 spans.close(span)
@@ -406,7 +368,7 @@ class VnetCore(VnetNode, PacketStage):
             STAGE_COPY_ASYNC, who=self.name, where="vmm", flow_of=frame
         ) if spans.enabled else None
         try:
-            yield from self.copier.charge(frame.size)
+            yield from self._charge_copy(frame.size)
         finally:
             if span is not None:
                 spans.close(span)
@@ -415,7 +377,7 @@ class VnetCore(VnetNode, PacketStage):
     def _complete_delivery(self, frame: EthernetFrame, nic: "VirtioNIC"):
         ring_was_empty = not nic.rxq.items
         if nic.deliver_to_guest(frame):
-            self._pkts_to_guest.inc()
+            self.pkts_to_guest.inc()
             for name, inic in self.interfaces.items():
                 if inic is nic:
                     self.controllers[name].note_packet()
@@ -434,7 +396,19 @@ class VnetCore(VnetNode, PacketStage):
                         spans.close(span)
             nic.raise_irq()
         else:
-            self._pkts_dropped_ring_full.inc()
+            self.dropped_ring_full.inc()
+
+    def _charge_copy(self, nbytes: int):
+        """Count one in-VMM copy of ``nbytes`` (Sect. 4.7) and return the
+        generator charging it against the host memory system.
+
+        The copy is charged, never performed: descriptor payloads are
+        shared by reference end to end.  Callers ``yield from`` the
+        result, which is ``memory.copy_at``'s own generator, so the
+        copy's waits resume no extra frame.
+        """
+        self.copied_bytes.inc(nbytes)
+        return self.host.memory.copy_at(nbytes, self.costs.copy_bw_Bps)
 
     def _send_via_bridge(self, frame: EthernetFrame, link: LinkSpec):
         """The single in-VMM copy (Sect. 4.7): TXQ -> bridge buffer.
@@ -463,11 +437,11 @@ class VnetCore(VnetNode, PacketStage):
                 STAGE_COPY, who=self.name, where="vmm", flow_of=frame
             ) if spans.enabled else None
             try:
-                yield from self.copier.charge(frame.size)
+                yield from self._charge_copy(frame.size)
             finally:
                 if span is not None:
                     spans.close(span)
-        self._pkts_to_bridge.inc()
+        self.pkts_to_bridge.inc()
         yield self.bridge.txq.put((frame, link))
 
     def _shadow_copy(self, nbytes: int):
@@ -475,7 +449,7 @@ class VnetCore(VnetNode, PacketStage):
         spans = self.obs.spans
         span = spans.open(STAGE_COPY_ASYNC, who=self.name, where="vmm") if spans.enabled else None
         try:
-            yield from self.copier.charge(nbytes)
+            yield from self._charge_copy(nbytes)
         finally:
             if span is not None:
                 spans.close(span)
@@ -493,7 +467,7 @@ class VnetCore(VnetNode, PacketStage):
                 self.monitor.note_heartbeat_from(frame.src_host_ip)
             return True
         if not self.rx_queue.try_put(frame):
-            self._pkts_dropped_ring_full.inc()
+            self.dropped_ring_full.inc()
             return False
         self._rxq_depth.set(len(self.rx_queue), now_ns=self.sim.now)
         return True

@@ -43,17 +43,13 @@ class ModeController:
         # path needs the exact switch instant to de-escalate).
         self.on_switch: list = []
         metrics = Observability.of(sim).metrics
-        self._switches = metrics.counter(f"vnet.mode.{nic.name}.switches")
+        self.switches = metrics.counter(f"vnet.mode.{nic.name}.switches")
         # Gauge mirrors the current mode for snapshots: 0 = guest-driven,
         # 1 = VMM-driven.
         self._mode_gauge = metrics.gauge(f"vnet.mode.{nic.name}.vmm_driven")
         self._window_start = sim.now
         self._packets = 0
         self._apply()
-
-    @property
-    def switches(self) -> int:
-        return self._switches.value
 
     def _apply(self) -> None:
         # In VMM-driven mode a dispatcher thread polls the TXQ, so guest
@@ -80,7 +76,7 @@ class ModeController:
 
     def _switch(self, mode: VnetMode) -> None:
         self.mode = mode
-        self._switches.inc()
+        self.switches.inc()
         self._apply()
         for callback in self.on_switch:
             callback(mode)

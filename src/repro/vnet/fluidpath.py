@@ -62,14 +62,14 @@ class _Hops:
 
     def charge(self, segs: int) -> None:
         """Counter updates one packet-level traversal × ``segs`` would make."""
-        self.src_nic._tx_packets.inc(segs)
-        self.first_core._pkts_from_guest.inc(segs)
+        self.src_nic.tx_packets.inc(segs)
+        self.first_core.pkts_from_guest.inc(segs)
         for core, _link, nxt in self.links:
-            core._pkts_to_bridge.inc(segs)
-            core.host.nic._tx_frames.inc(segs)
-            nxt.host.nic._rx_frames.inc(segs)
-        self.dst_core._pkts_to_guest.inc(segs)
-        self.dst_nic._rx_packets.inc(segs)
+            core.pkts_to_bridge.inc(segs)
+            core.host.nic.tx_frames.inc(segs)
+            nxt.host.nic.rx_frames.inc(segs)
+        self.dst_core.pkts_to_guest.inc(segs)
+        self.dst_nic.rx_packets.inc(segs)
         # Feed the adaptive mode controllers exactly as the packet path
         # would (tx dispatch on the source NIC, guest delivery on the
         # destination): the Fig. 6 rate estimate must keep seeing the

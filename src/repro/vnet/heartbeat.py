@@ -91,17 +91,14 @@ class HeartbeatService:
         self.seq = 0
         metrics = Observability.of(sim).metrics
         prefix = f"vnet.heartbeat.{core.host.name}"
-        self._sent = metrics.counter(f"{prefix}.sent")
+        # Heartbeats enqueued onto the bridge, and those the full bridge
+        # queue refused.
+        self.sent = metrics.counter(f"{prefix}.sent")
         self._send_failed = metrics.counter(f"{prefix}.send_failed")
         if core.monitor is None:
             from .monitor import TrafficMonitor
 
             TrafficMonitor(sim, core)
-
-    @property
-    def sent(self) -> int:
-        """Heartbeats enqueued onto the bridge so far."""
-        return self._sent.value
 
     def start(self):
         """Spawn the emit loop; returns the simulator process."""
@@ -122,7 +119,7 @@ class HeartbeatService:
                 )
                 self.seq += 1
                 if core.bridge is not None and core.bridge.txq.try_put((frame, link)):
-                    self._sent.inc()
+                    self.sent.inc()
                 else:
                     self._send_failed.inc()
             yield self.interval_ns

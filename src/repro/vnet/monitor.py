@@ -103,21 +103,13 @@ class TrafficMonitor:
         metrics = self.obs.metrics
         prefix = f"vnet.monitor.{core.host.name}"
         self._health_monitor = prefix
-        self._packets = metrics.counter(f"{prefix}.packets")
-        self._bytes = metrics.counter(f"{prefix}.bytes")
+        self.packets = metrics.counter(f"{prefix}.packets")
+        self.bytes = metrics.counter(f"{prefix}.bytes")
         self._flows_gauge = metrics.gauge(f"{prefix}.flows")
         self._heartbeats = metrics.counter(f"{prefix}.heartbeats")
         self._links_up = metrics.gauge(f"{prefix}.links_up")
         self._links_down = metrics.gauge(f"{prefix}.links_down")
         core.monitor = self
-
-    @property
-    def packets_observed(self) -> int:
-        return self._packets.value
-
-    @property
-    def bytes_observed(self) -> int:
-        return self._bytes.value
 
     def observe(self, src: str, dst: str, nbytes: int) -> None:
         key = (src, dst)
@@ -129,8 +121,8 @@ class TrafficMonitor:
         flow.packets += 1
         flow.bytes += nbytes
         flow.last_seen_ns = self.sim.now
-        self._packets.inc()
-        self._bytes.inc(nbytes)
+        self.packets.inc()
+        self.bytes.inc(nbytes)
 
     # -- queries ----------------------------------------------------------
     def matrix(self) -> dict[tuple[str, str], int]:
@@ -240,8 +232,8 @@ class TrafficMonitor:
         self.flows.clear()
         self.link_health.clear()
         self._known_dead.clear()
-        self._packets.reset()
-        self._bytes.reset()
+        self.packets.reset()
+        self.bytes.reset()
         self._flows_gauge.set(0)
         self._links_up.set(0)
         self._links_down.set(0)

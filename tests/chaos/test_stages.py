@@ -43,9 +43,9 @@ def test_loss_stage_seeded_fraction():
     stage = LossStage(sim, rate=0.2, seed=3).install(port)
     for i in range(2000):
         port.push(Frame(i))
-    assert stage.dropped + stage.passed == 2000
-    assert 0.15 < stage.dropped / 2000 < 0.25
-    assert len(got) == stage.passed
+    assert stage.counts()["dropped"] + stage.counts()["passed"] == 2000
+    assert 0.15 < stage.counts()["dropped"] / 2000 < 0.25
+    assert len(got) == stage.counts()["passed"]
 
 
 def test_loss_stage_same_seed_same_drops():
@@ -68,7 +68,7 @@ def test_gilbert_elliott_statistics():
     stage = GilbertElliottStage(sim, p_gb=0.01, p_bg=0.1, seed=5).install(port)
     n = 20000
     delivered = [bool(port.push(Frame(i))) for i in range(n)]
-    loss = stage.dropped / n
+    loss = stage.counts()["dropped"] / n
     assert 0.05 < loss < 0.14  # stationary expectation ~0.091
     # Mean length of consecutive-drop runs ~ 1/p_bg = 10 frames.
     runs = []
@@ -94,7 +94,7 @@ def test_partition_stage_fail_heal():
     assert not port.push(Frame(2))
     stage.heal()
     assert port.push(Frame(3))
-    assert stage.blackholed == 1
+    assert stage.counts()["blackholed"] == 1
     assert [f.id for f in got] == [1, 3]
 
 
@@ -129,7 +129,7 @@ def test_reorder_stage_overtaking():
     ids = [f.id for f in got2]
     assert sorted(ids) == list(range(20))  # nothing lost
     assert ids != list(range(20))  # but not in send order
-    assert stage2.reordered + stage2.passed == 20
+    assert stage2.counts()["reordered"] + stage2.counts()["passed"] == 20
 
 
 def test_duplicate_stage():
@@ -138,9 +138,9 @@ def test_duplicate_stage():
     stage = DuplicateStage(sim, prob=0.5, seed=2).install(port)
     for i in range(200):
         port.push(Frame(i))
-    assert stage.duplicated > 0
-    assert len(got) == 200 + stage.duplicated
-    assert 0.3 < stage.duplicated / 200 < 0.7
+    assert stage.counts()["duplicated"] > 0
+    assert len(got) == 200 + stage.counts()["duplicated"]
+    assert 0.3 < stage.counts()["duplicated"] / 200 < 0.7
 
 
 def test_stacked_removal_is_order_safe():
@@ -173,7 +173,7 @@ def test_inner_removal_keeps_outer_working():
     outer.fail()
     assert not port.push(Frame(2))
     assert [f.id for f in got] == [1]
-    assert outer.blackholed == 1
+    assert outer.counts()["blackholed"] == 1
 
 
 def test_chaos_metrics_published_in_registry():
@@ -186,7 +186,7 @@ def test_chaos_metrics_published_in_registry():
     assert f"{stage.name}.dropped" in snap
     assert f"{stage.name}.passed" in snap
     assert stage.name.startswith("chaos.loss.test.port")
-    assert snap[f"{stage.name}.dropped"] == stage.dropped
+    assert snap[f"{stage.name}.dropped"] == stage.counts()["dropped"]
 
 
 def test_install_twice_rejected():
@@ -212,7 +212,7 @@ def test_delay_stage_holds_every_frame_in_order():
     assert got == []                      # still inside the hold window
     sim.run(until=sim.timeout(2))
     assert [f.id for f in got] == list(range(10))   # order preserved
-    assert stage.delayed == 10
+    assert stage.counts()["delayed"] == 10
 
 
 def test_delay_stage_delivers_inflight_after_removal():

@@ -102,8 +102,11 @@ def test_register_latency_series_holds_straddling_packets():
 
     def packet(flow, pid, stages):
         for stage, ns in stages:
-            with obs.spans.span(stage, flow=flow, packet=pid):
+            span = obs.spans.open(stage, flow=flow, packet=pid)
+            try:
                 yield sim.timeout(ns)
+            finally:
+                obs.spans.close(span)
 
     def workload():
         # Packet 1 completes at t=600: its grace (one interval) expires by
@@ -133,10 +136,12 @@ def test_register_latency_series_flow_filter_and_default_name():
     assert series.name == "flows.a>b.p99"
 
     def workload():
-        with obs.spans.span("link", flow="a>b", packet=1):
-            yield sim.timeout(100)
-        with obs.spans.span("link", flow="x>y", packet=2):
-            yield sim.timeout(900)
+        span = obs.spans.open("link", flow="a>b", packet=1)
+        yield sim.timeout(100)
+        obs.spans.close(span)
+        span = obs.spans.open("link", flow="x>y", packet=2)
+        yield sim.timeout(900)
+        obs.spans.close(span)
 
     sim.process(workload())
     tl.start(until_ns=3000)
@@ -153,13 +158,11 @@ def test_span_recorder_stamps_packet_id_from_flow_of():
     sim = Simulator()
     obs = Observability.of(sim)
     obs.spans.enabled = True
-    with obs.spans.span("link", flow_of=Pdu(7)):
-        pass
+    obs.spans.close(obs.spans.open("link", flow_of=Pdu(7)))
     [span] = obs.spans.spans
     assert span.flow == "a>b" and span.packet == 7
     # Disabled recording never touches the PDU.
     obs.reset()
     obs.spans.enabled = False
-    with obs.spans.span("link", flow_of=Pdu(8)):
-        pass
+    assert obs.spans.open("link", flow_of=Pdu(8)) is None
     assert obs.spans.spans == []

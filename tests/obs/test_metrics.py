@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.sim import SampleStats
 
 
 def test_counter_monotonic():
@@ -88,36 +87,3 @@ def test_registry_names_snapshot_reset():
     reg.reset()
     assert reg.snapshot("a.") == {"a.x": 0, "a.y": 0.0}
     assert reg.get("missing") is None
-
-
-def test_labeled_counters_family():
-    reg = MetricsRegistry()
-    fam = reg.labeled("palacios.h0.exits")
-    fam.inc("io")
-    fam.inc("io")
-    fam.inc("virtio-kick")
-    assert fam["io"] == 2
-    assert fam["never-seen"] == 0          # missing labels read as zero
-    assert "io" in fam and "never-seen" not in fam
-    assert fam.total() == 3
-    assert sorted(fam.keys()) == ["io", "virtio-kick"]
-    assert dict(fam.items())["virtio-kick"] == 1
-    # Each label is a real registry counter under the prefix.
-    assert reg.counter("palacios.h0.exits.io").value == 2
-
-
-def test_sample_stats_percentile_interpolates():
-    # Regression: nearest-rank rounding used to snap to a sample; the
-    # linear method interpolates between order statistics.
-    s = SampleStats()
-    s.extend([0, 10])
-    assert s.percentile(25) == pytest.approx(2.5)
-    assert s.percentile(50) == pytest.approx(5.0)
-    assert s.percentile(0) == 0 and s.percentile(100) == 10
-    with pytest.raises(ValueError):
-        s.percentile(-1)
-    # The documented behaviour on a dense range is unchanged.
-    r = SampleStats()
-    r.extend(range(101))
-    assert r.percentile(50) == 50
-    assert r.percentile(99) == pytest.approx(99.0)

@@ -110,7 +110,7 @@ def test_profiled_run_is_schedule_identical():
             KernelProfiler.install(tb.sim).enable()
         r = run_ttcp_tcp(tb.endpoints[0], tb.endpoints[1],
                          total_bytes=1 * units.MB)
-        frames = sum(h.nic.tx_frames for h in tb.hosts)
+        frames = sum(h.nic.tx_frames.value for h in tb.hosts)
         return r.elapsed_ns, r.bytes_moved, frames, tb.sim.events_processed
 
     assert observables(False) == observables(True)

@@ -84,12 +84,11 @@ def registries(draw):
         h = reg.histogram(f"{prefix_pool[2]}.h{i}", sorted(edges))
         for x in obs:
             h.observe(x)
-    # Labeled counter families.
-    fam = reg.labeled(f"{prefix_pool[3]}.reasons")
+    # Counter families: one ``<prefix>.<label>`` counter per label.
     for label, n in draw(
         st.lists(st.tuples(names, st.integers(0, 1000)), max_size=4)
     ):
-        fam.inc(label, n)
+        reg.counter(f"{prefix_pool[3]}.reasons.{label}").inc(n)
     return reg
 
 

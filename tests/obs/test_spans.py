@@ -21,8 +21,12 @@ def test_disabled_recorder_records_nothing():
     rec = SpanRecorder(sim)
 
     def proc():
-        with rec.span("dispatch", who="core"):
+        span = rec.open("dispatch", who="core")
+        assert span is None
+        try:
             yield sim.timeout(100)
+        finally:
+            rec.close(span)
 
     sim.process(proc())
     sim.run()
@@ -37,9 +41,12 @@ def test_span_brackets_virtual_time():
 
     def proc():
         yield sim.timeout(50)
-        with rec.span("dispatch", who="core", where="vmm", flow="a>b"):
+        span = rec.open("dispatch", who="core", where="vmm", flow="a>b")
+        try:
             yield sim.timeout(100)
             yield sim.timeout(25)
+        finally:
+            rec.close(span)
 
     sim.process(proc())
     sim.run()
@@ -69,8 +76,11 @@ def test_queries_and_reset():
 
     def proc():
         for stage in ("a", "b", "a"):
-            with rec.span(stage):
+            span = rec.open(stage)
+            try:
                 yield sim.timeout(10)
+            finally:
+                rec.close(span)
 
     sim.process(proc())
     sim.run()
@@ -151,19 +161,18 @@ def _vnetp_testbed(record: bool):
 def test_disabled_spans_cost_no_recorder_calls(monkeypatch):
     """With recording off the packet path never calls into the recorder:
     each stage guards on ``spans.enabled`` before building arguments."""
-    calls = {"span": 0, "open": 0}
-    for name in calls:
-        method = getattr(SpanRecorder, name)
+    calls = []
+    method = SpanRecorder.open
 
-        def counted(self, *args, _name=name, _method=method, **kwargs):
-            calls[_name] += 1
-            return _method(self, *args, **kwargs)
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return method(self, *args, **kwargs)
 
-        monkeypatch.setattr(SpanRecorder, name, counted)
+    monkeypatch.setattr(SpanRecorder, "open", counted)
     tb = _vnetp_testbed(record=False)
     result = run_ping(tb.endpoints[0], tb.endpoints[1], count=3)
     assert len(result.rtt_ns.samples) == 3
-    assert calls == {"span": 0, "open": 0}
+    assert calls == []
 
 
 def test_recorded_ping_spans_are_pinned():

@@ -74,8 +74,8 @@ def test_kick_causes_exit_and_invokes_backend():
     p = sim.process(send())
     sim.run(until=p)
     assert len(seen) == 1
-    assert vmm.exit_counts["virtio-kick"] == 1
-    assert nic.tx_kicks == 1
+    assert vmm.exit_counts["virtio-kick"].value == 1
+    assert nic.tx_kicks.value == 1
 
 
 def test_kick_suppression_skips_exit():
@@ -88,7 +88,7 @@ def test_kick_suppression_skips_exit():
 
     p = sim.process(send())
     sim.run(until=p)
-    assert vmm.exit_counts["virtio-kick"] == 0
+    assert "virtio-kick" not in vmm.exit_counts
     assert len(nic.txq) == 1  # waiting for a dispatcher to poll it
 
 
@@ -99,8 +99,8 @@ def test_rx_ring_overflow_drops():
         1 for _ in range(ring + 50) if nic.deliver_to_guest(frame(100, dst=nic.mac))
     )
     assert delivered <= ring
-    assert nic.rx_drops >= 50 - (delivered - ring)
-    assert nic.rx_drops + delivered == ring + 50
+    assert nic.rx_drops.value >= 50 - (delivered - ring)
+    assert nic.rx_drops.value + delivered == ring + 50
 
 
 def test_rx_delivery_reaches_guest_stack():
@@ -124,8 +124,8 @@ def test_rx_delivery_reaches_guest_stack():
     nic.raise_irq()
     sim.run()
     assert got == [(500, "172.16.0.2")]
-    assert nic.rx_packets == 1
-    assert nic.irq_injections == 1
+    assert nic.rx_packets.value == 1
+    assert nic.irq_injections.value == 1
 
 
 def test_exit_accounting_totals():
@@ -138,8 +138,11 @@ def test_exit_accounting_totals():
 
     p = sim.process(burn())
     sim.run(until=p)
-    assert vmm.exit_counts["io"] == 2
-    assert vmm.exit_counts["npf"] == 1
+    assert vmm.exit_counts["io"].value == 2
+    assert vmm.exit_counts["npf"].value == 1
+    # Each reason is its own registry counter, created at its first exit.
+    prefix = f"palacios.{host.name}.exits."
+    assert vmm.obs.metrics.snapshot(prefix) == {f"{prefix}io": 2, f"{prefix}npf": 1}
 
 
 def test_exit_entry_charges_time():

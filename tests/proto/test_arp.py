@@ -96,7 +96,7 @@ def test_arp_works_across_the_overlay():
     assert got == [(777, a.ip)]
     assert a.stack.neighbors[b.ip] == b.vm.virtio_nics[0].mac
     # The request crossed the overlay encapsulated.
-    assert tb.hosts[0].vnet_bridge.encap_tx >= 2  # request + data
+    assert tb.hosts[0].vnet_bridge.encap_tx.value >= 2  # request + data
 
 
 def test_gratuitous_arp_updates_peers():

@@ -1,11 +1,11 @@
-"""Port/PacketStage pipeline: wiring, backpressure, latency, accounting."""
+"""Port/PacketStage pipeline: wiring, backpressure, latency."""
 
 from dataclasses import dataclass
 
 import pytest
 
 from repro.obs.span import SpanRecorder
-from repro.sim import CopyCharger, PacketStage, Port, Simulator
+from repro.sim import PacketStage, Port, Simulator
 
 
 @dataclass
@@ -14,18 +14,6 @@ class Frame:
     dst: str = "b"
     payload: object = None
     size: int = 100
-
-
-class FakeMemory:
-    """Memory stand-in: charges copy time, records the request."""
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self.calls: list[tuple[int, float]] = []
-
-    def copy_at(self, nbytes: int, bw_Bps: float):
-        self.calls.append((nbytes, bw_Bps))
-        yield self.sim.timeout(int(nbytes * 1e9 / bw_Bps))
 
 
 # -- Port wiring -------------------------------------------------------------
@@ -59,26 +47,15 @@ def test_rebind_swaps_and_clears():
     assert not port.connected
 
 
-# -- push: counting and backpressure -----------------------------------------
-def test_push_counts_frames_and_bytes():
-    sim = Simulator()
-    port = Port(sim, "p")
-    port.connect(lambda f: True)
-    assert port.push(Frame(size=60))
-    assert port.push(Frame(size=40))
-    assert (port.frames, port.bytes, port.drops) == (2, 100, 0)
-
-
-def test_push_backpressure_counts_drop():
+# -- push: backpressure ------------------------------------------------------
+def test_push_reports_refusal():
     sim = Simulator()
     port = Port(sim, "p")
     port.connect(lambda f: False)  # sink refuses: ring full
     assert port.push(Frame()) is False
-    assert port.drops == 1
     # Unconnected port also drops (and does not raise).
     loose = Port(sim, "q")
     assert loose.push(Frame()) is False
-    assert loose.drops == 1
 
 
 def test_sink_returning_none_is_acceptance():
@@ -87,7 +64,6 @@ def test_sink_returning_none_is_acceptance():
     port = Port(sim, "p")
     port.connect(lambda f: None)
     assert port.push(Frame()) is True
-    assert port.drops == 0
 
 
 # -- push_after: latency, not occupancy --------------------------------------
@@ -176,7 +152,6 @@ def test_stage_composition_and_port_registry():
     assert a.ports == {"out": a.out}
     assert a.ingress(Frame())
     assert len(b.frames) == 2
-    assert (a.out.frames, a.out.bytes, a.out.drops) == (2, 200, 0)
 
 
 def test_stage_backpressure_propagates():
@@ -185,7 +160,7 @@ def test_stage_backpressure_propagates():
     b = Sink(sim, "sink", capacity=1)
     a.out.connect(b.ingress)
     assert a.ingress(Frame()) is False  # second copy refused downstream
-    assert a.out.drops == 1
+    assert len(b.frames) == 1
 
 
 def test_base_stage_ingress_is_abstract():
@@ -194,42 +169,3 @@ def test_base_stage_ingress_is_abstract():
     stage._init_stage(sim, "s")
     with pytest.raises(NotImplementedError):
         stage.ingress(Frame())
-
-
-# -- CopyCharger: charged, not performed -------------------------------------
-def test_copy_charger_charges_time_without_copying():
-    sim = Simulator()
-    mem = FakeMemory(sim)
-    charger = CopyCharger(mem, bw_Bps=1e9)
-    payload = bytearray(b"x" * 8)  # identity-checked below
-    frame = Frame(payload=payload, size=2000)
-    done = []
-
-    def copier():
-        yield from charger.charge(frame.size)
-        done.append((sim.now, frame.payload))
-
-    sim.process(copier())
-    sim.run()
-    (t, seen_payload) = done[0]
-    assert t == 2000  # 2000 B at 1 GB/s = 2000 ns charged
-    assert seen_payload is payload  # shared by reference: no data moved
-    assert (charger.copies, charger.bytes) == (1, 2000)
-    assert mem.calls == [(2000, 1e9)]
-
-
-def test_copy_charger_metrics_counter():
-    from repro.obs.metrics import MetricsRegistry
-
-    sim = Simulator()
-    counter = MetricsRegistry().counter("copied_bytes")
-    charger = CopyCharger(FakeMemory(sim), bw_Bps=1e9, counter=counter)
-
-    def copier():
-        yield from charger.charge(300)
-        yield from charger.charge(700)
-
-    sim.process(copier())
-    sim.run()
-    assert counter.value == 1000
-    assert charger.copies == 2

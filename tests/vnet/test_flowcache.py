@@ -194,7 +194,7 @@ def _udp_under_fault(place_fault):
     done = sim.process(traffic())
     sim.run(until=done)
     sim.run()
-    return arrivals, window.stage.blackholed, *(c.flowcache for c in tb.cores)
+    return arrivals, window.stage.counts()["blackholed"], *(c.flowcache for c in tb.cores)
 
 
 @pytest.mark.parametrize("place_fault", [
