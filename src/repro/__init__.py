@@ -22,7 +22,7 @@ Quick start::
 Subpackages:
 
 * :mod:`repro.sim` — discrete-event simulation kernel
-* :mod:`repro.hw` — NICs, links, switches, CPUs, memory
+* :mod:`repro.hw` — NICs, links, switches, memory
 * :mod:`repro.proto` — Ethernet/IP/UDP/TCP/ICMP stack and sockets
 * :mod:`repro.host` — Linux and Kitten host embeddings
 * :mod:`repro.palacios` — the VMM and virtio NIC models

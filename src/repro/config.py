@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from .units import Gbps, tx_time_ns, usec
 
 __all__ = [
-    "CPUParams",
     "MemoryParams",
     "NICParams",
     "HostStackParams",
@@ -34,8 +33,6 @@ __all__ = [
     "NETEFFECT_10G",
     "MELLANOX_IPOIB",
     "GEMINI_IPOG",
-    "XEON_X3430",
-    "OPTERON_2376",
     "DEFAULT_MEMORY",
     "DEFAULT_STACK",
     "DEFAULT_VMM",
@@ -47,23 +44,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CPUParams:
-    """A host processor."""
-
-    name: str = "xeon-x3430"
-    freq_hz: float = 2.4e9
-    cores: int = 4
-
-
-@dataclass(frozen=True)
 class MemoryParams:
-    """Memory-copy cost model: fixed setup plus per-byte streaming cost."""
+    """Memory-copy cost model: a fixed setup per copy; callers of
+    :meth:`~repro.hw.memory.MemorySystem.copy_at` give the bandwidth."""
 
-    copy_bw_Bps: float = 6.0e9
     copy_setup_ns: int = 60
-
-    def copy_ns(self, nbytes: int) -> int:
-        return self.copy_setup_ns + int(round(nbytes * 1e9 / self.copy_bw_Bps))
 
 
 @dataclass(frozen=True)
@@ -269,7 +254,6 @@ __all__.extend(["MPIParams", "DEFAULT_MPI"])
 class HostParams:
     """Everything describing one physical host."""
 
-    cpu: CPUParams
     memory: MemoryParams
     stack: HostStackParams
     vmm: VMMParams
@@ -331,9 +315,6 @@ GEMINI_IPOG = NICParams(
     rx_interrupt_delay_ns=7_000,
 )
 
-XEON_X3430 = CPUParams(name="xeon-x3430", freq_hz=2.4e9, cores=4)
-OPTERON_2376 = CPUParams(name="opteron-2376", freq_hz=2.3e9, cores=8)
-
 DEFAULT_MEMORY = MemoryParams()
 DEFAULT_STACK = HostStackParams()
 DEFAULT_VMM = VMMParams()
@@ -347,10 +328,9 @@ def default_tuning(**kw) -> VnetTuning:
     return replace(VnetTuning(), **kw)
 
 
-def default_host(name: str = "host", cpu: CPUParams = XEON_X3430) -> HostParams:
+def default_host(name: str = "host") -> HostParams:
     """A host with the paper's testbed defaults."""
     return HostParams(
-        cpu=cpu,
         memory=DEFAULT_MEMORY,
         stack=DEFAULT_STACK,
         vmm=DEFAULT_VMM,

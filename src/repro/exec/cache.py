@@ -39,8 +39,6 @@ class ResultCache:
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
 
     def path(self, fp: str) -> Path:
         """Where the entry for fingerprint ``fp`` under the current
@@ -56,12 +54,9 @@ class ResultCache:
                 result = pickle.load(fh)
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError, IndexError):
-            self.misses += 1
             return None
         if not isinstance(result, PointResult):
-            self.misses += 1
             return None
-        self.hits += 1
         result.cached = True
         return result
 

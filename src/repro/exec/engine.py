@@ -14,8 +14,13 @@ Worker lifecycle: workers are plain ``multiprocessing`` pool processes
 per :meth:`Engine.run` call and torn down when the batch completes.
 Per-process memoisation in the experiment stack (flow-model
 calibration, NPB calibration) warms up independently inside each
-worker; that is safe because those derivations are deterministic
-(``tests/test_determinism.py::test_flow_calibration_identical_across_processes``).
+worker.  The memoised *values* are deterministic
+(``tests/test_determinism.py::test_flow_calibration_identical_across_processes``),
+so rows do not depend on the worker count, but the *metrics* of each
+calibration run land in whichever point first calibrates that config in
+its worker.  With ``jobs>1`` an experiment that calibrates therefore
+keeps identical rows but not identical metrics, even between two
+same-seed runs (``docs/observability.md``, "The diff engine").
 
 Each executed point runs inside one :func:`repro.obs.context.capture_run`
 and returns ``(value, run_dump, wall_s)``, where ``run_dump`` is the

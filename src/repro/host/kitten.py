@@ -67,9 +67,6 @@ class KittenBridgeVM(PacketStage):
         self.params = params or BridgeVMParams()
         self.txq: Store = Store(sim, capacity=self.params.queue_frames, name=f"{self.name}.txq")
         self.rxq: Store = Store(sim, capacity=self.params.queue_frames, name=f"{self.name}.rxq")
-        self.tx_frames = 0
-        self.rx_frames = 0
-        self.rx_dropped = 0
         core.attach_bridge(self)
         # The service VM has direct access to the IB device: it, not the
         # host stack, owns the NIC's receive port.
@@ -92,7 +89,6 @@ class KittenBridgeVM(PacketStage):
             # Cross into the bridge VM with the frame, then post it on the
             # InfiniBand queue pair.
             yield params.vm_crossing_ns + self._copy_ns(frame.size) + params.ipoib_tx_ns
-            self.tx_frames += 1
             yield self.host.nic.txq.put(frame)
 
     def _on_ib_rx(self, frame: EthernetFrame) -> bool:
@@ -102,7 +98,11 @@ class KittenBridgeVM(PacketStage):
         if frame.dst not in self.core.if_by_mac and frame.dst != BROADCAST_MAC:
             return True  # filtered, not backpressure
         if not self.rxq.try_put(frame):
-            self.rx_dropped += 1
+            # Registered on first use: bridge VMs that never drop
+            # publish nothing.
+            self.host.stack.obs.metrics.counter(
+                f"host.kitten.{self.host.name}.rx_dropped"
+            ).inc()
             return False
         return True
 
@@ -115,7 +115,6 @@ class KittenBridgeVM(PacketStage):
         while True:
             frame = yield self.rxq.get()
             yield params.ipoib_rx_ns + self._copy_ns(frame.size) + params.vm_crossing_ns
-            self.rx_frames += 1
             self.core.inbound.push(frame)
 
 

@@ -1,4 +1,4 @@
-"""A physical machine: CPU, memory, NICs, and the host OS stack."""
+"""A physical machine: memory, NIC, and the host OS stack."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from ipaddress import IPv4Address
 from typing import Optional
 
 from ..config import HostParams, NICParams
-from ..hw.cpu import CPU
 from ..hw.memory import MemorySystem
 from ..hw.nic import PhysicalNIC
 from ..proto.ethernet import mac_addr
@@ -41,7 +40,6 @@ class Host:
         self.params = params
         self.ip = ip
         self.name = name or f"host{index}"
-        self.cpu = CPU(sim, params.cpu, name=f"{self.name}.cpu")
         self.memory = MemorySystem(sim, params.memory, name=f"{self.name}.mem")
         self.nic = PhysicalNIC(sim, nic_params, name=f"{self.name}.nic")
         self.dev = EthernetDevice(self.nic, mac=mac_addr(index), name=f"{self.name}.eth0")

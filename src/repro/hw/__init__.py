@@ -1,9 +1,8 @@
-"""Hardware models: NICs, links, switches, CPUs, memory."""
+"""Hardware models: NICs, links, switches, memory."""
 
-from .cpu import CPU, Core
 from .link import Link
 from .memory import MemorySystem
 from .nic import PhysicalNIC
 from .switch import Switch, SwitchParams
 
-__all__ = ["CPU", "Core", "Link", "MemorySystem", "PhysicalNIC", "Switch", "SwitchParams"]
+__all__ = ["Link", "MemorySystem", "PhysicalNIC", "Switch", "SwitchParams"]

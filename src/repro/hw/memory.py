@@ -21,16 +21,6 @@ class MemorySystem:
         self.params = params
         self.name = name
         self._res = Resource(sim, capacity=1, name=name)
-        self.bytes_copied = 0
-
-    def copy(self, nbytes: int):
-        """Generator: perform one packet copy of ``nbytes``."""
-        yield self._res.request()
-        try:
-            yield self.params.copy_ns(nbytes)
-            self.bytes_copied += nbytes
-        finally:
-            self._res.release()
 
     def copy_at(self, nbytes: int, bw_Bps: float):
         """Generator: copy at a caller-specified effective bandwidth.
@@ -43,10 +33,5 @@ class MemorySystem:
         yield self._res.request()
         try:
             yield self.params.copy_setup_ns + int(round(nbytes * 1e9 / bw_Bps))
-            self.bytes_copied += nbytes
         finally:
             self._res.release()
-
-    def copy_ns(self, nbytes: int) -> int:
-        """Pure cost of a copy, for callers that account contention themselves."""
-        return self.params.copy_ns(nbytes)

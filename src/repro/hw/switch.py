@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from ..obs.context import Observability
 from ..sim import Port, Simulator, Store
 from ..units import tx_time_ns
 from .nic import PhysicalNIC
@@ -42,7 +43,6 @@ class _Port:
         self.egress: Store = Store(
             sim, capacity=switch.params.port_queue_frames, name=f"port{index}.egress"
         )
-        self.dropped = 0
         # Fabric traversal is a latency-charged port push (no per-frame
         # process): the forwarding decision runs on arrival at the fabric
         # output, after the learning step on ingress — same ordering as a
@@ -61,17 +61,20 @@ class _Port:
         switch = self.switch
         dst_port = switch.fdb.get(frame.dst)
         if frame.dst == switch.BROADCAST or dst_port is None:
-            switch.flooded_frames += 1
             for port in switch.ports:
                 if port is not self:
                     port.enqueue(frame)
         else:
-            switch.forwarded_frames += 1
             dst_port.enqueue(frame)
 
     def enqueue(self, frame: Any) -> None:
         if not self.egress.try_put(frame):
-            self.dropped += 1
+            # Drop counters register on first use, so ports that never
+            # drop publish nothing.
+            switch = self.switch
+            switch.obs.metrics.counter(
+                f"hw.switch.{switch.params.name}.port{self.index}.dropped"
+            ).inc()
 
     def _egress_loop(self):
         params = self.switch.params
@@ -100,8 +103,7 @@ class Switch:
         self.params = params or SwitchParams()
         self.ports: list[_Port] = []
         self.fdb: dict[Any, _Port] = {}   # forwarding database: addr -> port
-        self.forwarded_frames = 0
-        self.flooded_frames = 0
+        self.obs = Observability.of(sim)
 
     def attach(self, nic: PhysicalNIC) -> int:
         """Attach a NIC; returns the port index."""

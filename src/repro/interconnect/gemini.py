@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 from itertools import product
 
-from ..config import GEMINI_IPOG, OPTERON_2376, NICParams, default_host
+from ..config import GEMINI_IPOG, NICParams, default_host
 from ..harness.testbed import Testbed, build_native, build_vnetp
 
 __all__ = ["Torus3D", "gemini_nic", "build_native_gemini", "build_vnetp_gemini"]
@@ -82,7 +82,7 @@ def build_vnetp_gemini(n_hosts: int = 2, torus: Torus3D | None = None, **kw) -> 
     if "tuning" not in kw:
         kw["tuning"] = default_tuning(vnet_mtu=64_000)
     if "host_params" not in kw:
-        base = default_host(cpu=dataclasses.replace(OPTERON_2376, name="opteron-6272"))
+        base = default_host()
         kw["host_params"] = dataclasses.replace(
             base, vnet_costs=dataclasses.replace(base.vnet_costs, copy_bw_Bps=1.75e9)
         )

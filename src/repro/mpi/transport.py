@@ -228,8 +228,6 @@ class FlowTransport:
         self._copy_bw = (
             self.params.copy_bw_virtual_Bps if model.virtual else self.params.copy_bw_Bps
         )
-        self.messages = 0
-        self.bytes_moved = 0
 
     def attach(self, world: "MPIWorld") -> None:
         self.world = world
@@ -244,8 +242,6 @@ class FlowTransport:
     def send(self, src: int, dst: int, nbytes: int, tag: int, meta: Any):
         params = self.params
         msg = Message(src=src, tag=tag, nbytes=nbytes, meta=meta, dst=dst)
-        self.messages += 1
-        self.bytes_moved += nbytes
         yield params.overhead_ns + _copy_ns(nbytes, self._copy_bw)
         ns, nd = self.node_of(src), self.node_of(dst)
         if ns == nd:

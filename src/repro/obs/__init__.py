@@ -82,7 +82,7 @@ from .fairness import (
     publish_fairness,
     score_flows,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry, bucket_percentile
 from .profile import (
     KernelProfiler,
     ProfileReport,
@@ -92,7 +92,7 @@ from .profile import (
 )
 from .runinfo import RunArtifact, build_artifact, fairness_scores, run_config
 from .span import CANONICAL_STAGES, Span, SpanRecorder, assign_parents, flow_id, self_ns
-from .timeline import Series, Timeline, bucket_percentile, merge_dumps
+from .timeline import Series, Timeline, merge_dumps
 
 __all__ = [
     "Observability",

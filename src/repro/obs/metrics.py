@@ -31,7 +31,47 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "bucket_percentile",
 ]
+
+
+def bucket_percentile(
+    edges: Sequence[float],
+    counts: Sequence[int],
+    q: float,
+    lo: Optional[float] = None,
+    hi: Optional[float] = None,
+) -> float:
+    """Approximate percentile from fixed-bucket counts, interpolating
+    linearly within the bucket that holds the rank.
+
+    ``lo`` bounds the first bucket from below and ``hi`` the overflow
+    bucket from above; both default to the outer edges, which is what a
+    *windowed* histogram delta (no exact min/max) has to go on.
+    :meth:`Histogram.percentile` passes its exact extrema.  NaN when
+    ``counts`` holds no observations.
+    """
+    if not 0 <= q <= 100:
+        raise ValueError(f"percentile out of range: {q}")
+    if lo is None:
+        lo = edges[0]
+    if hi is None:
+        hi = edges[-1]
+    total = sum(counts)
+    if total == 0:
+        return math.nan
+    rank = q / 100 * total
+    seen = 0
+    for i, c in enumerate(counts):
+        if c == 0:
+            continue
+        if seen + c >= rank:
+            low = edges[i - 1] if i > 0 else lo
+            high = edges[i] if i < len(edges) else hi
+            frac = (rank - seen) / c
+            return low + (high - low) * frac
+        seen += c
+    return float(hi)
 
 
 class Counter:
@@ -184,23 +224,11 @@ class Histogram:
         return self.sum / self.count if self.count else math.nan
 
     def percentile(self, q: float) -> float:
-        """Approximate percentile by linear interpolation within a bucket."""
-        if not 0 <= q <= 100:
-            raise ValueError(f"percentile out of range: {q}")
-        if self.count == 0:
-            return math.nan
-        rank = q / 100 * self.count
-        seen = 0
-        for i, c in enumerate(self.counts):
-            if c == 0:
-                continue
-            if seen + c >= rank:
-                lo = self.edges[i - 1] if i > 0 else min(self.min, self.edges[0])
-                hi = self.edges[i] if i < len(self.edges) else self.max
-                frac = (rank - seen) / c
-                return lo + (hi - lo) * frac
-            seen += c
-        return self.max
+        """Approximate percentile by linear interpolation within a bucket,
+        bounded by the exact extrema."""
+        return bucket_percentile(
+            self.edges, self.counts, q, lo=min(self.min, self.edges[0]), hi=self.max
+        )
 
     def reset(self) -> None:
         self.counts = [0] * (len(self.edges) + 1)

@@ -38,10 +38,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from ..units import SECOND
-from .metrics import MetricsRegistry
+from .metrics import MetricsRegistry, bucket_percentile
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim import Simulator
@@ -49,7 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "Series",
     "Timeline",
-    "bucket_percentile",
     "merge_dumps",
     "DEFAULT_INTERVAL_NS",
     "DEFAULT_CAPACITY",
@@ -59,33 +58,6 @@ __all__ = [
 DEFAULT_INTERVAL_NS = 100_000
 #: Default ring capacity per series (samples beyond this evict oldest).
 DEFAULT_CAPACITY = 4096
-
-
-def bucket_percentile(edges: Sequence[float], counts: Sequence[int], q: float) -> float:
-    """Approximate percentile from fixed-bucket counts alone.
-
-    Used for *windowed* histogram deltas, where exact min/max are not
-    tracked: interpolation uses the bucket edges as bounds (the first
-    bucket's lower bound is its upper edge, the overflow bucket is
-    pinned to the last edge).  NaN when the window saw no observations.
-    """
-    if not 0 <= q <= 100:
-        raise ValueError(f"percentile out of range: {q}")
-    total = sum(counts)
-    if total == 0:
-        return math.nan
-    rank = q / 100 * total
-    seen = 0
-    for i, c in enumerate(counts):
-        if c == 0:
-            continue
-        if seen + c >= rank:
-            lo = edges[i - 1] if i > 0 else edges[0]
-            hi = edges[i] if i < len(edges) else edges[-1]
-            frac = (rank - seen) / c
-            return lo + (hi - lo) * frac
-        seen += c
-    return float(edges[-1])
 
 
 class Series:

@@ -42,10 +42,9 @@ class PalaciosVMM:
         self,
         name: str,
         guest_ip: str,
-        vcpus: int = 2,
         mem_mb: int = 1024,
     ) -> "VirtualMachine":
-        vm = VirtualMachine(self, name, guest_ip, vcpus=vcpus, mem_mb=mem_mb)
+        vm = VirtualMachine(self, name, guest_ip, mem_mb=mem_mb)
         self.vms.append(vm)
         return vm
 
@@ -78,14 +77,12 @@ class VirtualMachine:
         vmm: PalaciosVMM,
         name: str,
         guest_ip: str,
-        vcpus: int = 2,
         mem_mb: int = 1024,
     ):
         self.vmm = vmm
         self.sim = vmm.sim
         self.name = name
         self.guest_ip = guest_ip
-        self.vcpus = vcpus
         self.mem_mb = mem_mb
         self.stack = Stack(
             self.sim,

@@ -96,7 +96,6 @@ class Reassembler:
 
     def __init__(self):
         self._partial: dict[tuple, dict] = {}
-        self.completed = 0
 
     def push(self, frag: IPv4Packet) -> Optional[IPv4Packet]:
         """Add a fragment; returns the whole packet when complete, else None."""
@@ -113,7 +112,6 @@ class Reassembler:
             state["total"] = frag.frag_offset + frag.payload_bytes
         if state["total"] is not None and state["have"] >= state["total"]:
             del self._partial[key]
-            self.completed += 1
             return IPv4Packet(
                 src=frag.src,
                 dst=frag.dst,

@@ -65,7 +65,6 @@ class UdpSocket:
         self.port = port
         self.in_kernel = in_kernel
         self.rx: Store = Store(stack.sim, capacity=4096, name=f"udp:{port}")
-        self.dropped = 0
 
     def sendto(self, payload: Any, dst_ip: str, dport: int):
         """Generator: send ``payload`` (object with .size) to (ip, port)."""
@@ -107,7 +106,8 @@ class UdpSocket:
 
     def deliver(self, dgram: UDPDatagram, src_ip: str) -> None:
         if not self.rx.try_put((dgram.payload, src_ip, dgram.sport)):
-            self.dropped += 1
+            stack = self.stack
+            stack.obs.metrics.counter(f"proto.stack.{stack.name}.udp_dropped").inc()
 
 
 class Stack:
@@ -138,17 +138,13 @@ class Stack:
         self._ping_waiters: dict[tuple[int, int], Event] = {}
         self._reasm = Reassembler()
         self._rxq: Store = Store(sim, capacity=16384, name=f"{name}.rxq")
-        self._rx_idle_since = 0
         self._ephemeral = 40000
-        self.rx_dropped = 0
         # Dynamic ARP (off by default: the paper's testbeds are statically
         # configured; see repro.proto.arp).
         self.arp_enabled = False
         self.arp_timeout_ns = 1_000_000_000  # 1 s per try, as Linux
         self.arp_retries = 3
         self._arp_pending: dict[str, Signal] = {}
-        self.arp_requests_sent = 0
-        self.arp_replies_sent = 0
         sim.process(self._softirq_loop(), name=f"{name}.softirq")
 
     # -- configuration -------------------------------------------------------
@@ -288,7 +284,6 @@ class Stack:
                 sender_mac=dev.mac,
                 target_ip=dst_ip,
             )
-            self.arp_requests_sent += 1
             frame = EthernetFrame(
                 src=dev.mac, dst=BROADCAST_MAC, payload=request, ethertype=ETHERTYPE_ARP
             )
@@ -316,7 +311,6 @@ class Stack:
                 target_ip=msg.sender_ip,
                 target_mac=msg.sender_mac,
             )
-            self.arp_replies_sent += 1
             frame = EthernetFrame(
                 src=dev.mac, dst=msg.sender_mac, payload=reply, ethertype=ETHERTYPE_ARP
             )
@@ -349,7 +343,7 @@ class Stack:
         if frame.dst != dev.mac and frame.dst != BROADCAST_MAC:
             return  # not ours
         if not self._rxq.try_put((dev, frame)):
-            self.rx_dropped += 1
+            self.obs.metrics.counter(f"proto.stack.{self.name}.rx_dropped").inc()
 
     def _softirq_loop(self):
         params = self.params

@@ -167,7 +167,6 @@ class TcpConnection:
         # what actually bounds snd_nxt (RFC 793): using the latest rwnd
         # against a newer snd_una would overshoot a slow receiver.
         self._window_edge = 1 << 30
-        self.fin_sent = False
         self._send_signal = Signal(self.sim, "tcp.send")
         self._space_signal = Signal(self.sim, "tcp.space")
         self._ack_progress_at = 0
@@ -196,7 +195,6 @@ class TcpConnection:
         # itself and marks where recovery completes.
         self.cc_state = CongestionState.SLOW_START
         self._dup_acks = 0
-        self._last_ack_seen = 0
         self._recover = 0
         self._backoff = 0
         # SACK scoreboard: sorted, disjoint (start, end) intervals the
@@ -207,13 +205,8 @@ class TcpConnection:
         # Statistics.
         self.retransmits = 0
         self.fast_retransmits = 0
-        self.fast_recoveries = 0
-        self.segments_sent = 0
-        self.segments_received = 0
         self.bytes_acked = 0
         self.bytes_delivered = 0
-        self.rtt_samples = 0
-        self.sacks_received = 0
 
         # cwnd/ssthresh/state gauges (non-kernel connections only; see
         # _publish_cc).  Created lazily at establishment.
@@ -221,7 +214,6 @@ class TcpConnection:
 
         self.established_event: Event = self.sim.event()
         self._sender_proc = None
-        self._retx_proc = None
 
         # Hybrid fluid/packet simulation (repro.sim.fluid).  ``fluid`` is
         # the FluidFlow while this connection is captured; ``_fluid_watch``
@@ -257,7 +249,7 @@ class TcpConnection:
             self._publish_cc()
         if self._sender_proc is None:
             self._sender_proc = self.sim.process(self._sender_loop(), name="tcp.sender")
-            self._retx_proc = self.sim.process(self._retx_loop(), name="tcp.retx")
+            self.sim.process(self._retx_loop(), name="tcp.retx")
 
     def _publish_cc(self) -> None:
         """Refresh the timestamped cwnd/ssthresh/state gauges."""
@@ -347,7 +339,6 @@ class TcpConnection:
         while self.snd_una < self.app_written:
             yield self._space_signal.wait()
         self._active_close = True
-        self.fin_sent = True
         self.state = TcpState.FIN_WAIT
         for _attempt in range(16):
             yield from self._emit(fin=True)
@@ -406,7 +397,6 @@ class TcpConnection:
         )
         cost = params.tcp_tx_ns if payload_bytes else params.tcp_ack_tx_ns
         yield cost + params.checksum_ns(payload_bytes)
-        self.segments_sent += 1
         yield from self.stack.ip_send(self.remote_ip, PROTO_TCP, seg)
 
     def _retx_loop(self):
@@ -462,7 +452,6 @@ class TcpConnection:
 
     # -- segment arrival (called by the stack's softirq, costs already charged) --
     def on_segment(self, seg: TcpSegment, src_ip: str) -> None:
-        self.segments_received += 1
         if seg.syn and not seg.is_ack:
             if self.state in (TcpState.SYN_RECEIVED, TcpState.ESTABLISHED):
                 # Registered connections shadow the listener in the demux,
@@ -492,7 +481,6 @@ class TcpConnection:
             self.snd_una = seg.ack
             self._ack_progress_at = self.sim.now
             self._backoff = 0
-            self._last_ack_seen = seg.ack
             if self._sacked and self._sacked[0][0] < self.snd_una:
                 self._sacked = [
                     (max(s, self.snd_una), e)
@@ -590,7 +578,6 @@ class TcpConnection:
             if not self._active_close:
                 # Passive close: answer every FIN with our own FIN so the
                 # active side converges even when frames are dropped.
-                self.fin_sent = True
                 self.sim.process(self._emit(fin=True), name="tcp.finack")
 
     def _enter_fast_recovery(self) -> None:
@@ -601,7 +588,6 @@ class TcpConnection:
             self.fluid.cancel(self)
         self._recover = self.snd_nxt
         self.fast_retransmits += 1
-        self.fast_recoveries += 1
         self.ssthresh = max(self.inflight // 2, 2 * self.mss)
         self.cwnd = self.ssthresh + 3 * self.mss
         self.cc_state = CongestionState.FAST_RECOVERY
@@ -629,7 +615,6 @@ class TcpConnection:
 
     def _note_sack(self, blocks: tuple) -> None:
         """Merge the peer's SACK blocks into the sender scoreboard."""
-        self.sacks_received += 1
         self._sacked = _coalesce(
             self._sacked + [(s, e) for s, e in blocks if e > self.snd_una]
         )
@@ -640,7 +625,6 @@ class TcpConnection:
         self.ooo_bytes = sum(e - s for s, e in self._ooo)
 
     def _update_rtt(self, sample_ns: int) -> None:
-        self.rtt_samples += 1
         if self.srtt is None:
             self.srtt = float(sample_ns)
             self.rttvar = sample_ns / 2

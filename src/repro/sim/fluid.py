@@ -121,7 +121,7 @@ class FluidFlow:
 
     __slots__ = (
         "conn", "peer", "path", "demand_Bps", "rate_Bps", "active",
-        "captured_ns", "last_advance_ns", "seg_carry", "zero_strides",
+        "last_advance_ns", "seg_carry", "zero_strides",
         "_parked",
     )
 
@@ -133,7 +133,6 @@ class FluidFlow:
         self.demand_Bps = demand_Bps
         self.rate_Bps = demand_Bps
         self.active = False          # True once in-flight data has drained
-        self.captured_ns = captured_ns
         self.last_advance_ns = captured_ns
         self.seg_carry = 0           # bytes not yet amounting to a segment
         self.zero_strides = 0        # consecutive strides that moved nothing
@@ -528,7 +527,6 @@ class FluidRegion:
         conn.snd_una = conn.snd_nxt
         conn.bytes_acked += moved
         conn._ack_progress_at = t1
-        conn._last_ack_seen = conn.snd_una
         # Receiver bookkeeping.
         peer.rcv_nxt += moved
         peer.recv_available += moved
@@ -541,10 +539,6 @@ class FluidRegion:
         segs = total // conn.mss
         flow.seg_carry = total - segs * conn.mss
         if segs:
-            conn.segments_sent += segs
-            conn.segments_received += segs   # the per-segment ACKs
-            peer.segments_received += segs
-            peer.segments_sent += segs
             if conn.srtt is not None:
                 self._latency_hist.observe_weighted(conn.srtt, segs)
             flow.path.charge(segs, segs)

@@ -2,8 +2,9 @@
 
 * :class:`Store` — FIFO channel with optional capacity; the workhorse for
   packet queues (virtio rings, bridge buffers, NIC queues).
-* :class:`Resource` — counted resource with FIFO request queue; models CPU
-  cores and NIC transmit engines.
+* :class:`Resource` — counted resource with FIFO request queue; models the
+  memory-copy engine and the MPI transports' channel locks and per-node
+  send and receive engines.
 * :class:`Signal` — re-armable broadcast used for "work available" wakeups
   (e.g. a packet dispatcher sleeping until a ring becomes non-empty).
 """
@@ -221,12 +222,10 @@ class Signal:
         self.sim = sim
         self.name = name
         self._event = sim.event()
-        self.fire_count = 0
 
     def wait(self) -> Event:
         return self._event
 
     def fire(self, value: Any = None) -> None:
-        self.fire_count += 1
         evt, self._event = self._event, self.sim.event()
         evt.succeed(value)

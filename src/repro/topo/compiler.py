@@ -177,12 +177,9 @@ class CompiledTopology:
     times; :meth:`build` materialises a fresh simulated testbed from it.
     """
 
-    def __init__(self, topo: Topology, compiler: "TopologyCompiler",
-                 hosts: list[CompiledHost]):
-        self.topo = topo
+    def __init__(self, compiler: "TopologyCompiler", hosts: list[CompiledHost]):
         self.compiler = compiler
         self.hosts = hosts
-        self.by_name = {h.name: h for h in hosts}
 
     # -- inspection --------------------------------------------------------
     @property
@@ -323,7 +320,7 @@ class TopologyCompiler:
             )
             for i, spec in enumerate(topo.hosts)
         ]
-        return CompiledTopology(topo, self, compiled)
+        return CompiledTopology(self, compiled)
 
     # -- builders (invoked through CompiledTopology.build) -----------------
     def _resolve_nic(self, backend: str) -> NICParams:

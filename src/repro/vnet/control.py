@@ -46,7 +46,6 @@ class VnetControl:
     def __init__(self, sim: Simulator, node: "VnetNode"):
         self.sim = sim
         self.node = node
-        self.applied = 0
 
     # -- local control ------------------------------------------------------
     def apply_config(self, text: str) -> list[str]:
@@ -61,7 +60,7 @@ class VnetControl:
         :meth:`~repro.vnet.node.VnetNode.add_routes` so the routing
         table fires one change notification per run instead of one per
         route.  Semantics are identical to applying the commands one by
-        one (``applied`` still counts each command individually).
+        one.
         """
         replies: list[str] = []
         pending: list[AddRoute] = []
@@ -73,7 +72,6 @@ class VnetControl:
                 self.node.add_routes([cmd.route for cmd in pending])
             except (ValueError, KeyError) as exc:
                 raise ControlError(str(exc)) from exc
-            self.applied += len(pending)
             pending.clear()
 
         for cmd in commands:
@@ -114,7 +112,6 @@ class VnetControl:
                 raise ControlError(f"unhandled command {cmd!r}")
         except (ValueError, KeyError) as exc:
             raise ControlError(str(exc)) from exc
-        self.applied += 1
         return []
 
     def _listing(self, what: str) -> list[str]:

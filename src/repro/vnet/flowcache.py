@@ -65,14 +65,13 @@ class FlowCacheEntry:
     the full chain would have charged for this already-resolved flow.
     """
 
-    __slots__ = ("nic", "link", "charge_ns", "hits")
+    __slots__ = ("nic", "link", "charge_ns")
 
     def __init__(self, nic: Optional["VirtioNIC"], link: Optional[LinkSpec],
                  charge_ns: int):
         self.nic = nic
         self.link = link
         self.charge_ns = charge_ns
-        self.hits = 0
 
 
 class FlowCache(PacketStage):
@@ -137,7 +136,6 @@ class FlowCache(PacketStage):
             self._misses.inc()
             return None
         self._hits.inc()
-        entry.hits += 1
         return entry
 
     def install(self, src: str, dst: str, route: RouteEntry) -> Optional[FlowCacheEntry]:

@@ -46,8 +46,6 @@ class VnetUDaemon(VnetNode):
         self.tapq: Store = Store(sim, capacity=8192, name=f"{self.name}.tapq")
         # User-level socket: syscalls charged on every send/recv.
         self.sock = host.stack.udp_socket(DEFAULT_VNET_PORT, in_kernel=False)
-        self.pkts_routed = 0
-        self.pkts_dropped = 0
         sim.process(self._tx_loop(), name=f"{self.name}.tx")
         sim.process(self._rx_loop(), name=f"{self.name}.rx")
 
@@ -75,7 +73,14 @@ class VnetUDaemon(VnetNode):
                 break
             yield params.transition_ns + self._copy_ns(frame.size)
             if not self.tapq.try_put(frame):
-                self.pkts_dropped += 1
+                self._drop("tap_full")
+
+    def _drop(self, reason: str) -> None:
+        """Count a dropped frame; the counter registers on first use, so
+        daemons that never drop publish nothing."""
+        self.host.stack.obs.metrics.counter(
+            f"vnet.vnetu.{self.host.name}.dropped_{reason}"
+        ).inc()
 
     def _copy_ns(self, nbytes: int) -> int:
         return int(round(nbytes * 1e9 / self.params.copy_bw_Bps))
@@ -104,9 +109,8 @@ class VnetUDaemon(VnetNode):
             try:
                 entry, _ = self.routing.lookup(frame.src, frame.dst)
             except NoRouteError:
-                self.pkts_dropped += 1
+                self._drop("no_route")
                 continue
-            self.pkts_routed += 1
             if entry.dest_type is DestType.INTERFACE:
                 yield from self._deliver_local(frame, self.interfaces[entry.dest_name])
             else:
@@ -130,7 +134,7 @@ class VnetUDaemon(VnetNode):
             yield self._daemon_work_ns(frame.size)
             nic = self.if_by_mac.get(frame.dst)
             if nic is None and frame.dst != BROADCAST_MAC:
-                self.pkts_dropped += 1
+                self._drop("unknown_dst")
                 continue
             targets = (
                 list(self.if_by_mac.values()) if nic is None else [nic]
@@ -143,8 +147,7 @@ class VnetUDaemon(VnetNode):
         params = self.params
         yield params.transition_ns + self._copy_ns(frame.size)
         if nic.deliver_to_guest(frame):
-            self.pkts_routed += 1
             nic.raise_irq()
         else:
-            self.pkts_dropped += 1
+            self._drop("ring_full")
 

@@ -15,7 +15,6 @@ def test_cache_roundtrip(tmp_path):
     assert hit is not None
     assert hit.value == 3
     assert hit.cached is True  # marked on the way out
-    assert cache.hits == 1 and cache.misses == 1
 
 
 def test_cache_ignores_corrupt_entries(tmp_path):

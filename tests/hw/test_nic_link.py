@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import BROADCOM_1G, NETEFFECT_10G, NICParams
 from repro.hw import Link, PhysicalNIC, Switch, SwitchParams
+from repro.obs import Observability
 from repro.proto import Blob, EthernetFrame
 from repro.sim import Simulator
 from repro import units
@@ -117,14 +118,14 @@ def test_switch_floods_unknown_then_forwards_learned():
     nics[0].send(frame("mac0", "mac1", 500))
     sim.run()
     assert len(rx[1]) == 1 and len(rx[2]) == 1
-    assert switch.flooded_frames == 1
+    assert rx[0] == []  # never flooded back out of the ingress port
 
     # node1 replies; switch has learned mac0 -> port0.
     nics[1].send(frame("mac1", "mac0", 500))
     sim.run()
     assert len(rx[0]) == 1
+    assert len(rx[1]) == 1  # unchanged: not sent back to the sender
     assert len(rx[2]) == 1  # unchanged: no flood this time
-    assert switch.forwarded_frames == 1
 
 
 def test_switch_broadcast_goes_everywhere_except_ingress():
@@ -183,3 +184,36 @@ def test_switch_mixed_port_rates():
     # Egress toward the slow NIC serializes at 1 Gbps: ~8.3 us per KB
     # frame, an order above the 10G rate.
     assert all(g > 7 * units.US for g in gaps), gaps
+
+
+def _fast_into_slow(queue_frames):
+    """Ten KB frames from a 10G NIC to a 1G NIC through one switch whose
+    egress queues hold ``queue_frames``; returns (metrics, delivered)."""
+    sim = Simulator()
+    switch = Switch(sim, SwitchParams(port_rate_bps=10e9, port_queue_frames=queue_frames))
+    fast = PhysicalNIC(sim, NETEFFECT_10G, name="fast")
+    slow = PhysicalNIC(sim, BROADCOM_1G, name="slow")
+    switch.attach(fast)
+    switch.attach(slow)
+    got = []
+    slow.rx_port.connect(got.append)
+    fast.rx_port.connect(lambda f: None)
+    slow.send(frame("mslow", Switch.BROADCAST, 100))
+    sim.run()
+    for _ in range(10):
+        fast.send(frame("mfast", "mslow", 1014))
+    sim.run()
+    return Observability.of(sim).metrics, len(got)
+
+
+def test_switch_egress_overflow_is_counted():
+    """A full egress queue drops the frame and counts it under the
+    port's registry name; a switch that never drops publishes nothing."""
+    metrics, delivered = _fast_into_slow(queue_frames=2)
+    dropped = metrics.get("hw.switch.fujitsu-xg2000.port1.dropped")
+    assert dropped is not None and dropped.value > 0
+    assert delivered + dropped.value == 10
+
+    metrics, delivered = _fast_into_slow(queue_frames=1024)
+    assert delivered == 10
+    assert metrics.names("hw.switch.") == []

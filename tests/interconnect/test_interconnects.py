@@ -1,5 +1,7 @@
 """Tests for the InfiniBand, Gemini, and Kitten substrates."""
 
+import dataclasses
+
 import pytest
 
 from repro import units
@@ -16,6 +18,7 @@ from repro.interconnect import (
     gemini_nic,
     ipoib_nic,
 )
+from repro.obs import Observability
 
 
 # --- torus geometry ------------------------------------------------------------
@@ -142,8 +145,37 @@ def test_kitten_guest_to_guest_udp():
     sim.process(tx())
     sim.run()
     assert got == [(2048, a.ip)]
-    assert tb.hosts[0].vnet_bridge.tx_frames >= 1
-    assert tb.hosts[1].vnet_bridge.rx_frames >= 1
+    # The bridge VMs posted onto and took from the InfiniBand devices.
+    assert tb.hosts[0].nic.tx_frames.value >= 1
+    assert tb.hosts[1].nic.rx_frames.value >= 1
+    assert Observability.of(sim).metrics.names("host.kitten.") == []
+
+
+def test_kitten_bridge_vm_rx_overflow_is_counted():
+    """Frames reaching a full bridge-VM receive queue are dropped and
+    counted under the receiving host's name."""
+    from repro.proto.base import Blob
+
+    tb = build_vnetp_kitten()
+    sim = tb.sim
+    a, b = tb.endpoints
+    # A one-frame queue in front of a receive thread slower than the
+    # sender (set before the thread first runs and reads its params).
+    bridge = tb.hosts[1].vnet_bridge
+    bridge.rxq.capacity = 1
+    bridge.params = dataclasses.replace(bridge.params, ipoib_rx_ns=50_000)
+
+    def tx():
+        sock = a.stack.udp_socket()
+        for _ in range(20):
+            yield from sock.sendto(Blob(2048), b.ip, 5)
+
+    sim.process(tx())
+    sim.run()
+    metrics = Observability.of(sim).metrics
+    dropped = metrics.get(f"host.kitten.{tb.hosts[1].name}.rx_dropped")
+    assert dropped is not None and dropped.value >= 1
+    assert metrics.names(f"host.kitten.{tb.hosts[0].name}.") == []
 
 
 def test_kitten_bridge_vm_rejects_udp_links():

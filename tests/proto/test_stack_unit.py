@@ -7,7 +7,8 @@ from repro.harness.testbed import build_native
 from repro.host import Host
 from repro.hw import Link
 from repro.proto import Blob
-from repro.proto.ethernet import BROADCAST_MAC
+from repro.obs import Observability
+from repro.proto.ethernet import BROADCAST_MAC, EthernetFrame
 from repro.sim import Simulator
 
 
@@ -92,14 +93,43 @@ def test_socket_rx_overflow_drops():
     sim, a, b = make_pair()
     sock = b.stack.udp_socket(port=9)
     sock.rx.capacity = 2
+    metrics = Observability.of(sim).metrics
+    name = "proto.stack.b.stack.udp_dropped"
 
-    def tx():
+    def tx(n):
         s = a.stack.udp_socket()
-        for _ in range(5):
+        for _ in range(n):
             yield from s.sendto(Blob(64), b.ip, 9)
 
-    p = sim.process(tx())
-    sim.run(until=p)
+    sim.process(tx(2))
     sim.run()
-    assert sock.dropped == 3
+    assert metrics.get(name) is None  # both fit: no drop, no counter
+    sim.process(tx(3))
+    sim.run()
+    assert metrics.get(name).value == 3
     assert len(sock.rx) == 2
+    assert metrics.names("proto.stack.a.") == []
+
+
+def test_stack_rx_queue_overflow_drops():
+    """Frames arriving at a full softirq queue are dropped and counted
+    under the stack's name; a stack that never drops publishes nothing."""
+    sim, a, b = make_pair()
+    metrics = Observability.of(sim).metrics
+    name = "proto.stack.b.stack.rx_dropped"
+
+    def arrive(n):
+        for _ in range(n):
+            b.stack.rx_frame(b.dev, EthernetFrame(
+                src=a.dev.mac, dst=b.dev.mac, payload=Blob(64), ethertype=0x88B5
+            ))
+
+    arrive(5)
+    sim.run()
+    assert metrics.get(name) is None
+    b.stack._rxq.capacity = 2
+    arrive(5)
+    # The idle softirq takes the first frame, the queue holds two more.
+    assert metrics.get(name).value == 2
+    sim.run()
+    assert metrics.names("proto.stack.a.") == []

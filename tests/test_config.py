@@ -47,9 +47,9 @@ def test_params_are_frozen():
 
 def test_host_params_with():
     host = config.default_host()
-    faster = host.with_(memory=config.MemoryParams(copy_bw_Bps=9e9))
-    assert faster.memory.copy_bw_Bps == 9e9
-    assert host.memory.copy_bw_Bps == 6e9  # original untouched
+    cheaper = host.with_(memory=config.MemoryParams(copy_setup_ns=10))
+    assert cheaper.memory.copy_setup_ns == 10
+    assert host.memory.copy_setup_ns == 60  # original untouched
 
 
 def test_vmm_round_trip():

@@ -1,0 +1,118 @@
+"""Source-wide check: every attribute the package writes is also read.
+
+A store ``self.<attr> = ...`` (plain, augmented or annotated, alone or
+inside a tuple target) under ``src/repro`` needs a reader: a load of
+``<expr>.<attr>``, or a ``getattr``/``hasattr`` of the constant
+``"<attr>"``, somewhere in ``src/``, ``bench/``, ``benchmarks/``,
+``examples/`` or ``tools/``.  Tests do not count as readers.  A tally
+that nothing reads is deleted; a drop worth keeping is a registry
+counter created at the drop site, so a RunArtifact shows it.
+
+The check matches names, not types: a store whose name some other
+class's attribute shares is not flagged, so such write-only state has
+to be found by hand.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+READER_DIRS = ("src", "bench", "benchmarks", "examples", "tools")
+GETTERS = {"getattr", "hasattr"}
+
+
+def _self_stores(tree: ast.AST) -> list[tuple[str, int]]:
+    """``(attr, line)`` of every ``self.<attr>`` store target."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        while targets:
+            t = targets.pop()
+            if isinstance(t, (ast.Tuple, ast.List)):
+                targets.extend(t.elts)
+            elif isinstance(t, ast.Starred):
+                targets.append(t.value)
+            elif (
+                isinstance(t, ast.Attribute)
+                and isinstance(t.value, ast.Name)
+                and t.value.id == "self"
+            ):
+                found.append((t.attr, t.lineno))
+    return found
+
+
+def _reads(tree: ast.AST) -> set[str]:
+    """Attribute names loaded, or named by a constant ``getattr``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in GETTERS
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
+        ):
+            names.add(node.args[1].value)
+    return names
+
+
+def _unread_stores(modules: dict[str, str], readers: set[str]) -> list[str]:
+    """``attr@name:line`` of every store in ``modules`` (name -> text)
+    whose attribute is not in ``readers``."""
+    found = []
+    for name, text in modules.items():
+        for attr, line in _self_stores(ast.parse(text, filename=name)):
+            if attr not in readers:
+                found.append(f"{attr}@{name}:{line}")
+    return found
+
+
+def test_every_stored_attribute_is_read():
+    readers: set[str] = set()
+    for d in READER_DIRS:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            readers |= _reads(ast.parse(path.read_text(), filename=str(path)))
+    modules = {
+        path.relative_to(SRC.parent).as_posix(): path.read_text()
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    found = _unread_stores(modules, readers)
+    assert found == [], (
+        "read these attributes outside tests, publish a drop as a registry "
+        "counter, or delete them: " + ", ".join(found)
+    )
+
+
+def test_check_finds_write_only_state():
+    """Every store form counts, and only loads and constant ``getattr``s
+    count as reads; a store is no read of its own."""
+    module = (
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        self.sent = 0\n"
+        "        self.kept = 0\n"
+        "        self.peeked = 0\n"
+        "        self.depth: int = 0\n"
+        "        self.lo, [self.hi, *self.rest] = 0, [1, 2]\n"
+        "    def tx(self):\n"
+        "        self.sent += 1\n"
+        "        return self.kept\n"
+    )
+    reader = "def probe(c):\n    return getattr(c, 'peeked'), c.lo\n"
+    readers = _reads(ast.parse(module)) | _reads(ast.parse(reader))
+    assert _unread_stores({"probe.py": module}, readers) == [
+        "sent@probe.py:3",
+        "depth@probe.py:6",
+        "rest@probe.py:7",
+        "hi@probe.py:7",
+        "sent@probe.py:9",
+    ]

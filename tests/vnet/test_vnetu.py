@@ -7,6 +7,7 @@ from repro.apps.ping import run_ping
 from repro.apps.ttcp import run_ttcp_tcp
 from repro.config import BROADCOM_1G
 from repro.harness.testbed import build_vnetp, build_vnetu
+from repro.obs import Observability
 from repro.proto.base import Blob
 from repro.vnet.control import ControlError
 from repro.vnet.overlay import LinkProto, LinkSpec
@@ -31,8 +32,11 @@ def test_vnetu_guest_to_guest_delivery():
     sim.process(tx())
     sim.run()
     assert got == [(512, a.ip)]
-    assert tb.daemons[0].pkts_routed >= 1
-    assert tb.daemons[1].pkts_routed >= 1
+    # a's daemon encapsulated onto the wire; b's delivered into the guest.
+    assert tb.hosts[0].nic.tx_frames.value >= 1
+    assert b.vm.virtio_nics[0].rx_packets.value >= 1
+    # Nothing dropped, so no daemon published a drop counter.
+    assert Observability.of(sim).metrics.names("vnet.vnetu.") == []
 
 
 def test_vnetu_is_much_slower_than_vnetp():
@@ -85,7 +89,30 @@ def test_vnetu_drops_unroutable_frames():
     p = sim.process(tx())
     sim.run(until=p)
     sim.run()
-    assert tb.daemons[0].pkts_dropped >= 1
+    metrics = Observability.of(sim).metrics
+    dropped = metrics.get(f"vnet.vnetu.{tb.hosts[0].name}.dropped_no_route")
+    assert dropped is not None and dropped.value >= 1
+
+
+def test_vnetu_tap_overflow_is_counted():
+    """Frames kicked into a full tap queue are dropped and counted under
+    the daemon's host name."""
+    tb = build_vnetu(nic_params=BROADCOM_1G)
+    sim = tb.sim
+    a, b = tb.endpoints
+    tb.daemons[0].tapq.capacity = 1
+
+    def tx():
+        sock = a.stack.udp_socket()
+        for _ in range(20):
+            yield from sock.sendto(Blob(1024), b.ip, 9)
+
+    sim.process(tx())
+    sim.run()
+    metrics = Observability.of(sim).metrics
+    dropped = metrics.get(f"vnet.vnetu.{tb.hosts[0].name}.dropped_tap_full")
+    assert dropped is not None and dropped.value >= 1
+    assert metrics.names(f"vnet.vnetu.{tb.hosts[1].name}.") == []
 
 
 def test_vnetu_speaks_the_shared_config_language():
