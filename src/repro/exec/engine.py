@@ -35,10 +35,25 @@ health event in :attr:`Engine.health_events`, and
 rate/latency curves sampled inside worker processes are available to
 the parent after a fan-out.  All three ship into
 :class:`~repro.obs.runinfo.RunArtifact` bundles (``--artifact-out``).
+
+Garbage collection inside a point: while a point runs, every
+generation-2 (full) collection ends by calling :func:`gc.freeze`, so
+what that collection just proved alive — the built testbed, mostly —
+moves to the permanent generation and later full collections in the
+same point walk only what was allocated since.  When the point ends,
+returns or raises, :func:`gc.unfreeze` hands the survivors back to the
+oldest generation (no extra collection) and the collector runs exactly
+as before.  A heap already frozen when the point starts is left alone.
+Nothing in ``src/repro`` observes collection (no ``weakref``, no
+``__del__``, no other ``gc`` call; ``tools/check_determinism.py``
+rejects them), so collection timing cannot move a result
+(``docs/performance.md``, "Garbage collection inside a point").
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import multiprocessing
 import random
 import time
@@ -54,12 +69,36 @@ from .point import Point, PointResult
 __all__ = ["Engine", "run_points"]
 
 
+def _freeze_survivors(phase: str, info: dict) -> None:
+    """``gc.callbacks`` hook: freeze what a full collection found alive."""
+    if phase == "stop" and info["generation"] == 2:
+        gc.freeze()
+
+
+@contextlib.contextmanager
+def _freeze_full_collection_survivors():
+    """Freeze full-collection survivors until the block ends, then thaw.
+
+    Does nothing when the caller has already frozen the heap: thawing at
+    the end would undo a freeze this block does not own.
+    """
+    if gc.get_freeze_count():
+        yield
+        return
+    gc.callbacks.append(_freeze_survivors)
+    try:
+        yield
+    finally:
+        gc.callbacks.remove(_freeze_survivors)
+        gc.unfreeze()
+
+
 def _execute(payload: tuple) -> tuple:
     """Run one point (in a worker or inline) → (value, run dump, wall)."""
     fn, kwargs, seed = payload
     random.seed(seed)
     t0 = time.perf_counter()
-    with capture_run() as capture:
+    with _freeze_full_collection_survivors(), capture_run() as capture:
         value = fn(**kwargs)
     return value, capture.dump(), time.perf_counter() - t0
 

@@ -142,7 +142,7 @@ class VirtioNIC(PacketStage):
         if not self.rxq.try_put(frame):
             self.rx_drops.inc()
             return False
-        self._rxq_depth.set(len(self.rxq), now_ns=self.sim.now)
+        self._rxq_depth.set(len(self.rxq.items), now_ns=self.sim.now)
         return True
 
     # PacketStage entry point: the VNET/P core pushes delivered frames here.
@@ -198,7 +198,7 @@ class VirtioNIC(PacketStage):
             frame = self.rxq.try_get()
             if frame is None:
                 continue
-            self._rxq_depth.set(len(self.rxq), now_ns=self.sim.now)
+            self._rxq_depth.set(len(self.rxq.items), now_ns=self.sim.now)
             span = spans.open(
                 STAGE_VIRTIO_RX, who=self.name, where="guest", flow_of=frame
             ) if spans.enabled else None

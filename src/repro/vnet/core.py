@@ -86,6 +86,7 @@ class VnetCore(VnetNode, PacketStage):
         self.pkts_to_guest = metrics.counter(f"{prefix}.pkts_to_guest")
         self.pkts_to_bridge = metrics.counter(f"{prefix}.pkts_to_bridge")
         self.dropped_no_route = metrics.counter(f"{prefix}.dropped_no_route")
+        # Frames refused because this core's own rx_queue was full.
         self.dropped_ring_full = metrics.counter(f"{prefix}.dropped_ring_full")
         self.guest_driven_dispatches = metrics.counter(
             f"{prefix}.guest_driven_dispatches"
@@ -376,27 +377,26 @@ class VnetCore(VnetNode, PacketStage):
 
     def _complete_delivery(self, frame: EthernetFrame, nic: "VirtioNIC"):
         ring_was_empty = not nic.rxq.items
-        if nic.deliver_to_guest(frame):
-            self.pkts_to_guest.inc()
-            for name, inic in self.interfaces.items():
-                if inic is nic:
-                    self.controllers[name].note_packet()
-                    break
-            if ring_was_empty:
-                # Interrupt injection work on the dispatching side (possibly
-                # a cross-core IPI, Sect. 4.3).
-                spans = self.obs.spans
-                span = spans.open(
-                    STAGE_INJECT, who=self.name, where="vmm", flow_of=frame
-                ) if spans.enabled else None
-                try:
-                    yield self.host.params.vmm.interrupt_inject_ns
-                finally:
-                    if span is not None:
-                        spans.close(span)
-            nic.raise_irq()
-        else:
-            self.dropped_ring_full.inc()
+        if not nic.deliver_to_guest(frame):
+            return  # a full guest ring is counted once, by the NIC's rx_drops
+        self.pkts_to_guest.inc()
+        for name, inic in self.interfaces.items():
+            if inic is nic:
+                self.controllers[name].note_packet()
+                break
+        if ring_was_empty:
+            # Interrupt injection work on the dispatching side (possibly
+            # a cross-core IPI, Sect. 4.3).
+            spans = self.obs.spans
+            span = spans.open(
+                STAGE_INJECT, who=self.name, where="vmm", flow_of=frame
+            ) if spans.enabled else None
+            try:
+                yield self.host.params.vmm.interrupt_inject_ns
+            finally:
+                if span is not None:
+                    spans.close(span)
+        nic.raise_irq()
 
     def _charge_copy(self, nbytes: int):
         """Count one in-VMM copy of ``nbytes`` (Sect. 4.7) and return the
@@ -469,7 +469,7 @@ class VnetCore(VnetNode, PacketStage):
         if not self.rx_queue.try_put(frame):
             self.dropped_ring_full.inc()
             return False
-        self._rxq_depth.set(len(self.rx_queue), now_ns=self.sim.now)
+        self._rxq_depth.set(len(self.rx_queue.items), now_ns=self.sim.now)
         return True
 
     # PacketStage entry point (what ``inbound`` is wired to).
@@ -490,7 +490,7 @@ class VnetCore(VnetNode, PacketStage):
             blocked = not rxq.items
             frame = yield rxq.get()
             while True:
-                self._rxq_depth.set(len(rxq), now_ns=self.sim.now)
+                self._rxq_depth.set(len(rxq.items), now_ns=self.sim.now)
                 penalty = ystate.penalty(blocked)
                 if blocked:
                     penalty += self.host.wakeup_noise_ns()

@@ -109,3 +109,44 @@ def test_main_exit_codes(tmp_path, capsys):
     cap = capsys.readouterr()
     assert "[time.time]" in cap.err
     assert "1 determinism problem(s)" in cap.err
+
+
+GC_COUNTEREXAMPLE = """\
+import gc
+import weakref
+from weakref import WeakValueDictionary
+
+
+class Buffer:
+    def __del__(self):
+        release(self)
+
+
+def settle():
+    gc.collect()
+    gc.callbacks.append(lambda phase, info: None)
+"""
+
+
+def test_gc_observers_fail_in_package():
+    findings = check_determinism.check_source(GC_COUNTEREXAMPLE, "src/repro/evil.py")
+    joined = "\n".join(findings)
+    assert joined.count("[weakref]") == 2
+    assert joined.count("[finalizer]") == 1
+    assert joined.count("[gc]") == 2
+    assert len(findings) == 5
+
+
+def test_gc_observers_only_flagged_in_package():
+    # Tests may hold weak references to check that the collector freed something.
+    assert check_determinism.check_source(GC_COUNTEREXAMPLE, "tests/exec/test_x.py") == []
+
+
+def test_gc_allowed_only_in_engine():
+    src = "import gc\ngc.freeze()\n"
+    assert check_determinism.check_source(src, "src/repro/exec/engine.py") == []
+    assert check_determinism.check_source(src, "src/repro/exec/cache.py") != []
+    # The engine's allowance covers gc calls, not finalizers or weak references.
+    assert check_determinism.check_source(
+        "import weakref\n", "src/repro/exec/engine.py"
+    ) != []

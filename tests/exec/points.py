@@ -5,8 +5,10 @@ pickled reference, and the fingerprinter refuses ``<locals>`` callables
 for the same reason.
 """
 
+import gc
 import os
 import random
+import weakref
 
 
 def add_point(a, b):
@@ -82,3 +84,37 @@ def health_point(tag, n=2):
             t_ns=i * 100, monitor=f"toy.{tag}", kind="tick", severity="info"
         )
     return n
+
+
+class _Node:
+    """A garbage-collector-tracked object in a reference cycle with itself."""
+
+    def __init__(self):
+        self.me = self
+
+
+def full_collection_point(tag, raise_after=False):
+    """Point that builds a tracked heap and runs a full collection on it;
+    returns the freeze count the collection left behind."""
+    del tag
+    heap = [_Node() for _ in range(1000)]
+    gc.collect()
+    frozen = gc.get_freeze_count()
+    del heap
+    if raise_after:
+        raise RuntimeError("boom after a full collection")
+    return frozen
+
+
+def frozen_cycle_point():
+    """Point that lets a full collection freeze a cycle, then drops it.
+
+    Returns a weak reference to the cycle and whether a second full
+    collection inside the point left it alive (it does, once frozen).
+    """
+    node = _Node()
+    gc.collect()
+    ref = weakref.ref(node)
+    del node
+    gc.collect()
+    return ref, ref() is not None

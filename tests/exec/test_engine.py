@@ -1,4 +1,7 @@
-"""Tests for the execution engine: ordering, parallel identity, metrics."""
+"""Tests for the execution engine: ordering, parallel identity, metrics,
+and the garbage-collection policy inside a point."""
+
+import gc
 
 import pytest
 
@@ -7,6 +10,8 @@ from repro.exec import Engine, Point, run_points
 from .points import (
     add_point,
     failing_point,
+    frozen_cycle_point,
+    full_collection_point,
     health_point,
     metric_point,
     pid_point,
@@ -113,3 +118,42 @@ def test_cached_points_restore_health_events(tmp_path):
     assert warm.points_cached == 1 and warm.points_executed == 0
     assert warm.health_events == cold.health_events
     assert len(warm.health_events) == 3
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_full_collection_inside_a_point_freezes_survivors(jobs):
+    callbacks = list(gc.callbacks)
+    points = [Point("t", f"k{tag}", full_collection_point, {"tag": tag})
+              for tag in range(2)]
+    frozen = Engine(jobs=jobs).run(points)
+    assert all(count > 0 for count in frozen)
+    # The point's end thaws the heap and removes the hook.
+    assert gc.get_freeze_count() == 0
+    assert gc.callbacks == callbacks
+
+
+def test_point_that_raises_still_thaws_the_heap():
+    callbacks = list(gc.callbacks)
+    point = Point("t", "k", full_collection_point, {"tag": 0, "raise_after": True})
+    with pytest.raises(RuntimeError, match="boom"):
+        Engine(jobs=1).run([point])
+    assert gc.get_freeze_count() == 0
+    assert gc.callbacks == callbacks
+
+
+def test_cycle_frozen_inside_a_point_is_freed_after_it():
+    [(ref, alive_inside)] = Engine(jobs=1).run([Point("t", "k", frozen_cycle_point, {})])
+    assert alive_inside
+    gc.collect()
+    assert ref() is None
+
+
+def test_heap_frozen_by_the_caller_stays_frozen():
+    callbacks = list(gc.callbacks)
+    gc.freeze()
+    try:
+        Engine(jobs=1).run([Point("t", "k", full_collection_point, {"tag": 0})])
+        assert gc.get_freeze_count() > 0
+        assert gc.callbacks == callbacks
+    finally:
+        gc.unfreeze()

@@ -137,6 +137,25 @@ def test_no_route_packets_dropped_not_crashed():
     assert tb.cores[0].dropped_no_route.value == 1
 
 
+def test_guest_ring_full_drop_counted_once():
+    """A frame refused by a full guest ring is the NIC's rx_drops only;
+    the core's dropped_ring_full is for its own dispatcher queue."""
+    tb = build_vnetp(nic_params=NETEFFECT_10G)
+    a, b = tb.endpoints
+    sim = tb.sim
+    nic_b = b.vm.virtio_nics[0]
+    nic_b.rxq.capacity = 0
+
+    def tx():
+        sock = a.stack.udp_socket()
+        yield from sock.sendto(Blob(100), b.ip, 9999)
+
+    sim.process(tx())
+    sim.run()
+    assert nic_b.rx_drops.value == 1
+    assert tb.cores[1].dropped_ring_full.value == 0
+
+
 def test_broadcast_reaches_remote_guest():
     """A guest broadcast frame floods over every overlay link."""
     tb = build_vnetp(nic_params=NETEFFECT_10G)

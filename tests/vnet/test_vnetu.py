@@ -115,6 +115,26 @@ def test_vnetu_tap_overflow_is_counted():
     assert metrics.names(f"vnet.vnetu.{tb.hosts[1].name}.") == []
 
 
+def test_vnetu_guest_ring_full_drop_counted_once():
+    """A frame refused by a full guest ring is the NIC's rx_drops only:
+    the daemon publishes no drop counter of its own for it."""
+    tb = build_vnetu(nic_params=BROADCOM_1G)
+    sim = tb.sim
+    a, b = tb.endpoints
+    nic_b = b.vm.virtio_nics[0]
+    nic_b.rxq.capacity = 0
+
+    def tx():
+        sock = a.stack.udp_socket()
+        yield from sock.sendto(Blob(100), b.ip, 9)
+
+    sim.process(tx())
+    sim.run()
+    assert nic_b.rx_drops.value == 1
+    assert [n for n in Observability.of(sim).metrics.names("vnet.vnetu.")
+            if n.endswith("ring_full")] == []
+
+
 def test_vnetu_speaks_the_shared_config_language():
     tb = build_vnetu(nic_params=BROADCOM_1G)
     daemon, control = tb.daemons[0], tb.controls[0]

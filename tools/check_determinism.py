@@ -17,12 +17,19 @@ rejects the calls that break that property inside ``src/repro``:
   must run without numpy installed;
 * ``random.<fn>()`` on the global ``random`` module — hidden global
   state (``random.seed`` and seeded ``random.Random(n)`` instances are
-  allowed; the exec engine seeds the global generator per point).
+  allowed; the exec engine seeds the global generator per point);
+* ``import weakref`` / ``from weakref ...``, any ``__del__`` definition
+  and any ``gc.<fn>()`` call under ``src/repro`` — code that observes
+  garbage collection.  Collection runs at allocation-count thresholds,
+  and the exec engine freezes full-collection survivors inside a point,
+  so only code that cannot see collection keeps results independent of
+  when it happens.
 
 Findings outside the allowlist fail the run.  The allowlist maps a
-repo-relative path to the set of patterns permitted there — today only
-``__main__.py``'s wall-clock stopwatch around experiment rendering,
-which never feeds a simulated result.
+repo-relative path to the set of patterns permitted there: the
+wall-clock stopwatch around experiment rendering in ``__main__.py``,
+which never feeds a simulated result, and the exec engine's ``gc``
+calls, which freeze and thaw the heap around a point.
 
 Usage::
 
@@ -42,6 +49,7 @@ from pathlib import Path
 # path (relative to the repo root, POSIX separators) -> allowed patterns.
 ALLOWLIST: dict[str, set[str]] = {
     "src/repro/__main__.py": {"time.time"},
+    "src/repro/exec/engine.py": {"gc"},
 }
 
 _DATETIME_FNS = {"now", "utcnow", "today"}
@@ -89,8 +97,17 @@ def _finding(call: ast.Call) -> tuple[str, str] | None:
     return None
 
 
-def _numpy_import(node: ast.AST) -> tuple[str, str] | None:
-    """(pattern, message) when this statement imports numpy, else None."""
+def _package_finding(node: ast.AST) -> tuple[str, str] | None:
+    """(pattern, message) for a construct banned only under src/repro."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if node.name == "__del__":
+            return "finalizer", "__del__ finalizer observes garbage collection"
+        return None
+    if isinstance(node, ast.Call):
+        dotted = _dotted(node.func)
+        if dotted is not None and dotted.startswith("gc."):
+            return "gc", f"{dotted}() observes or steers garbage collection"
+        return None
     if isinstance(node, ast.Import):
         names = [alias.name for alias in node.names]
     elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
@@ -100,6 +117,8 @@ def _numpy_import(node: ast.AST) -> tuple[str, str] | None:
     for name in names:
         if name == "numpy" or name.startswith("numpy."):
             return "numpy-import", f"import of {name} (use repro.sim.rng.Rng)"
+        if name == "weakref" or name.startswith("weakref."):
+            return "weakref", f"import of {name} observes garbage collection"
     return None
 
 
@@ -110,15 +129,13 @@ def check_source(source: str, rel_path: str) -> list[str]:
     findings = []
     tree = ast.parse(source, filename=rel_path)
     for node in ast.walk(tree):
-        if in_package and isinstance(node, (ast.Import, ast.ImportFrom)):
-            hit = _numpy_import(node)
-        elif isinstance(node, ast.Call):
-            hit = _finding(node)
-        else:
-            continue
-        if hit is None or hit[0] in allowed:
-            continue
-        findings.append(f"{rel_path}:{node.lineno}: {hit[1]} [{hit[0]}]")
+        hits = [_package_finding(node)] if in_package else []
+        if isinstance(node, ast.Call):
+            hits.append(_finding(node))
+        for hit in hits:
+            if hit is None or hit[0] in allowed:
+                continue
+            findings.append(f"{rel_path}:{node.lineno}: {hit[1]} [{hit[0]}]")
     return findings
 
 
@@ -145,7 +162,8 @@ def main(argv: list[str]) -> int:
     if findings:
         print(f"{len(findings)} determinism problem(s)", file=sys.stderr)
         return 1
-    print("determinism OK: no wall-clock, unseeded-randomness or numpy use in src/repro")
+    print("determinism OK: no wall-clock, unseeded-randomness, numpy or GC-observing"
+          " use in src/repro")
     return 0
 
 
