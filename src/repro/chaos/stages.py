@@ -59,11 +59,14 @@ class FaultInjector(PacketStage):
     Subclasses implement :meth:`ingress`; on a pass they must forward by
     returning ``self.forward(frame)``, on a drop they count and return
     ``False`` (the port's ``push`` then reports the refusal, exactly as
-    if the sink itself had refused the frame).  :meth:`counts` reads
-    every counter.
+    if the sink itself had refused the frame).  Each name in
+    :attr:`counters` becomes a ``chaos.<name>.<metric>`` registry counter
+    attribute at :meth:`install`, when the name is final; :meth:`counts`
+    reads them all.
     """
 
     kind = "fault"
+    counters: tuple[str, ...] = ()
 
     def __init__(self, sim: Simulator, name: Optional[str] = None):
         self._init_stage(sim, name or f"chaos.{self.kind}")
@@ -74,25 +77,11 @@ class FaultInjector(PacketStage):
         # a fresh bound method, so identity checks against the port sink
         # must go through this single captured reference.
         self._entry: Optional[Callable[[Any], Any]] = None
-        self._metrics = Observability.of(sim).metrics
-        self._counters: dict[str, Any] = {}
 
     # -- metrics -----------------------------------------------------------
-    def counter(self, metric: str):
-        """Get-or-create the ``chaos.<name>.<metric>`` registry counter."""
-        c = self._counters.get(metric)
-        if c is None:
-            c = self._metrics.counter(f"{self.name}.{metric}")
-            self._counters[metric] = c
-        return c
-
     def counts(self) -> dict:
-        """Snapshot of this injector's chaos counters.
-
-        Counters are created on first use, so a metric this injector has
-        not bumped yet (say ``dropped`` before any drop) is absent.
-        """
-        return {metric: c.value for metric, c in sorted(self._counters.items())}
+        """Snapshot of this injector's chaos counters, zeros included."""
+        return {metric: getattr(self, metric).value for metric in sorted(self.counters)}
 
     # -- chain management --------------------------------------------------
     @property
@@ -107,6 +96,9 @@ class FaultInjector(PacketStage):
             # Late-bind the display/metric name to the injection point so
             # counters read ``chaos.loss.h0.nic.tx.dropped``.
             self.name = f"chaos.{self.kind}.{port.name}"
+        metrics = Observability.of(self.sim).metrics
+        for metric in self.counters:
+            setattr(self, metric, metrics.counter(f"{self.name}.{metric}"))
         self._port = port
         self._downstream = port.sink
         self._entry = self.ingress
@@ -146,6 +138,7 @@ class LossStage(FaultInjector):
     """Bernoulli frame loss: drop each frame independently with ``rate``."""
 
     kind = "loss"
+    counters = ("dropped", "passed")
 
     def __init__(self, sim: Simulator, rate: float, seed: int = 0,
                  name: Optional[str] = None):
@@ -158,9 +151,9 @@ class LossStage(FaultInjector):
     def ingress(self, frame: Any) -> Any:
         """Drop with probability ``rate``; otherwise forward."""
         if self._rng.random() < self.rate:
-            self.counter("dropped").inc()
+            self.dropped.inc()
             return False
-        self.counter("passed").inc()
+        self.passed.inc()
         return self.forward(frame)
 
 
@@ -175,6 +168,7 @@ class GilbertElliottStage(FaultInjector):
     """
 
     kind = "burst"
+    counters = ("dropped", "burst_dropped", "passed")
 
     def __init__(
         self,
@@ -208,11 +202,11 @@ class GilbertElliottStage(FaultInjector):
             self.bad = True
         p_loss = self.loss_bad if self.bad else self.loss_good
         if p_loss > 0.0 and rng.random() < p_loss:
-            self.counter("dropped").inc()
+            self.dropped.inc()
             if self.bad:
-                self.counter("burst_dropped").inc()
+                self.burst_dropped.inc()
             return False
-        self.counter("passed").inc()
+        self.passed.inc()
         return self.forward(frame)
 
 
@@ -222,6 +216,7 @@ class PartitionStage(FaultInjector):
     direction."""
 
     kind = "partition"
+    counters = ("blackholed", "passed", "failures")
 
     def __init__(self, sim: Simulator, name: Optional[str] = None,
                  failed: bool = False):
@@ -231,16 +226,16 @@ class PartitionStage(FaultInjector):
     def ingress(self, frame: Any) -> Any:
         """Blackhole while failed; otherwise forward untouched."""
         if self.failed:
-            self.counter("blackholed").inc()
+            self.blackholed.inc()
             return False
-        self.counter("passed").inc()
+        self.passed.inc()
         return self.forward(frame)
 
     def fail(self) -> None:
         """Start blackholing."""
         if not self.failed:
             self.failed = True
-            self.counter("failures").inc()
+            self.failures.inc()
 
     def heal(self) -> None:
         """Stop blackholing."""
@@ -265,6 +260,7 @@ class ReorderStage(FaultInjector):
     """
 
     kind = "reorder"
+    counters = ("reordered", "passed")
 
     def __init__(self, sim: Simulator, prob: float, delay_ns: int,
                  seed: int = 0, name: Optional[str] = None):
@@ -280,14 +276,14 @@ class ReorderStage(FaultInjector):
     def ingress(self, frame: Any) -> Any:
         """Hold the frame for ``delay_ns`` with probability ``prob``."""
         if self._rng.random() < self.prob:
-            self.counter("reordered").inc()
+            self.reordered.inc()
             # Capture the downstream sink now: if the injector is removed
             # before delivery, the in-flight frame still lands.
             sink = self._downstream
             evt = self.sim.timeout(self.delay_ns)
             evt.callbacks.append(lambda _evt, f=frame, s=sink: s(f))
             return True
-        self.counter("passed").inc()
+        self.passed.inc()
         return self.forward(frame)
 
 
@@ -305,6 +301,7 @@ class DelayStage(FaultInjector):
     """
 
     kind = "delay"
+    counters = ("delayed",)
 
     def __init__(self, sim: Simulator, delay_ns: int, name: Optional[str] = None):
         if delay_ns <= 0:
@@ -314,7 +311,7 @@ class DelayStage(FaultInjector):
 
     def ingress(self, frame: Any) -> Any:
         """Hold the frame for exactly ``delay_ns``, then deliver it."""
-        self.counter("delayed").inc()
+        self.delayed.inc()
         # Capture the downstream sink now: if the injector is removed
         # before delivery, the in-flight frame still lands.
         sink = self._downstream
@@ -333,6 +330,7 @@ class DuplicateStage(FaultInjector):
     """
 
     kind = "duplicate"
+    counters = ("passed", "duplicated")
 
     def __init__(self, sim: Simulator, prob: float, seed: int = 0,
                  name: Optional[str] = None):
@@ -344,10 +342,10 @@ class DuplicateStage(FaultInjector):
 
     def ingress(self, frame: Any) -> Any:
         """Forward once, and a second time with probability ``prob``."""
-        self.counter("passed").inc()
+        self.passed.inc()
         result = self.forward(frame)
         if self._rng.random() < self.prob:
-            self.counter("duplicated").inc()
+            self.duplicated.inc()
             self.forward(frame)
         return result
 

@@ -130,6 +130,10 @@ class Engine:
         self.jobs = jobs
         self.cache = cache
         self.metrics = registry if registry is not None else MetricsRegistry()
+        self._total = self.metrics.counter("exec.points.total")
+        self._executed = self.metrics.counter("exec.points.executed")
+        self._cached = self.metrics.counter("exec.points.cached")
+        self.wall_s = self.metrics.gauge("exec.points.wall_s")
         #: Timeline dumps collected from every point (cache hits included).
         self.timelines: list[dict] = []
         #: Health event dicts from every point, in point order
@@ -140,17 +144,17 @@ class Engine:
     @property
     def points_total(self) -> int:
         """Points scheduled over this engine's lifetime."""
-        return self.metrics.counter("exec.points.total").value
+        return self._total.value
 
     @property
     def points_executed(self) -> int:
         """Points that actually ran a simulation (cache misses)."""
-        return self.metrics.counter("exec.points.executed").value
+        return self._executed.value
 
     @property
     def points_cached(self) -> int:
         """Points answered from the result cache."""
-        return self.metrics.counter("exec.points.cached").value
+        return self._cached.value
 
     def summary(self) -> str:
         """One-line machine-greppable stats (printed by the CLI)."""
@@ -176,7 +180,7 @@ class Engine:
             cached = self.cache.get(fp) if self.cache is not None else None
             if cached is not None:
                 results[i] = cached
-                self.metrics.counter("exec.points.cached").inc()
+                self._cached.inc()
                 self.metrics.merge(cached.metrics)
                 self.timelines.extend(cached.timelines)
                 self.health_events.extend(cached.health)
@@ -197,15 +201,15 @@ class Engine:
                     key=p.key, value=value, wall_s=wall, seed=seed, **run
                 )
                 results[i] = result
-                self.metrics.counter("exec.points.executed").inc()
-                self.metrics.gauge("exec.points.wall_s").inc(wall)
+                self._executed.inc()
+                self.wall_s.inc(wall)
                 self.metrics.merge(result.metrics)
                 self.timelines.extend(result.timelines)
                 self.health_events.extend(result.health)
                 if self.cache is not None:
                     self.cache.put(fp, result)
 
-        self.metrics.counter("exec.points.total").inc(len(points))
+        self._total.inc(len(points))
         return results  # type: ignore[return-value]
 
     def timeline_series(self) -> dict[str, Series]:

@@ -67,6 +67,9 @@ class KittenBridgeVM(PacketStage):
         self.params = params or BridgeVMParams()
         self.txq: Store = Store(sim, capacity=self.params.queue_frames, name=f"{self.name}.txq")
         self.rxq: Store = Store(sim, capacity=self.params.queue_frames, name=f"{self.name}.rxq")
+        self.rx_dropped = host.stack.obs.metrics.counter(
+            f"host.kitten.{host.name}.rx_dropped"
+        )
         core.attach_bridge(self)
         # The service VM has direct access to the IB device: it, not the
         # host stack, owns the NIC's receive port.
@@ -98,11 +101,7 @@ class KittenBridgeVM(PacketStage):
         if frame.dst not in self.core.if_by_mac and frame.dst != BROADCAST_MAC:
             return True  # filtered, not backpressure
         if not self.rxq.try_put(frame):
-            # Registered on first use: bridge VMs that never drop
-            # publish nothing.
-            self.host.stack.obs.metrics.counter(
-                f"host.kitten.{self.host.name}.rx_dropped"
-            ).inc()
+            self.rx_dropped.inc()
             return False
         return True
 

@@ -48,6 +48,9 @@ class _Port:
         # output, after the learning step on ingress — same ordering as a
         # store-and-forward lookup pipeline.
         self.fabric = Port(sim, f"{switch.params.name}.port{index}.fabric")
+        self.dropped = switch.obs.metrics.counter(
+            f"hw.switch.{switch.params.name}.port{index}.dropped"
+        )
         self.fabric.connect(self._fabric_arrive)
         sim.process(self._egress_loop(), name=f"{switch.params.name}.port{index}")
         nic.tx_port.connect(self._ingress)
@@ -69,12 +72,7 @@ class _Port:
 
     def enqueue(self, frame: Any) -> None:
         if not self.egress.try_put(frame):
-            # Drop counters register on first use, so ports that never
-            # drop publish nothing.
-            switch = self.switch
-            switch.obs.metrics.counter(
-                f"hw.switch.{switch.params.name}.port{self.index}.dropped"
-            ).inc()
+            self.dropped.inc()
 
     def _egress_loop(self):
         params = self.switch.params

@@ -42,7 +42,7 @@ class ConvergenceTracker:
     ):
         self.sim = sim
         self.expected = expected
-        self.metrics = metrics
+        self.hosts_ready = None if metrics is None else metrics.counter(self.READY_COUNTER)
         self.health = health
         self.ready_ns: dict[str, int] = {}
         self.start_ns: int = sim.now
@@ -54,8 +54,8 @@ class ConvergenceTracker:
             return
         now = self.sim.now
         self.ready_ns[name] = now
-        if self.metrics is not None:
-            self.metrics.counter(self.READY_COUNTER).inc()
+        if self.hosts_ready is not None:
+            self.hosts_ready.inc()
         if self.health is not None:
             self.health.emit(now, "provisioner", "host-provisioned",
                              message=name, value=float(len(self.ready_ns)))

@@ -14,10 +14,11 @@ Naming convention (see ``docs/observability.md``): dot-separated
     hw.nic.h0.nic.tx_bytes
     palacios.h0.exits.virtio-kick
 
-A counter *family* (per-reason VM-exit counts) is one counter per
-label, named ``<prefix>.<label>`` and created at the label's first use.
 Components hold their counters as public attributes and read
 ``counter.value``; the registry is the only place a count is kept.
+A counter *family* whose labels are only known at run time (the fluid
+solver's per-reason releases) is one counter per label, named
+``<prefix>.<label>`` and created at the label's first use.
 """
 
 from __future__ import annotations
@@ -128,9 +129,6 @@ class Gauge:
 
     def inc(self, n: float = 1) -> None:
         self.value += n
-
-    def dec(self, n: float = 1) -> None:
-        self.value -= n
 
     def time_avg(self, now_ns: int) -> float:
         """Time-weighted average value since the first timestamped set.
@@ -313,29 +311,38 @@ class MetricsRegistry:
 
     # -- cross-process aggregation ----------------------------------------
     def dump(self) -> dict:
-        """Typed, picklable snapshot of every metric, for :meth:`merge`.
+        """Typed, picklable snapshot of every metric that moved, for
+        :meth:`merge`.
 
         Unlike :meth:`snapshot` (a flat name→value view for humans and
         exporters), the dump records each instrument's kind so another
         registry — typically in the parent process of a worker pool —
         can reconstruct and combine it.  The dump is plain data (dicts,
         lists, numbers) and pickles cleanly across process boundaries.
+
+        An instrument still in its fresh state is left out: a counter at
+        0, a gauge at 0 that was never set with a timestamp, and a
+        histogram with no observations.  Merging one would change
+        nothing, so a reader takes an absent counter or gauge as 0 and
+        an absent histogram as empty.
         """
         out: dict[str, dict] = {}
         for name, m in self._metrics.items():
-            if isinstance(m, Histogram):
-                out[name] = {
-                    "type": "histogram",
-                    "edges": list(m.edges),
-                    "counts": list(m.counts),
-                    "count": m.count,
-                    "sum": m.sum,
-                    "min": m.min,
-                    "max": m.max,
-                }
-            elif isinstance(m, Counter):
-                out[name] = {"type": "counter", "value": m.value}
-            else:
+            if isinstance(m, Counter):
+                if m.value:
+                    out[name] = {"type": "counter", "value": m.value}
+            elif isinstance(m, Histogram):
+                if m.count:
+                    out[name] = {
+                        "type": "histogram",
+                        "edges": list(m.edges),
+                        "counts": list(m.counts),
+                        "count": m.count,
+                        "sum": m.sum,
+                        "min": m.min,
+                        "max": m.max,
+                    }
+            elif m.value or m.last_set_ns is not None:
                 entry = {"type": "gauge", "value": m.value}
                 if m.last_set_ns is not None:
                     entry["first_set_ns"] = m.first_set_ns

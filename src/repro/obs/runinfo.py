@@ -185,7 +185,7 @@ def build_artifact(
         fairness=fairness_scores(metrics),
         profile=profile,
         volatile={
-            "wall_s": float(engine.metrics.gauge("exec.points.wall_s").value),
+            "wall_s": float(engine.wall_s.value),
             "points_total": engine.points_total,
             "points_executed": engine.points_executed,
             "points_cached": engine.points_cached,

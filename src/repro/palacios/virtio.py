@@ -115,7 +115,7 @@ class VirtioNIC(PacketStage):
             # guest-driven mode, a cheap wakeup in VMM-driven mode) runs
             # inside the exit, stalling this VCPU.
             self.tx_kicks.inc()
-            self.vm.vmm.count_exit("virtio-kick")
+            self.vm.vmm.virtio_kick_exits.inc()
             span = spans.open(
                 STAGE_VMEXIT, who=self.name, where="vmm", flow_of=frame
             ) if spans.enabled else None

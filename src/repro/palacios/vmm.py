@@ -1,9 +1,9 @@
 """Palacios VMM model.
 
 Palacios (Sect. 4.1) is modelled by what the data path pays it: VM
-exits/entries, I/O-port handling, and interrupt injection, with per-
-reason exit accounting so tests can assert on exit *counts* (the paper's
-central performance argument is about eliminating exits).
+exits/entries, I/O-port handling, and interrupt injection, with exit
+accounting so tests can assert on exit *counts* (the paper's central
+performance argument is about eliminating exits).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING
 
 from ..config import VMMParams, VirtioParams
 from ..obs.context import Observability
-from ..obs.metrics import Counter
 from ..proto.stack import Stack
 from ..sim import Simulator
 
@@ -33,9 +32,10 @@ class PalaciosVMM:
         self.virtio_params: VirtioParams = host.params.virtio
         self.vms: list[VirtualMachine] = []
         self.obs = Observability.of(sim)
-        # Per-reason VM-exit counters ``palacios.<host>.exits.<reason>``,
-        # each created at its reason's first exit.
-        self.exit_counts: dict[str, Counter] = {}
+        # VM exits on a virtio kick, the only exit the data path takes.
+        self.virtio_kick_exits = self.obs.metrics.counter(
+            f"palacios.{host.name}.exits.virtio-kick"
+        )
         host.vmm = self
 
     def create_vm(
@@ -47,21 +47,6 @@ class PalaciosVMM:
         vm = VirtualMachine(self, name, guest_ip, mem_mb=mem_mb)
         self.vms.append(vm)
         return vm
-
-    # -- exit accounting ------------------------------------------------------
-    def count_exit(self, reason: str) -> None:
-        counter = self.exit_counts.get(reason)
-        if counter is None:
-            counter = self.exit_counts[reason] = self.obs.metrics.counter(
-                f"palacios.{self.host.name}.exits.{reason}"
-            )
-        counter.inc()
-
-    def exit_entry(self, reason: str, handler_ns: int = 0):
-        """Generator: charge one full exit + handler + entry to the caller
-        (i.e. the guest VCPU is stalled for this long)."""
-        self.count_exit(reason)
-        yield self.params.exit_ns + handler_ns + self.params.entry_ns
 
 
 class VirtualMachine:

@@ -106,8 +106,7 @@ class UdpSocket:
 
     def deliver(self, dgram: UDPDatagram, src_ip: str) -> None:
         if not self.rx.try_put((dgram.payload, src_ip, dgram.sport)):
-            stack = self.stack
-            stack.obs.metrics.counter(f"proto.stack.{stack.name}.udp_dropped").inc()
+            self.stack.udp_dropped.inc()
 
 
 class Stack:
@@ -128,6 +127,12 @@ class Stack:
         self.role = role
         self.where = "guest" if role == "guest" else "host"
         self.obs = Observability.of(sim)
+        metrics = self.obs.metrics
+        prefix = f"proto.stack.{name}"
+        self.rx_dropped = metrics.counter(f"{prefix}.rx_dropped")
+        self.udp_dropped = metrics.counter(f"{prefix}.udp_dropped")
+        self.udp_unreachable = metrics.counter(f"{prefix}.udp_unreachable")
+        self.proto_unknown = metrics.counter(f"{prefix}.proto_unknown")
         self.devices: list[NetDevice] = []
         self._default_dev: Optional[NetDevice] = None
         self.neighbors: dict[str, str] = {}        # dst ip -> mac
@@ -343,7 +348,7 @@ class Stack:
         if frame.dst != dev.mac and frame.dst != BROADCAST_MAC:
             return  # not ours
         if not self._rxq.try_put((dev, frame)):
-            self.obs.metrics.counter(f"proto.stack.{self.name}.rx_dropped").inc()
+            self.rx_dropped.inc()
 
     def _softirq_loop(self):
         params = self.params
@@ -405,9 +410,7 @@ class Stack:
             if sock is not None:
                 sock.deliver(dgram, pkt.src)
             else:
-                # Drop counters register on first use, so stacks that
-                # never drop publish nothing.
-                self.obs.metrics.counter(f"proto.stack.{self.name}.udp_unreachable").inc()
+                self.udp_unreachable.inc()
         elif pkt.proto == PROTO_TCP:
             seg: TcpSegment = pkt.payload
             cost = params.tcp_rx_ns if seg.payload_bytes else params.tcp_ack_rx_ns
@@ -428,7 +431,7 @@ class Stack:
                 if listener is not None:
                     listener._on_syn(seg, pkt.src)
         else:
-            self.obs.metrics.counter(f"proto.stack.{self.name}.proto_unknown").inc()
+            self.proto_unknown.inc()
 
     def _handle_icmp(self, pkt: IPv4Packet):
         msg: ICMPMessage = pkt.payload

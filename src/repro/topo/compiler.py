@@ -71,6 +71,7 @@ from ..vnet.overlay import (
     LinkProto,
     LinkSpec,
     RouteEntry,
+    validate_mac,
 )
 from ..vnet.vnetu import VnetUDaemon
 from .generators import guest_mac
@@ -292,7 +293,10 @@ class TopologyCompiler:
                 LinkSpec(name=name, proto=proto, dst_ip=host_ip(index[ol.dst]),
                          dst_port=DEFAULT_VNET_PORT)
             )
-        # Routes, grouped per host in topology order.
+        # Routes, grouped per host in topology order.  Each distinct plan
+        # MAC is validated once, and every table shares its interned string.
+        distinct = {mac for plan in topo.routes for mac in (plan.src_mac, plan.dst_mac)}
+        macs = {mac: validate_mac(mac) for mac in distinct}
         routes: dict[str, list[RouteEntry]] = {h.name: [] for h in topo.hosts}
         for plan in topo.routes:
             if plan.via_interface is not None:
@@ -305,7 +309,7 @@ class TopologyCompiler:
                     )
                 dest_type, dest_name = DestType.LINK, link_name[key]
             routes[plan.host].append(
-                RouteEntry(src_mac=plan.src_mac, dst_mac=plan.dst_mac,
+                RouteEntry(src_mac=macs[plan.src_mac], dst_mac=macs[plan.dst_mac],
                            dest_type=dest_type, dest_name=dest_name)
             )
         compiled = [

@@ -160,8 +160,8 @@ def _parse_add(tokens: list[str]) -> Command:
         dest_type = DestType.LINK if tokens[5].lower() == "link" else DestType.INTERFACE
         return AddRoute(
             RouteEntry(
-                src_mac=tokens[2],
-                dst_mac=tokens[4],
+                src_mac=validate_mac(tokens[2]),
+                dst_mac=validate_mac(tokens[4]),
                 dest_type=dest_type,
                 dest_name=tokens[6],
             )

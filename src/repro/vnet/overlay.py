@@ -89,17 +89,16 @@ class RouteEntry:
 
     Frozen, so it hashes on the fields its ``__eq__`` compares; the
     routing table's duplicate check relies on that.  Slotted, so the
-    table's membership set costs no net memory at cluster scale.
+    table's membership set costs no net memory at cluster scale.  The
+    MACs are taken as given: text from outside the program is checked
+    with :func:`validate_mac` where it enters (the control language, the
+    topology compiler).
     """
 
     src_mac: str
     dst_mac: str
     dest_type: DestType
     dest_name: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "src_mac", validate_mac(self.src_mac))
-        object.__setattr__(self, "dst_mac", validate_mac(self.dst_mac))
 
     def matches(self, src: str, dst: str) -> bool:
         return (self.src_mac in (ANY_MAC, src)) and (self.dst_mac in (ANY_MAC, dst))

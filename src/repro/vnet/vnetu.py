@@ -46,6 +46,11 @@ class VnetUDaemon(VnetNode):
         self.tapq: Store = Store(sim, capacity=8192, name=f"{self.name}.tapq")
         # User-level socket: syscalls charged on every send/recv.
         self.sock = host.stack.udp_socket(DEFAULT_VNET_PORT, in_kernel=False)
+        metrics = host.stack.obs.metrics
+        prefix = f"vnet.vnetu.{host.name}"
+        self.dropped_tap_full = metrics.counter(f"{prefix}.dropped_tap_full")
+        self.dropped_no_route = metrics.counter(f"{prefix}.dropped_no_route")
+        self.dropped_unknown_dst = metrics.counter(f"{prefix}.dropped_unknown_dst")
         sim.process(self._tx_loop(), name=f"{self.name}.tx")
         sim.process(self._rx_loop(), name=f"{self.name}.rx")
 
@@ -73,14 +78,7 @@ class VnetUDaemon(VnetNode):
                 break
             yield params.transition_ns + self._copy_ns(frame.size)
             if not self.tapq.try_put(frame):
-                self._drop("tap_full")
-
-    def _drop(self, reason: str) -> None:
-        """Count a dropped frame; the counter registers on first use, so
-        daemons that never drop publish nothing."""
-        self.host.stack.obs.metrics.counter(
-            f"vnet.vnetu.{self.host.name}.dropped_{reason}"
-        ).inc()
+                self.dropped_tap_full.inc()
 
     def _copy_ns(self, nbytes: int) -> int:
         return int(round(nbytes * 1e9 / self.params.copy_bw_Bps))
@@ -109,7 +107,7 @@ class VnetUDaemon(VnetNode):
             try:
                 entry, _ = self.routing.lookup(frame.src, frame.dst)
             except NoRouteError:
-                self._drop("no_route")
+                self.dropped_no_route.inc()
                 continue
             if entry.dest_type is DestType.INTERFACE:
                 yield from self._deliver_local(frame, self.interfaces[entry.dest_name])
@@ -134,7 +132,7 @@ class VnetUDaemon(VnetNode):
             yield self._daemon_work_ns(frame.size)
             nic = self.if_by_mac.get(frame.dst)
             if nic is None and frame.dst != BROADCAST_MAC:
-                self._drop("unknown_dst")
+                self.dropped_unknown_dst.inc()
                 continue
             targets = (
                 list(self.if_by_mac.values()) if nic is None else [nic]

@@ -148,7 +148,8 @@ def test_kitten_guest_to_guest_udp():
     # The bridge VMs posted onto and took from the InfiniBand devices.
     assert tb.hosts[0].nic.tx_frames.value >= 1
     assert tb.hosts[1].nic.rx_frames.value >= 1
-    assert Observability.of(sim).metrics.names("host.kitten.") == []
+    dump = Observability.of(sim).metrics.dump()
+    assert [name for name in dump if name.startswith("host.kitten.")] == []
 
 
 def test_kitten_bridge_vm_rx_overflow_is_counted():
@@ -175,7 +176,8 @@ def test_kitten_bridge_vm_rx_overflow_is_counted():
     metrics = Observability.of(sim).metrics
     dropped = metrics.get(f"host.kitten.{tb.hosts[1].name}.rx_dropped")
     assert dropped is not None and dropped.value >= 1
-    assert metrics.names(f"host.kitten.{tb.hosts[0].name}.") == []
+    quiet = f"host.kitten.{tb.hosts[0].name}."
+    assert [name for name in metrics.dump() if name.startswith(quiet)] == []
 
 
 def test_kitten_bridge_vm_rejects_udp_links():

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.harness import build_vnetp
 from repro.obs.context import Observability, capture_run
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator
@@ -77,3 +78,22 @@ def test_capture_run_collects_new_simulations():
     with capture_run() as empty:
         pass
     assert empty.dump() == {"metrics": {}, "timelines": [], "health": []}
+
+
+def test_merging_a_dump_reproduces_it():
+    reg = _populated()
+    reg.counter("idle")
+    reg.gauge("unset")
+    reg.gauge("timed").set(0, now_ns=7)
+    reg.histogram("empty", (1.0,))
+    merged = MetricsRegistry()
+    merged.merge(reg.dump())
+    assert merged.dump() == reg.dump()
+
+
+def test_idle_vnetp_testbed_dumps_no_drop_counter():
+    tb = build_vnetp(n_hosts=2)
+    metrics = Observability.of(tb.sim).metrics
+    # The drop counters exist from construction but have not moved.
+    assert [name for name in metrics.names() if "drop" in name]
+    assert [name for name in metrics.dump() if "drop" in name] == []

@@ -22,7 +22,7 @@ def test_gauge_moves_both_ways():
     g = Gauge("g")
     g.set(3)
     g.inc()
-    g.dec(2)
+    g.inc(-2)
     assert g.value == 2
 
 
@@ -87,3 +87,40 @@ def test_registry_names_snapshot_reset():
     reg.reset()
     assert reg.snapshot("a.") == {"a.x": 0, "a.y": 0.0}
     assert reg.get("missing") is None
+
+
+# -- the dump publishes only what moved -----------------------------------
+
+def test_fresh_registry_dumps_nothing():
+    reg = MetricsRegistry()
+    reg.counter("c")
+    reg.gauge("g")
+    reg.histogram("h", edges=[1])
+    assert reg.dump() == {}
+
+
+def test_counter_bumped_once_is_published():
+    reg = MetricsRegistry()
+    reg.counter("c").inc()
+    assert reg.dump() == {"c": {"type": "counter", "value": 1}}
+
+
+def test_timestamped_gauge_back_at_zero_stays_published():
+    reg = MetricsRegistry()
+    g = reg.gauge("g")
+    g.set(4, now_ns=10)
+    g.set(0, now_ns=30)
+    assert reg.dump() == {"g": {
+        "type": "gauge", "value": 0,
+        "first_set_ns": 10, "last_set_ns": 30, "weighted_ns": 80,
+    }}
+
+
+def test_untimestamped_zero_gauge_and_empty_histogram_are_omitted():
+    reg = MetricsRegistry()
+    g = reg.gauge("g")
+    g.set(5)
+    g.set(0)
+    reg.histogram("h", edges=[1, 2])
+    reg.gauge("moved").set(-1.5)
+    assert reg.dump() == {"moved": {"type": "gauge", "value": -1.5}}

@@ -154,6 +154,37 @@ def test_compiler_rejects_dangling_route():
         TopologyCompiler(topo).compile()
 
 
+def test_compiler_rejects_malformed_plan_mac():
+    from repro.topo import HostSpec, Network, RoutePlan, Topology
+
+    topo = Topology(
+        name="bad",
+        network=Network("n"),
+        hosts=(HostSpec("h0"), HostSpec("h1")),
+        routes=(RoutePlan("h0", "any", "5a:00:00:00:00", via_interface="if0"),),
+    )
+    with pytest.raises(ValueError, match="malformed MAC"):
+        TopologyCompiler(topo).compile()
+
+
+def test_compiled_tables_share_one_string_per_mac():
+    from repro.topo import HostSpec, Network, RoutePlan, Topology
+
+    # Equal plan MACs held as distinct string objects.
+    def mac():
+        return "".join(["5A:00:00:00:00:", "02"])
+
+    topo = Topology(
+        name="shared",
+        network=Network("n"),
+        hosts=(HostSpec("h0"), HostSpec("h1")),
+        routes=tuple(RoutePlan(h, "any", mac(), via_interface="if0") for h in ("h0", "h1")),
+    )
+    h0, h1 = TopologyCompiler(topo).compile().hosts
+    assert h0.routes[0].dst_mac == "5a:00:00:00:00:02"
+    assert h0.routes[0].dst_mac is h1.routes[0].dst_mac
+
+
 def test_signature_tracks_content():
     base = TopologyCompiler(torus2d(3, 3)).compile().signature()
     assert TopologyCompiler(torus2d(3, 3)).compile().signature() == base

@@ -1,5 +1,7 @@
 """Tests for the VNET control language and control component."""
 
+import sys
+
 import pytest
 
 from repro.config import BROADCOM_1G
@@ -57,6 +59,22 @@ def test_parse_add_route_to_link():
 def test_parse_add_route_to_interface():
     cmd = parse_line("add route src 52:00:00:00:00:01 dst 52:00:00:00:00:02 interface if0")
     assert cmd.route.dest_type is DestType.INTERFACE
+
+
+def test_parse_add_route_normalises_and_interns_macs():
+    cmd = parse_line("add route src ANY dst 52:00:00:00:00:AB link peer")
+    assert cmd.route.src_mac == "any"
+    assert cmd.route.dst_mac is sys.intern("52:00:00:00:00:ab")
+
+
+@pytest.mark.parametrize("line", [
+    "add route src any dst 52:00:00:00:00:zz link peer",
+    "add route src 52:00:00:00:00 dst any interface if0",
+    "del route src any dst not-a-mac",
+])
+def test_parse_rejects_malformed_route_macs(line):
+    with pytest.raises(ValueError, match="malformed MAC"):
+        parse_line(line)
 
 
 def test_parse_del_and_list():

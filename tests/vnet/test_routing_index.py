@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.config import VnetCostParams
-from repro.vnet.overlay import ANY_MAC, DestType, RouteEntry
+from repro.vnet.overlay import ANY_MAC, DestType, RouteEntry, validate_mac
 from repro.vnet.routing import NoRouteError, RoutingTable
 
 COSTS = VnetCostParams()
@@ -295,10 +295,11 @@ def test_add_is_linear_in_eq_calls(monkeypatch):
 def test_slotted_route_pickles_hashes_and_normalises():
     """The exec engine ships routes across processes: a slotted entry must
     round-trip through pickle and keep hashing like its equal twin."""
-    entry = route("52:00:00:00:00:AB", ANY_MAC, name="l7")
+    # MACs are normalised and interned where they enter, not by the entry.
+    entry = route(validate_mac("52:00:00:00:00:AB"), ANY_MAC, name="l7")
     assert not hasattr(entry, "__dict__")
     assert entry.src_mac == "52:00:00:00:00:ab"
-    twin = route("52:00:00:00:00:ab", ANY_MAC, name="l7")
+    twin = route(validate_mac("52:00:00:00:00:ab"), ANY_MAC, name="l7")
     assert entry == twin and hash(entry) == hash(twin)
     assert entry.src_mac is twin.src_mac  # interned: one string per MAC
     assert len({entry, twin}) == 1

@@ -36,7 +36,8 @@ def test_vnetu_guest_to_guest_delivery():
     assert tb.hosts[0].nic.tx_frames.value >= 1
     assert b.vm.virtio_nics[0].rx_packets.value >= 1
     # Nothing dropped, so no daemon published a drop counter.
-    assert Observability.of(sim).metrics.names("vnet.vnetu.") == []
+    dump = Observability.of(sim).metrics.dump()
+    assert [name for name in dump if name.startswith("vnet.vnetu.")] == []
 
 
 def test_vnetu_is_much_slower_than_vnetp():
@@ -112,7 +113,8 @@ def test_vnetu_tap_overflow_is_counted():
     metrics = Observability.of(sim).metrics
     dropped = metrics.get(f"vnet.vnetu.{tb.hosts[0].name}.dropped_tap_full")
     assert dropped is not None and dropped.value >= 1
-    assert metrics.names(f"vnet.vnetu.{tb.hosts[1].name}.") == []
+    quiet = f"vnet.vnetu.{tb.hosts[1].name}."
+    assert [name for name in metrics.dump() if name.startswith(quiet)] == []
 
 
 def test_vnetu_guest_ring_full_drop_counted_once():
