@@ -89,7 +89,6 @@ class HostStackParams:
     per_byte_checksum_ns: float = 0.10   # checksum+touch cost per byte
     softirq_wakeup_ns: int = 1_500    # driver IRQ -> stack processing
     sched_wakeup_ns: int = 3_000      # blocked thread wakeup (ksoftirqd->app)
-    kernel_user_copy_setup_ns: int = 250
 
     def checksum_ns(self, nbytes: int) -> int:
         return int(round(nbytes * self.per_byte_checksum_ns))
@@ -102,8 +101,6 @@ class VMMParams:
     exit_ns: int = 1_200              # guest -> VMM world switch
     entry_ns: int = 900               # VMM -> guest world switch
     interrupt_inject_ns: int = 400    # event-injection bookkeeping (plus exit/entry)
-    hypercall_handler_ns: int = 300
-    halt_poll_check_ns: int = 120     # one iteration of the halt poll loop
 
     @property
     def round_trip_ns(self) -> int:
@@ -180,11 +177,8 @@ class VnetCostParams:
     idle_wakeup_ns: int = 7_000       # waking an idle dispatcher/bridge thread (IPI + sched)
     encap_ns: int = 500               # UDP header construction
     decap_ns: int = 450
-    encap_header_bytes: int = 42      # outer Ethernet+IP+UDP headers
     bridge_tx_ns: int = 800           # bridge kernel-module send path
     bridge_rx_ns: int = 900
-    frag_per_fragment_ns: int = 900
-    reasm_per_fragment_ns: int = 1_100
     cut_through_ns: int = 600         # header peek + ring-slot reservation when
                                       # the body copy is taken off the serial path
 

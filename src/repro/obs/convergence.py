@@ -69,9 +69,3 @@ class ConvergenceTracker:
     def converged(self) -> bool:
         """True once every expected host has reported ready."""
         return self.converged_ns is not None
-
-    def ramp(self) -> list[tuple[int, int]]:
-        """``(t_ns, hosts_ready)`` steps, sorted by time — the
-        convergence ramp for plotting or assertions."""
-        times = sorted(self.ready_ns.values())
-        return [(t, i + 1) for i, t in enumerate(times)]

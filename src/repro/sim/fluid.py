@@ -172,8 +172,6 @@ class FluidRegion:
     every non-kernel connection's ``_fluid_watch`` at :meth:`_probe`.
     """
 
-    #: Hop-count ceiling for path compilation (guards routing loops).
-    MAX_HOPS = 16
     #: Strides that may move zero bytes before a receiver-limited flow
     #: is handed back to packet level.
     MAX_ZERO_STRIDES = 2

@@ -21,7 +21,8 @@ from ..sim import Simulator
 from ..sim.fluid import fluid_region_of
 from .control import VnetControl
 from .monitor import TrafficMonitor
-from .overlay import DEFAULT_VNET_PORT, DestType, LinkProto, LinkSpec, RouteEntry
+from .node import OverlayMap
+from .overlay import ANY_MAC, DEFAULT_VNET_PORT, DestType, LinkProto, LinkSpec, RouteEntry
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import VnetCore
@@ -83,11 +84,8 @@ class AdaptationEngine:
             c.monitor if c.monitor is not None else TrafficMonitor(sim, c)
             for c in cores
         ]
-        # Location directory: guest MAC -> (core index, host ip).
-        self.directory: dict[str, int] = {}
-        for i, core in enumerate(cores):
-            for mac in core.local_macs():
-                self.directory[mac] = i
+        # Location directory: guest MAC / host IP -> core index.
+        self.overlay = OverlayMap(cores)
         self.actions: list[AdaptationAction] = []
         # Links currently routed around, keyed by (core index, link name).
         self.failed_links: dict[tuple[int, str], FailoverRecord] = {}
@@ -98,25 +96,18 @@ class AdaptationEngine:
 
     def refresh_directory(self) -> None:
         """Re-learn MAC locations (after migrations)."""
-        self.directory = {
-            mac: i for i, core in enumerate(self.cores) for mac in core.local_macs()
-        }
+        self.overlay = OverlayMap(self.cores)
 
     def _ensure_direct_route(self, core_idx: int, dst_mac: str) -> bool:
         """Make core_idx reach dst_mac via a direct link; returns True if
         anything changed."""
-        dst_idx = self.directory.get(dst_mac)
+        dst_idx = self.overlay.index_of_mac.get(dst_mac)
         if dst_idx is None or dst_idx == core_idx:
             return False
         core = self.cores[core_idx]
-        control = self.controls[core_idx]
         target_host = self.cores[dst_idx].host
         # Find or create a UDP link straight to the destination host.
-        link_name = None
-        for name, link in core.links.items():
-            if link.proto is LinkProto.UDP and link.dst_ip == target_host.ip:
-                link_name = name
-                break
+        link_name = core.udp_link_to(target_host.ip)
         changed = False
         if link_name is None:
             link_name = f"adapt-{dst_idx}"
@@ -130,10 +121,8 @@ class AdaptationEngine:
             )
             self._log(core_idx, f"created direct link {link_name} -> {target_host.ip}")
             changed = True
-        # Is the current best route already using it?
-        entry = core.routing.peek("00:00:00:00:00:00", dst_mac)
-        current = None if entry is None else (entry.dest_type, entry.dest_name)
-        if current != (DestType.LINK, link_name):
+        # Does the route any source takes already use it?
+        if core.next_hop(ANY_MAC, dst_mac) is not core.links[link_name]:
             core.routing.remove_matching(dst_mac=dst_mac)
             core.add_route(
                 RouteEntry(
@@ -185,18 +174,6 @@ class AdaptationEngine:
             yield interval_ns
             self.failover()
 
-    def _host_index(self, ip: str) -> Optional[int]:
-        for i, core in enumerate(self.cores):
-            if core.host.ip == ip:
-                return i
-        return None
-
-    def _link_to(self, core: "VnetCore", dst_ip: str) -> Optional[str]:
-        for name, link in core.links.items():
-            if link.proto is LinkProto.UDP and link.dst_ip == dst_ip:
-                return name
-        return None
-
     def _find_detour(self, core_idx: int, dst_idx: int,
                      dead_link: str) -> Optional[str]:
         """A live link from ``core_idx`` to a waypoint that reaches
@@ -206,10 +183,10 @@ class AdaptationEngine:
         for k, waypoint in enumerate(self.cores):
             if k in (core_idx, dst_idx):
                 continue
-            via = self._link_to(self.cores[core_idx], waypoint.host.ip)
+            via = self.cores[core_idx].udp_link_to(waypoint.host.ip)
             if via is None or via == dead_link or not monitor.link_alive(via):
                 continue
-            onward = self._link_to(waypoint, dst_ip)
+            onward = waypoint.udp_link_to(dst_ip)
             if onward is None or not self.monitors[k].link_alive(onward):
                 continue
             return via
@@ -220,7 +197,7 @@ class AdaptationEngine:
         link = core.links.get(link_name)
         if link is None:
             return 0
-        dst_idx = self._host_index(link.dst_ip)
+        dst_idx = self.overlay.index_of_ip.get(link.dst_ip)
         affected = core.routing.routes_to(DestType.LINK, link_name)
         if dst_idx is None or not affected:
             return 0

@@ -34,7 +34,7 @@ from .dispatcher import ModeController, YieldState
 from .flowcache import FlowCache, FlowCacheEntry
 from .heartbeat import HeartbeatFrame
 from .node import VnetNode
-from .overlay import DestType, InterfaceSpec, LinkSpec, RouteEntry
+from .overlay import InterfaceSpec, LinkSpec
 from .routing import NoRouteError, RoutingTable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -279,8 +279,12 @@ class VnetCore(VnetNode, PacketStage):
         else:
             # An inbound packet may be destined for a local interface or
             # forwarded onward (overlay waypoint).
-            self.flowcache.install(frame.src, frame.dst, entry)
-            yield from self._forward(frame, entry)
+            dest = self.destination(entry)
+            self.flowcache.install(frame.src, frame.dst, dest)
+            if dest.__class__ is LinkSpec:
+                yield from self._send_via_bridge(frame, dest)
+            else:
+                yield from self._deliver_local(frame, dest)
 
     def _broadcast(self, frame: EthernetFrame, from_guest: bool):
         """Deliver a broadcast frame to every local interface; a guest's
@@ -291,14 +295,6 @@ class VnetCore(VnetNode, PacketStage):
         if from_guest:
             for link in self.links.values():
                 yield from self._send_via_bridge(frame, link)
-
-    def _forward(self, frame: EthernetFrame, entry: RouteEntry):
-        if entry.dest_type is DestType.INTERFACE:
-            nic = self.interfaces[entry.dest_name]
-            yield from self._deliver_local(frame, nic)
-        else:
-            link = self.links[entry.dest_name]
-            yield from self._send_via_bridge(frame, link)
 
     def _forward_cached(self, frame: EthernetFrame, hit: FlowCacheEntry,
                         penalty: int, ystate: Optional[YieldState]):

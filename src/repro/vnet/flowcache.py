@@ -42,11 +42,11 @@ documented in ``docs/performance.md``.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 from ..obs.context import Observability
 from ..sim import PacketStage, Simulator
-from .overlay import DestType, LinkSpec, RouteEntry
+from .overlay import LinkSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.timeline import Series, Timeline
@@ -138,24 +138,24 @@ class FlowCache(PacketStage):
         self._hits.inc()
         return entry
 
-    def install(self, src: str, dst: str, route: RouteEntry) -> Optional[FlowCacheEntry]:
-        """Compile ``route`` into a fast-path entry for flow ``(src, dst)``.
+    def install(self, src: str, dst: str,
+                dest: Union["VirtioNIC", LinkSpec]) -> Optional[FlowCacheEntry]:
+        """Compile ``dest`` (the core's
+        :meth:`~repro.vnet.node.VnetNode.destination` for the route
+        just looked up) into a fast-path entry for flow ``(src, dst)``.
 
         Called by the core right after a successful full-chain lookup.
-        Returns the entry, or ``None`` when the destination cannot be
-        compiled (unknown name, no bridge attached) — never raises on
-        the datapath.
+        Returns the entry, or ``None`` when a link has no bridge to
+        leave by.
         """
         core = self.core
         nic = link = None
-        if route.dest_type is DestType.INTERFACE:
-            nic = core.interfaces.get(route.dest_name)
-            if nic is None:
+        if dest.__class__ is LinkSpec:
+            if core.bridge is None:
                 return None
+            link = dest
         else:
-            link = core.links.get(route.dest_name)
-            if link is None or core.bridge is None:
-                return None
+            nic = dest
         # What the full chain charges once the flow is resolved
         # (dispatch + warm routing lookup).
         charge = core.costs.dispatch_ns + core.routing.warm_lookup_cost()

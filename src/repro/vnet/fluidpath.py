@@ -5,18 +5,18 @@ captured flow, (a) the set of overlay links the flow traverses — as the
 same ``<host>.vbridge.link.<link>`` tokens the chaos injector names, so
 fault installs release exactly the right flows — and (b) a ``charge``
 hook that applies aggregate per-hop counter updates for a stride's worth
-of segments.  This module supplies both by walking the registered cores'
-routing tables (via the side-effect-free :meth:`RoutingTable.peek`, so
-compilation never perturbs datapath lookup statistics) from the sender's
-guest NIC to the receiver's, in both directions: data segments ride the
-forward path, their ACKs the reverse.
+of segments.  This module supplies both with the overlay's one
+forwarding walk (:meth:`~repro.vnet.node.OverlayMap.walk`, which reads
+routes with the side-effect-free :meth:`RoutingTable.peek`, so
+compilation never perturbs datapath lookup statistics) over the
+registered cores, from the sender's guest NIC to the receiver's, in
+both directions: data segments ride the forward path, their ACKs the
+reverse.
 
-The walk mirrors ``VnetCore._forward``: an INTERFACE entry terminates at
-a local guest NIC; a LINK entry crosses the bridge to the core of the
-host owning the link's destination IP.  Compilation fails (returns
-``None``, vetoing the capture) on broadcast frames, missing routes,
-unknown next hops, or suspiciously long walks — exactly the flows the
-packet path must keep handling.
+Compilation fails (returns ``None``, vetoing the capture) unless both
+walks end at a guest NIC: missing routes, links leaving the registered
+cores, and routing loops are the flows the packet path must keep
+handling.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from ..sim.fluid import FluidRegion
-from .overlay import DestType
+from .node import OverlayMap, WalkEnd
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..palacios.virtio import VirtioNIC
@@ -112,53 +112,18 @@ class VnetFluidPath:
             self.rev.charge(ack_segs)
 
 
-def _core_of_mac(region: FluidRegion, mac: str) -> Optional["VnetCore"]:
-    for core in region.cores:
-        if mac in core.if_by_mac:
-            return core
-    return None
-
-
-def _core_of_host_ip(region: FluidRegion, ip: str) -> Optional["VnetCore"]:
-    for core in region.cores:
-        if core.host.ip == ip:
-            return core
-    return None
-
-
-def _walk(region: FluidRegion, conn: "TcpConnection") -> Optional[_Hops]:
+def _hops(overlay: OverlayMap, conn: "TcpConnection") -> Optional[_Hops]:
     try:
         dev, dst_mac = conn.stack.route(conn.remote_ip)
     except Exception:
         return None
-    src_mac = dev.mac
-    core = _core_of_mac(region, src_mac)
-    if core is None:
+    walk = overlay.walk(dev.mac, dst_mac)
+    if walk is None or walk.end is not WalkEnd.DELIVERED:
         return None
-    src_nic = core.if_by_mac[src_mac]
-    first_core = core
-    links: list = []
-    for _hop in range(FluidRegion.MAX_HOPS):
-        local = core.if_by_mac.get(dst_mac)
-        if local is not None:
-            return _Hops(src_nic, first_core, links, core, local)
-        entry = core.routing.peek(src_mac, dst_mac)
-        if entry is None:
-            return None
-        if entry.dest_type is DestType.INTERFACE:
-            nic = core.interfaces.get(entry.dest_name)
-            if nic is None:
-                return None
-            return _Hops(src_nic, first_core, links, core, nic)
-        link = core.links.get(entry.dest_name)
-        if link is None:
-            return None
-        nxt = _core_of_host_ip(region, link.dst_ip)
-        if nxt is None:
-            return None
-        links.append((core, link, nxt))
-        core = nxt
-    return None  # routing loop — leave the flow at packet level
+    nodes = walk.nodes
+    first = nodes[0]
+    return _Hops(first.if_by_mac[dev.mac], first,
+                 list(zip(nodes, walk.links, nodes[1:])), nodes[-1], walk.nic)
 
 
 def compile_vnet_path(
@@ -167,10 +132,11 @@ def compile_vnet_path(
     """Compile a captured connection's overlay path, or veto the capture."""
     if conn.peer is None:
         return None
-    fwd = _walk(region, conn)
+    overlay = OverlayMap(region.cores)
+    fwd = _hops(overlay, conn)
     if fwd is None:
         return None
-    rev = _walk(region, conn.peer)
+    rev = _hops(overlay, conn.peer)
     if rev is None:
         return None
     return VnetFluidPath(fwd, rev)

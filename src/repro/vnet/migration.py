@@ -54,11 +54,7 @@ def _route_all_cores_to(
                 RouteEntry("any", mac, DestType.INTERFACE, if_name)
             )
             continue
-        link_name = None
-        for name, link in core.links.items():
-            if link.proto is LinkProto.UDP and link.dst_ip == dst_host_ip:
-                link_name = name
-                break
+        link_name = core.udp_link_to(dst_host_ip)
         if link_name is None:
             link_name = f"mig-{dst_idx}"
             core.add_link(

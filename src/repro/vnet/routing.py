@@ -203,8 +203,8 @@ class RoutingTable:
     def peek(self, src_mac: str, dst_mac: str) -> Optional[RouteEntry]:
         """Side-effect-free best-match query (no counters, no cache fill).
 
-        Control-plane consumers — the fluid path compiler in
-        :mod:`repro.vnet.fluidpath` — must not perturb the datapath's
+        Control-plane consumers — all of them through
+        :meth:`repro.vnet.node.VnetNode.next_hop` — must not perturb the datapath's
         lookup statistics or warm its cache, or an otherwise identical
         packet-level segment would see different charged costs.
         """

@@ -3,25 +3,26 @@
 A misconfigured overlay fails silently: packets to an unrouted MAC are
 dropped, a link pointing at the wrong port blackholes, a waypoint
 missing a forward route strands traffic.  Before (or after) an
-adaptation pass, :func:`validate_overlay` walks every (source VM,
-destination MAC) pair through the cores' routing tables — following
-links hop by hop, exactly as packets would — and reports unreachable
-destinations, forwarding loops, and dangling links.
+adaptation pass, :func:`validate_overlay` walks every (source guest,
+destination guest) MAC pair with the overlay's one forwarding walk
+(:meth:`~repro.vnet.node.OverlayMap.walk`): starting at the source
+guest's core with the guest's own MAC, each core makes the decision
+its datapath makes.  It reports unreachable destinations, forwarding
+loops, and dangling links.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
-from .overlay import DestType, LinkProto
+from .node import OverlayMap, WalkEnd
+from .overlay import LinkProto
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import VnetCore
 
 __all__ = ["OverlayIssue", "ValidationReport", "validate_overlay"]
-
-MAX_HOPS = 16
 
 
 @dataclass
@@ -54,79 +55,39 @@ class ValidationReport:
 
 
 def validate_overlay(cores: list["VnetCore"]) -> ValidationReport:
-    """Check that every guest MAC is reachable from every core."""
+    """Check that every guest reaches every guest on another core."""
     report = ValidationReport()
-    by_ip = {core.host.ip: core for core in cores}
-    all_macs = {mac: core for core in cores for mac in core.local_macs()}
+    overlay = OverlayMap(cores)
+
+    def issue(kind: str, where: str, detail: str) -> None:
+        report.issues.append(OverlayIssue(kind, where, detail))
 
     # Dangling links first: links that point at no known core.
     for core in cores:
         for link in core.links.values():
-            if link.proto is not LinkProto.DIRECT and link.dst_ip not in by_ip:
-                report.issues.append(
-                    OverlayIssue(
-                        kind="dangling-link",
-                        where=core.name,
-                        detail=f"link {link.name!r} targets unknown host {link.dst_ip}",
-                    )
-                )
+            if link.proto is not LinkProto.DIRECT and link.dst_ip not in overlay.index_of_ip:
+                issue("dangling-link", core.name,
+                      f"link {link.name!r} targets unknown host {link.dst_ip}")
 
-    src_probe = "02:00:00:00:00:01"
-    for start in cores:
-        for mac, owner in all_macs.items():
-            if mac in start.local_macs():
+    for src, start in overlay.index_of_mac.items():
+        for mac, owner in overlay.index_of_mac.items():
+            if owner == start:
                 continue
             report.paths_checked += 1
-            current: Optional["VnetCore"] = start
-            visited = []
-            for _hop in range(MAX_HOPS):
-                visited.append(current.name)
-                entry = current.routing.peek(src_probe, mac)
-                if entry is None:
-                    report.issues.append(
-                        OverlayIssue(
-                            kind="unreachable" if current is start else "black-hole",
-                            where=current.name,
-                            detail=f"no route for {mac} "
-                            f"(path {' -> '.join(visited)})",
-                        )
-                    )
-                    current = None
-                    break
-                if entry.dest_type is DestType.INTERFACE:
-                    if current is not owner:
-                        report.issues.append(
-                            OverlayIssue(
-                                kind="black-hole",
-                                where=current.name,
-                                detail=f"{mac} routed to a local interface but "
-                                f"lives on {owner.name}",
-                            )
-                        )
-                    current = None
-                    break
-                link = current.links[entry.dest_name]
-                if link.proto is LinkProto.DIRECT:
-                    current = None  # leaves the overlay; assume delivered
-                    break
-                nxt = by_ip.get(link.dst_ip)
-                if nxt is None:
-                    report.issues.append(
-                        OverlayIssue(
-                            kind="black-hole",
-                            where=current.name,
-                            detail=f"{mac} forwarded onto dangling link {link.name!r}",
-                        )
-                    )
-                    current = None
-                    break
-                current = nxt
-            else:
-                report.issues.append(
-                    OverlayIssue(
-                        kind="loop",
-                        where=start.name,
-                        detail=f"{mac}: {' -> '.join(visited[:6])} ... never terminates",
-                    )
-                )
+            walk = overlay.walk(src, mac)
+            names = [node.name for node in walk.nodes]
+            where = names[-1]
+            if walk.end is WalkEnd.NO_ROUTE:
+                issue("unreachable" if len(names) == 1 else "black-hole", where,
+                      f"no route for {src} -> {mac} (path {' -> '.join(names)})")
+            elif walk.end is WalkEnd.DELIVERED and walk.nic.mac != mac:
+                issue("black-hole", where, f"{mac} routed to local interface "
+                      f"{walk.nic.mac} but lives on {cores[owner].name}")
+            elif walk.end is WalkEnd.DANGLING:
+                issue("black-hole", where,
+                      f"{mac} forwarded onto dangling link {walk.links[-1].name!r}")
+            elif walk.end is WalkEnd.LOOP:
+                issue("loop", names[0],
+                      f"{mac}: {' -> '.join(names[:6])} ... never terminates")
+            # WalkEnd.DIRECT leaves the overlay: assumed delivered.
     return report

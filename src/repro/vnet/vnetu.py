@@ -23,7 +23,7 @@ from ..proto.ethernet import BROADCAST_MAC, EthernetFrame
 from ..sim import Simulator, Store
 from .encap import VnetEncap
 from .node import VnetNode
-from .overlay import DEFAULT_VNET_PORT, DestType, InterfaceSpec, LinkProto, LinkSpec
+from .overlay import DEFAULT_VNET_PORT, InterfaceSpec, LinkProto, LinkSpec
 from .routing import NoRouteError, RoutingTable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -109,12 +109,12 @@ class VnetUDaemon(VnetNode):
             except NoRouteError:
                 self.dropped_no_route.inc()
                 continue
-            if entry.dest_type is DestType.INTERFACE:
-                yield from self._deliver_local(frame, self.interfaces[entry.dest_name])
+            dest = self.destination(entry)
+            if dest.__class__ is LinkSpec:
+                encap = VnetEncap(inner=frame, link_name=dest.name)
+                yield from self.sock.sendto(encap, dest.dst_ip, dest.dst_port)
             else:
-                link = self.links[entry.dest_name]
-                encap = VnetEncap(inner=frame, link_name=link.name)
-                yield from self.sock.sendto(encap, link.dst_ip, link.dst_port)
+                yield from self._deliver_local(frame, dest)
 
     def _rx_loop(self):
         """Daemon: receive encapsulated packets, deliver into the guest."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import units
-from repro.chaos import FaultSchedule
+from repro.chaos import DuplicateStage, FaultSchedule
 from repro.config import NETEFFECT_10G
 from repro.harness.testbed import build_native
 from repro.proto.base import Blob
@@ -47,6 +47,37 @@ def test_loss_window_bounds_activity():
     assert events == ["install loss on w.port", "remove loss from w.port"]
     assert sched.log[0][0] == 2_000_000
     assert sched.log[1][0] == 4_000_000
+    assert port.sink.__name__ == "<lambda>"  # original sink restored
+
+
+def test_duplicate_window_doubles_only_inside_it():
+    """A prob-1 duplicate window installs a DuplicateStage at its start,
+    removes it at its stop, and doubles exactly the frames inside it."""
+    sim = Simulator()
+    delivered = []
+    port = Port(sim, "w.port")
+    port.connect(lambda f: delivered.append(f.t) or True)
+    sched = FaultSchedule(sim, name="dup")
+    window = sched.duplicate(port, start_ns=2_000_000, stop_ns=4_000_000, prob=1.0)
+    sched.start()
+    installed = {}
+
+    def feed():
+        while sim.now < 6_000_000:
+            installed[sim.now] = isinstance(getattr(port.sink, "__self__", None),
+                                            DuplicateStage)
+            port.push(Frame(sim.now))
+            yield sim.timeout(100_000)
+
+    sim.process(feed())
+    sim.run()
+    times = [n * 100_000 for n in range(60)]
+    assert delivered == [t for t in times for _ in range(2 if 2_000_000 <= t < 4_000_000 else 1)]
+    assert installed == {t: 2_000_000 <= t < 4_000_000 for t in times}
+    assert isinstance(window.stage, DuplicateStage)
+    assert window.stage.duplicated.value == 20
+    assert sched.log == [(2_000_000, "install duplicate on w.port"),
+                         (4_000_000, "remove duplicate from w.port")]
     assert port.sink.__name__ == "<lambda>"  # original sink restored
 
 

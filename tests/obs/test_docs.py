@@ -105,3 +105,26 @@ def test_checker_requires_flowcache_and_performance_doc(tmp_path):
     errors = mod.check_docstrings(tmp_path)
     assert any("flowcache.py: public 'lookup' missing docstring" in e
                for e in errors)
+
+
+def test_cost_tables_name_config_fields():
+    mod = _load_checker()
+    assert mod.check_cost_tables(REPO) == []
+
+
+def test_checker_flags_unknown_cost_table_charge(tmp_path):
+    mod = _load_checker()
+    (tmp_path / "src" / "repro").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "config.py").write_text(
+        "@dataclass(frozen=True)\nclass P:\n    kept_ns: int = 1\n\n"
+        "class NotConfig:\n    gone_ns: int = 2\n"
+    )
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "perf.md").write_text(
+        "| Charge | Default | Charged by | When |\n|---|---|---|---|\n"
+        "| `kept_ns` / `gone_ns` | 1 / 2 | `Core` | `other_ns` here is no charge |\n"
+        "\n| `after_ns` | 3 | outside any cost table |\n"
+    )
+    assert mod.check_cost_tables(tmp_path) == [
+        "docs/perf.md: cost table charges 'gone_ns', which is no repro.config field"
+    ]

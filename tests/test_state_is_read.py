@@ -8,13 +8,20 @@ inside a tuple target) under ``src/repro`` needs a reader: a load of
 that nothing reads is deleted; a drop worth keeping is a registry
 counter created at the drop site, so a RunArtifact shows it.
 
-The check matches names, not types: a store whose name some other
-class's attribute shares is not flagged, so such write-only state has
+The same holds for configuration: every field of a ``repro.config``
+dataclass needs a load of ``<expr>.<field>`` under ``src/repro``, or
+the knob changes nothing and is deleted.
+
+The checks match names, not types: a store or field whose name some
+other class's attribute shares is not flagged, so such dead state has
 to be found by hand.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from repro import config
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -116,3 +123,39 @@ def test_check_finds_write_only_state():
         "hi@probe.py:7",
         "sent@probe.py:9",
     ]
+
+
+def _unread_fields(classes: list[type], readers: set[str]) -> list[str]:
+    """``Class.field`` of every dataclass field not in ``readers``."""
+    return [
+        f"{cls.__name__}.{f.name}"
+        for cls in classes
+        for f in dataclasses.fields(cls)
+        if f.name not in readers
+    ]
+
+
+def test_every_config_field_is_read():
+    readers: set[str] = set()
+    for path in sorted(SRC.rglob("*.py")):
+        readers |= _reads(ast.parse(path.read_text(), filename=str(path)))
+    classes = [
+        obj for obj in vars(config).values()
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+        and obj.__module__ == config.__name__
+    ]
+    assert classes
+    found = _unread_fields(classes, readers)
+    assert found == [], "read these config fields under src/repro, or delete them: " + (
+        ", ".join(found)
+    )
+
+
+def test_check_finds_unread_config_field():
+    @dataclasses.dataclass(frozen=True)
+    class Costs:
+        used_ns: int = 1
+        spare_ns: int = 2
+
+    readers = _reads(ast.parse("def charge(costs):\n    return costs.used_ns\n"))
+    assert _unread_fields([Costs], readers) == ["Costs.spare_ns"]

@@ -1,5 +1,6 @@
 """Tests for overlay configuration validation."""
 
+from repro.apps.ping import run_ping
 from repro.config import NETEFFECT_10G
 from repro.harness.testbed import build_vnetp
 from repro.vnet.overlay import DestType, LinkProto, LinkSpec, RouteEntry
@@ -64,3 +65,17 @@ def test_misrouted_interface_is_black_hole():
     report = validate_overlay(tb.cores)
     assert any(i.kind == "black-hole" for i in report.issues)
 
+
+
+def test_validation_walks_from_each_guests_own_mac():
+    """A route keyed on the guest's own source MAC is what the datapath
+    uses; validation must walk with that MAC, not an invented one."""
+    tb = build_vnetp(n_hosts=2, nic_params=NETEFFECT_10G)
+    a, b = tb.endpoints
+    mac_a = a.vm.virtio_nics[0].mac
+    mac_b = b.vm.virtio_nics[0].mac
+    tb.cores[0].routing.remove_matching(dst_mac=mac_b)
+    tb.cores[0].add_route(RouteEntry(mac_a, mac_b, DestType.LINK, "to1"))
+    report = validate_overlay(tb.cores)
+    assert report.ok, report.render()
+    assert run_ping(a, b, count=3).rtt_ns.n == 3

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checks run by CI.
 
-Three checks, importable individually by the test suite:
+Four checks, importable individually by the test suite:
 
 * :func:`check_links` — every internal file reference in ``docs/*.md``
   (markdown links plus backticked ``path/to/file.md``/``.py`` mentions)
@@ -16,7 +16,10 @@ Three checks, importable individually by the test suite:
   and every public top-level class/function in those packages has one
   too — plus the time-dimension modules (``obs/timeline.py``,
   ``obs/flows.py``, ``obs/health.py``) must exist at all, so a rename
-  cannot silently drop them out of the docstring sweep.
+  cannot silently drop them out of the docstring sweep;
+* :func:`check_cost_tables` — every backticked name in the first column
+  of a ``| Charge | Default | Charged by | When |`` table in
+  ``docs/*.md`` is a field of a ``repro.config`` dataclass.
 
 Exit status is non-zero if any check fails.
 """
@@ -166,9 +169,55 @@ def check_docstrings(repo: Path) -> list[str]:
     return errors
 
 
+_COST_TABLE_HEADER = "| Charge | Default | Charged by | When |"
+
+
+def _config_fields(repo: Path) -> set[str]:
+    """Field names of every ``@dataclass`` in ``src/repro/config.py``."""
+    tree = ast.parse((repo / "src" / "repro" / "config.py").read_text(encoding="utf-8"))
+    fields = set()
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            continue
+        fields |= {
+            stmt.target.id
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        }
+    return fields
+
+
+def check_cost_tables(repo: Path) -> list[str]:
+    """Cost-table charges in ``docs/*.md`` that name no config field."""
+    fields = _config_fields(repo)
+    errors = []
+    for md_file in sorted((repo / "docs").glob("*.md")):
+        in_table = False
+        for line in md_file.read_text(encoding="utf-8").splitlines():
+            if line.strip() == _COST_TABLE_HEADER:
+                in_table = True
+                continue
+            if not in_table or not line.startswith("|"):
+                in_table = False
+                continue
+            for name in re.findall(r"`([^`]+)`", line.split("|")[1]):
+                if name not in fields:
+                    errors.append(
+                        f"{md_file.relative_to(repo)}: cost table charges {name!r}, "
+                        "which is no repro.config field"
+                    )
+    return errors
+
+
 def main() -> int:
     repo = Path(__file__).resolve().parent.parent
-    errors = check_links(repo) + check_test_refs(repo) + check_docstrings(repo)
+    errors = (
+        check_links(repo) + check_test_refs(repo) + check_docstrings(repo)
+        + check_cost_tables(repo)
+    )
     for err in errors:
         print(err, file=sys.stderr)
     if errors:
@@ -176,7 +225,7 @@ def main() -> int:
         return 1
     print(
         "docs OK: links and test references resolve, repro.obs/repro.exec/repro.chaos/repro.topo "
-        "(+ flowcache) public surfaces documented"
+        "(+ flowcache) public surfaces documented, cost tables name config fields"
     )
     return 0
 
