@@ -23,7 +23,7 @@ def main() -> None:
     sim = tb.sim
     a, b, c = tb.endpoints
     monitors = [TrafficMonitor(sim, core) for core in tb.cores]
-    engine = AdaptationEngine(sim, tb.cores, tb.controls, min_flow_bytes=64 * 1024)
+    engine = AdaptationEngine(sim, tb.cores, min_flow_bytes=64 * 1024)
     done = {}
 
     def server():

@@ -19,10 +19,9 @@ Usage::
                                          # latency over a ttcp stream;
                                          # export CSV / Chrome counters /
                                          # run artifact
-    python -m repro obs profile          # self-profile the sim kernel on
-                                         # the fig8 ttcp pair: wall time
-                                         # per event category, flamegraph
-                                         # + Chrome-trace exports
+    python -m repro obs profile          # sample the fig8 ttcp pair's
+                                         # wall time per layer; flamegraph
+                                         # + JSON exports
     python -m repro obs diff A.json B.json   # structurally compare two
                                          # RunArtifact bundles (exact or
                                          # tolerance mode); exit 0 when
@@ -227,87 +226,97 @@ def _run_obs_report(argv: list[str]) -> int:
 
 
 def _run_obs_profile(argv: list[str]) -> int:
-    """The ``obs profile`` subcommand: self-profile the sim kernel.
+    """The ``obs profile`` subcommand: where the simulator's wall time goes.
 
     Runs the fig8 ttcp pair (TCP bulk transfer, then UDP goodput — the
-    same workload CI's profiler-overhead check times) with a
-    :class:`~repro.obs.profile.KernelProfiler` installed on each
-    testbed's simulator, and prints the combined per-category wall-time
-    attribution.  The report's TOTAL line is the reconciliation check:
-    attributed nanoseconds must land within a few percent of the wall
-    time the profiler measured around the run loop.
-    ``--collapsed``/``--chrome``/``--json`` export collapsed stacks
-    (``flamegraph.pl`` / speedscope input), a Chrome ``trace_event``
-    file, and the raw report dict.
+    same workload CI's sampler-overhead gate times) inside one
+    :class:`~repro.obs.profile.Sampler` and prints samples and share per
+    layer, the kernel events processed and events/s, and the flow-cache
+    and fluid counts read from each simulation's metrics.
+    ``--collapsed``/``--json`` export flamegraph collapsed stacks
+    (``flamegraph.pl`` / speedscope input) and the report as JSON.
     """
     import json
+    from pathlib import Path
 
     from . import units
     from .apps.ttcp import run_ttcp_tcp, run_ttcp_udp
     from .config import NETEFFECT_10G
     from .harness.testbed import build_vnetp
-    from .obs.profile import (
-        KernelProfiler,
-        collapsed_stacks,
-        combine_reports,
-        profile_chrome_trace,
-    )
+    from .obs.context import Observability
+    from .obs.profile import INTERVAL_S, LAYERS, OTHER, Sampler, shares
 
     parser = argparse.ArgumentParser(
         prog="python -m repro obs profile",
-        description="Profile the sim kernel on the fig8 ttcp workload.",
+        description="Sample the simulator's wall time per layer on the "
+                    "fig8 ttcp workload.",
     )
     parser.add_argument("--quick", action="store_true",
                         help="CI-sized workload (10 MB TCP / 8 ms UDP "
                              "instead of 40 MB / 20 ms)")
     parser.add_argument("--collapsed", metavar="PATH",
                         help="write collapsed stacks (flamegraph.pl input)")
-    parser.add_argument("--chrome", metavar="PATH",
-                        help="write a Chrome trace_event file")
     parser.add_argument("--json", metavar="PATH",
-                        help="write the raw profile report as JSON")
+                        help="write the profile report as JSON")
     args = parser.parse_args(argv)
 
     total_bytes, udp_ns = (
         (10 * units.MB, 8 * units.MS) if args.quick
         else (40 * units.MB, 20 * units.MS)
     )
-    wall0 = time.perf_counter_ns()
-    tb = build_vnetp(nic_params=NETEFFECT_10G)
-    prof_tcp = KernelProfiler.install(tb.sim)
-    prof_tcp.enable()
-    r_tcp = run_ttcp_tcp(tb.endpoints[0], tb.endpoints[1], total_bytes=total_bytes)
-    tb2 = build_vnetp(nic_params=NETEFFECT_10G)
-    prof_udp = KernelProfiler.install(tb2.sim)
-    prof_udp.enable()
-    r_udp = run_ttcp_udp(tb2.endpoints[0], tb2.endpoints[1], duration_ns=udp_ns)
-    wall_ns = time.perf_counter_ns() - wall0
+    sampler = Sampler(Path(__file__).resolve().parents[1])
+    wall0 = time.perf_counter()
+    with sampler:
+        tb = build_vnetp(nic_params=NETEFFECT_10G)
+        r_tcp = run_ttcp_tcp(tb.endpoints[0], tb.endpoints[1], total_bytes=total_bytes)
+        tb2 = build_vnetp(nic_params=NETEFFECT_10G)
+        r_udp = run_ttcp_udp(tb2.endpoints[0], tb2.endpoints[1], duration_ns=udp_ns)
+    wall_s = time.perf_counter() - wall0
 
-    report = combine_reports([prof_tcp.report(), prof_udp.report()])
+    events = tb.sim.events_processed + tb2.sim.events_processed
+    annotations = dict.fromkeys(
+        ("flowcache_hits", "flowcache_misses",
+         "fluid_captures", "fluid_strides", "fluid_bytes"), 0)
+    for sim in (tb.sim, tb2.sim):
+        metrics = Observability.of(sim).metrics
+        for name, value in metrics.snapshot("vnet.flowcache.").items():
+            kind = name.rsplit(".", 1)[1]
+            if kind in ("hits", "misses"):
+                annotations["flowcache_" + kind] += value
+        fluid = metrics.snapshot("sim.fluid.")
+        for kind in ("captures", "strides", "bytes"):
+            annotations["fluid_" + kind] += fluid.get("sim.fluid." + kind, 0)
+    share = shares(sampler.counts)
+    samples = sum(sampler.counts.values())
+
     print(f"== obs profile: fig8 ttcp pair "
-          f"({total_bytes // units.MB} MB TCP + {udp_ns // units.MS} ms UDP) ==\n")
-    print(report.render())
-    in_run = report.total_wall_ns / max(wall_ns, 1)
-    print(
-        f"\nworkload wall {wall_ns / 1e6:.1f} ms, of which "
-        f"{report.total_wall_ns / 1e6:.1f} ms ({in_run:.1%}) inside "
-        f"Simulator.run; attribution covers "
-        f"{report.attributed_ns / max(report.total_wall_ns, 1):.1%} of that"
-    )
+          f"({total_bytes // units.MB} MB TCP + {udp_ns // units.MS} ms UDP), "
+          f"{samples} samples every {INTERVAL_S * 1e3:g} ms ==\n")
+    print(f"{'layer':16} {'samples':>8} {'share':>7}")
+    for layer in (*LAYERS, OTHER):
+        print(f"{layer:16} {sampler.counts[layer]:8d} {share[layer]:7.1%}")
+    print(f"\n{events:,} kernel events in {wall_s:.2f} s wall "
+          f"({events / wall_s:,.0f} events/s)")
+    print("annotations: " + ", ".join(f"{k}={v}" for k, v in annotations.items()))
     print(f"tcp {r_tcp.gbps:.2f} Gbps, udp {r_udp.gbps:.2f} Gbps "
-          f"(simulated observables; profiling never changes them)")
+          f"(simulated observables; sampling never changes them)")
     if args.collapsed:
         with open(args.collapsed, "w", encoding="utf-8") as fp:
-            fp.write(collapsed_stacks(report))
+            fp.write(sampler.collapsed())
         print(f"\nwrote collapsed stacks: {args.collapsed} "
               f"(flamegraph.pl or speedscope)")
-    if args.chrome:
-        with open(args.chrome, "w", encoding="utf-8") as fp:
-            json.dump(profile_chrome_trace(report), fp, indent=1)
-        print(f"wrote Chrome trace_event file: {args.chrome}")
     if args.json:
+        report = {
+            "interval_s": INTERVAL_S,
+            "wall_s": wall_s,
+            "events": events,
+            "events_per_s": events / wall_s,
+            "samples": {layer: sampler.counts[layer] for layer in (*LAYERS, OTHER)},
+            "shares": share,
+            "annotations": annotations,
+        }
         with open(args.json, "w", encoding="utf-8") as fp:
-            json.dump(report.to_dict(), fp, indent=1, sort_keys=True)
+            json.dump(report, fp, indent=1, sort_keys=True)
         print(f"wrote profile report JSON: {args.json}")
     return 0
 

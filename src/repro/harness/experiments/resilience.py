@@ -99,8 +99,7 @@ def _partition_failover_point(
     sim = tb.sim
     obs = Observability.of(sim)
     engine = AdaptationEngine(
-        sim, tb.cores, controls=tb.controls,
-        failback_backoff_ns=failback_backoff_ns,
+        sim, tb.cores, failback_backoff_ns=failback_backoff_ns,
     )
     for core in tb.cores:
         HeartbeatService(

@@ -29,10 +29,10 @@
 * :mod:`repro.obs.health` — declarative **SLO monitors and anomaly
   detectors** (goodput-collapse, latency-spike, heartbeat-silence) that
   consume timelines and emit timestamped ``HealthEvent``s.
-* :mod:`repro.obs.profile` — the sim-kernel **self-profiler**: wall-time
-  and event-count attribution per event category inside
-  :meth:`repro.sim.core.Simulator.run`, with collapsed-stack
-  (flamegraph) and Chrome-trace exports.
+* :mod:`repro.obs.profile` — the **layer map** and the sampling
+  wall-clock profiler: stack samples on a timer signal, charged to the
+  innermost ``repro`` frame's layer, with collapsed-stack (flamegraph)
+  export.
 * :mod:`repro.obs.runinfo` — versioned :class:`~repro.obs.runinfo.RunArtifact`
   bundles: the one serialized record of a run, carrying config
   fingerprint, rows, metrics, timelines, health, fairness scores, and
@@ -83,13 +83,6 @@ from .fairness import (
     score_flows,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, bucket_percentile
-from .profile import (
-    KernelProfiler,
-    ProfileReport,
-    collapsed_stacks,
-    combine_reports,
-    profile_chrome_trace,
-)
 from .runinfo import RunArtifact, build_artifact, fairness_scores, run_config
 from .span import CANONICAL_STAGES, Span, SpanRecorder, assign_parents, flow_id, self_ns
 from .timeline import Series, Timeline, merge_dumps
@@ -139,11 +132,6 @@ __all__ = [
     "GoodputCollapseDetector",
     "HeartbeatSilenceDetector",
     "normalize_metrics_dump",
-    "KernelProfiler",
-    "ProfileReport",
-    "combine_reports",
-    "collapsed_stacks",
-    "profile_chrome_trace",
     "RunArtifact",
     "build_artifact",
     "fairness_scores",

@@ -3,8 +3,8 @@
 A :class:`RunArtifact` is the structured record of *everything a run
 observed*: the config fingerprint (code version + env knobs), the
 result rows of every experiment, the merged metrics registry dump, the
-timeline dumps, the health log, the derived fairness scores, and — for
-profiled runs — the kernel profile summary.  Experiment runs write one
+timeline dumps, the health log, the derived fairness scores, and an
+optional wall-clock ``profile`` section.  Experiment runs write one
 via ``python -m repro <experiment> --artifact-out run.json`` and
 ``python -m repro obs report --artifact-out`` writes a ``report`` one;
 the ``metrics`` / ``timelines`` / ``health`` sections are exactly what

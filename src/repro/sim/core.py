@@ -338,9 +338,8 @@ class Simulator:
     #: to the GC as a new one comes in.
     POOL_MAX = 2048
 
-    # Slotted: kernel attributes are read on every event; the extra slots
-    # host the lazily-attached observability context (obs.context) and the
-    # optional kernel self-profiler (obs.profile).
+    # Slotted: kernel attributes are read on every event; the extra slot
+    # hosts the lazily-attached observability context (obs.context).
     __slots__ = (
         "now",
         "_slots",
@@ -350,7 +349,6 @@ class Simulator:
         "_event_pool",
         "events_processed",
         "_repro_obs",
-        "_profiler",
     )
 
     def __init__(self):
@@ -363,10 +361,6 @@ class Simulator:
         self._event_pool: deque[Event] = deque(maxlen=self.POOL_MAX)
         #: Number of events processed by :meth:`step`.
         self.events_processed = 0
-        # Optional repro.obs.profile.KernelProfiler.  run() reads it once
-        # per call and calls its hooks only while it is enabled; otherwise
-        # each event pays one local ``is not None`` check.
-        self._profiler = None
 
     # -- factory helpers ---------------------------------------------------
     def event(self) -> Event:
@@ -465,10 +459,7 @@ class Simulator:
         is called.  No local outlives its event's turn: a held slot list
         or yielded event would fail the pooling refcount test.  Deadline
         and drain runs wait on ``_NEVER``, an event that is never
-        processed, so both run modes share one loop.  An enabled
-        :class:`~repro.obs.profile.KernelProfiler` is fetched once per call
-        and hooked in per clock advance and per event; it never touches
-        the schedule.
+        processed, so both run modes share one loop.
         """
         if isinstance(until, Event):
             stop = until
@@ -482,12 +473,6 @@ class Simulator:
             deadline = None if until is None else int(until)
             if deadline is not None and deadline < self.now:
                 raise ValueError(f"deadline {deadline} ns is before now ({self.now} ns)")
-        profiler = self._profiler
-        if profiler is not None:
-            if profiler.enabled:
-                profiler.begin()
-            else:
-                profiler = None
         slots = self._slots
         times = self._times
         immediate = self._immediate
@@ -514,8 +499,6 @@ class Simulator:
                         event = immediate.popleft()
                     # A held slot list would pin its events out of the pool.
                     slot = None
-                    if profiler is not None:
-                        profiler.advanced()
                 elif stop is _NEVER:
                     break
                 else:
@@ -554,8 +537,6 @@ class Simulator:
                             event._wait(result)
                         # A held yielded event would miss the pool when it fires.
                         result = None
-                    # Charged to the process itself (KernelProfiler.charge).
-                    callbacks = None
                 else:
                     event._state = _PROCESSED
                     callbacks = event.callbacks
@@ -595,12 +576,8 @@ class Simulator:
                 if self._crashed is not None:
                     exc, self._crashed = self._crashed, None
                     raise exc
-                if profiler is not None:
-                    profiler.charge(event, callbacks)
         finally:
             self.events_processed += processed
-            if profiler is not None:
-                profiler.end(processed)
         if stop is _NEVER:
             if deadline is not None:
                 self.now = deadline

@@ -7,8 +7,9 @@ describe it: observe the traffic matrix through the
 :class:`~repro.vnet.monitor.TrafficMonitor`, find the heavy
 communicating pairs, and reshape routing so their traffic takes the
 most direct overlay path (e.g. replacing star/waypoint topologies with
-direct links), applying every change through the same control
-interface the user-level tools use.
+direct links).  The engine writes each core's link and routing tables
+directly, the tables the control interface (:mod:`repro.vnet.control`)
+also writes.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from typing import TYPE_CHECKING, Optional
 from ..obs.context import Observability
 from ..sim import Simulator
 from ..sim.fluid import fluid_region_of
-from .control import VnetControl
-from .monitor import TrafficMonitor
+from .monitor import FlowStats, TrafficMonitor
 from .node import OverlayMap
-from .overlay import ANY_MAC, DEFAULT_VNET_PORT, DestType, LinkProto, LinkSpec, RouteEntry
+from .overlay import DEFAULT_VNET_PORT, DestType, LinkProto, LinkSpec, RouteEntry
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import VnetCore
@@ -64,20 +64,18 @@ class AdaptationEngine:
     location directory an IaaS controller maintains).  On each
     :meth:`adapt` pass it ensures the top-k flows have *direct* overlay
     links from the source's core to the destination's host, creating
-    links and rewriting routes through :class:`VnetControl` as needed.
+    links and rewriting the core's routes as needed.
     """
 
     def __init__(
         self,
         sim: Simulator,
         cores: list["VnetCore"],
-        controls: Optional[list[VnetControl]] = None,
         min_flow_bytes: int = 64 * 1024,
         failback_backoff_ns: int = 2_000_000,
     ):
         self.sim = sim
         self.cores = cores
-        self.controls = controls or [VnetControl(sim, c) for c in cores]
         self.min_flow_bytes = min_flow_bytes
         self.failback_backoff_ns = failback_backoff_ns
         self.monitors = [
@@ -98,9 +96,10 @@ class AdaptationEngine:
         """Re-learn MAC locations (after migrations)."""
         self.overlay = OverlayMap(self.cores)
 
-    def _ensure_direct_route(self, core_idx: int, dst_mac: str) -> bool:
-        """Make core_idx reach dst_mac via a direct link; returns True if
-        anything changed."""
+    def _ensure_direct_route(self, core_idx: int, flow: FlowStats) -> bool:
+        """Make ``flow`` leave core_idx on a direct link to its
+        destination's host; returns True if anything changed."""
+        dst_mac = flow.dst
         dst_idx = self.overlay.index_of_mac.get(dst_mac)
         if dst_idx is None or dst_idx == core_idx:
             return False
@@ -121,8 +120,8 @@ class AdaptationEngine:
             )
             self._log(core_idx, f"created direct link {link_name} -> {target_host.ip}")
             changed = True
-        # Does the route any source takes already use it?
-        if core.next_hop(ANY_MAC, dst_mac) is not core.links[link_name]:
+        # Does the route this flow takes already use it?
+        if core.next_hop(flow.src, dst_mac) is not core.links[link_name]:
             core.routing.remove_matching(dst_mac=dst_mac)
             core.add_route(
                 RouteEntry(
@@ -143,7 +142,7 @@ class AdaptationEngine:
             for flow in monitor.top_flows(top_k):
                 if flow.bytes < self.min_flow_bytes:
                     continue
-                if self._ensure_direct_route(i, flow.dst):
+                if self._ensure_direct_route(i, flow):
                     changes += 1
         return changes
 

@@ -43,8 +43,7 @@ def test_failover_rewrites_and_restores_routes():
     tb = build_vnetp(nic_params=NETEFFECT_10G, n_hosts=3)
     sim = tb.sim
     horizon = 20_000_000
-    engine = AdaptationEngine(sim, tb.cores, controls=tb.controls,
-                              failback_backoff_ns=1_000_000)
+    engine = AdaptationEngine(sim, tb.cores, failback_backoff_ns=1_000_000)
     for core in tb.cores:
         HeartbeatService(sim, core, interval_ns=250_000,
                          until_ns=horizon).start()
@@ -101,8 +100,7 @@ def test_failback_waits_out_the_backoff():
     tb = build_vnetp(nic_params=NETEFFECT_10G, n_hosts=3)
     sim = tb.sim
     horizon = 20_000_000
-    engine = AdaptationEngine(sim, tb.cores, controls=tb.controls,
-                              failback_backoff_ns=4_000_000)
+    engine = AdaptationEngine(sim, tb.cores, failback_backoff_ns=4_000_000)
     for core in tb.cores:
         HeartbeatService(sim, core, interval_ns=250_000,
                          until_ns=horizon).start()

@@ -1,213 +1,171 @@
-"""Unit tests for repro.obs.profile (the sim-kernel self-profiler)."""
+"""Unit tests for repro.obs.profile (the layer map and the stack sampler)."""
 
-import time
+import importlib.util
+import json
+import signal
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import units
-from repro.apps.ttcp import run_ttcp_tcp
+from repro.__main__ import main
+from repro.apps.ttcp import run_ttcp_tcp, run_ttcp_udp
 from repro.config import NETEFFECT_10G
 from repro.harness.testbed import build_vnetp
 from repro.obs.profile import (
-    KernelProfiler,
-    ProfileReport,
-    collapsed_stacks,
-    combine_reports,
-    profile_chrome_trace,
+    LAYERS,
+    OTHER,
+    PREFIXES,
+    Sampler,
+    layer_of,
+    module_of_path,
+    shares,
 )
-from repro.sim.core import SimulationError, Simulator
+from repro.sim.core import Simulator
+
+SRC_ROOT = Path(repro.__file__).resolve().parents[1]
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def _ticker(sim, n, interval, name):
-    def proc(sim):
-        for _ in range(n):
-            yield sim.timeout(interval)
-    return sim.process(proc(sim), name=name)
-
-
-# -- lifecycle -------------------------------------------------------------
-
-def test_install_enable_disable_detach():
-    sim = Simulator()
-    assert KernelProfiler.of(sim) is None
-    prof = KernelProfiler.install(sim)
-    assert KernelProfiler.of(sim) is prof
-    assert prof.enabled is False  # installed profilers start disabled
-    prof.enable()
-    assert prof.enabled is True
-    prof.disable()
-    assert prof.enabled is False
-    prof.detach()
-    assert KernelProfiler.of(sim) is None
-
-
-def test_disabled_profiler_never_collects():
-    sim = Simulator()
-    prof = KernelProfiler.install(sim)  # attached but disabled
-    _ticker(sim, 50, 10, "idle.proc")
-    sim.run()
-    assert prof.events == 0 and prof.runs == 0 and not prof.categories
-    assert sim.events_processed > 0  # the plain kernel loop ran
-
-
-# -- attribution -----------------------------------------------------------
-
-def test_event_counts_reconcile_with_events_processed():
-    sim = Simulator()
-    prof = KernelProfiler.install(sim).enable()
-    _ticker(sim, 100, 10, "count.proc.0")
-    _ticker(sim, 100, 10, "count.proc.1")
-    before = sim.events_processed
-    sim.run()
-    rep = prof.report()
-    assert rep.events == sim.events_processed - before
-    assert sum(c["events"] for c in rep.categories.values()) == rep.events
-    # Both instances fold into one category (trailing .N stripped).
-    assert rep.categories["proc:count.proc"]["events"] == 202
-
-
-def test_sleep_wakeups_charge_the_sleeping_process():
-    """A ``yield delay`` wake-up, which has no event object, books to the
-    same ``proc:<name>`` record as the ``Timeout`` it replaces."""
-
-    def categories(sleeps):
-        sim = Simulator()
-        prof = KernelProfiler.install(sim).enable()
-
-        def proc(sim):
-            for _ in range(40):
-                yield 10 if sleeps else sim.timeout(10)
-
-        sim.process(proc(sim), name="nap.proc.0")
-        sim.run()
-        return {k: c["events"] for k, c in prof.report().categories.items()}
-
-    assert categories(sleeps=True) == categories(sleeps=False)
-    assert categories(sleeps=True)["proc:nap.proc"] == 41  # start + 40 wake-ups
-
-
-def test_wall_time_reconciles_within_five_percent():
-    # The acceptance check: attributed nanoseconds (categories + the
-    # clock-advance bucket) must land within ±5% of the wall time
-    # measured around the profiled run, on a real workload.
-    tb = build_vnetp(nic_params=NETEFFECT_10G)
-    prof = KernelProfiler.install(tb.sim).enable()
-    t0 = time.perf_counter_ns()
-    run_ttcp_tcp(tb.endpoints[0], tb.endpoints[1], total_bytes=2 * units.MB)
-    wall_ns = time.perf_counter_ns() - t0
-    rep = prof.report()
-    assert rep.events > 1000
-    # Internal reconciliation: attribution partitions the loop's time.
-    assert rep.attributed_ns == pytest.approx(rep.total_wall_ns, rel=0.05)
-    # External reconciliation: the run loop dominates the workload wall.
-    assert rep.total_wall_ns == pytest.approx(wall_ns, rel=0.05)
-
-
-def test_profiled_run_is_schedule_identical():
-    def observables(profiled):
+def _fig8_quick():
+    """The fig8 quick pair's simulated observables (CI's overhead gate)."""
+    sim_ns = frames = events = 0
+    for run, kw in ((run_ttcp_tcp, {"total_bytes": 10 * units.MB}),
+                    (run_ttcp_udp, {"duration_ns": 8 * units.MS})):
         tb = build_vnetp(nic_params=NETEFFECT_10G)
-        if profiled:
-            KernelProfiler.install(tb.sim).enable()
-        r = run_ttcp_tcp(tb.endpoints[0], tb.endpoints[1],
-                         total_bytes=1 * units.MB)
-        frames = sum(h.nic.tx_frames.value for h in tb.hosts)
-        return r.elapsed_ns, r.bytes_moved, frames, tb.sim.events_processed
-
-    assert observables(False) == observables(True)
+        sim_ns += run(*tb.endpoints[:2], **kw).elapsed_ns
+        frames += sum(h.nic.tx_frames.value for h in tb.hosts)
+        events += tb.sim.events_processed
+    return sim_ns, frames, events
 
 
-def test_run_until_event_variant_and_return_value():
+# -- the layer map ---------------------------------------------------------
+
+def test_layer_of_longest_prefix():
+    assert layer_of("repro.vnet.routing") == "vnet.routing"
+    assert layer_of("repro.vnet.core") == "vnet"
+    assert layer_of("repro.vnet.fluidpath") == "sim.fluid"
+    assert layer_of("repro.sim.pipeline") == "sim.pipeline"
+    assert layer_of("repro.sim.primitives") == "sim.core"
+    # The bare package root module is harness; an unmapped subpackage
+    # reads other instead of falling back to that entry.
+    assert layer_of("repro") == "harness"
+    assert layer_of("repro.newpkg.mod") == OTHER
+    assert layer_of("json.decoder") == OTHER
+
+
+def test_module_of_path():
+    assert module_of_path(SRC_ROOT / "repro/vnet/core.py", SRC_ROOT) == "repro.vnet.core"
+    assert module_of_path(SRC_ROOT / "repro/obs/__init__.py", SRC_ROOT) == "repro.obs"
+    assert module_of_path(json.__file__, SRC_ROOT) is None
+
+
+def test_layer_map_matches_bench():
+    """The benchmark's copy of the map names the same layers."""
+    spec = importlib.util.spec_from_file_location(
+        "_bench_layers", REPO_ROOT / "bench" / "layers.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.LAYERS == LAYERS
+    assert bench.PREFIXES == PREFIXES
+    assert bench.OTHER == OTHER
+
+
+def test_shares_sum_to_one_and_never_zero():
+    out = shares({"sim.core": 30, "proto": 10, "not-a-layer": 5})
+    assert set(out) == {*LAYERS, OTHER}
+    assert sum(out.values()) == pytest.approx(1.0)
+    assert min(out.values()) > 0
+    assert out["sim.core"] > out["proto"] > out["hw"]
+
+
+# -- the sampler -----------------------------------------------------------
+
+def test_charge_live_frame_inside_repro_function():
+    """A frame under a test callback charges the kernel frame that called it."""
+    sampler = Sampler(SRC_ROOT)
     sim = Simulator()
-    prof = KernelProfiler.install(sim).enable()
-
-    def proc(sim):
-        yield sim.timeout(25)
-        return "payload"
-
-    p = _ticker(sim, 5, 100, "bg.proc")
-    done = sim.process(proc(sim), name="target.proc")
-    assert sim.run(until=done) == "payload"
-    assert prof.events > 0 and prof.runs == 1
-    sim.run()  # drain the background ticker, still profiled
-    assert prof.runs == 2
-    assert p is not None
+    seen = []
+    evt = sim.timeout(5)
+    evt.callbacks.append(lambda _e: seen.append(sampler.charge(sys._getframe())))
+    sim.run()
+    assert seen == ["sim.core"]
+    # Outside any repro function the stack has no repro frame.
+    assert sampler.charge(sys._getframe()) == OTHER
 
 
-def test_run_to_deadline_sets_now_and_counts():
-    sim = Simulator()
-    prof = KernelProfiler.install(sim).enable()
-    _ticker(sim, 10, 10, "deadline.proc")
-    sim.run(until=55)
-    assert sim.now == 55
-    assert prof.events == sum(
-        c["events"] for c in prof.report().categories.values()
-    )
+def test_exit_restores_handler_and_disarms_timer():
+    def previous(signum, frame):  # pragma: no cover - never fires
+        pass
+
+    original = signal.signal(signal.SIGALRM, previous)
+    try:
+        with Sampler(SRC_ROOT) as sampler:
+            assert signal.getsignal(signal.SIGALRM) == sampler._on_signal
+            assert signal.getitimer(signal.ITIMER_REAL)[1] > 0
+        assert signal.getsignal(signal.SIGALRM) is previous
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    finally:
+        signal.signal(signal.SIGALRM, original)
 
 
 def test_crash_propagates_through_profiled_loop():
     sim = Simulator()
-    KernelProfiler.install(sim).enable()
 
     def boom(sim):
-        yield sim.timeout(5)
+        yield 5
         raise RuntimeError("kaboom")
 
     sim.process(boom(sim), name="crash.proc")
+    before = signal.getsignal(signal.SIGALRM)
     with pytest.raises(RuntimeError, match="kaboom"):
-        sim.run()
+        with Sampler(SRC_ROOT):
+            sim.run()
+    assert signal.getsignal(signal.SIGALRM) == before
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
-def test_starvation_raises_simulation_error():
-    sim = Simulator()
-    KernelProfiler.install(sim).enable()
-    never = sim.event()
-    with pytest.raises(SimulationError):
-        sim.run(until=never)
-
-
-# -- reports and exports ---------------------------------------------------
-
-def test_report_round_trip_and_combine():
-    sim = Simulator()
-    prof = KernelProfiler.install(sim).enable()
-    _ticker(sim, 20, 10, "rt.proc")
-    sim.run()
-    rep = prof.report()
-    back = ProfileReport.from_dict(rep.to_dict())
-    assert back.to_dict() == rep.to_dict()
-    both = combine_reports([rep, back])
-    assert both.events == 2 * rep.events
-    assert both.categories["proc:rt.proc"]["events"] == \
-        2 * rep.categories["proc:rt.proc"]["events"]
-    assert "TOTAL attributed" in rep.render()
+def test_profiled_run_is_schedule_identical():
+    plain = _fig8_quick()
+    sampler = Sampler(SRC_ROOT)
+    with sampler:
+        sampled = _fig8_quick()
+    assert sampled == plain
+    assert sum(sampler.counts.values()) == sum(sampler.code_counts.values()) > 0
 
 
 def test_collapsed_stacks_format():
-    rep = ProfileReport(
-        total_wall_ns=1000, events=3, advance_ns=100, heap_pops=2, runs=1,
-        categories={"proc:a.b": {"events": 2, "wall_ns": 600},
-                    "evt:Event": {"events": 1, "wall_ns": 200}},
-    )
-    lines = collapsed_stacks(rep).splitlines()
-    assert lines[0] == "sim.run;kernel.advance 100"
-    assert "sim.run;evt;Event 200" in lines
-    assert "sim.run;proc;a.b 600" in lines
-    # Every line is "frames weight" with an integer weight.
-    for line in lines:
-        frames, weight = line.rsplit(" ", 1)
-        assert frames.startswith("sim.run")
+    sampler = Sampler(SRC_ROOT)
+    sim = Simulator()
+
+    def sample_three_times(_evt):
+        for _ in range(3):
+            sampler._on_signal(signal.SIGALRM, sys._getframe())
+
+    sim.timeout(5).callbacks.append(sample_three_times)
+    sim.run()
+    # Three samples under the kernel loop, one with no repro frame.
+    sampler._on_signal(signal.SIGALRM, sys._getframe())
+    assert sampler.collapsed().splitlines() == [
+        "sim.core;repro.sim.core:Simulator.run 3",
+        "other 1",
+    ]
+
+
+def test_event_counts_reconcile_with_events_processed(tmp_path):
+    """``obs profile --quick`` reports the pair's kernel events, and its
+    layer shares sum to one."""
+    folded, report = tmp_path / "p.folded", tmp_path / "p.json"
+    assert main(["obs", "profile", "--quick",
+                 "--collapsed", str(folded), "--json", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert data["events"] == _fig8_quick()[2]
+    assert sum(data["shares"].values()) == pytest.approx(1.0)
+    assert sum(data["samples"].values()) > 0
+    assert data["annotations"]["flowcache_hits"] > 0
+    for line in folded.read_text().splitlines():
+        stack, weight = line.rsplit(" ", 1)
+        assert stack == OTHER or stack.split(";")[0] in LAYERS
         assert weight.isdigit()
-
-
-def test_chrome_trace_shape():
-    rep = ProfileReport(
-        total_wall_ns=1000, events=3, advance_ns=100, heap_pops=2, runs=1,
-        categories={"proc:a.b": {"events": 2, "wall_ns": 600}},
-    )
-    trace = profile_chrome_trace(rep)
-    complete = [e for e in trace["traceEvents"] if e["ph"] == "X"]
-    meta = [e for e in trace["traceEvents"] if e["ph"] == "M"]
-    assert len(complete) == 2  # kernel.advance + one category
-    assert complete[0]["dur"] >= complete[-1]["dur"]  # heaviest first
-    assert meta and all(e["name"] == "process_name" for e in meta)
-    assert trace["otherData"]["total_wall_ns"] == 1000

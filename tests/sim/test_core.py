@@ -137,6 +137,13 @@ def test_run_until_event_raises_process_failure():
         sim.run(until=p)
 
 
+def test_starvation_raises_simulation_error():
+    sim = Simulator()
+    never = sim.event()
+    with pytest.raises(SimulationError):
+        sim.run(until=never)
+
+
 def test_unwatched_process_failure_crashes_run():
     sim = Simulator()
 

@@ -6,9 +6,7 @@ timestamps) and batched event application.  These property tests drive
 randomly generated schedule programs through the real :class:`Simulator`
 and through a small reference kernel in this file that implements the
 old tuple-heap semantics literally, and assert the two fire the same
-labels at the same times in the same order.  Each program also runs with
-an enabled :class:`~repro.obs.profile.KernelProfiler` hooked into the
-kernel loop, which must leave the trace unchanged.
+labels at the same times in the same order.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ import heapq
 
 from hypothesis import given, settings, strategies as st
 
-from repro.obs.profile import KernelProfiler
 from repro.sim import Resource, Simulator, Store
 
 # A schedule program is a list of root timers; each timer carries a delay
@@ -93,17 +90,14 @@ def _reference_trace(program) -> list[tuple[int, int]]:
     return trace
 
 
-def _simulator_trace(program, profiled: bool = False) -> list[tuple[int, int]]:
+def _simulator_trace(program) -> list[tuple[int, int]]:
     """Same fire sequence under the real slot-array Simulator.
 
     Each timer is a pooled ``sim.timeout`` whose completion is observed
     through a callback — the same mechanism every kernel client uses —
-    so the trace reflects genuine scheduling order.  ``profiled`` runs it
-    with an enabled kernel profiler.
+    so the trace reflects genuine scheduling order.
     """
     sim = Simulator()
-    if profiled:
-        KernelProfiler.install(sim).enable()
     trace: list[tuple[int, int]] = []
     counter = [0]
 
@@ -130,11 +124,8 @@ def _simulator_trace(program, profiled: bool = False) -> list[tuple[int, int]]:
 @settings(max_examples=120, deadline=None)
 @given(program=_programs)
 def test_slot_array_matches_tuple_heap(program):
-    """Random schedule programs fire identically under both kernels,
-    with and without the profiler hooked in."""
-    reference = _reference_trace(program)
-    assert _simulator_trace(program) == reference
-    assert _simulator_trace(program, profiled=True) == reference
+    """Random schedule programs fire identically under both kernels."""
+    assert _simulator_trace(program) == _reference_trace(program)
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,8 +145,7 @@ def test_many_events_per_slot_fifo(delays):
 
 
 def test_step_matches_run_batching():
-    """step() applies batched slots one event at a time, same order as run()
-    with or without an enabled profiler."""
+    """step() applies batched slots one event at a time, same order as run()."""
 
     def build():
         sim = Simulator()
@@ -169,15 +159,11 @@ def test_step_matches_run_batching():
     while sim_step.peek() is not None:
         sim_step.step()
 
-    for profiled in (False, True):
-        sim_run, fired_run = build()
-        if profiled:
-            profiler = KernelProfiler.install(sim_run).enable()
-        sim_run.run()
-        assert fired_step == fired_run
-        assert sim_step.now == sim_run.now
-        assert sim_step.events_processed == sim_run.events_processed
-    assert profiler.events == sim_run.events_processed
+    sim_run, fired_run = build()
+    sim_run.run()
+    assert fired_step == fired_run
+    assert sim_step.now == sim_run.now
+    assert sim_step.events_processed == sim_run.events_processed
 
 
 # A process program: each process runs a list of operations against one
@@ -199,8 +185,7 @@ _process_programs = st.lists(st.lists(_op, max_size=8), min_size=1, max_size=6)
 def _process_trace(program, drive: str, sleeps: bool = True) -> tuple[list, int]:
     """``[(time, label), ...]`` of a process program, and the event count.
 
-    ``drive`` is ``"run"``, ``"step"`` (a ``step()`` loop) or
-    ``"profiled"`` (``run()`` with an enabled kernel profiler).  With
+    ``drive`` is ``"run"`` or ``"step"`` (a ``step()`` loop).  With
     ``sleeps=False`` every sleep is a yielded ``sim.timeout`` instead.
     """
     sim = Simulator()
@@ -208,8 +193,6 @@ def _process_trace(program, drive: str, sleeps: bool = True) -> tuple[list, int]
     def wait(delay):
         return delay if sleeps else sim.timeout(delay)
 
-    if drive == "profiled":
-        KernelProfiler.install(sim).enable()
     store = Store(sim, capacity=2)
     resource = Resource(sim, capacity=1)
     trace: list = []
@@ -246,14 +229,12 @@ def _process_trace(program, drive: str, sleeps: bool = True) -> tuple[list, int]
 
 @settings(max_examples=120, deadline=None)
 @given(program=_process_programs)
-def test_process_programs_identical_under_run_step_and_profiler(program):
+def test_process_programs_identical_under_run_and_step(program):
     """Generated process programs (timeouts, sleeps, store hand-offs, a
-    resource and ``any_of``) give the same trace and event count when driven by ``run()``, by a
-    ``step()`` loop and by a profiled ``run()``: the run loop's inlined
+    resource and ``any_of``) give the same trace and event count when
+    driven by ``run()`` and by a ``step()`` loop: the run loop's inlined
     wake-ups behave like ``Process._resume`` and ``Process._wake``."""
-    reference = _process_trace(program, "step")
-    assert _process_trace(program, "run") == reference
-    assert _process_trace(program, "profiled") == reference
+    assert _process_trace(program, "run") == _process_trace(program, "step")
 
 
 @settings(max_examples=120, deadline=None)

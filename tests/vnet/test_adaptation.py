@@ -10,6 +10,7 @@ from repro.proto.base import Blob
 from repro.vnet.adaptation import AdaptationEngine
 from repro.vnet.migration import migrate_vm
 from repro.vnet.monitor import TrafficMonitor
+from repro.vnet.node import OverlayMap, WalkEnd
 from repro.vnet.overlay import DestType, RouteEntry
 from repro.vnet.validation import validate_overlay
 
@@ -66,7 +67,7 @@ def waypoint_overlay():
 
 def test_adaptation_installs_direct_route():
     tb = waypoint_overlay()
-    engine = AdaptationEngine(tb.sim, tb.cores, tb.controls, min_flow_bytes=100)
+    engine = AdaptationEngine(tb.sim, tb.cores, min_flow_bytes=100)
     a, b, _ = tb.endpoints
     before = run_ping(a, b, count=10)
     changes = engine.adapt()
@@ -81,9 +82,31 @@ def test_adaptation_installs_direct_route():
     assert link.dst_ip == tb.hosts[1].ip
 
 
+def test_adaptation_replaces_source_keyed_waypoint_route():
+    """A route keyed on the flow's own source MAC, not the any-source
+    route, decides where the flow goes, so adaptation must replace it."""
+    tb = build_vnetp(n_hosts=3, nic_params=NETEFFECT_10G)
+    engine = AdaptationEngine(tb.sim, tb.cores, min_flow_bytes=100)
+    a, b, _ = tb.endpoints
+    mac_a = a.vm.virtio_nics[0].mac
+    mac_b = b.vm.virtio_nics[0].mac
+    tb.cores[0].add_route(RouteEntry(mac_a, mac_b, DestType.LINK, "to2"))
+
+    def hosts():
+        walk = OverlayMap(tb.cores).walk(mac_a, mac_b)
+        assert walk.end is WalkEnd.DELIVERED
+        return [node.host.name for node in walk.nodes]
+
+    assert hosts() == [h.name for h in (tb.hosts[0], tb.hosts[2], tb.hosts[1])]
+    run_ping(a, b, count=10)
+    assert engine.adapt() >= 1
+    assert hosts() == [tb.hosts[0].name, tb.hosts[1].name]
+    assert engine.adapt() == 0
+
+
 def test_adaptation_ignores_small_flows():
     tb = waypoint_overlay()
-    engine = AdaptationEngine(tb.sim, tb.cores, tb.controls, min_flow_bytes=10**9)
+    engine = AdaptationEngine(tb.sim, tb.cores, min_flow_bytes=10**9)
     a, b, _ = tb.endpoints
     run_ping(a, b, count=3)
     assert engine.adapt() == 0
@@ -91,7 +114,7 @@ def test_adaptation_ignores_small_flows():
 
 def test_adaptation_is_idempotent():
     tb = waypoint_overlay()
-    engine = AdaptationEngine(tb.sim, tb.cores, tb.controls, min_flow_bytes=100)
+    engine = AdaptationEngine(tb.sim, tb.cores, min_flow_bytes=100)
     a, b, _ = tb.endpoints
     run_ping(a, b, count=10)
     engine.adapt()
@@ -102,7 +125,7 @@ def test_control_plane_queries_leave_datapath_lookups_untouched():
     """Adaptation and validation read routes with ``peek``: they count
     no datapath lookup and leave no probe key in the hash cache."""
     tb = waypoint_overlay()
-    engine = AdaptationEngine(tb.sim, tb.cores, tb.controls, min_flow_bytes=100)
+    engine = AdaptationEngine(tb.sim, tb.cores, min_flow_bytes=100)
     a, b, _ = tb.endpoints
     run_ping(a, b, count=10)
     engine.adapt()
