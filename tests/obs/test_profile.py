@@ -111,6 +111,53 @@ def test_exit_restores_handler_and_disarms_timer():
         signal.signal(signal.SIGALRM, original)
 
 
+def _ticker(sim, n, interval, name):
+    def proc(sim):
+        for _ in range(n):
+            yield sim.timeout(interval)
+    return sim.process(proc(sim), name=name)
+
+
+def test_run_until_event_variant_and_return_value():
+    """run(until=event) under the sampler returns the event's value and
+    leaves the rest of the schedule for a later run."""
+    sim = Simulator()
+
+    def proc(sim):
+        yield sim.timeout(25)
+        return "payload"
+
+    _ticker(sim, 5, 100, "bg.proc")
+    done = sim.process(proc(sim), name="target.proc")
+    with Sampler(SRC_ROOT):
+        assert sim.run(until=done) == "payload"
+        assert sim.now == 25
+        first = sim.events_processed
+        assert first > 0
+        sim.run()  # drain the background ticker, still sampled
+    assert sim.now == 500
+    assert sim.events_processed > first
+
+
+def test_run_to_deadline_sets_now_and_counts():
+    """A deadline run under the sampler stops at the deadline and
+    processes exactly the events an unsampled run does."""
+    def deadline_run(sampled):
+        sim = Simulator()
+        _ticker(sim, 10, 10, "deadline.proc")
+        if sampled:
+            with Sampler(SRC_ROOT):
+                sim.run(until=55)
+        else:
+            sim.run(until=55)
+        return sim.now, sim.events_processed
+
+    now, events = deadline_run(True)
+    assert now == 55
+    assert events > 0
+    assert (now, events) == deadline_run(False)
+
+
 def test_crash_propagates_through_profiled_loop():
     sim = Simulator()
 
