@@ -44,7 +44,9 @@ PAPER_FIG14: dict[str, tuple[float, float, float, float]] = {
 
 FIG14_CELLS = list(PAPER_FIG14)
 
-_CALIBRATION: dict[tuple[str, str], CalibratedNpb] = {}
+# Keyed by the Native-10G model too: a calibration anchors the model it
+# was computed with, so a different model must recalibrate.
+_CALIBRATION: dict[tuple[str, str, FlowModel], CalibratedNpb] = {}
 
 
 def _reference_cell(name: str, klass: str) -> str:
@@ -56,7 +58,7 @@ def _reference_cell(name: str, klass: str) -> str:
 
 
 def _calibrated(name: str, klass: str, model_native_10g: FlowModel) -> CalibratedNpb:
-    key = (name, klass)
+    key = (name, klass, model_native_10g)
     cached = _CALIBRATION.get(key)
     if cached is None:
         ref = _reference_cell(name, klass)

@@ -3,12 +3,12 @@
 Deterministic fault injection on the unified datapath pipeline:
 
 * :mod:`repro.chaos.stages` — injector :class:`~repro.sim.pipeline.PacketStage`\\ s
-  (Bernoulli loss, Gilbert–Elliott burst loss, partition, reorder,
-  duplication) that install on any pipeline :class:`~repro.sim.pipeline.Port`
-  with order-safe removal and ``chaos.*`` metrics;
+  (Bernoulli loss, Gilbert–Elliott burst loss, partition, fixed delay)
+  that install on any pipeline :class:`~repro.sim.pipeline.Port` with
+  order-safe removal and ``chaos.*`` metrics;
 * :mod:`repro.chaos.schedule` — :class:`~repro.chaos.schedule.FaultSchedule`,
-  a declarative timeline of fault windows (including link flap and host
-  pause) executed by bounded simulator processes.
+  a declarative timeline of loss, burst-loss and partition windows
+  executed by bounded simulator processes.
 
 The overlay-resilience loop this subsystem exercises lives in
 :mod:`repro.vnet.heartbeat` (liveness probes),
@@ -21,12 +21,10 @@ experiments are :mod:`repro.harness.experiments.resilience`.  See
 from .schedule import FaultSchedule, FaultWindow
 from .stages import (
     DelayStage,
-    DuplicateStage,
     FaultInjector,
     GilbertElliottStage,
     LossStage,
     PartitionStage,
-    ReorderStage,
     chain_on,
 )
 
@@ -37,8 +35,6 @@ __all__ = [
     "LossStage",
     "GilbertElliottStage",
     "PartitionStage",
-    "ReorderStage",
     "DelayStage",
-    "DuplicateStage",
     "chain_on",
 ]

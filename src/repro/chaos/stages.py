@@ -22,16 +22,15 @@ Two properties the old wrappers lacked:
 
 Determinism: all randomness comes from a per-injector, explicitly
 seeded :class:`~repro.sim.rng.Rng`; two runs with the same seeds and
-the same schedule drop/delay/duplicate exactly the same frames.
+the same schedule drop exactly the same frames.
 
 Drop-family injectors (:class:`LossStage`, :class:`GilbertElliottStage`,
 :class:`PartitionStage`) are timing-transparent predicates and compose
 on any port, including the bridge's synchronous filter ports.
-:class:`ReorderStage` and :class:`DuplicateStage` re-invoke the
-downstream sink (possibly later in virtual time), so they belong on
-*delivery* ports — e.g. ``nic.rx_port``, ``core.inbound`` or a switch
-port — where the sink is an actual delivery callable, not a predicate
-consulted mid-generator.
+:class:`DelayStage` re-invokes the downstream sink later in virtual
+time, so it belongs on *delivery* ports — e.g. ``nic.rx_port``,
+``core.inbound`` or a switch port — where the sink is an actual
+delivery callable, not a predicate consulted mid-generator.
 """
 
 from __future__ import annotations
@@ -48,8 +47,6 @@ __all__ = [
     "LossStage",
     "GilbertElliottStage",
     "PartitionStage",
-    "ReorderStage",
-    "DuplicateStage",
     "chain_on",
 ]
 
@@ -211,93 +208,29 @@ class GilbertElliottStage(FaultInjector):
 
 
 class PartitionStage(FaultInjector):
-    """A controllable blackhole: ``fail()`` drops everything, ``heal()``
-    restores forwarding.  Bidirectional partitions use one stage per
-    direction."""
+    """A blackhole: drops every frame while installed.  Bidirectional
+    partitions use one stage per direction."""
 
     kind = "partition"
-    counters = ("blackholed", "passed", "failures")
-
-    def __init__(self, sim: Simulator, name: Optional[str] = None,
-                 failed: bool = False):
-        super().__init__(sim, name)
-        self.failed = failed
+    counters = ("blackholed",)
 
     def ingress(self, frame: Any) -> Any:
-        """Blackhole while failed; otherwise forward untouched."""
-        if self.failed:
-            self.blackholed.inc()
-            return False
-        self.passed.inc()
-        return self.forward(frame)
-
-    def fail(self) -> None:
-        """Start blackholing."""
-        if not self.failed:
-            self.failed = True
-            self.failures.inc()
-
-    def heal(self) -> None:
-        """Stop blackholing."""
-        self.failed = False
-
-    def fail_for(self, sim: Simulator, duration_ns: int):
-        """Generator: partition for a fixed window, then heal."""
-        self.fail()
-        yield int(duration_ns)
-        self.heal()
-
-
-class ReorderStage(FaultInjector):
-    """Probabilistically delays frames so later ones overtake them.
-
-    A selected frame is delivered ``delay_ns`` later through a pooled
-    kernel event; everything else passes synchronously, so any frame
-    arriving within the delay window overtakes the held one.  Install on
-    a *delivery* port (``nic.rx_port``, ``core.inbound``, a switch
-    port): the held frame is re-injected by calling the downstream sink
-    directly, which a mid-generator predicate port cannot honour.
-    """
-
-    kind = "reorder"
-    counters = ("reordered", "passed")
-
-    def __init__(self, sim: Simulator, prob: float, delay_ns: int,
-                 seed: int = 0, name: Optional[str] = None):
-        if not 0.0 <= prob <= 1.0:
-            raise ValueError(f"reorder prob must be in [0, 1], got {prob}")
-        if delay_ns <= 0:
-            raise ValueError(f"reorder delay must be positive, got {delay_ns}")
-        super().__init__(sim, name)
-        self.prob = prob
-        self.delay_ns = int(delay_ns)
-        self._rng = Rng(seed)
-
-    def ingress(self, frame: Any) -> Any:
-        """Hold the frame for ``delay_ns`` with probability ``prob``."""
-        if self._rng.random() < self.prob:
-            self.reordered.inc()
-            # Capture the downstream sink now: if the injector is removed
-            # before delivery, the in-flight frame still lands.
-            sink = self._downstream
-            evt = self.sim.timeout(self.delay_ns)
-            evt.callbacks.append(lambda _evt, f=frame, s=sink: s(f))
-            return True
-        self.passed.inc()
-        return self.forward(frame)
+        """Drop the frame."""
+        self.blackholed.inc()
+        return False
 
 
 class DelayStage(FaultInjector):
     """Delays *every* frame by a fixed ``delay_ns``, order-preserving.
 
-    Unlike :class:`ReorderStage` this is deterministic (no RNG) and
-    uniform: each frame is held for exactly ``delay_ns`` through a
-    pooled kernel event, so relative ordering is preserved — the stage
-    models added path latency (a longer overlay hop, a WAN leg), not
-    reordering.  The fairness family uses it to build asymmetric-RTT
-    competing flows.  Same placement rule as :class:`ReorderStage`:
-    install on a *delivery* port (``nic.rx_port``, ``core.inbound``)
-    whose downstream sink tolerates direct re-invocation.
+    The stage is deterministic (no RNG) and uniform: each frame is held
+    for exactly ``delay_ns`` through a pooled kernel event, so relative
+    ordering is preserved — it models added path latency (a longer
+    overlay hop, a WAN leg).  The fairness family uses it to build
+    asymmetric-RTT competing flows.  Install it on a *delivery* port
+    (``nic.rx_port``, ``core.inbound``) whose downstream sink tolerates
+    direct re-invocation: the held frame is re-injected by calling that
+    sink.
     """
 
     kind = "delay"
@@ -318,36 +251,6 @@ class DelayStage(FaultInjector):
         evt = self.sim.timeout(self.delay_ns)
         evt.callbacks.append(lambda _evt, f=frame, s=sink: s(f))
         return True
-
-
-class DuplicateStage(FaultInjector):
-    """Probabilistically delivers a frame twice (UDP overlay duplication).
-
-    Descriptor payloads are immutable in flight (pipeline ownership rule
-    2), so re-presenting the same descriptor models duplication safely.
-    Same placement rule as :class:`ReorderStage`: install on a delivery
-    port whose sink tolerates re-invocation.
-    """
-
-    kind = "duplicate"
-    counters = ("passed", "duplicated")
-
-    def __init__(self, sim: Simulator, prob: float, seed: int = 0,
-                 name: Optional[str] = None):
-        if not 0.0 <= prob <= 1.0:
-            raise ValueError(f"duplicate prob must be in [0, 1], got {prob}")
-        super().__init__(sim, name)
-        self.prob = prob
-        self._rng = Rng(seed)
-
-    def ingress(self, frame: Any) -> Any:
-        """Forward once, and a second time with probability ``prob``."""
-        self.passed.inc()
-        result = self.forward(frame)
-        if self._rng.random() < self.prob:
-            self.duplicated.inc()
-            self.forward(frame)
-        return result
 
 
 def _outermost_first(port: Port) -> list[FaultInjector]:

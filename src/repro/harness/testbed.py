@@ -11,7 +11,7 @@ compiles/builds it through :class:`repro.topo.TopologyCompiler`.  The
 construction replays the historical hand-rolled order exactly — host
 and VM creation sequence, configuration line order, ARP neighbor order —
 so golden observables are bit-identical to the pre-refactor builders.
-Cluster-scale topologies (fat-tree, torus, multi-rack) go through
+Cluster-scale fat-trees go through
 :func:`build_topo` or :mod:`repro.topo` directly.
 
 Conventions: host IPs are ``10.0.0.x``, guest IPs ``172.16.0.x``; guest

@@ -108,7 +108,3 @@ class Switch:
         port = _Port(self, len(self.ports), nic)
         self.ports.append(port)
         return port.index
-
-    def _forward(self, frame: Any, ingress: _Port) -> None:
-        """Inject a frame at a port as if its NIC had serialized it."""
-        ingress._ingress(frame)

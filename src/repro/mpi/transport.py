@@ -15,6 +15,7 @@ Two fidelity levels (see DESIGN.md):
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional, Protocol
 
 from ..config import DEFAULT_MPI, MPIParams
@@ -157,30 +158,29 @@ class SocketTransport:
             self.world.mailbox(msg.dst).deliver(msg)
 
 
+@dataclass(frozen=True)
 class FlowModel:
-    """Calibrated flow parameters for one network configuration."""
+    """Calibrated flow parameters for one network configuration.
 
-    def __init__(
-        self,
-        name: str,
-        alpha_ns: int,
-        beta_Bps: float,
-        link_bps: float,
-        virtual: bool = False,
-        fanin_penalty: float = 1.0,
-    ):
-        if beta_Bps <= 0 or link_bps <= 0:
+    Frozen and compared by value, so a model can key a cache of results
+    derived from it.
+    """
+
+    name: str
+    alpha_ns: int
+    beta_Bps: float
+    link_bps: float
+    virtual: bool = False  # endpoints are guests (copies run slower)
+    # Incast degradation: when several flows converge on one node, a
+    # virtualized receive path (single dispatcher, virtio ring bounce)
+    # loses efficiency that native NIC flow-steering retains.  It only
+    # bites when that receive path — not the wire — is the bottleneck.
+    fanin_penalty: float = 1.0
+
+    def __post_init__(self):
+        if self.beta_Bps <= 0 or self.link_bps <= 0:
             raise ValueError("flow model rates must be positive")
-        self.name = name
-        self.alpha_ns = int(alpha_ns)
-        self.beta_Bps = beta_Bps
-        self.link_bps = link_bps
-        self.virtual = virtual  # endpoints are guests (copies run slower)
-        # Incast degradation: when several flows converge on one node, a
-        # virtualized receive path (single dispatcher, virtio ring bounce)
-        # loses efficiency that native NIC flow-steering retains.  It only
-        # bites when that receive path — not the wire — is the bottleneck.
-        self.fanin_penalty = fanin_penalty
+        object.__setattr__(self, "alpha_ns", int(self.alpha_ns))
 
     @property
     def rx_path_limited(self) -> bool:

@@ -231,24 +231,6 @@ class SpanRecorder:
         span.t1 = self.sim.now
         self.spans.append(span)
 
-    def event(
-        self,
-        stage: str,
-        who: str = "",
-        where: str = "",
-        flow: Optional[str] = None,
-        packet: Optional[int] = None,
-    ) -> None:
-        """Record an instantaneous (zero-duration) event at ``sim.now``."""
-        if not self.enabled:
-            return
-        self._seq += 1
-        now = self.sim.now
-        self.spans.append(
-            Span(stage=stage, t0=now, t1=now, who=who, where=where,
-                 flow=flow, packet=packet, seq=self._seq)
-        )
-
     # -- queries ----------------------------------------------------------
     def of_stage(self, stage: str) -> list[Span]:
         """All recorded spans with the given stage name."""

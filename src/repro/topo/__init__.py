@@ -6,8 +6,8 @@ The package splits *describing* a network from *building* one:
   :class:`Subnet`, :class:`HostSpec`, :class:`Router`,
   :class:`OverlayLink`, :class:`RoutePlan`, :class:`Topology`) plus the
   exec-engine-friendly :class:`TopoSpec` handle;
-* :mod:`repro.topo.generators` — deterministic fat-tree, 2D torus,
-  multi-rack and full-mesh generators;
+* :mod:`repro.topo.generators` — deterministic fat-tree and full-mesh
+  generators;
 * :mod:`repro.topo.compiler` — :class:`TopologyCompiler`, which turns a
   topology into per-host VNET/P route tables, link specs and
   control-language configuration, and builds live testbeds from them;
@@ -28,7 +28,7 @@ from .compiler import (
     peer_guests,
     vm_ip,
 )
-from .generators import fat_tree, full_mesh, generate, guest_mac, multirack, torus2d
+from .generators import fat_tree, full_mesh, generate, guest_mac
 from .model import (
     GUEST_MAC_PREFIX,
     HostSpec,
@@ -54,8 +54,6 @@ __all__ = [
     "GUEST_MAC_PREFIX",
     "full_mesh",
     "fat_tree",
-    "torus2d",
-    "multirack",
     "generate",
     "guest_mac",
     "TopologyCompiler",

@@ -1,4 +1,4 @@
-"""Deterministic topology generators: mesh, fat-tree, torus, multi-rack.
+"""Deterministic topology generators: full mesh and fat-tree.
 
 Each generator is a pure function from parameters to a
 :class:`~repro.topo.model.Topology` — no clocks, no global state, and
@@ -13,8 +13,8 @@ Conventions shared by every generator:
   host index, IP (``10.x.y.z`` from the index) and guest-MAC numbering
   all match the legacy hand-rolled testbeds;
 * routers follow, named by tier (``edge<p>-<e>``, ``agg<p>-<a>``,
-  ``core<c>``, ``tor<r>``, ``spine<s>``), carry zero VMs, and forward
-  purely by their VNET/P route tables (overlay waypoints);
+  ``core<c>``), carry zero VMs, and forward purely by their VNET/P
+  route tables (overlay waypoints);
 * guest MAC for global VM index ``i`` is
   ``mac_addr(i + 1, prefix=GUEST_MAC_PREFIX)`` — VM ``i`` lives on
   compute host ``i // vms_per_host``, exactly the legacy layout.
@@ -27,18 +27,11 @@ Route-table shape is where the generators differ:
   routers hold *small* tables (exact routes for what is below them plus
   one wildcard default up); only core routers know every VM.  This is
   what makes 1024-host overlays compile and run in bounded memory.
-* :func:`torus2d` — dimension-order routing on a 2D torus: every host
-  routes every remote VM to one of its four ring neighbors.
-* :func:`multirack` — racks behind ToR routers with a configurable
-  oversubscription ratio: ``max(1, hosts_per_rack // oversubscription)``
-  spine routers; ToRs spread uplink traffic across spines by a stable
-  per-destination-MAC hash.
 """
 
 from __future__ import annotations
 
 import math
-import zlib
 
 from ..proto.ethernet import mac_addr
 from .model import (
@@ -56,8 +49,6 @@ from .model import (
 __all__ = [
     "full_mesh",
     "fat_tree",
-    "torus2d",
-    "multirack",
     "generate",
     "guest_mac",
 ]
@@ -253,143 +244,6 @@ def fat_tree(n_hosts: int, vms_per_host: int = 1, seed: int = 0) -> Topology:
     )
 
 
-def _ring_step(src: int, dst: int, size: int) -> int:
-    """Shortest-direction unit step on a ring (ties go positive)."""
-    fwd = (dst - src) % size
-    return 1 if fwd <= size - fwd else -1
-
-
-def torus2d(rows: int, cols: int, vms_per_host: int = 1, seed: int = 0) -> Topology:
-    """A ``rows × cols`` 2D torus with dimension-order routing.
-
-    Host ``h<i>`` sits at ``(i // cols, i % cols)`` and links to its four
-    ring neighbors; a packet first corrects its column (shortest ring
-    direction), then its row.  Every host carries one exact route per
-    remote VM, so tables are O(N) per host — suited to modest torus
-    sizes, not the 1000-host regime (use :func:`fat_tree` there).
-    """
-    if rows < 1 or cols < 1 or rows * cols < 2:
-        raise ValueError(f"torus2d: need at least 2 hosts, got {rows}x{cols}")
-    n_hosts = rows * cols
-    hosts = tuple(
-        HostSpec(name=f"h{i}", role="compute", rack=f"row{i // cols}",
-                 vms=vms_per_host)
-        for i in range(n_hosts)
-    )
-    macs = _vm_macs(n_hosts, vms_per_host)
-
-    def at(r: int, c: int) -> int:
-        return (r % rows) * cols + (c % cols)
-
-    links: list[OverlayLink] = []
-    routes: list[RoutePlan] = []
-    for i in range(n_hosts):
-        r, c = divmod(i, cols)
-        neighbors = []
-        for j in (at(r, c + 1), at(r, c - 1), at(r + 1, c), at(r - 1, c)):
-            if j != i and j not in neighbors:
-                neighbors.append(j)
-        for j in neighbors:
-            links.append(OverlayLink(f"h{i}", f"h{j}"))
-        for v in range(vms_per_host):
-            routes.append(RoutePlan(f"h{i}", "any", macs[i][v], via_interface=f"if{v}"))
-        for j in range(n_hosts):
-            if j == i:
-                continue
-            rj, cj = divmod(j, cols)
-            if cj != c:
-                nxt = at(r, c + _ring_step(c, cj, cols))
-            else:
-                nxt = at(r + _ring_step(r, rj, rows), c)
-            for v in range(vms_per_host):
-                routes.append(RoutePlan(f"h{i}", "any", macs[j][v], via_link=f"h{nxt}"))
-    return Topology(
-        name=f"torus-{rows}x{cols}x{vms_per_host}",
-        network=_NETWORK,
-        hosts=hosts,
-        links=tuple(links),
-        routes=tuple(routes),
-        wiring="links",
-        vms_per_host=vms_per_host,
-    )
-
-
-def multirack(racks: int, hosts_per_rack: int, oversubscription: int = 4,
-              vms_per_host: int = 1, seed: int = 0) -> Topology:
-    """Racks behind ToR routers, spines sized by oversubscription.
-
-    The fabric has ``max(1, hosts_per_rack // oversubscription)`` spine
-    routers: an oversubscription of 1 gives a spine per rack host
-    (non-blocking), larger values shrink the spine layer and concentrate
-    inter-rack traffic.  ToRs route their own rack's VMs directly and
-    spread everything else across the spines with a stable
-    ``crc32(dst_mac, seed)`` hash, so a flow always takes one spine and
-    the choice is reproducible.
-    """
-    if racks < 1 or hosts_per_rack < 1:
-        raise ValueError(
-            f"multirack: need racks/hosts_per_rack >= 1, got {racks}/{hosts_per_rack}"
-        )
-    if oversubscription < 1:
-        raise ValueError(f"multirack: oversubscription must be >= 1, got {oversubscription}")
-    n_hosts = racks * hosts_per_rack
-    spines = max(1, hosts_per_rack // oversubscription)
-    hosts = [
-        HostSpec(name=f"h{i}", role="compute", rack=f"rack{i // hosts_per_rack}",
-                 vms=vms_per_host)
-        for i in range(n_hosts)
-    ]
-    routers = []
-    for r in range(racks):
-        hosts.append(HostSpec(f"tor{r}", role="tor", rack=f"rack{r}", vms=0))
-        routers.append(Router(f"tor{r}", "tor"))
-    for s in range(spines):
-        hosts.append(HostSpec(f"spine{s}", role="spine", vms=0))
-        routers.append(Router(f"spine{s}", "spine"))
-    macs = _vm_macs(n_hosts, vms_per_host)
-
-    def spine_for(mac: str) -> str:
-        return f"spine{zlib.crc32(f'{mac}/{seed}'.encode()) % spines}"
-
-    links: list[OverlayLink] = []
-    routes: list[RoutePlan] = []
-    for i in range(n_hosts):
-        tor = f"tor{i // hosts_per_rack}"
-        links.append(OverlayLink(f"h{i}", tor))
-        for v in range(vms_per_host):
-            routes.append(RoutePlan(f"h{i}", "any", macs[i][v], via_interface=f"if{v}"))
-        routes.append(RoutePlan(f"h{i}", "any", "any", via_link=tor))
-    for r in range(racks):
-        tor = f"tor{r}"
-        for i in range(r * hosts_per_rack, (r + 1) * hosts_per_rack):
-            links.append(OverlayLink(tor, f"h{i}"))
-        for s in range(spines):
-            links.append(OverlayLink(tor, f"spine{s}"))
-        for i in range(n_hosts):
-            local = i // hosts_per_rack == r
-            for v in range(vms_per_host):
-                via = f"h{i}" if local else spine_for(macs[i][v])
-                routes.append(RoutePlan(tor, "any", macs[i][v], via_link=via))
-    for s in range(spines):
-        name = f"spine{s}"
-        for r in range(racks):
-            links.append(OverlayLink(name, f"tor{r}"))
-        for i in range(n_hosts):
-            tor = f"tor{i // hosts_per_rack}"
-            for v in range(vms_per_host):
-                routes.append(RoutePlan(name, "any", macs[i][v], via_link=tor))
-    return Topology(
-        name=f"multirack-{racks}x{hosts_per_rack}o{oversubscription}",
-        network=_NETWORK,
-        hosts=tuple(hosts),
-        routers=tuple(routers),
-        links=tuple(links),
-        routes=tuple(routes),
-        wiring="links",
-        vms_per_host=vms_per_host,
-    )
-
-
 def generate(spec: TopoSpec) -> Topology:
     """Materialise a :class:`~repro.topo.model.TopoSpec` (the plain-data
     form experiments pass through exec-engine point kwargs)."""
@@ -397,11 +251,4 @@ def generate(spec: TopoSpec) -> Topology:
         return full_mesh(spec.n_hosts, vms_per_host=spec.vms_per_host)
     if spec.kind == "fat-tree":
         return fat_tree(spec.n_hosts, vms_per_host=spec.vms_per_host, seed=spec.seed)
-    if spec.kind == "torus":
-        return torus2d(spec.rows, spec.cols, vms_per_host=spec.vms_per_host,
-                       seed=spec.seed)
-    if spec.kind == "multirack":
-        return multirack(spec.racks, spec.hosts_per_rack,
-                         oversubscription=spec.oversubscription,
-                         vms_per_host=spec.vms_per_host, seed=spec.seed)
     raise ValueError(f"unknown topology kind {spec.kind!r}")

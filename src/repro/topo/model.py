@@ -11,7 +11,7 @@ determinism by straight equality.
 
 The split of responsibilities:
 
-* a **generator** (fat-tree, 2D torus, multi-rack) produces a
+* a **generator** (full mesh, fat-tree) produces a
   :class:`Topology`: hosts, routers, directed :class:`OverlayLink`\\ s
   and abstract :class:`RoutePlan`\\ s phrased in terms of host names and
   guest MACs;
@@ -70,7 +70,7 @@ class HostSpec:
 
     ``vms`` is the number of guest VMs the host carries (0 for pure
     forwarders); ``role`` names its function (``compute`` or a router
-    tier such as ``edge``/``agg``/``core``/``tor``/``spine``); ``rack``
+    tier such as ``edge``/``agg``/``core``); ``rack``
     is a free-form placement label.  IPs and MACs are *not* stored here:
     the compiler derives them from position, which is what keeps the
     legacy testbeds bit-identical.
@@ -172,9 +172,9 @@ class Topology:
 class TopoSpec:
     """Plain-data topology request: the exec-engine-friendly handle.
 
-    ``kind`` selects the generator (``mesh``, ``fat-tree``, ``torus``,
-    ``multirack``); the remaining fields parameterise it (unused fields
-    stay at their defaults and still fingerprint stably).  Frozen and
+    ``kind`` selects the generator (``mesh`` or ``fat-tree``); the
+    remaining fields parameterise it (``seed`` is read by the fat-tree
+    only and still fingerprints stably for a mesh).  Frozen and
     flat so :mod:`repro.exec.fingerprint` hashes it like any scalar
     kwarg; pass through :func:`repro.topo.generators.generate`.
     """
@@ -182,18 +182,9 @@ class TopoSpec:
     kind: str
     n_hosts: int = 2
     vms_per_host: int = 1
-    rows: int = 0
-    cols: int = 0
-    racks: int = 0
-    hosts_per_rack: int = 0
-    oversubscription: int = 4
     seed: int = 0
 
     # Keep a stable repr for experiment labels.
     def label(self) -> str:
         """Short human label, e.g. ``fat-tree/64``."""
-        if self.kind == "torus":
-            return f"torus/{self.rows}x{self.cols}"
-        if self.kind == "multirack":
-            return f"multirack/{self.racks}x{self.hosts_per_rack}"
         return f"{self.kind}/{self.n_hosts}"

@@ -3,7 +3,7 @@
 Each VNET/P core periodically emits a tiny :class:`HeartbeatFrame` on
 every UDP overlay link it owns.  The frame rides the *real* datapath —
 bridge TX queue, UDP encapsulation, host stack, physical network — so a
-faulted link (partition, loss window, host pause) silences exactly the
+faulted link (partition, loss or burst-loss window) silences exactly the
 heartbeats a real deployment would lose.  On arrival the receiving
 core's :meth:`~repro.vnet.core.VnetCore._accept_inbound` intercepts the
 frame (it never reaches a guest) and feeds the peer's

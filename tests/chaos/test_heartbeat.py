@@ -60,9 +60,9 @@ def test_dead_link_detected_then_recovers():
         assert m0.dead_links() == []
         # Cut both directions of the h0<->h1 overlay link.
         cut = [
-            PartitionStage(sim, failed=True).install(
+            PartitionStage(sim).install(
                 tb.hosts[0].vnet_bridge.link_out("to1")),
-            PartitionStage(sim, failed=True).install(
+            PartitionStage(sim).install(
                 tb.hosts[1].vnet_bridge.link_out("to0")),
         ]
         yield sim.timeout(10_000_000)  # 20 missed beats >> phi threshold
@@ -102,7 +102,7 @@ def test_heartbeat_send_failure_counted():
     svc.start()
     # Fill the bridge tx queue's world: block the NIC so the bounded
     # txq eventually overflows and try_put fails.
-    PartitionStage(sim, failed=True).install(tb.hosts[0].nic.tx_port)
+    PartitionStage(sim).install(tb.hosts[0].nic.tx_port)
     sim.run()
     # Frames are dropped at the NIC, not the txq, so sends still succeed;
     # the peer simply never hears them.

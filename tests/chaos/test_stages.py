@@ -8,11 +8,9 @@ import pytest
 
 from repro.chaos import (
     DelayStage,
-    DuplicateStage,
     GilbertElliottStage,
     LossStage,
     PartitionStage,
-    ReorderStage,
     chain_on,
 )
 from repro.obs.context import Observability
@@ -86,61 +84,17 @@ def test_gilbert_elliott_statistics():
 
 
 def test_partition_stage_fail_heal():
+    """Installed, the stage blackholes every frame; removed, the port
+    forwards again."""
     sim = Simulator()
     port, got = _port_with_sink(sim)
-    stage = PartitionStage(sim).install(port)
     assert port.push(Frame(1))
-    stage.fail()
+    stage = PartitionStage(sim).install(port)
     assert not port.push(Frame(2))
-    stage.heal()
+    stage.remove()
     assert port.push(Frame(3))
-    assert stage.counts()["blackholed"] == 1
+    assert stage.counts() == {"blackholed": 1}
     assert [f.id for f in got] == [1, 3]
-
-
-def test_reorder_stage_overtaking():
-    """A held frame is overtaken by later ones within the delay window."""
-    sim = Simulator()
-    port, got = _port_with_sink(sim)
-    # prob=1: every frame held for 5 us.
-    ReorderStage(sim, prob=1.0, delay_ns=5_000, seed=0).install(port)
-
-    def feed():
-        for i in range(3):
-            port.push(Frame(i))
-            yield sim.timeout(1_000)
-
-    sim.process(feed())
-    sim.run()
-    assert [f.id for f in got] == [0, 1, 2]  # all delivered, in order
-
-    # Mixed: only the first frame held; the next two overtake it.
-    sim2 = Simulator()
-    port2, got2 = _port_with_sink(sim2)
-    stage2 = ReorderStage(sim2, prob=0.5, delay_ns=50_000, seed=1).install(port2)
-
-    def feed2():
-        for i in range(20):
-            port2.push(Frame(i))
-            yield sim2.timeout(1_000)
-
-    sim2.process(feed2())
-    sim2.run()
-    ids = [f.id for f in got2]
-    assert sorted(ids) == list(range(20))  # nothing lost
-    assert ids != list(range(20))  # but not in send order
-    assert stage2.counts()["reordered"] + stage2.counts()["passed"] == 20
-
-
-def test_duplicate_stage():
-    sim = Simulator()
-    port, got = _port_with_sink(sim)
-    stage = DuplicateStage(sim, prob=0.5, seed=2).install(port)
-    for i in range(200):
-        port.push(Frame(i))
-    assert stage.counts()["duplicated"] > 0
-    assert len(got) == 200 + stage.counts()["duplicated"]
-    assert 0.3 < stage.counts()["duplicated"] / 200 < 0.7
 
 
 def test_stacked_removal_is_order_safe():
@@ -165,15 +119,17 @@ def test_inner_removal_keeps_outer_working():
     """Removing the inner injector leaves the outer one functional."""
     sim = Simulator()
     port, got = _port_with_sink(sim)
-    inner = LossStage(sim, rate=1.0, seed=0).install(port)
-    outer = PartitionStage(sim).install(port)
-    assert not port.push(Frame(0))  # swallowed by the loss stage
+    inner = PartitionStage(sim).install(port)
+    outer = LossStage(sim, rate=0.5, seed=0).install(port)
+    for i in range(20):
+        port.push(Frame(i))
+    assert got == []                # what the loss stage passes, the partition swallows
+    assert inner.counts()["blackholed"] == outer.counts()["passed"] > 0
     inner.remove()
-    assert port.push(Frame(1))      # partition (healthy) passes through
-    outer.fail()
-    assert not port.push(Frame(2))
-    assert [f.id for f in got] == [1]
-    assert outer.counts()["blackholed"] == 1
+    delivered = [bool(port.push(Frame(i))) for i in range(20, 60)]
+    assert 0 < sum(delivered) < 40  # the loss stage still drops some
+    assert [f.id for f in got] == [20 + i for i, ok in enumerate(delivered) if ok]
+    assert outer.counts()["dropped"] + outer.counts()["passed"] == 60
 
 
 def test_chaos_metrics_published_in_registry():
@@ -236,9 +192,10 @@ def test_middle_removal_keeps_chain_in_install_order():
     walkable from the port in install order."""
     sim = Simulator()
     port, got = _port_with_sink(sim)
-    a = PartitionStage(sim).install(port)
-    b = LossStage(sim, rate=1.0, seed=0).install(port)
-    c = PartitionStage(sim).install(port)
+    a = LossStage(sim, rate=0.0, seed=0).install(port)
+    b = PartitionStage(sim).install(port)
+    c = LossStage(sim, rate=0.0, seed=1).install(port)
+    assert not port.push(Frame(2))
     b.remove()
     assert chain_on(port) == [a, c]
     assert port.push(Frame(3))

@@ -1,6 +1,6 @@
 """Chaos stages on a physical NIC's transmit port, end to end.
 
-The stages' own behaviour on bare ports (seeded loss fraction, fail/heal
+The stages' own behaviour on bare ports (seeded loss fraction,
 blackholing, order-safe removal) is covered in tests/chaos/test_stages.py.
 """
 
@@ -8,7 +8,7 @@ import pytest
 
 from repro import units
 from repro.apps.ttcp import run_ttcp_tcp
-from repro.chaos import LossStage, PartitionStage
+from repro.chaos import FaultSchedule, LossStage
 from repro.config import NETEFFECT_10G
 from repro.harness.testbed import build_native, build_vnetp
 
@@ -28,25 +28,13 @@ def test_tcp_survives_loss_through_the_overlay():
     assert r.bytes_moved == 3 * units.MB
 
 
-def test_partition_fail_for_window():
-    tb = build_native(nic_params=NETEFFECT_10G)
-    sim = tb.sim
-    part = PartitionStage(sim).install(tb.hosts[0].nic.tx_port)
-
-    def windowed():
-        yield from part.fail_for(sim, 1_000_000)
-
-    p = sim.process(windowed())
-    sim.run(until=sim.timeout(500_000))
-    assert part.failed
-    sim.run(until=p)
-    assert not part.failed
-
-
 def test_tcp_rides_out_a_partition():
     tb = build_vnetp(nic_params=NETEFFECT_10G)
     sim = tb.sim
-    part = PartitionStage(sim).install(tb.hosts[0].nic.tx_port)
+    sched = FaultSchedule(sim)
+    # A 3 ms outage on the sender's NIC.
+    window = sched.partition(tb.hosts[0].nic.tx_port,
+                             start_ns=500_000, stop_ns=3_500_000)
     a, b = tb.endpoints
     done = {}
 
@@ -60,12 +48,9 @@ def test_tcp_rides_out_a_partition():
         yield from conn.send(2 * units.MB)
         yield from conn.close()
 
-    def chaos():
-        yield sim.timeout(500_000)
-        yield from part.fail_for(sim, 3_000_000)  # 3 ms outage
-
+    sched.start()
     sim.process(server())
     sim.process(client())
-    sim.process(chaos())
     sim.run()
+    assert window.stage.blackholed.value > 0
     assert done["got"] == 2 * units.MB

@@ -128,3 +128,48 @@ def test_checker_flags_unknown_cost_table_charge(tmp_path):
     assert mod.check_cost_tables(tmp_path) == [
         "docs/perf.md: cost table charges 'gone_ns', which is no repro.config field"
     ]
+
+
+def test_api_tables_name_live_api():
+    mod = _load_checker()
+    assert mod.check_api_tables(REPO) == []
+
+
+def test_checker_flags_stale_api_table_rows(tmp_path):
+    mod = _load_checker()
+    chaos = tmp_path / "src" / "repro" / "chaos"
+    topo = tmp_path / "src" / "repro" / "topo"
+    chaos.mkdir(parents=True)
+    topo.mkdir(parents=True)
+    (chaos / "schedule.py").write_text(
+        "class FaultSchedule:\n    def partition(self):\n        pass\n\n"
+        "    def _run_window(self):\n        pass\n"
+    )
+    (chaos / "__init__.py").write_text('__all__ = ["PartitionStage"]\n')
+    (topo / "__init__.py").write_text('__all__ = ["fat_tree"]\n')
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "robustness.md").write_text(
+        "| Builder | Installs | Fault parameters |\n|---|---|---|\n"
+        "| `partition(port)` | `PartitionStage` | blackhole |\n"
+        "| `flap(port, cycles)` | `PartitionStage`, toggled | cycles |\n"
+        "| `_run_window(w)` | `JitterStage` | — |\n"
+        "\n| `pause(host)` | outside the table |\n"
+    )
+    (tmp_path / "docs" / "topology.md").write_text(
+        "## Generators\n\n* **`fat_tree(n)`** — kept.\n* **`hypercube(d)`** — gone.\n"
+        "\n## Using it\n\n* **`leaf_spine(r)`** — not in the generator list.\n"
+    )
+    assert mod.check_api_tables(tmp_path) == [
+        "docs/robustness.md: builder table lists 'flap', which is no public "
+        "FaultSchedule method",
+        "docs/robustness.md: builder table lists '_run_window', which is no public "
+        "FaultSchedule method",
+        "docs/robustness.md: builder table installs 'JitterStage', which is not in "
+        "repro.chaos.__all__",
+        "docs/topology.md: generator list names 'hypercube', which is not in "
+        "repro.topo.__all__",
+    ]
+    (tmp_path / "docs" / "robustness.md").write_text("# no table\n")
+    assert mod.check_api_tables(tmp_path)[0] == (
+        "docs/robustness.md: no '| Builder | Installs | Fault parameters |' table"
+    )

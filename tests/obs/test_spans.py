@@ -31,8 +31,6 @@ def test_disabled_recorder_records_nothing():
     sim.process(proc())
     sim.run()
     assert rec.spans == []
-    rec.event("tick")
-    assert rec.spans == []
 
 
 def test_span_brackets_virtual_time():
@@ -53,21 +51,6 @@ def test_span_brackets_virtual_time():
     (s,) = rec.spans
     assert (s.t0, s.t1, s.ns) == (50, 175, 125)
     assert (s.stage, s.who, s.where, s.flow) == ("dispatch", "core", "vmm", "a>b")
-
-
-def test_event_is_zero_duration():
-    sim = Simulator()
-    rec = SpanRecorder(sim, enabled=True)
-
-    def proc():
-        yield sim.timeout(7)
-        rec.event("drop", who="core")
-
-    sim.process(proc())
-    sim.run()
-    (s,) = rec.spans
-    assert s.t0 == s.t1 == 7
-    assert s.ns == 0
 
 
 def test_queries_and_reset():

@@ -8,8 +8,6 @@ from repro.topo import (
     fat_tree,
     full_mesh,
     generate,
-    multirack,
-    torus2d,
 )
 
 
@@ -24,8 +22,8 @@ def compile_(topo):
         TopoSpec(kind="mesh", n_hosts=3, vms_per_host=2),
         TopoSpec(kind="fat-tree", n_hosts=16),
         TopoSpec(kind="fat-tree", n_hosts=20, seed=3),
-        TopoSpec(kind="torus", rows=3, cols=4),
-        TopoSpec(kind="multirack", racks=3, hosts_per_rack=8),
+        TopoSpec(kind="fat-tree", n_hosts=64, vms_per_host=2),
+        TopoSpec(kind="mesh", n_hosts=2),
     ],
 )
 def test_same_spec_same_compiled_tables(spec):
@@ -39,11 +37,6 @@ def test_same_spec_same_compiled_tables(spec):
 def test_seed_changes_fat_tree_routing():
     base = compile_(fat_tree(16, seed=0)).signature()
     assert compile_(fat_tree(16, seed=1)).signature() != base
-
-
-def test_seed_changes_multirack_spine_assignment():
-    base = compile_(multirack(4, 8, seed=0)).signature()
-    assert compile_(multirack(4, 8, seed=7)).signature() != base
 
 
 def test_mesh_shape():
@@ -69,26 +62,6 @@ def test_fat_tree_trims_unused_pods():
     assert len(pods) == 3
 
 
-def test_torus_shape():
-    topo = torus2d(3, 4)
-    assert len(topo.compute_hosts) == 12
-    assert topo.n_routers == 0
-    # Each host links to its 4 ring neighbors (3-row ring: up==down is
-    # deduplicated, so degree can be 3).
-    c = compile_(topo)
-    degrees = {len(h.links) for h in c.hosts}
-    assert degrees <= {3, 4}
-
-
-def test_multirack_oversubscription_sets_spine_count():
-    topo = multirack(4, 8, oversubscription=4)
-    assert sum(1 for r in topo.routers if r.tier == "spine") == 2
-    topo = multirack(4, 8, oversubscription=2)
-    assert sum(1 for r in topo.routers if r.tier == "spine") == 4
-    topo = multirack(4, 8, oversubscription=16)
-    assert sum(1 for r in topo.routers if r.tier == "spine") == 1
-
-
 def test_generate_rejects_unknown_kind():
     with pytest.raises(ValueError):
         generate(TopoSpec(kind="hypercube", n_hosts=8))
@@ -97,7 +70,7 @@ def test_generate_rejects_unknown_kind():
 def test_compute_hosts_come_first():
     """VM index ↔ host index math relies on compute hosts preceding
     routers in every generated topology."""
-    for topo in (fat_tree(16), torus2d(2, 3), multirack(2, 4)):
+    for topo in (fat_tree(16), fat_tree(20, vms_per_host=2), full_mesh(3)):
         n = len(topo.compute_hosts)
         assert all(h.vms > 0 for h in topo.hosts[:n])
         assert all(h.vms == 0 for h in topo.hosts[n:])

@@ -198,9 +198,9 @@ def _udp_under_fault(place_fault):
 
 
 @pytest.mark.parametrize("place_fault", [
-    pytest.param(lambda tb, sched: sched.flap(
+    pytest.param(lambda tb, sched: sched.partition(
         tb.hosts[0].vnet_bridge.link_out("to1"), start_ns=1_000_000,
-        down_ns=150_000, up_ns=250_000, cycles=3), id="link-flap"),
+        stop_ns=1_500_000), id="link-partition"),
     pytest.param(lambda tb, sched: sched.partition(
         tb.hosts[1].nic.rx_port, start_ns=1_000_000, stop_ns=1_500_000),
         id="nic-partition"),

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checks run by CI.
 
-Four checks, importable individually by the test suite:
+Five checks, importable individually by the test suite:
 
 * :func:`check_links` — every internal file reference in ``docs/*.md``
   (markdown links plus backticked ``path/to/file.md``/``.py`` mentions)
@@ -19,8 +19,13 @@ Four checks, importable individually by the test suite:
   cannot silently drop them out of the docstring sweep;
 * :func:`check_cost_tables` — every backticked name in the first column
   of a ``| Charge | Default | Charged by | When |`` table in
-  ``docs/*.md`` is a field of a ``repro.config`` dataclass.
+  ``docs/*.md`` is a field of a ``repro.config`` dataclass;
+* :func:`check_api_tables` — the fault-schedule builder table in
+  ``docs/robustness.md`` names only public ``FaultSchedule`` methods and
+  classes in ``repro.chaos.__all__``, and the generator list in
+  ``docs/topology.md`` names only functions in ``repro.topo.__all__``.
 
+All checks read the source with :mod:`ast`; none imports ``repro``.
 Exit status is non-zero if any check fails.
 """
 
@@ -212,11 +217,87 @@ def check_cost_tables(repo: Path) -> list[str]:
     return errors
 
 
+_BUILDER_TABLE_HEADER = "| Builder | Installs | Fault parameters |"
+
+
+def _module_all(py_file: Path) -> set[str]:
+    """The string entries of ``__all__`` in ``py_file``."""
+    tree = ast.parse(py_file.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return set()
+
+
+def _public_methods(py_file: Path, class_name: str) -> set[str]:
+    """Public method names of top-level class ``class_name`` in ``py_file``."""
+    tree = ast.parse(py_file.read_text(encoding="utf-8"))
+    return {
+        stmt.name
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == class_name
+        for stmt in node.body
+        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")
+    }
+
+
+def _doc_lines(path: Path) -> list[str]:
+    return path.read_text(encoding="utf-8").splitlines() if path.is_file() else []
+
+
+def check_api_tables(repo: Path) -> list[str]:
+    """Fault builders, injector classes and topology generators that the
+    robustness and topology docs list but the code no longer has."""
+    chaos = repo / "src" / "repro" / "chaos"
+    builders = _public_methods(chaos / "schedule.py", "FaultSchedule")
+    chaos_all = _module_all(chaos / "__init__.py")
+    topo_all = _module_all(repo / "src" / "repro" / "topo" / "__init__.py")
+    errors = []
+
+    rows = []
+    in_table = False
+    for line in _doc_lines(repo / "docs" / "robustness.md"):
+        if line.strip() == _BUILDER_TABLE_HEADER:
+            in_table = True
+            continue
+        if not in_table or not line.startswith("|"):
+            in_table = False
+            continue
+        rows.append(line.split("|"))
+    if not rows:
+        errors.append(f"docs/robustness.md: no '{_BUILDER_TABLE_HEADER}' table")
+    for cells in rows:
+        for name in re.findall(r"`(\w+)\(", cells[1]):
+            if name not in builders:
+                errors.append(f"docs/robustness.md: builder table lists {name!r}, "
+                              "which is no public FaultSchedule method")
+        for name in re.findall(r"`(\w+)`", cells[2]):
+            if name not in chaos_all:
+                errors.append(f"docs/robustness.md: builder table installs {name!r}, "
+                              "which is not in repro.chaos.__all__")
+
+    generators = []
+    in_section = False
+    for line in _doc_lines(repo / "docs" / "topology.md"):
+        if line.startswith("## "):
+            in_section = line.startswith("## Generators")
+        elif in_section:
+            generators += re.findall(r"^\* \*\*`(\w+)\(", line)
+    if not generators:
+        errors.append("docs/topology.md: no generator list under '## Generators'")
+    for name in generators:
+        if name not in topo_all:
+            errors.append(f"docs/topology.md: generator list names {name!r}, "
+                          "which is not in repro.topo.__all__")
+    return errors
+
+
 def main() -> int:
     repo = Path(__file__).resolve().parent.parent
     errors = (
         check_links(repo) + check_test_refs(repo) + check_docstrings(repo)
-        + check_cost_tables(repo)
+        + check_cost_tables(repo) + check_api_tables(repo)
     )
     for err in errors:
         print(err, file=sys.stderr)
@@ -225,7 +306,8 @@ def main() -> int:
         return 1
     print(
         "docs OK: links and test references resolve, repro.obs/repro.exec/repro.chaos/repro.topo "
-        "(+ flowcache) public surfaces documented, cost tables name config fields"
+        "(+ flowcache) public surfaces documented, cost tables name config fields, "
+        "fault-builder and generator lists name live API"
     )
     return 0
 
