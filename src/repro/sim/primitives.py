@@ -50,6 +50,9 @@ class Store:
     ``get`` blocks when it is empty.  Both return events to ``yield`` on.
     """
 
+    # Slotted: a cluster-scale testbed holds thousands of stores.
+    __slots__ = ("sim", "capacity", "name", "items", "_getters", "_putters")
+
     def __init__(self, sim: Simulator, capacity: Optional[int] = None, name: str = "store"):
         if capacity is not None and capacity < 1:
             raise ValueError(f"store capacity must be >= 1, got {capacity}")
@@ -217,6 +220,8 @@ class Signal:
     triggers all outstanding waits and re-arms.  Used for edge-triggered
     notifications (ring non-empty, config changed, ...).
     """
+
+    __slots__ = ("sim", "name", "_event")
 
     def __init__(self, sim: Simulator, name: str = "signal"):
         self.sim = sim

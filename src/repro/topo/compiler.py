@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..config import (
     BROADCOM_1G,
@@ -75,7 +75,7 @@ from ..vnet.overlay import (
 )
 from ..vnet.vnetu import VnetUDaemon
 from .generators import guest_mac
-from .model import Topology
+from .model import RoutePlan, Topology
 
 __all__ = [
     "Endpoint",
@@ -157,12 +157,14 @@ class CompiledHost:
     routes: tuple[RouteEntry, ...]
 
     @property
-    def commands(self) -> list[Command]:
+    def commands(self) -> Iterator[Command]:
         """The host's configuration as control-language commands (links
-        first, then routes — the order the legacy testbed emitted)."""
-        return [AddLink(spec) for spec in self.links] + [
-            AddRoute(route) for route in self.routes
-        ]
+        first, then routes — the order the legacy testbed emitted), made
+        one at a time as the caller takes them."""
+        for spec in self.links:
+            yield AddLink(spec)
+        for route in self.routes:
+            yield AddRoute(route)
 
     @property
     def config_text(self) -> str:
@@ -280,50 +282,62 @@ class TopologyCompiler:
                 slots.append((next_vm, guest_mac(next_vm), vm_ip(next_vm), f"if{v}"))
                 next_vm += 1
             vm_slots[spec.name] = slots
-        # Links, grouped per source host in topology order.
+        # Links, grouped per source host in topology order.  A link's
+        # ``to<j>`` name depends only on its far end: one string per host.
+        link_name = {h.name: f"to{i}" for i, h in enumerate(topo.hosts)}
         links: dict[str, list[LinkSpec]] = {h.name: [] for h in topo.hosts}
-        link_name: dict[tuple[str, str], str] = {}
+        linked: dict[str, set[str]] = {h.name: set() for h in topo.hosts}
         for ol in topo.links:
             if ol.src not in index or ol.dst not in index:
                 raise ValueError(f"overlay link {ol.src}->{ol.dst}: unknown host")
-            name = f"to{index[ol.dst]}"
-            link_name[(ol.src, ol.dst)] = name
             proto = LinkProto(ol.proto)
             links[ol.src].append(
-                LinkSpec(name=name, proto=proto, dst_ip=host_ip(index[ol.dst]),
-                         dst_port=DEFAULT_VNET_PORT)
+                LinkSpec(name=link_name[ol.dst], proto=proto,
+                         dst_ip=host_ip(index[ol.dst]), dst_port=DEFAULT_VNET_PORT)
             )
-        # Routes, grouped per host in topology order.  Each distinct plan
-        # MAC is validated once, and every table shares its interned string.
-        distinct = {mac for plan in topo.routes for mac in (plan.src_mac, plan.dst_mac)}
-        macs = {mac: validate_mac(mac) for mac in distinct}
-        routes: dict[str, list[RouteEntry]] = {h.name: [] for h in topo.hosts}
-        for plan in topo.routes:
-            if plan.via_interface is not None:
-                dest_type, dest_name = DestType.INTERFACE, plan.via_interface
-            else:
-                key = (plan.host, plan.via_link)
-                if key not in link_name:
+            linked[ol.src].add(ol.dst)
+        # Routes: each distinct plan becomes one entry that every table
+        # holding it shares, and each distinct MAC one validated, shared
+        # string.
+        macs: dict[str, str] = {}
+        entries: dict[RoutePlan, RouteEntry] = {}
+
+        def mac(text: str) -> str:
+            found = macs.get(text)
+            if found is None:
+                found = macs[text] = validate_mac(text)
+            return found
+
+        compiled = []
+        for i, spec in enumerate(topo.hosts):
+            reachable = linked[spec.name]
+            table = []
+            for plan in spec.routes:
+                via = plan.via_link
+                if via is not None and via not in reachable:
                     raise ValueError(
-                        f"route on {plan.host!r}: no overlay link to {plan.via_link!r}"
+                        f"route on {spec.name!r}: no overlay link to {via!r}"
                     )
-                dest_type, dest_name = DestType.LINK, link_name[key]
-            routes[plan.host].append(
-                RouteEntry(src_mac=macs[plan.src_mac], dst_mac=macs[plan.dst_mac],
-                           dest_type=dest_type, dest_name=dest_name)
-            )
-        compiled = [
-            CompiledHost(
+                entry = entries.get(plan)
+                if entry is None:
+                    if via is None:
+                        dest_type, dest_name = DestType.INTERFACE, plan.via_interface
+                    else:
+                        dest_type, dest_name = DestType.LINK, link_name[via]
+                    entry = entries[plan] = RouteEntry(
+                        src_mac=mac(plan.src_mac), dst_mac=mac(plan.dst_mac),
+                        dest_type=dest_type, dest_name=dest_name,
+                    )
+                table.append(entry)
+            compiled.append(CompiledHost(
                 name=spec.name,
                 index=i,
                 ip=host_ip(i),
                 role=spec.role,
                 vms=tuple(vm_slots[spec.name]),
                 links=tuple(links[spec.name]),
-                routes=tuple(routes[spec.name]),
-            )
-            for i, spec in enumerate(topo.hosts)
-        ]
+                routes=tuple(table),
+            ))
         return CompiledTopology(self, compiled)
 
     # -- builders (invoked through CompiledTopology.build) -----------------

@@ -31,6 +31,7 @@ Route-table shape is where the generators differ:
 
 from __future__ import annotations
 
+import functools
 import math
 
 from ..proto.ethernet import mac_addr
@@ -82,13 +83,11 @@ def full_mesh(n_hosts: int, vms_per_host: int = 1, proto: str = "udp",
     ``proto`` is the overlay link protocol (``"direct"`` for the Kitten
     embedding, which maps guest frames straight onto InfiniBand), and
     hosts are named ``<prefix><i>`` (a host's name seeds its noise).
+    Every host but a VM's own reaches it through one shared plan.
     """
     if n_hosts < 1:
         raise ValueError(f"full_mesh: n_hosts must be >= 1, got {n_hosts}")
     names = [f"{prefix}{i}" for i in range(n_hosts)]
-    hosts = tuple(
-        HostSpec(name=name, role="compute", vms=vms_per_host) for name in names
-    )
     links = tuple(
         OverlayLink(names[i], names[j], proto)
         for i in range(n_hosts)
@@ -96,24 +95,26 @@ def full_mesh(n_hosts: int, vms_per_host: int = 1, proto: str = "udp",
         if i != j
     )
     macs = _vm_macs(n_hosts, vms_per_host)
-    routes = []
-    for i in range(n_hosts):
-        for idx in range(n_hosts * vms_per_host):
-            owner, v = divmod(idx, vms_per_host)
-            if owner == i:
-                routes.append(
-                    RoutePlan(names[i], "any", macs[owner][v], via_interface=f"if{v}")
-                )
-            else:
-                routes.append(
-                    RoutePlan(names[i], "any", macs[owner][v], via_link=names[owner])
-                )
+    # Per global VM: the owner's interface route and everyone else's.
+    local = [RoutePlan("any", macs[owner][v], via_interface=f"if{v}")
+             for owner in range(n_hosts) for v in range(vms_per_host)]
+    remote = [RoutePlan("any", macs[owner][v], via_link=names[owner])
+              for owner in range(n_hosts) for v in range(vms_per_host)]
+    hosts = tuple(
+        HostSpec(
+            name=names[i], role="compute", vms=vms_per_host,
+            routes=tuple(
+                local[idx] if idx // vms_per_host == i else remote[idx]
+                for idx in range(n_hosts * vms_per_host)
+            ),
+        )
+        for i in range(n_hosts)
+    )
     return Topology(
         name=f"mesh-{n_hosts}x{vms_per_host}",
         network=_NETWORK,
         hosts=hosts,
         links=links,
-        routes=tuple(routes),
         wiring="mesh",
         vms_per_host=vms_per_host,
     )
@@ -129,7 +130,9 @@ def fat_tree(n_hosts: int, vms_per_host: int = 1, seed: int = 0) -> Topology:
     edge holds exact routes for the VMs below it plus a default to one
     aggregation router; an aggregation router holds exact routes for its
     pod plus a default to one core (spread across the core group by pod
-    and ``seed``); cores hold one exact route per VM.
+    and ``seed``); cores hold one exact route per VM.  Equal plans are
+    one object: the aggregation routers of a pod share their down
+    routes, and the cores of a group share one table.
     """
     if n_hosts < 1:
         raise ValueError(f"fat_tree: n_hosts must be >= 1, got {n_hosts}")
@@ -153,25 +156,10 @@ def fat_tree(n_hosts: int, vms_per_host: int = 1, seed: int = 0) -> Topology:
         p, slot = divmod(i, pod_cap)
         return edge_name(p, slot // half)
 
-    hosts = [
-        HostSpec(name=f"h{i}", role="compute", rack=f"pod{i // pod_cap}",
-                 vms=vms_per_host)
-        for i in range(n_hosts)
-    ]
-    routers = []
-    for p in range(pods):
-        for e in range(half):
-            hosts.append(HostSpec(edge_name(p, e), role="edge", rack=f"pod{p}", vms=0))
-            routers.append(Router(edge_name(p, e), "edge"))
-    for p in range(pods):
-        for a in range(half):
-            hosts.append(HostSpec(agg_name(p, a), role="agg", rack=f"pod{p}", vms=0))
-            routers.append(Router(agg_name(p, a), "agg"))
-    for c in range(half * half):
-        hosts.append(HostSpec(core_name(c), role="core", vms=0))
-        routers.append(Router(core_name(c), "core"))
-
     macs = _vm_macs(n_hosts, vms_per_host)
+    # One object per distinct rule: equal plans on different hosts are
+    # shared, not copied (every call below passes the same argument form).
+    plan = functools.cache(RoutePlan)
     # Hosts attached to edge (p, e), in index order.
     attached: dict[str, list[int]] = {}
     for i in range(n_hosts):
@@ -183,29 +171,33 @@ def fat_tree(n_hosts: int, vms_per_host: int = 1, seed: int = 0) -> Topology:
         return core_name(a * half + (p + seed) % half)
 
     links: list[OverlayLink] = []
-    routes: list[RoutePlan] = []
+    tables: dict[str, tuple[RoutePlan, ...]] = {}
     # Compute hosts: up-link + default route to the edge.
     for i in range(n_hosts):
         links.append(OverlayLink(f"h{i}", edge_of(i)))
-        for v in range(vms_per_host):
-            routes.append(RoutePlan(f"h{i}", "any", macs[i][v], via_interface=f"if{v}"))
-        routes.append(RoutePlan(f"h{i}", "any", "any", via_link=edge_of(i)))
+        tables[f"h{i}"] = (
+            *(plan("any", macs[i][v], via_interface=f"if{v}") for v in range(vms_per_host)),
+            plan("any", "any", via_link=edge_of(i)),
+        )
     # Edge routers: exact down per attached VM, default up to one agg.
     for p in range(pods):
         for e in range(half):
             name = edge_name(p, e)
             up = agg_name(p, e % half)
+            table = []
             for i in attached.get(name, ()):
                 links.append(OverlayLink(name, f"h{i}"))
                 for v in range(vms_per_host):
-                    routes.append(RoutePlan(name, "any", macs[i][v], via_link=f"h{i}"))
+                    table.append(plan("any", macs[i][v], via_link=f"h{i}"))
             links.append(OverlayLink(name, up))
-            routes.append(RoutePlan(name, "any", "any", via_link=up))
+            table.append(plan("any", "any", via_link=up))
+            tables[name] = tuple(table)
     # Aggregation routers: exact down for the whole pod, default up to
     # one core of their core group.
     for p in range(pods):
         for a in range(half):
             name = agg_name(p, a)
+            table = []
             for e in range(half):
                 edge = edge_name(p, e)
                 down_any = False
@@ -214,31 +206,55 @@ def fat_tree(n_hosts: int, vms_per_host: int = 1, seed: int = 0) -> Topology:
                         links.append(OverlayLink(name, edge))
                         down_any = True
                     for v in range(vms_per_host):
-                        routes.append(RoutePlan(name, "any", macs[i][v], via_link=edge))
+                        table.append(plan("any", macs[i][v], via_link=edge))
             up = agg_up_core(p, a)
             links.append(OverlayLink(name, up))
-            routes.append(RoutePlan(name, "any", "any", via_link=up))
+            table.append(plan("any", "any", via_link=up))
+            tables[name] = tuple(table)
     # Cores: exact route for every VM, down to the pod's agg in this
-    # core's group.
+    # core's group; the cores of a group share one table.
+    # (Every pod below ``pods`` holds at least one compute host.)
+    group_tables: dict[int, tuple[RoutePlan, ...]] = {}
     for c in range(half * half):
         name = core_name(c)
         group = c // half
-        for p in range(pods):
-            down = agg_name(p, group)
-            down_linked = False
-            for i in range(p * pod_cap, min((p + 1) * pod_cap, n_hosts)):
-                if not down_linked:
-                    links.append(OverlayLink(name, down))
-                    down_linked = True
-                for v in range(vms_per_host):
-                    routes.append(RoutePlan(name, "any", macs[i][v], via_link=down))
+        links.extend(OverlayLink(name, agg_name(p, group)) for p in range(pods))
+        if group not in group_tables:
+            group_tables[group] = tuple(
+                plan("any", macs[i][v], via_link=agg_name(i // pod_cap, group))
+                for i in range(n_hosts)
+                for v in range(vms_per_host)
+            )
+        tables[name] = group_tables[group]
+
+    hosts = [
+        HostSpec(name=f"h{i}", role="compute", rack=f"pod{i // pod_cap}",
+                 vms=vms_per_host, routes=tables[f"h{i}"])
+        for i in range(n_hosts)
+    ]
+    routers = []
+    for p in range(pods):
+        for e in range(half):
+            name = edge_name(p, e)
+            hosts.append(HostSpec(name, role="edge", rack=f"pod{p}", vms=0,
+                                  routes=tables[name]))
+            routers.append(Router(name, "edge"))
+    for p in range(pods):
+        for a in range(half):
+            name = agg_name(p, a)
+            hosts.append(HostSpec(name, role="agg", rack=f"pod{p}", vms=0,
+                                  routes=tables[name]))
+            routers.append(Router(name, "agg"))
+    for c in range(half * half):
+        name = core_name(c)
+        hosts.append(HostSpec(name, role="core", vms=0, routes=tables[name]))
+        routers.append(Router(name, "core"))
     return Topology(
         name=f"fat-tree-k{k}-{n_hosts}x{vms_per_host}",
         network=_NETWORK,
         hosts=tuple(hosts),
         routers=tuple(routers),
         links=tuple(links),
-        routes=tuple(routes),
         wiring="links",
         vms_per_host=vms_per_host,
     )

@@ -4,7 +4,7 @@ The paper's experiments wire a handful of hosts by hand; scaling VNET/P
 to HPC-cluster sizes needs the topology itself to be **data**.  This
 module defines that data — a neutron-inspired model (networks, subnets,
 routers) plus the overlay-specific pieces (hosts carrying VMs, directed
-overlay links, per-host route plans) — as frozen dataclasses, so a
+overlay links, route plans held by their hosts) — as frozen dataclasses, so a
 :class:`Topology` is hashable, comparable, and serialisable, and the
 generators in :mod:`repro.topo.generators` can be tested for
 determinism by straight equality.
@@ -71,15 +71,17 @@ class HostSpec:
     ``vms`` is the number of guest VMs the host carries (0 for pure
     forwarders); ``role`` names its function (``compute`` or a router
     tier such as ``edge``/``agg``/``core``); ``rack``
-    is a free-form placement label.  IPs and MACs are *not* stored here:
-    the compiler derives them from position, which is what keeps the
-    legacy testbeds bit-identical.
+    is a free-form placement label; ``routes`` is the host's route table
+    as abstract plans, in load order.  IPs and MACs are *not* stored
+    here: the compiler derives them from position, which is what keeps
+    the legacy testbeds bit-identical.
     """
 
     name: str
     role: str = "compute"
     rack: str = ""
     vms: int = 1
+    routes: tuple[RoutePlan, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,16 +110,18 @@ class OverlayLink:
 
 @dataclass(frozen=True, slots=True)
 class RoutePlan:
-    """One abstract routing rule on ``host``.
+    """One abstract routing rule, held by the hosts whose tables carry it.
 
     ``via_link`` names the *destination host* of an overlay link (the
     compiler resolves it to the concrete ``to<j>`` link name);
     ``via_interface`` names a local virtual NIC.  Exactly one is set.
     ``src_mac``/``dst_mac`` follow VNET/P semantics (``any`` wildcards
-    allowed).
+    allowed).  A plan names no host: equal rules on different hosts
+    (every core of a fat-tree core group has the same table) can be one
+    object, and compile to one shared
+    :class:`~repro.vnet.overlay.RouteEntry`.
     """
 
-    host: str
     src_mac: str
     dst_mac: str
     via_link: Optional[str] = None
@@ -126,7 +130,7 @@ class RoutePlan:
     def __post_init__(self):
         if (self.via_link is None) == (self.via_interface is None):
             raise ValueError(
-                f"route on {self.host!r}: exactly one of via_link/via_interface"
+                f"route to {self.dst_mac!r}: exactly one of via_link/via_interface"
             )
 
 
@@ -146,7 +150,6 @@ class Topology:
     hosts: tuple[HostSpec, ...]
     routers: tuple[Router, ...] = ()
     links: tuple[OverlayLink, ...] = ()
-    routes: tuple[RoutePlan, ...] = ()
     wiring: str = "links"
     vms_per_host: int = 1
 

@@ -12,7 +12,7 @@ running overlay.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from ..sim import Simulator
 from .lang import (
@@ -30,6 +30,7 @@ from .lang import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from .node import VnetNode
+    from .overlay import RouteEntry
 
 __all__ = ["VnetControl", "ControlError"]
 
@@ -52,7 +53,7 @@ class VnetControl:
         """Validate and apply a configuration file; returns list output."""
         return self.apply_commands(parse_config(text))
 
-    def apply_commands(self, commands: list[Command]) -> list[str]:
+    def apply_commands(self, commands: Iterable[Command]) -> list[str]:
         """Apply a command sequence, batching consecutive route adds.
 
         Compiler-emitted host configurations are dominated by long runs
@@ -63,20 +64,20 @@ class VnetControl:
         one.
         """
         replies: list[str] = []
-        pending: list[AddRoute] = []
+        pending: list[RouteEntry] = []
 
         def flush() -> None:
             if not pending:
                 return
             try:
-                self.node.add_routes([cmd.route for cmd in pending])
+                self.node.add_routes(pending)
             except (ValueError, KeyError) as exc:
                 raise ControlError(str(exc)) from exc
             pending.clear()
 
         for cmd in commands:
             if isinstance(cmd, AddRoute):
-                pending.append(cmd)
+                pending.append(cmd.route)
                 continue
             flush()
             replies.extend(self.apply(cmd))

@@ -21,7 +21,7 @@ Lines starting with ``#`` and blank lines are ignored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .overlay import (
     DEFAULT_VNET_PORT,
@@ -232,6 +232,6 @@ def render_command(cmd: Command) -> str:
     raise TypeError(f"cannot render {cmd!r}")
 
 
-def render_config(commands: list[Command]) -> str:
+def render_config(commands: Iterable[Command]) -> str:
     """A configuration file body for ``commands``, one line each."""
     return "\n".join(render_command(cmd) for cmd in commands)

@@ -375,3 +375,11 @@ def test_idle_stores_and_resources_allocate_no_queues():
     # Well under a third of one empty deque per object (760 B each on
     # CPython 3.11): idle queues must not be allocated at all.
     assert used < 20_000 * sys.getsizeof(deque()) / 3
+
+
+def test_store_and_signal_are_slotted():
+    """A cluster-scale testbed holds thousands of stores and signals;
+    neither carries a per-instance ``__dict__``."""
+    sim = Simulator()
+    for obj in (Store(sim), Signal(sim)):
+        assert not hasattr(obj, "__dict__")

@@ -141,10 +141,14 @@ def test_compiler_rejects_dangling_route():
     topo = Topology(
         name="bad",
         network=Network("n"),
-        hosts=(HostSpec("h0"), HostSpec("h1")),
-        routes=(RoutePlan("h0", "any", "5a:00:00:00:00:02", via_link="h1"),),
+        hosts=(
+            HostSpec("h0", routes=(
+                RoutePlan("any", "5a:00:00:00:00:02", via_link="h1"),
+            )),
+            HostSpec("h1"),
+        ),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no overlay link"):
         TopologyCompiler(topo).compile()
 
 
@@ -154,8 +158,12 @@ def test_compiler_rejects_malformed_plan_mac():
     topo = Topology(
         name="bad",
         network=Network("n"),
-        hosts=(HostSpec("h0"), HostSpec("h1")),
-        routes=(RoutePlan("h0", "any", "5a:00:00:00:00", via_interface="if0"),),
+        hosts=(
+            HostSpec("h0", routes=(
+                RoutePlan("any", "5a:00:00:00:00", via_interface="if0"),
+            )),
+            HostSpec("h1"),
+        ),
     )
     with pytest.raises(ValueError, match="malformed MAC"):
         TopologyCompiler(topo).compile()
@@ -171,12 +179,51 @@ def test_compiled_tables_share_one_string_per_mac():
     topo = Topology(
         name="shared",
         network=Network("n"),
-        hosts=(HostSpec("h0"), HostSpec("h1")),
-        routes=tuple(RoutePlan(h, "any", mac(), via_interface="if0") for h in ("h0", "h1")),
+        hosts=tuple(
+            HostSpec(h, routes=(RoutePlan("any", mac(), via_interface="if0"),))
+            for h in ("h0", "h1")
+        ),
     )
     h0, h1 = TopologyCompiler(topo).compile().hosts
     assert h0.routes[0].dst_mac == "5a:00:00:00:00:02"
     assert h0.routes[0].dst_mac is h1.routes[0].dst_mac
+
+
+@pytest.mark.parametrize("topo", [fat_tree(64), full_mesh(4, 2)],
+                         ids=["fat_tree(64)", "full_mesh(4,2)"])
+def test_equal_routes_are_one_object(topo):
+    """Equal route plans across hosts are one object, and so are the
+    compiled entries they become: tables share rules, not copies."""
+    plans = [plan for h in topo.hosts for plan in h.routes]
+    assert len({id(p) for p in plans}) == len(set(plans)) < len(plans)
+    entries = [e for ch in TopologyCompiler(topo).compile().hosts for e in ch.routes]
+    assert len(entries) == len(plans)
+    assert len({id(e) for e in entries}) == len(set(entries)) == len(set(plans))
+
+
+def test_provision_applies_each_hosts_commands_in_order(monkeypatch):
+    """provision() applies, per host, exactly the host's command stream
+    in order, and reports the pinned convergence."""
+    from repro.topo import ProvisionReport
+    from repro.vnet.control import VnetControl
+
+    compiled = TopologyCompiler(fat_tree(16, vms_per_host=2)).compile()
+    tb = compiled.build(configure=False)
+    applied = {id(control): [] for control in tb.controls}
+    real_apply = VnetControl.apply
+
+    def spy(self, cmd):
+        applied[id(self)].append(cmd)
+        return real_apply(self, cmd)
+
+    monkeypatch.setattr(VnetControl, "apply", spy)
+    report = provision(tb)
+    for ch, control in zip(compiled.hosts, tb.controls):
+        assert applied[id(control)] == list(ch.commands)
+    assert report == ProvisionReport(
+        n_hosts=36, n_commands=368, converged_ns=2_470_000,
+        first_ready_ns=80_000, last_ready_ns=2_470_000,
+    )
 
 
 def test_signature_tracks_content():

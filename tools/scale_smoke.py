@@ -13,7 +13,8 @@ Wall-clock stage timings are printed *informationally* (they never go
 into a committed artifact — CI determinism diffs forbid wall-clock in
 results); the asserted facts are all simulated/deterministic:
 convergence, table sizes, and the cross-fabric RTT.  Peak RSS after the
-build, and what it comes to per simulated machine, is printed the same
+build and again after provisioning (where the process peak falls), and
+what each comes to per simulated machine, is printed the same
 informational way.
 
 Usage::
@@ -38,6 +39,14 @@ from repro.topo import TopologyCompiler, fat_tree, probe_rtt_ns, provision  # no
 def _peak_rss_bytes() -> int:
     """This process's peak resident set size (Linux reports KiB)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+
+def _print_memory(stage: str, rss0: int, machines: int) -> None:
+    """Peak RSS so far, and per simulated machine above the import."""
+    rss = _peak_rss_bytes()
+    print(f"memory:   peak RSS after {stage} {rss / 2**20:.1f} MB, "
+          f"{(rss - rss0) / machines / 1024:.1f} KiB per simulated machine "
+          f"above the {rss0 / 2**20:.1f} MB after import")
 
 
 def main(argv=None) -> int:
@@ -67,10 +76,7 @@ def main(argv=None) -> int:
     t3 = time.perf_counter()
     print(f"build:    {len(tb.hosts)} simulated machines, "
           f"{len(tb.endpoints)} guest endpoints [{t3 - t2:.2f}s wall]")
-    rss = _peak_rss_bytes()
-    print(f"memory:   peak RSS {rss / 2**20:.1f} MB, "
-          f"{(rss - rss0) / len(tb.hosts) / 1024:.1f} KiB per simulated machine "
-          f"above the {rss0 / 2**20:.1f} MB after import")
+    _print_memory("build", rss0, len(tb.hosts))
 
     report = provision(tb)
     t4 = time.perf_counter()
@@ -78,6 +84,7 @@ def main(argv=None) -> int:
         f"provision: converged in {report.converged_ms:.2f} ms simulated "
         f"({report.n_commands} commands) [{t4 - t3:.2f}s wall]"
     )
+    _print_memory("provision", rss0, len(tb.hosts))
 
     rtt_ns = probe_rtt_ns(tb, 0, args.hosts - 1)
     t5 = time.perf_counter()
