@@ -57,15 +57,16 @@ class FaultWindow:
 class FaultSchedule:
     """A timed chaos scenario over any number of pipeline ports."""
 
+    COUNTERS = ("events",)
+
     def __init__(self, sim: Simulator, name: str = "default"):
         self.sim = sim
         self.name = name
         self.windows: list[FaultWindow] = []
         self.log: list[tuple[int, str]] = []
         self.obs = Observability.of(sim)
-        self._events = self.obs.metrics.counter(
-            f"chaos.schedule.{name}.events"
-        )
+        self.events = 0
+        self.obs.metrics.publish(f"chaos.schedule.{name}", self)
         self._started = False
 
     # -- builder calls (pre-run) ------------------------------------------
@@ -127,7 +128,7 @@ class FaultSchedule:
 
     def _note(self, message: str) -> None:
         self.log.append((self.sim.now, message))
-        self._events.inc()
+        self.events += 1
         # Ground truth for the health log: every injector install and
         # remove is also a timestamped "fault" event, so detection latency
         # is (first detector event) - (matching fault event).

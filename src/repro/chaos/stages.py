@@ -57,13 +57,13 @@ class FaultInjector(PacketStage):
     returning ``self.forward(frame)``, on a drop they count and return
     ``False`` (the port's ``push`` then reports the refusal, exactly as
     if the sink itself had refused the frame).  Each name in
-    :attr:`counters` becomes a ``chaos.<name>.<metric>`` registry counter
-    attribute at :meth:`install`, when the name is final; :meth:`counts`
-    reads them all.
+    :attr:`COUNTERS` is an int attribute, published as the registry
+    counter ``chaos.<name>.<metric>`` at :meth:`install`, when the name
+    is final; :meth:`counts` reads them all.
     """
 
     kind = "fault"
-    counters: tuple[str, ...] = ()
+    COUNTERS: tuple[str, ...] = ()
 
     def __init__(self, sim: Simulator, name: Optional[str] = None):
         self._init_stage(sim, name or f"chaos.{self.kind}")
@@ -74,11 +74,13 @@ class FaultInjector(PacketStage):
         # a fresh bound method, so identity checks against the port sink
         # must go through this single captured reference.
         self._entry: Optional[Callable[[Any], Any]] = None
+        for metric in self.COUNTERS:
+            setattr(self, metric, 0)
 
     # -- metrics -----------------------------------------------------------
     def counts(self) -> dict:
         """Snapshot of this injector's chaos counters, zeros included."""
-        return {metric: getattr(self, metric).value for metric in sorted(self.counters)}
+        return {metric: getattr(self, metric) for metric in sorted(self.COUNTERS)}
 
     # -- chain management --------------------------------------------------
     @property
@@ -93,9 +95,7 @@ class FaultInjector(PacketStage):
             # Late-bind the display/metric name to the injection point so
             # counters read ``chaos.loss.h0.nic.tx.dropped``.
             self.name = f"chaos.{self.kind}.{port.name}"
-        metrics = Observability.of(self.sim).metrics
-        for metric in self.counters:
-            setattr(self, metric, metrics.counter(f"{self.name}.{metric}"))
+        Observability.of(self.sim).metrics.publish(self.name, self)
         self._port = port
         self._downstream = port.sink
         self._entry = self.ingress
@@ -135,7 +135,7 @@ class LossStage(FaultInjector):
     """Bernoulli frame loss: drop each frame independently with ``rate``."""
 
     kind = "loss"
-    counters = ("dropped", "passed")
+    COUNTERS = ("dropped", "passed")
 
     def __init__(self, sim: Simulator, rate: float, seed: int = 0,
                  name: Optional[str] = None):
@@ -148,9 +148,9 @@ class LossStage(FaultInjector):
     def ingress(self, frame: Any) -> Any:
         """Drop with probability ``rate``; otherwise forward."""
         if self._rng.random() < self.rate:
-            self.dropped.inc()
+            self.dropped += 1
             return False
-        self.passed.inc()
+        self.passed += 1
         return self.forward(frame)
 
 
@@ -165,7 +165,7 @@ class GilbertElliottStage(FaultInjector):
     """
 
     kind = "burst"
-    counters = ("dropped", "burst_dropped", "passed")
+    COUNTERS = ("dropped", "burst_dropped", "passed")
 
     def __init__(
         self,
@@ -199,11 +199,11 @@ class GilbertElliottStage(FaultInjector):
             self.bad = True
         p_loss = self.loss_bad if self.bad else self.loss_good
         if p_loss > 0.0 and rng.random() < p_loss:
-            self.dropped.inc()
+            self.dropped += 1
             if self.bad:
-                self.burst_dropped.inc()
+                self.burst_dropped += 1
             return False
-        self.passed.inc()
+        self.passed += 1
         return self.forward(frame)
 
 
@@ -212,11 +212,11 @@ class PartitionStage(FaultInjector):
     partitions use one stage per direction."""
 
     kind = "partition"
-    counters = ("blackholed",)
+    COUNTERS = ("blackholed",)
 
     def ingress(self, frame: Any) -> Any:
         """Drop the frame."""
-        self.blackholed.inc()
+        self.blackholed += 1
         return False
 
 
@@ -234,7 +234,7 @@ class DelayStage(FaultInjector):
     """
 
     kind = "delay"
-    counters = ("delayed",)
+    COUNTERS = ("delayed",)
 
     def __init__(self, sim: Simulator, delay_ns: int, name: Optional[str] = None):
         if delay_ns <= 0:
@@ -244,7 +244,7 @@ class DelayStage(FaultInjector):
 
     def ingress(self, frame: Any) -> Any:
         """Hold the frame for exactly ``delay_ns``, then deliver it."""
-        self.delayed.inc()
+        self.delayed += 1
         # Capture the downstream sink now: if the injector is removed
         # before delivery, the in-flight frame still lands.
         sink = self._downstream

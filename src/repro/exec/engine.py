@@ -119,6 +119,8 @@ class Engine:
     is created when omitted, exposed as :attr:`metrics`).
     """
 
+    COUNTERS = ("points.total", "points.executed", "points.cached")
+
     def __init__(
         self,
         jobs: int = 1,
@@ -130,9 +132,10 @@ class Engine:
         self.jobs = jobs
         self.cache = cache
         self.metrics = registry if registry is not None else MetricsRegistry()
-        self._total = self.metrics.counter("exec.points.total")
-        self._executed = self.metrics.counter("exec.points.executed")
-        self._cached = self.metrics.counter("exec.points.cached")
+        #: Points scheduled over this engine's lifetime, those that ran a
+        #: simulation (cache misses) and those answered from the cache.
+        self.points_total = self.points_executed = self.points_cached = 0
+        self.metrics.publish("exec", self)
         self.wall_s = self.metrics.gauge("exec.points.wall_s")
         #: Timeline dumps collected from every point (cache hits included).
         self.timelines: list[dict] = []
@@ -141,21 +144,6 @@ class Engine:
         self.health_events: list[dict] = []
 
     # -- stats -------------------------------------------------------------
-    @property
-    def points_total(self) -> int:
-        """Points scheduled over this engine's lifetime."""
-        return self._total.value
-
-    @property
-    def points_executed(self) -> int:
-        """Points that actually ran a simulation (cache misses)."""
-        return self._executed.value
-
-    @property
-    def points_cached(self) -> int:
-        """Points answered from the result cache."""
-        return self._cached.value
-
     def summary(self) -> str:
         """One-line machine-greppable stats (printed by the CLI)."""
         return (
@@ -180,7 +168,7 @@ class Engine:
             cached = self.cache.get(fp) if self.cache is not None else None
             if cached is not None:
                 results[i] = cached
-                self._cached.inc()
+                self.points_cached += 1
                 self.metrics.merge(cached.metrics)
                 self.timelines.extend(cached.timelines)
                 self.health_events.extend(cached.health)
@@ -201,7 +189,7 @@ class Engine:
                     key=p.key, value=value, wall_s=wall, seed=seed, **run
                 )
                 results[i] = result
-                self._executed.inc()
+                self.points_executed += 1
                 self.wall_s.inc(wall)
                 self.metrics.merge(result.metrics)
                 self.timelines.extend(result.timelines)
@@ -209,7 +197,7 @@ class Engine:
                 if self.cache is not None:
                     self.cache.put(fp, result)
 
-        self._total.inc(len(points))
+        self.points_total += len(points)
         return results  # type: ignore[return-value]
 
     def timeline_series(self) -> dict[str, Series]:

@@ -42,7 +42,7 @@ def _adaptive_mode_point(mode: VnetMode, ping_count: int, duration_ns: int) -> d
     tb2 = build_vnetp(nic_params=NETEFFECT_10G, tuning=tuning)
     udp = run_ttcp_udp(tb2.endpoints[0], tb2.endpoints[1], duration_ns=duration_ns)
     nic = tb2.endpoints[0].vm.virtio_nics[0]
-    kicks_per_pkt = nic.tx_kicks.value / max(1, nic.tx_packets.value)
+    kicks_per_pkt = nic.tx_kicks / max(1, nic.tx_packets)
     return {
         "mode": mode.value,
         "rtt_us": ping.avg_rtt_us,

@@ -182,7 +182,7 @@ def _partition_failover_point(
         "recovery_ms": recovery_ms,
         "failback_ms": failback_ms,
         "telemetry_outage_ms": telemetry_ms,
-        "waypoint_pkts": tb.cores[2].pkts_to_bridge.value,
+        "waypoint_pkts": tb.cores[2].pkts_to_bridge,
         "delivered_pct": 100.0 * len(arrivals) / max(1, sent[0]),
         "health_events": len(log),
     }

@@ -54,6 +54,8 @@ class KittenBridgeVM(PacketStage):
     (mapped to IB frames), not UDP-encapsulated.
     """
 
+    COUNTERS = ("rx_dropped",)
+
     def __init__(
         self,
         sim: Simulator,
@@ -67,9 +69,8 @@ class KittenBridgeVM(PacketStage):
         self.params = params or BridgeVMParams()
         self.txq: Store = Store(sim, capacity=self.params.queue_frames, name=f"{self.name}.txq")
         self.rxq: Store = Store(sim, capacity=self.params.queue_frames, name=f"{self.name}.rxq")
-        self.rx_dropped = host.stack.obs.metrics.counter(
-            f"host.kitten.{host.name}.rx_dropped"
-        )
+        self.rx_dropped = 0
+        host.stack.obs.metrics.publish(f"host.kitten.{host.name}", self)
         core.attach_bridge(self)
         # The service VM has direct access to the IB device: it, not the
         # host stack, owns the NIC's receive port.
@@ -101,7 +102,7 @@ class KittenBridgeVM(PacketStage):
         if frame.dst not in self.core.if_by_mac and frame.dst != BROADCAST_MAC:
             return True  # filtered, not backpressure
         if not self.rxq.try_put(frame):
-            self.rx_dropped.inc()
+            self.rx_dropped += 1
             return False
         return True
 

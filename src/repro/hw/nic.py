@@ -31,6 +31,8 @@ __all__ = ["PhysicalNIC"]
 class PhysicalNIC(PacketStage):
     """One physical network device attached to a link or switch port."""
 
+    COUNTERS = ("tx_bytes", "rx_bytes", "tx_frames", "rx_frames", "dropped_frames")
+
     def __init__(
         self,
         sim: Simulator,
@@ -47,13 +49,9 @@ class PhysicalNIC(PacketStage):
         self.rx_port = self.make_port(
             "rx", spans=self.obs.spans, stage=STAGE_NIC_RX, who=name, where="host"
         )
-        metrics = self.obs.metrics
-        prefix = f"hw.nic.{name}"
-        self.tx_bytes = metrics.counter(f"{prefix}.tx_bytes")
-        self.rx_bytes = metrics.counter(f"{prefix}.rx_bytes")
-        self.tx_frames = metrics.counter(f"{prefix}.tx_frames")
-        self.rx_frames = metrics.counter(f"{prefix}.rx_frames")
-        self.dropped_frames = metrics.counter(f"{prefix}.dropped_frames")
+        self.tx_bytes = self.rx_bytes = self.tx_frames = self.rx_frames = 0
+        self.dropped_frames = 0
+        self.obs.metrics.publish(f"hw.nic.{name}", self)
         sim.process(self._tx_loop(), name=f"{name}.tx")
 
     # -- attachment --------------------------------------------------------
@@ -71,7 +69,7 @@ class PhysicalNIC(PacketStage):
             )
         ok = self.txq.try_put(frame)
         if not ok:
-            self.dropped_frames.inc()
+            self.dropped_frames += 1
         return ok
 
     def _tx_loop(self):
@@ -90,8 +88,8 @@ class PhysicalNIC(PacketStage):
             finally:
                 if span is not None:
                     spans.close(span)
-            self.tx_bytes.inc(frame.size)
-            self.tx_frames.inc()
+            self.tx_bytes += frame.size
+            self.tx_frames += 1
             tx_port.push(frame)
 
     # -- receive -----------------------------------------------------------
@@ -102,8 +100,8 @@ class PhysicalNIC(PacketStage):
         the hand-off to the driver is a single latency-charged port push
         (no per-frame process).
         """
-        self.rx_bytes.inc(frame.size)
-        self.rx_frames.inc()
+        self.rx_bytes += frame.size
+        self.rx_frames += 1
         params = self.params
         self.rx_port.push_after(
             frame, params.rx_ring_ns + params.rx_interrupt_delay_ns

@@ -35,6 +35,8 @@ class SwitchParams:
 class _Port:
     """One switch port: an egress queue plus serializer process."""
 
+    COUNTERS = ("dropped",)
+
     def __init__(self, switch: "Switch", index: int, nic: PhysicalNIC):
         self.switch = switch
         self.index = index
@@ -48,9 +50,8 @@ class _Port:
         # output, after the learning step on ingress — same ordering as a
         # store-and-forward lookup pipeline.
         self.fabric = Port(sim, f"{switch.params.name}.port{index}.fabric")
-        self.dropped = switch.obs.metrics.counter(
-            f"hw.switch.{switch.params.name}.port{index}.dropped"
-        )
+        self.dropped = 0
+        switch.obs.metrics.publish(f"hw.switch.{switch.params.name}.port{index}", self)
         self.fabric.connect(self._fabric_arrive)
         sim.process(self._egress_loop(), name=f"{switch.params.name}.port{index}")
         nic.tx_port.connect(self._ingress)
@@ -72,7 +73,7 @@ class _Port:
 
     def enqueue(self, frame: Any) -> None:
         if not self.egress.try_put(frame):
-            self.dropped.inc()
+            self.dropped += 1
 
     def _egress_loop(self):
         params = self.switch.params

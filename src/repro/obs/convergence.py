@@ -26,12 +26,13 @@ class ConvergenceTracker:
     ``host_ready(name)`` is called (in simulated time) by the
     provisioner as each host's last command lands; once ``expected``
     hosts have reported, the overlay is *converged* and
-    :attr:`converged_ns` freezes.  A ``topo.hosts_ready`` counter is
-    kept in ``metrics`` (when given) so a timeline can plot the ramp,
-    and per-host / convergence events go to ``health`` (when given).
+    :attr:`converged_ns` freezes.  :attr:`hosts_ready` is published as
+    the ``topo.hosts_ready`` counter in ``metrics`` (when given) so a
+    timeline can plot the ramp, and per-host / convergence events go to
+    ``health`` (when given).
     """
 
-    READY_COUNTER = "topo.hosts_ready"
+    COUNTERS = ("hosts_ready",)
 
     def __init__(
         self,
@@ -42,7 +43,9 @@ class ConvergenceTracker:
     ):
         self.sim = sim
         self.expected = expected
-        self.hosts_ready = None if metrics is None else metrics.counter(self.READY_COUNTER)
+        self.hosts_ready = 0
+        if metrics is not None:
+            metrics.publish("topo", self)
         self.health = health
         self.ready_ns: dict[str, int] = {}
         self.start_ns: int = sim.now
@@ -54,8 +57,7 @@ class ConvergenceTracker:
             return
         now = self.sim.now
         self.ready_ns[name] = now
-        if self.hosts_ready is not None:
-            self.hosts_ready.inc()
+        self.hosts_ready += 1
         if self.health is not None:
             self.health.emit(now, "provisioner", "host-provisioned",
                              message=name, value=float(len(self.ready_ns)))

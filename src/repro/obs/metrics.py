@@ -14,24 +14,34 @@ Naming convention (see ``docs/observability.md``): dot-separated
     hw.nic.h0.nic.tx_bytes
     palacios.h0.exits.virtio-kick
 
-Components hold their counters as public attributes and read
-``counter.value``; the registry is the only place a count is kept.
-A counter *family* whose labels are only known at run time (the fluid
-solver's per-reason releases) is one counter per label, named
-``<prefix>.<label>`` and created at the label's first use.
+A component's counters are plain int attributes, bumped with ``+= n``
+and read as ints; the component is the only place a count is kept.
+Its class lists them once, by metric suffix, in ``COUNTERS``, and the
+component :meth:`~MetricsRegistry.publish`\\ es itself once under its
+prefix.  The registry holds one entry per component and forms the
+``<prefix>.<suffix>`` names only when a reader asks.  A suffix names
+the attribute it spells as a Python name: ``.`` and ``-`` become ``_``
+(``exits.virtio-kick`` is ``exits_virtio_kick``).
+
+:class:`Counter` instruments remain for counts no component holds:
+merge targets, and a counter *family* whose labels are only known at
+run time (the fluid solver's per-reason releases), one counter per
+label, named ``<prefix>.<label>`` and created at the label's first use.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Optional, Sequence
+from functools import cache
+from typing import Iterator, Optional, Sequence
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "PublishedCounter",
     "bucket_percentile",
 ]
 
@@ -94,6 +104,47 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Counter {self.name}={self.value}>"
+
+
+def _attribute(suffix: str) -> str:
+    """The attribute a published counter's suffix names."""
+    return suffix.replace(".", "_").replace("-", "_")
+
+
+@cache
+def _fields(cls: type) -> tuple[tuple[str, str], ...]:
+    """``(suffix, attribute)`` of every counter ``cls`` publishes."""
+    return tuple((suffix, _attribute(suffix)) for suffix in cls.COUNTERS)
+
+
+def _owners(held: object) -> tuple:
+    """The components of one registry prefix entry."""
+    return held if type(held) is tuple else (held,)
+
+
+class PublishedCounter(Counter):
+    """A live :class:`Counter` face of one published count, made when a
+    reader asks the registry for it by name.
+
+    ``value`` is the sum of the owners' attribute (one owner unless a
+    prefix was published twice); writes land on the first owner.
+    """
+
+    __slots__ = ("owners", "attribute")
+
+    def __init__(self, name: str, owners: tuple, attribute: str):
+        self.name = name
+        self.owners = owners
+        self.attribute = attribute
+
+    @property
+    def value(self) -> int:
+        return sum(getattr(owner, self.attribute) for owner in self.owners)
+
+    @value.setter
+    def value(self, v: int) -> None:
+        owner = self.owners[0]
+        setattr(owner, self.attribute, getattr(owner, self.attribute) + v - self.value)
 
 
 class Gauge:
@@ -245,14 +296,70 @@ class MetricsRegistry:
     ``counter`` / ``gauge`` / ``histogram`` are get-or-create: asking for
     an existing name returns the same instrument (so wiring code may run
     twice), but asking with a conflicting type — or conflicting histogram
-    edges — raises ``ValueError``.
+    edges — raises ``ValueError``.  ``counter`` on a published name
+    returns a :class:`PublishedCounter` over the component's attribute.
     """
 
     def __init__(self):
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        #: prefix -> the component publishing counters under it (a tuple
+        #: of components when one prefix is published more than once).
+        self._published: dict[str, object] = {}
+
+    def publish(self, prefix: str, owner: object) -> None:
+        """Publish ``owner``'s counters, ``type(owner).COUNTERS``, as
+        ``<prefix>.<suffix>``.
+
+        One entry per component; no name is formed until read.  A prefix
+        published by two components reads as the sum of their counts, as
+        two ``counter(name)`` calls share one counter; publishing the same
+        component again changes nothing.  A name an instrument already
+        holds raises ``ValueError``.
+        """
+        held = self._published.get(prefix)
+        owners = () if held is None else _owners(held)
+        if any(o is owner for o in owners):
+            return
+        if self._metrics:
+            for suffix, _ in _fields(type(owner)):
+                name = f"{prefix}.{suffix}"
+                existing = self._metrics.get(name)
+                if existing is not None:
+                    raise ValueError(
+                        f"metric {name!r} already registered as {type(existing).__name__}"
+                    )
+        self._published[prefix] = (*owners, owner) if owners else owner
+
+    def _counts(self) -> Iterator[tuple[str, str, int]]:
+        """``(prefix, suffix, value)`` of every published counter, a
+        prefix's owners summed."""
+        for prefix, held in self._published.items():
+            total: dict[str, int] = {}
+            for owner in _owners(held):
+                for suffix, attribute in _fields(type(owner)):
+                    total[suffix] = total.get(suffix, 0) + getattr(owner, attribute)
+            for suffix, value in total.items():
+                yield prefix, suffix, value
+
+    def _published_counter(self, name: str) -> Optional[PublishedCounter]:
+        """The published count called ``name``, or ``None``."""
+        dot = name.find(".")
+        while dot >= 0:
+            held = self._published.get(name[:dot])
+            if held is not None:
+                suffix = name[dot + 1:]
+                owners = tuple(
+                    owner for owner in _owners(held) if suffix in type(owner).COUNTERS
+                )
+                if owners:
+                    return PublishedCounter(name, owners, _attribute(suffix))
+            dot = name.find(".", dot + 1)
+        return None
 
     def _get_or_create(self, name: str, kind, factory):
         existing = self._metrics.get(name)
+        if existing is None and self._published:
+            existing = self._published_counter(name)
         if existing is not None:
             if not isinstance(existing, kind):
                 raise ValueError(
@@ -279,20 +386,22 @@ class MetricsRegistry:
 
     # -- queries ----------------------------------------------------------
     def get(self, name: str) -> Optional[Counter | Gauge | Histogram]:
-        return self._metrics.get(name)
+        metric = self._metrics.get(name)
+        return metric if metric is not None else self._published_counter(name)
 
     def names(self, prefix: str = "") -> list[str]:
-        return sorted(n for n in self._metrics if n.startswith(prefix))
+        return sorted(self.snapshot(prefix))
 
     def snapshot(self, prefix: str = "") -> dict:
-        """Plain-data view of every metric under ``prefix``.
+        """Plain-data view of every metric under ``prefix``, by name.
 
         Counters/gauges map to their value; histograms map to a dict with
         ``count``, ``sum``, ``edges``, and ``counts``.
         """
         out: dict[str, object] = {}
-        for name in self.names(prefix):
-            m = self._metrics[name]
+        for name, m in self._metrics.items():
+            if not name.startswith(prefix):
+                continue
             if isinstance(m, Histogram):
                 out[name] = {
                     "count": m.count,
@@ -302,12 +411,20 @@ class MetricsRegistry:
                 }
             else:
                 out[name] = m.value
-        return out
+        for owner_prefix, suffix, value in self._counts():
+            name = f"{owner_prefix}.{suffix}"
+            if name.startswith(prefix):
+                out[name] = value
+        return dict(sorted(out.items()))
 
     def reset(self) -> None:
         """Zero every registered metric (registrations are kept)."""
         for m in self._metrics.values():
             m.reset()
+        for held in self._published.values():
+            for owner in _owners(held):
+                for _, attribute in _fields(type(owner)):
+                    setattr(owner, attribute, 0)
 
     # -- cross-process aggregation ----------------------------------------
     def dump(self) -> dict:
@@ -349,6 +466,9 @@ class MetricsRegistry:
                     entry["last_set_ns"] = m.last_set_ns
                     entry["weighted_ns"] = m.weighted_ns
                 out[name] = entry
+        for prefix, suffix, value in self._counts():
+            if value:
+                out[f"{prefix}.{suffix}"] = {"type": "counter", "value": value}
         return out
 
     def merge(self, dump: dict) -> None:

@@ -39,6 +39,11 @@ __all__ = ["VirtioNIC"]
 class VirtioNIC(PacketStage):
     """Virtio network device; satisfies the stack's NetDevice duck type."""
 
+    COUNTERS = (
+        "irq_injections", "full_irq_wakeups", "tx_packets", "rx_packets", "rx_drops",
+        "tx_kicks",
+    )
+
     def __init__(self, vm: "VirtualMachine", mac: str, mtu: int = 9000):
         self._init_stage(vm.sim, f"{vm.name}.virtio{len(vm.virtio_nics)}")
         self.vm = vm
@@ -61,12 +66,9 @@ class VirtioNIC(PacketStage):
         self.obs = Observability.of(self.sim)
         metrics = self.obs.metrics
         prefix = f"palacios.virtio.{self.name}"
-        self.irq_injections = metrics.counter(f"{prefix}.irq_injections")
-        self.full_irq_wakeups = metrics.counter(f"{prefix}.full_irq_wakeups")
-        self.tx_packets = metrics.counter(f"{prefix}.tx_packets")
-        self.rx_packets = metrics.counter(f"{prefix}.rx_packets")
-        self.rx_drops = metrics.counter(f"{prefix}.rx_drops")
-        self.tx_kicks = metrics.counter(f"{prefix}.tx_kicks")
+        self.irq_injections = self.full_irq_wakeups = 0
+        self.tx_packets = self.rx_packets = self.rx_drops = self.tx_kicks = 0
+        metrics.publish(prefix, self)
         # Ring occupancy as a time-weighted gauge: set with timestamps so
         # time_avg() reads true mean depth, not the last sampled value.
         self._rxq_depth = metrics.gauge(f"{prefix}.rxq_depth")
@@ -109,13 +111,13 @@ class VirtioNIC(PacketStage):
             if span is not None:
                 spans.close(span)
         yield self.txq.put(frame)
-        self.tx_packets.inc()
+        self.tx_packets += 1
         if not self.suppress_kicks:
             # I/O port write -> VM exit; the kick handler (packet dispatch in
             # guest-driven mode, a cheap wakeup in VMM-driven mode) runs
             # inside the exit, stalling this VCPU.
-            self.tx_kicks.inc()
-            self.vm.vmm.virtio_kick_exits.inc()
+            self.tx_kicks += 1
+            self.vm.vmm.exits_virtio_kick += 1
             span = spans.open(
                 STAGE_VMEXIT, who=self.name, where="vmm", flow_of=frame
             ) if spans.enabled else None
@@ -140,7 +142,7 @@ class VirtioNIC(PacketStage):
     def deliver_to_guest(self, frame: EthernetFrame) -> bool:
         """Place a frame in the RXQ; returns False if the ring overflowed."""
         if not self.rxq.try_put(frame):
-            self.rx_drops.inc()
+            self.rx_drops += 1
             return False
         self._rxq_depth.set(len(self.rxq.items), now_ns=self.sim.now)
         return True
@@ -152,7 +154,7 @@ class VirtioNIC(PacketStage):
         """Interrupt injection request (the injection cost itself is charged
         by the dispatcher; the guest-side exit/entry is charged in the rx
         loop when it wakes)."""
-        self.irq_injections.inc()
+        self.irq_injections += 1
         self._irq.fire()
 
     # -- guest receive loop ------------------------------------------------------
@@ -182,7 +184,7 @@ class VirtioNIC(PacketStage):
                 )
                 if self.sim.now - last_work > params.irq_coalesce_ns:
                     cost += params.irq_wakeup_ns
-                    self.full_irq_wakeups.inc()
+                    self.full_irq_wakeups += 1
                 span = spans.open(
                     STAGE_GUEST_WAKE, who=self.name, where="vmm"
                 ) if spans.enabled else None
@@ -207,7 +209,7 @@ class VirtioNIC(PacketStage):
             finally:
                 if span is not None:
                     spans.close(span)
-            self.rx_packets.inc()
+            self.rx_packets += 1
             last_work = self.sim.now
             self.guest_rx.push(frame)
 

@@ -25,6 +25,9 @@ __all__ = ["PalaciosVMM", "VirtualMachine"]
 class PalaciosVMM:
     """The VMM instance embedded in a host's Linux kernel."""
 
+    # VM exits on a virtio kick, the only exit the data path takes.
+    COUNTERS = ("exits.virtio-kick",)
+
     def __init__(self, sim: Simulator, host: "Host"):
         self.sim = sim
         self.host = host
@@ -32,10 +35,8 @@ class PalaciosVMM:
         self.virtio_params: VirtioParams = host.params.virtio
         self.vms: list[VirtualMachine] = []
         self.obs = Observability.of(sim)
-        # VM exits on a virtio kick, the only exit the data path takes.
-        self.virtio_kick_exits = self.obs.metrics.counter(
-            f"palacios.{host.name}.exits.virtio-kick"
-        )
+        self.exits_virtio_kick = 0
+        self.obs.metrics.publish(f"palacios.{host.name}", self)
         host.vmm = self
 
     def create_vm(

@@ -106,11 +106,13 @@ class UdpSocket:
 
     def deliver(self, dgram: UDPDatagram, src_ip: str) -> None:
         if not self.rx.try_put((dgram.payload, src_ip, dgram.sport)):
-            self.stack.udp_dropped.inc()
+            self.stack.udp_dropped += 1
 
 
 class Stack:
     """An OS network stack bound to one IP address."""
+
+    COUNTERS = ("rx_dropped", "udp_dropped", "udp_unreachable", "proto_unknown")
 
     def __init__(
         self,
@@ -127,12 +129,8 @@ class Stack:
         self.role = role
         self.where = "guest" if role == "guest" else "host"
         self.obs = Observability.of(sim)
-        metrics = self.obs.metrics
-        prefix = f"proto.stack.{name}"
-        self.rx_dropped = metrics.counter(f"{prefix}.rx_dropped")
-        self.udp_dropped = metrics.counter(f"{prefix}.udp_dropped")
-        self.udp_unreachable = metrics.counter(f"{prefix}.udp_unreachable")
-        self.proto_unknown = metrics.counter(f"{prefix}.proto_unknown")
+        self.rx_dropped = self.udp_dropped = self.udp_unreachable = self.proto_unknown = 0
+        self.obs.metrics.publish(f"proto.stack.{name}", self)
         self.devices: list[NetDevice] = []
         self._default_dev: Optional[NetDevice] = None
         self.neighbors: dict[str, str] = {}        # dst ip -> mac
@@ -348,7 +346,7 @@ class Stack:
         if frame.dst != dev.mac and frame.dst != BROADCAST_MAC:
             return  # not ours
         if not self._rxq.try_put((dev, frame)):
-            self.rx_dropped.inc()
+            self.rx_dropped += 1
 
     def _softirq_loop(self):
         params = self.params
@@ -410,7 +408,7 @@ class Stack:
             if sock is not None:
                 sock.deliver(dgram, pkt.src)
             else:
-                self.udp_unreachable.inc()
+                self.udp_unreachable += 1
         elif pkt.proto == PROTO_TCP:
             seg: TcpSegment = pkt.payload
             cost = params.tcp_rx_ns if seg.payload_bytes else params.tcp_ack_rx_ns
@@ -431,7 +429,7 @@ class Stack:
                 if listener is not None:
                     listener._on_syn(seg, pkt.src)
         else:
-            self.proto_unknown.inc()
+            self.proto_unknown += 1
 
     def _handle_icmp(self, pkt: IPv4Packet):
         msg: ICMPMessage = pkt.payload

@@ -188,6 +188,8 @@ class FluidRegion:
     #: Two consecutive probe windows must measure rates this close.
     RATE_TOLERANCE = 0.2
 
+    COUNTERS = ("captures", "strides", "bytes")
+
     def __init__(self, sim: Simulator, tuning: Any):
         self.sim = sim
         self.tuning = tuning
@@ -216,9 +218,8 @@ class FluidRegion:
         self._fast_recovery = CongestionState.FAST_RECOVERY
         self.obs = Observability.of(sim)
         metrics = self.obs.metrics
-        self._captures = metrics.counter("sim.fluid.captures")
-        self._strides = metrics.counter("sim.fluid.strides")
-        self._bytes = metrics.counter("sim.fluid.bytes")
+        self.captures = self.strides = self.bytes = 0
+        metrics.publish("sim.fluid", self)
         self._active_gauge = metrics.gauge("sim.fluid.active_flows")
         self._rate_gauge = metrics.gauge("sim.fluid.rate_Bps")
         # Modeled per-segment RTT, weighted by the segments each stride
@@ -342,7 +343,7 @@ class FluidRegion:
         flow = FluidFlow(conn, conn.peer, path, demand_Bps, self.sim.now)
         conn.fluid = flow
         self.flows[conn] = flow
-        self._captures.inc()
+        self.captures += 1
         self.obs.health.log.emit(
             self.sim.now, "sim.fluid", "capture", "info",
             f"captured flow :{conn.local_port}->{conn.remote_ip}:"
@@ -465,7 +466,7 @@ class FluidRegion:
             # be re-solved without losing accumulated progress.
             self._recompute()
             end = self._stride_end(now)
-            self._strides.inc()
+            self.strides += 1
             yield end - now
             now = sim.now
             for flow in list(self.active):
@@ -540,7 +541,7 @@ class FluidRegion:
             if conn.srtt is not None:
                 self._latency_hist.observe_weighted(conn.srtt, segs)
             flow.path.charge(segs, segs)
-        self._bytes.inc(moved)
+        self.bytes += moved
         # One aggregate wakeup per stride instead of one per packet.
         conn._space_signal.fire()
         peer._recv_signal.fire()
@@ -583,7 +584,7 @@ class FluidRegion:
         return {
             "captured": len(self.flows),
             "active": len(self.active),
-            "captures": self._captures.value,
-            "strides": self._strides.value,
-            "bytes": self._bytes.value,
+            "captures": self.captures,
+            "strides": self.strides,
+            "bytes": self.bytes,
         }

@@ -297,10 +297,14 @@ class TopologyCompiler:
             )
             linked[ol.src].add(ol.dst)
         # Routes: each distinct plan becomes one entry that every table
-        # holding it shares, and each distinct MAC one validated, shared
-        # string.
+        # holding it shares, each distinct MAC one validated, shared
+        # string, and each plan tuple one compiled table, shared by the
+        # hosts that hold that tuple.  Both maps below are keyed by the
+        # tuple's identity: ``topo`` keeps every plan tuple alive.
         macs: dict[str, str] = {}
         entries: dict[RoutePlan, RouteEntry] = {}
+        vias_of: dict[int, set[str]] = {}
+        tables: dict[int, tuple[RouteEntry, ...]] = {}
 
         def mac(text: str) -> str:
             found = macs.get(text)
@@ -308,18 +312,12 @@ class TopologyCompiler:
                 found = macs[text] = validate_mac(text)
             return found
 
-        compiled = []
-        for i, spec in enumerate(topo.hosts):
-            reachable = linked[spec.name]
+        def compile_table(plans: tuple[RoutePlan, ...]) -> tuple[RouteEntry, ...]:
             table = []
-            for plan in spec.routes:
-                via = plan.via_link
-                if via is not None and via not in reachable:
-                    raise ValueError(
-                        f"route on {spec.name!r}: no overlay link to {via!r}"
-                    )
+            for plan in plans:
                 entry = entries.get(plan)
                 if entry is None:
+                    via = plan.via_link
                     if via is None:
                         dest_type, dest_name = DestType.INTERFACE, plan.via_interface
                     else:
@@ -329,6 +327,24 @@ class TopologyCompiler:
                         dest_type=dest_type, dest_name=dest_name,
                     )
                 table.append(entry)
+            return tuple(table)
+
+        compiled = []
+        for i, spec in enumerate(topo.hosts):
+            key = id(spec.routes)
+            vias = vias_of.get(key)
+            if vias is None:
+                vias = vias_of[key] = {
+                    p.via_link for p in spec.routes if p.via_link is not None
+                }
+            reachable = linked[spec.name]
+            if not vias <= reachable:
+                via = next(p.via_link for p in spec.routes
+                           if p.via_link is not None and p.via_link not in reachable)
+                raise ValueError(f"route on {spec.name!r}: no overlay link to {via!r}")
+            routes = tables.get(key)
+            if routes is None:
+                routes = tables[key] = compile_table(spec.routes)
             compiled.append(CompiledHost(
                 name=spec.name,
                 index=i,
@@ -336,7 +352,7 @@ class TopologyCompiler:
                 role=spec.role,
                 vms=tuple(vm_slots[spec.name]),
                 links=tuple(links[spec.name]),
-                routes=tuple(table),
+                routes=routes,
             ))
         return CompiledTopology(self, compiled)
 

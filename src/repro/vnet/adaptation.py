@@ -67,6 +67,8 @@ class AdaptationEngine:
     links and rewriting the core's routes as needed.
     """
 
+    COUNTERS = ("failovers", "failbacks")
+
     def __init__(
         self,
         sim: Simulator,
@@ -88,9 +90,8 @@ class AdaptationEngine:
         # Links currently routed around, keyed by (core index, link name).
         self.failed_links: dict[tuple[int, str], FailoverRecord] = {}
         self.obs = Observability.of(sim)
-        metrics = self.obs.metrics
-        self._failovers = metrics.counter("vnet.adaptation.failovers")
-        self._failbacks = metrics.counter("vnet.adaptation.failbacks")
+        self.failovers = self.failbacks = 0
+        self.obs.metrics.publish("vnet.adaptation", self)
 
     def refresh_directory(self) -> None:
         """Re-learn MAC locations (after migrations)."""
@@ -230,7 +231,7 @@ class AdaptationEngine:
             saved_routes=saved,
             failed_at_ns=self.sim.now,
         )
-        self._failovers.inc()
+        self.failovers += 1
         self._log(
             core_idx,
             f"failover: {len(saved)} route(s) off dead link {link_name} "
@@ -269,7 +270,7 @@ class AdaptationEngine:
                 )
                 core.add_route(route)
             del self.failed_links[key]
-            self._failbacks.inc()
+            self.failbacks += 1
             self._log(
                 core_idx,
                 f"failback: restored {len(record.saved_routes)} route(s) "

@@ -45,6 +45,8 @@ def _accept_all(frame) -> bool:
 class VnetBridge(PacketStage):
     """Kernel-module bridge between a VNET/P core and the host network."""
 
+    COUNTERS = ("encap_tx", "encap_rx", "direct_tx")
+
     def __init__(
         self,
         sim: Simulator,
@@ -65,11 +67,8 @@ class VnetBridge(PacketStage):
         # points on the encapsulation path, created lazily by link_out().
         self._link_ports: dict[str, "Port"] = {}
         self.obs = Observability.of(sim)
-        metrics = self.obs.metrics
-        prefix = f"vnet.bridge.{host.name}"
-        self.encap_tx = metrics.counter(f"{prefix}.encap_tx")
-        self.encap_rx = metrics.counter(f"{prefix}.encap_rx")
-        self.direct_tx = metrics.counter(f"{prefix}.direct_tx")
+        self.encap_tx = self.encap_rx = self.direct_tx = 0
+        self.obs.metrics.publish(f"vnet.bridge.{host.name}", self)
         core.attach_bridge(self)
         # The bridge's send path parallelizes with the dispatcher count
         # (side-core offload of in-VMM processing beyond dispatch, Fig. 5).
@@ -124,7 +123,7 @@ class VnetBridge(PacketStage):
             finally:
                 if span is not None:
                     spans.close(span)
-            self.direct_tx.inc()
+            self.direct_tx += 1
             yield from self.host.stack.send_raw_frame(frame)
         elif link.proto is LinkProto.UDP:
             span = spans.open(
@@ -138,7 +137,7 @@ class VnetBridge(PacketStage):
             encap = VnetEncap(inner=frame, link_name=link.name)
             if not self.link_out(link.name).push(encap):
                 return  # chaos filter dropped the datagram on this link
-            self.encap_tx.inc()
+            self.encap_tx += 1
             yield from self.sock.sendto(encap, link.dst_ip, link.dst_port)
         elif link.proto is LinkProto.TCP:
             span = spans.open(
@@ -152,7 +151,7 @@ class VnetBridge(PacketStage):
             encap = VnetEncap(inner=frame, link_name=link.name)
             if not self.link_out(link.name).push(encap):
                 return  # chaos filter dropped the message on this link
-            self.encap_tx.inc()
+            self.encap_tx += 1
             channel = yield from self._tcp_link(link)
             yield from channel.send_message(encap, frame.size)
         else:  # pragma: no cover - enum is exhaustive
@@ -196,7 +195,7 @@ class VnetBridge(PacketStage):
             finally:
                 if span is not None:
                     spans.close(span)
-            self.encap_rx.inc()
+            self.encap_rx += 1
             self.core.inbound.push(encap.inner)
 
     # -- receive --------------------------------------------------------------------
@@ -215,5 +214,5 @@ class VnetBridge(PacketStage):
             finally:
                 if span is not None:
                     spans.close(span)
-            self.encap_rx.inc()
+            self.encap_rx += 1
             self.core.inbound.push(payload.inner)

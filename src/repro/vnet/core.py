@@ -48,6 +48,12 @@ __all__ = ["VnetCore"]
 class VnetCore(VnetNode, PacketStage):
     """Per-host VNET/P core embedded in the Palacios VMM."""
 
+    COUNTERS = (
+        "pkts_from_guest", "pkts_to_guest", "pkts_to_bridge", "dropped_no_route",
+        "dropped_ring_full", "guest_driven_dispatches", "vmm_driven_dispatches",
+        "copied_bytes",
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -82,23 +88,17 @@ class VnetCore(VnetNode, PacketStage):
         self.obs = Observability.of(sim)
         metrics = self.obs.metrics
         prefix = f"vnet.core.{host.name}"
-        self.pkts_from_guest = metrics.counter(f"{prefix}.pkts_from_guest")
-        self.pkts_to_guest = metrics.counter(f"{prefix}.pkts_to_guest")
-        self.pkts_to_bridge = metrics.counter(f"{prefix}.pkts_to_bridge")
-        self.dropped_no_route = metrics.counter(f"{prefix}.dropped_no_route")
+        self.pkts_from_guest = self.pkts_to_guest = self.pkts_to_bridge = 0
+        self.dropped_no_route = 0
         # Frames refused because this core's own rx_queue was full.
-        self.dropped_ring_full = metrics.counter(f"{prefix}.dropped_ring_full")
-        self.guest_driven_dispatches = metrics.counter(
-            f"{prefix}.guest_driven_dispatches"
-        )
-        self.vmm_driven_dispatches = metrics.counter(
-            f"{prefix}.vmm_driven_dispatches"
-        )
+        self.dropped_ring_full = 0
+        self.guest_driven_dispatches = self.vmm_driven_dispatches = 0
+        # Bytes of the in-VMM copies charged by _charge_copy.
+        self.copied_bytes = 0
+        metrics.publish(prefix, self)
         # Dispatcher backlog as a time-weighted gauge (set with
         # timestamps so time_avg() reads mean depth, not last value).
         self._rxq_depth = metrics.gauge(f"{prefix}.rxq_depth")
-        # Bytes of the in-VMM copies charged by _charge_copy.
-        self.copied_bytes = metrics.counter(f"{prefix}.copied_bytes")
         # Optional observers (see repro.vnet.monitor).
         self.monitor = None
         host.vnet_core = self
@@ -138,13 +138,13 @@ class VnetCore(VnetNode, PacketStage):
     def stats(self) -> dict:
         """Operational counters, as the control interface would expose them."""
         return {
-            "pkts_from_guest": self.pkts_from_guest.value,
-            "pkts_to_guest": self.pkts_to_guest.value,
-            "pkts_to_bridge": self.pkts_to_bridge.value,
-            "dropped_no_route": self.dropped_no_route.value,
-            "dropped_ring_full": self.dropped_ring_full.value,
-            "guest_driven_dispatches": self.guest_driven_dispatches.value,
-            "vmm_driven_dispatches": self.vmm_driven_dispatches.value,
+            "pkts_from_guest": self.pkts_from_guest,
+            "pkts_to_guest": self.pkts_to_guest,
+            "pkts_to_bridge": self.pkts_to_bridge,
+            "dropped_no_route": self.dropped_no_route,
+            "dropped_ring_full": self.dropped_ring_full,
+            "guest_driven_dispatches": self.guest_driven_dispatches,
+            "vmm_driven_dispatches": self.vmm_driven_dispatches,
             "routing_entries": len(self.routing),
             "routing_cache_hit_rate": self.routing.cache_hit_rate,
             "flow_cache": self.flowcache.stats(),
@@ -179,7 +179,7 @@ class VnetCore(VnetNode, PacketStage):
                     break
                 for frame in frames:
                     ctl.note_packet()
-                    self.guest_driven_dispatches.inc()
+                    self.guest_driven_dispatches += 1
                     yield from self._dispatch(frame)
         else:
             # VMM-driven: the dispatcher thread owns the TXQ; the kick (if
@@ -217,7 +217,7 @@ class VnetCore(VnetNode, PacketStage):
                             spans.close(span)
                 ystate.note_work()
                 ctl.note_packet()
-                self.vmm_driven_dispatches.inc()
+                self.vmm_driven_dispatches += 1
                 yield from self._dispatch(frame)
                 # note_packet above may have switched the controller back
                 # to guest-driven, and the VM may have migrated away: the
@@ -247,7 +247,7 @@ class VnetCore(VnetNode, PacketStage):
         """
         from_guest = ystate is None
         if from_guest:
-            self.pkts_from_guest.inc()
+            self.pkts_from_guest += 1
             if self.monitor is not None:
                 self.monitor.observe(frame.src, frame.dst, frame.size)
         broadcast = frame.dst == BROADCAST_MAC
@@ -268,7 +268,7 @@ class VnetCore(VnetNode, PacketStage):
                 try:
                     entry, cost = self.routing.lookup(frame.src, frame.dst)
                 except NoRouteError:
-                    self.dropped_no_route.inc()
+                    self.dropped_no_route += 1
                     return
                 yield cost
         finally:
@@ -375,7 +375,7 @@ class VnetCore(VnetNode, PacketStage):
         ring_was_empty = not nic.rxq.items
         if not nic.deliver_to_guest(frame):
             return  # a full guest ring is counted once, by the NIC's rx_drops
-        self.pkts_to_guest.inc()
+        self.pkts_to_guest += 1
         for name, inic in self.interfaces.items():
             if inic is nic:
                 self.controllers[name].note_packet()
@@ -403,7 +403,7 @@ class VnetCore(VnetNode, PacketStage):
         result, which is ``memory.copy_at``'s own generator, so the
         copy's waits resume no extra frame.
         """
-        self.copied_bytes.inc(nbytes)
+        self.copied_bytes += nbytes
         return self.host.memory.copy_at(nbytes, self.costs.copy_bw_Bps)
 
     def _send_via_bridge(self, frame: EthernetFrame, link: LinkSpec):
@@ -437,7 +437,7 @@ class VnetCore(VnetNode, PacketStage):
             finally:
                 if span is not None:
                     spans.close(span)
-        self.pkts_to_bridge.inc()
+        self.pkts_to_bridge += 1
         yield self.bridge.txq.put((frame, link))
 
     def _shadow_copy(self, nbytes: int):
@@ -463,7 +463,7 @@ class VnetCore(VnetNode, PacketStage):
                 self.monitor.note_heartbeat_from(frame.src_host_ip)
             return True
         if not self.rx_queue.try_put(frame):
-            self.dropped_ring_full.inc()
+            self.dropped_ring_full += 1
             return False
         self._rxq_depth.set(len(self.rx_queue.items), now_ns=self.sim.now)
         return True

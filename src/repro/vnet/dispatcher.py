@@ -30,6 +30,8 @@ __all__ = ["ModeController", "YieldState", "wake_penalty"]
 class ModeController:
     """Per-NIC guest-driven/VMM-driven mode selection (Fig. 6)."""
 
+    COUNTERS = ("switches",)
+
     def __init__(self, sim: Simulator, nic: "VirtioNIC", tuning: VnetTuning):
         self.sim = sim
         self.nic = nic
@@ -43,7 +45,8 @@ class ModeController:
         # path needs the exact switch instant to de-escalate).
         self.on_switch: list = []
         metrics = Observability.of(sim).metrics
-        self.switches = metrics.counter(f"vnet.mode.{nic.name}.switches")
+        self.switches = 0
+        metrics.publish(f"vnet.mode.{nic.name}", self)
         # Gauge mirrors the current mode for snapshots: 0 = guest-driven,
         # 1 = VMM-driven.
         self._mode_gauge = metrics.gauge(f"vnet.mode.{nic.name}.vmm_driven")
@@ -76,7 +79,7 @@ class ModeController:
 
     def _switch(self, mode: VnetMode) -> None:
         self.mode = mode
-        self.switches.inc()
+        self.switches += 1
         self._apply()
         for callback in self.on_switch:
             callback(mode)

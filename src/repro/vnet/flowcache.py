@@ -84,41 +84,24 @@ class FlowCache(PacketStage):
     the full chain.
     """
 
+    COUNTERS = ("hits", "misses", "installs", "invalidated_entries")
+
     def __init__(self, sim: Simulator, core: "VnetCore"):
         self._init_stage(sim, f"{core.host.name}.vnet.flowcache")
         self.core = core
         self.entries: dict[tuple[str, str], FlowCacheEntry] = {}
+        #: Cached-chain packets served; packets that walked the full chain
+        #: (cold or just-invalidated); entries compiled from full-chain
+        #: walks; entries dropped by route-change flushes.
+        self.hits = self.misses = self.installs = self.invalidated_entries = 0
         metrics = Observability.of(sim).metrics
         prefix = f"vnet.flowcache.{core.host.name}"
-        self._hits = metrics.counter(f"{prefix}.hits")
-        self._misses = metrics.counter(f"{prefix}.misses")
-        self._installs = metrics.counter(f"{prefix}.installs")
-        self._invalidated = metrics.counter(f"{prefix}.invalidated_entries")
+        metrics.publish(prefix, self)
         self._entries_gauge = metrics.gauge(f"{prefix}.entries")
         # The one invalidation rule: any route-table mutation flushes.
         core.routing.on_change(self._on_route_change)
 
-    # -- statistics (registry-backed, read-only views) --------------------
-    @property
-    def hits(self) -> int:
-        """Cached-chain packets served."""
-        return self._hits.value
-
-    @property
-    def misses(self) -> int:
-        """Packets that walked the full chain (cold or just-invalidated)."""
-        return self._misses.value
-
-    @property
-    def installs(self) -> int:
-        """Entries compiled from full-chain walks."""
-        return self._installs.value
-
-    @property
-    def invalidated_entries(self) -> int:
-        """Entries dropped by route-change flushes."""
-        return self._invalidated.value
-
+    # -- statistics ----------------------------------------------------------
     @property
     def hit_rate(self) -> float:
         """Lifetime hit fraction over all cache consultations."""
@@ -133,9 +116,9 @@ class FlowCache(PacketStage):
         """The per-packet consultation: a compiled entry, or ``None``."""
         entry = self.entries.get((src, dst))
         if entry is None:
-            self._misses.inc()
+            self.misses += 1
             return None
-        self._hits.inc()
+        self.hits += 1
         return entry
 
     def install(self, src: str, dst: str,
@@ -161,7 +144,7 @@ class FlowCache(PacketStage):
         charge = core.costs.dispatch_ns + core.routing.warm_lookup_cost()
         entry = FlowCacheEntry(nic, link, charge)
         self.entries[(src, dst)] = entry
-        self._installs.inc()
+        self.installs += 1
         self._entries_gauge.set(len(self.entries))
         return entry
 
@@ -169,21 +152,20 @@ class FlowCache(PacketStage):
         dropped = len(self.entries)
         if dropped:
             self.entries.clear()
-            self._invalidated.inc(dropped)
+            self.invalidated_entries += dropped
             self._entries_gauge.set(0)
 
     # -- observability -----------------------------------------------------
     def register_hit_rate(self, timeline: "Timeline",
                           series: Optional[str] = None) -> "Series":
         """Add a per-window hit-rate series (NaN for idle windows)."""
-        hits, misses = self._hits, self._misses
         state = [0, 0]
 
         def sample(now_ns: int) -> float:
-            dh = hits.value - state[0]
-            dm = misses.value - state[1]
-            state[0] = hits.value
-            state[1] = misses.value
+            dh = self.hits - state[0]
+            dm = self.misses - state[1]
+            state[0] = self.hits
+            state[1] = self.misses
             total = dh + dm
             return dh / total if total else math.nan
 

@@ -62,14 +62,14 @@ class _Hops:
 
     def charge(self, segs: int) -> None:
         """Counter updates one packet-level traversal × ``segs`` would make."""
-        self.src_nic.tx_packets.inc(segs)
-        self.first_core.pkts_from_guest.inc(segs)
+        self.src_nic.tx_packets += segs
+        self.first_core.pkts_from_guest += segs
         for core, _link, nxt in self.links:
-            core.pkts_to_bridge.inc(segs)
-            core.host.nic.tx_frames.inc(segs)
-            nxt.host.nic.rx_frames.inc(segs)
-        self.dst_core.pkts_to_guest.inc(segs)
-        self.dst_nic.rx_packets.inc(segs)
+            core.pkts_to_bridge += segs
+            core.host.nic.tx_frames += segs
+            nxt.host.nic.rx_frames += segs
+        self.dst_core.pkts_to_guest += segs
+        self.dst_nic.rx_packets += segs
         # Feed the adaptive mode controllers exactly as the packet path
         # would (tx dispatch on the source NIC, guest delivery on the
         # destination): the Fig. 6 rate estimate must keep seeing the

@@ -75,6 +75,8 @@ class HeartbeatService:
     beat onward.
     """
 
+    COUNTERS = ("sent", "send_failed")
+
     def __init__(
         self,
         sim: Simulator,
@@ -89,12 +91,10 @@ class HeartbeatService:
         self.interval_ns = int(interval_ns)
         self.until_ns = until_ns
         self.seq = 0
-        metrics = Observability.of(sim).metrics
-        prefix = f"vnet.heartbeat.{core.host.name}"
         # Heartbeats enqueued onto the bridge, and those the full bridge
         # queue refused.
-        self.sent = metrics.counter(f"{prefix}.sent")
-        self._send_failed = metrics.counter(f"{prefix}.send_failed")
+        self.sent = self.send_failed = 0
+        Observability.of(sim).metrics.publish(f"vnet.heartbeat.{core.host.name}", self)
         if core.monitor is None:
             from .monitor import TrafficMonitor
 
@@ -119,7 +119,7 @@ class HeartbeatService:
                 )
                 self.seq += 1
                 if core.bridge is not None and core.bridge.txq.try_put((frame, link)):
-                    self.sent.inc()
+                    self.sent += 1
                 else:
-                    self._send_failed.inc()
+                    self.send_failed += 1
             yield self.interval_ns

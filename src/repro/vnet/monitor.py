@@ -91,6 +91,8 @@ class TrafficMonitor:
     #: mean heartbeat intervals (simplified phi-accrual threshold).
     PHI_DEAD = 8.0
 
+    COUNTERS = ("packets", "bytes", "heartbeats")
+
     def __init__(self, sim: Simulator, core: "VnetCore",
                  phi_threshold: float = PHI_DEAD):
         self.sim = sim
@@ -103,10 +105,9 @@ class TrafficMonitor:
         metrics = self.obs.metrics
         prefix = f"vnet.monitor.{core.host.name}"
         self._health_monitor = prefix
-        self.packets = metrics.counter(f"{prefix}.packets")
-        self.bytes = metrics.counter(f"{prefix}.bytes")
+        self.packets = self.bytes = self.heartbeats = 0
+        metrics.publish(prefix, self)
         self._flows_gauge = metrics.gauge(f"{prefix}.flows")
-        self._heartbeats = metrics.counter(f"{prefix}.heartbeats")
         self._links_up = metrics.gauge(f"{prefix}.links_up")
         self._links_down = metrics.gauge(f"{prefix}.links_down")
         core.monitor = self
@@ -121,8 +122,8 @@ class TrafficMonitor:
         flow.packets += 1
         flow.bytes += nbytes
         flow.last_seen_ns = self.sim.now
-        self.packets.inc()
-        self.bytes.inc(nbytes)
+        self.packets += 1
+        self.bytes += nbytes
 
     # -- queries ----------------------------------------------------------
     def matrix(self) -> dict[tuple[str, str], int]:
@@ -157,7 +158,7 @@ class TrafficMonitor:
 
     def note_heartbeat_from(self, src_ip: str) -> None:
         """A heartbeat from ``src_ip`` arrived on this core's inbound path."""
-        self._heartbeats.inc()
+        self.heartbeats += 1
         now = self.sim.now
         matched = False
         for health in self.link_health.values():
@@ -232,8 +233,7 @@ class TrafficMonitor:
         self.flows.clear()
         self.link_health.clear()
         self._known_dead.clear()
-        self.packets.reset()
-        self.bytes.reset()
+        self.packets = self.bytes = 0
         self._flows_gauge.set(0)
         self._links_up.set(0)
         self._links_down.set(0)

@@ -1,6 +1,6 @@
 """VNET/P routing table with hash-cache fast path (Sect. 4.3).
 
-The table itself is an ordered list scanned linearly (the paper's design);
+The table itself is an ordered route list scanned linearly (the paper's design);
 a hash cache keyed on exact (src, dst) MAC pairs makes the common case a
 constant-time lookup.  Lookup *cost* is reported to the caller in
 nanoseconds so the dispatcher can charge it on the data path, letting the
@@ -20,19 +20,19 @@ still pays ``route_table_per_entry_ns`` for every entry in the table
 (the paper's design scans the whole list), and the hash cache still
 short-circuits warm flows at ``route_cache_hit_ns``.
 
-Installation is O(1) per route too.  ``provision()``
+Installation and removal are O(1) per route too.  ``provision()``
 installs a host's table one control command at a time, and a duplicate
-check that scanned ``entries`` made that quadratic.  The table keeps a
-private membership set next to the ordered list (:class:`RouteEntry` is
-frozen, so it hashes on the fields its ``__eq__`` compares); ``add`` and
-``load`` test for duplicates against it and reject exactly what the
-scan rejected.
+check that scanned a list made that quadratic.  ``entries`` is an
+insertion-ordered dict keyed by route (values unused;
+:class:`RouteEntry` is frozen, so it hashes on the fields its
+``__eq__`` compares): one structure gives both the order and the
+membership test, so ``add`` and ``load`` reject exactly what the scan
+rejected.
 
 ``entries`` must be mutated through the table API (``add`` / ``remove``
-/ ``remove_matching`` / ``clear`` / ``load``): each keeps the membership
-set equal to ``entries``, and the index and the hash cache are
-invalidated from :meth:`RoutingTable._changed`, so out-of-band list
-surgery would leave duplicate checks and lookups reading stale state.
+/ ``remove_matching`` / ``clear`` / ``load``): the index and the hash
+cache are invalidated from :meth:`RoutingTable._changed`, so
+out-of-band surgery would leave lookups reading stale state.
 """
 
 from __future__ import annotations
@@ -55,9 +55,8 @@ class RoutingTable:
     def __init__(self, costs: VnetCostParams, cache_enabled: bool = True):
         self.costs = costs
         self.cache_enabled = cache_enabled
-        self.entries: list[RouteEntry] = []
-        # Same routes as ``entries``, for O(1) duplicate checks.
-        self._members: set[RouteEntry] = set()
+        # Routes in insertion order (keys; the values are unused).
+        self.entries: dict[RouteEntry, None] = {}
         self._cache: dict[tuple[str, str], RouteEntry] = {}
         # Lazily rebuilt lookup index: exact-dst buckets + wildcard-dst
         # list, both in insertion order.  None = stale (rebuilt on the
@@ -99,10 +98,9 @@ class RoutingTable:
         return by_dst
 
     def add(self, entry: RouteEntry) -> None:
-        if entry in self._members:
+        if entry in self.entries:
             raise ValueError(f"duplicate route: {entry}")
-        self.entries.append(entry)
-        self._members.add(entry)
+        self.entries[entry] = None
         self._changed()
 
     def load(self, entries: Iterable[RouteEntry]) -> int:
@@ -118,22 +116,19 @@ class RoutingTable:
         before mutating anything, so a rejected load leaves the table
         untouched.  Returns the number of routes added.
         """
-        added = list(entries)
-        fresh: set[RouteEntry] = set()
-        for entry in added:
-            if entry in self._members or entry in fresh:
+        fresh: dict[RouteEntry, None] = {}
+        for entry in entries:
+            if entry in self.entries or entry in fresh:
                 raise ValueError(f"duplicate route: {entry}")
-            fresh.add(entry)
-        self.entries.extend(added)
-        self._members |= fresh
+            fresh[entry] = None
+        self.entries.update(fresh)
         self._changed()
-        return len(added)
+        return len(fresh)
 
     def remove(self, entry: RouteEntry) -> None:
-        if entry not in self._members:
+        if entry not in self.entries:
             raise KeyError(f"no such route: {entry}")
-        self.entries.remove(entry)
-        self._members.remove(entry)
+        del self.entries[entry]
         self._changed()
 
     def remove_matching(
@@ -143,25 +138,20 @@ class RoutingTable:
         dest_name: Optional[str] = None,
     ) -> int:
         """Remove routes by field filter; returns count removed."""
-        keep = []
-        removed = 0
-        for e in self.entries:
-            if (
+        before = len(self.entries)
+        self.entries = {
+            e: None for e in self.entries
+            if not (
                 (src_mac is None or e.src_mac == src_mac)
                 and (dst_mac is None or e.dst_mac == dst_mac)
                 and (dest_name is None or e.dest_name == dest_name)
-            ):
-                removed += 1
-                self._members.remove(e)
-            else:
-                keep.append(e)
-        self.entries = keep
+            )
+        }
         self._changed()
-        return removed
+        return before - len(self.entries)
 
     def clear(self) -> None:
         self.entries.clear()
-        self._members.clear()
         self._changed()
 
     def warm_lookup_cost(self) -> int:

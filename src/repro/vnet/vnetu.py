@@ -36,6 +36,8 @@ __all__ = ["VnetUDaemon"]
 class VnetUDaemon(VnetNode):
     """User-level VNET daemon on one host."""
 
+    COUNTERS = ("dropped_tap_full", "dropped_no_route", "dropped_unknown_dst")
+
     def __init__(self, sim: Simulator, host: "Host"):
         self.sim = sim
         self.host = host
@@ -46,11 +48,8 @@ class VnetUDaemon(VnetNode):
         self.tapq: Store = Store(sim, capacity=8192, name=f"{self.name}.tapq")
         # User-level socket: syscalls charged on every send/recv.
         self.sock = host.stack.udp_socket(DEFAULT_VNET_PORT, in_kernel=False)
-        metrics = host.stack.obs.metrics
-        prefix = f"vnet.vnetu.{host.name}"
-        self.dropped_tap_full = metrics.counter(f"{prefix}.dropped_tap_full")
-        self.dropped_no_route = metrics.counter(f"{prefix}.dropped_no_route")
-        self.dropped_unknown_dst = metrics.counter(f"{prefix}.dropped_unknown_dst")
+        self.dropped_tap_full = self.dropped_no_route = self.dropped_unknown_dst = 0
+        host.stack.obs.metrics.publish(f"vnet.vnetu.{host.name}", self)
         sim.process(self._tx_loop(), name=f"{self.name}.tx")
         sim.process(self._rx_loop(), name=f"{self.name}.rx")
 
@@ -78,7 +77,7 @@ class VnetUDaemon(VnetNode):
                 break
             yield params.transition_ns + self._copy_ns(frame.size)
             if not self.tapq.try_put(frame):
-                self.dropped_tap_full.inc()
+                self.dropped_tap_full += 1
 
     def _copy_ns(self, nbytes: int) -> int:
         return int(round(nbytes * 1e9 / self.params.copy_bw_Bps))
@@ -107,7 +106,7 @@ class VnetUDaemon(VnetNode):
             try:
                 entry, _ = self.routing.lookup(frame.src, frame.dst)
             except NoRouteError:
-                self.dropped_no_route.inc()
+                self.dropped_no_route += 1
                 continue
             dest = self.destination(entry)
             if dest.__class__ is LinkSpec:
@@ -132,7 +131,7 @@ class VnetUDaemon(VnetNode):
             yield self._daemon_work_ns(frame.size)
             nic = self.if_by_mac.get(frame.dst)
             if nic is None and frame.dst != BROADCAST_MAC:
-                self.dropped_unknown_dst.inc()
+                self.dropped_unknown_dst += 1
                 continue
             targets = (
                 list(self.if_by_mac.values()) if nic is None else [nic]

@@ -80,7 +80,7 @@ def test_gilbert_elliott_statistics():
     assert runs, "expected burst losses"
     mean_burst = sum(runs) / len(runs)
     assert 5 < mean_burst < 20
-    assert stage.burst_dropped.value > 0
+    assert stage.burst_dropped > 0
 
 
 def test_partition_stage_fail_heal():

@@ -52,5 +52,5 @@ def test_tcp_rides_out_a_partition():
     sim.process(server())
     sim.process(client())
     sim.run()
-    assert window.stage.blackholed.value > 0
+    assert window.stage.blackholed > 0
     assert done["got"] == 2 * units.MB

@@ -62,7 +62,7 @@ def test_nic_txq_tail_drop():
     b.rx_port.connect(lambda f: None)
     results = [a.send(frame("m1", "m2", 1000)) for _ in range(5)]
     assert results.count(False) >= 1
-    assert a.dropped_frames.value == results.count(False)
+    assert a.dropped_frames == results.count(False)
     sim.run()
 
 
@@ -93,8 +93,8 @@ def test_nic_byte_and_frame_counters():
     a.send(frame("m1", "m2", 514))
     a.send(frame("m1", "m2", 1014))
     sim.run()
-    assert a.tx_frames.value == 2 and a.tx_bytes.value == 514 + 1014
-    assert b.rx_frames.value == 2 and b.rx_bytes.value == 514 + 1014
+    assert a.tx_frames == 2 and a.tx_bytes == 514 + 1014
+    assert b.rx_frames == 2 and b.rx_bytes == 514 + 1014
 
 
 # --- switch ------------------------------------------------------------------

@@ -41,7 +41,7 @@ def test_monitor_top_flows_and_registry():
     assert metrics.counter(f"vnet.monitor.{host}.packets").value == 3
     assert metrics.counter(f"vnet.monitor.{host}.bytes").value == 5200
     assert metrics.gauge(f"vnet.monitor.{host}.flows").value == 2
-    assert mon.packets.value == 3 and mon.bytes.value == 5200
+    assert mon.packets == 3 and mon.bytes == 5200
 
 
 def test_monitor_reset_clears_flows_and_metrics():
@@ -57,4 +57,4 @@ def test_monitor_reset_clears_flows_and_metrics():
     assert metrics.gauge(f"vnet.monitor.{host}.flows").value == 0
     # Observation after reset starts clean.
     mon.observe("m5", "m6", 42)
-    assert mon.packets.value == 1 and mon.bytes.value == 42
+    assert mon.packets == 1 and mon.bytes == 42

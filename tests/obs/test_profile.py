@@ -36,7 +36,7 @@ def _fig8_quick():
                     (run_ttcp_udp, {"duration_ns": 8 * units.MS})):
         tb = build_vnetp(nic_params=NETEFFECT_10G)
         sim_ns += run(*tb.endpoints[:2], **kw).elapsed_ns
-        frames += sum(h.nic.tx_frames.value for h in tb.hosts)
+        frames += sum(h.nic.tx_frames for h in tb.hosts)
         events += tb.sim.events_processed
     return sim_ns, frames, events
 

@@ -74,8 +74,8 @@ def test_kick_causes_exit_and_invokes_backend():
     p = sim.process(send())
     sim.run(until=p)
     assert len(seen) == 1
-    assert vmm.virtio_kick_exits.value == 1
-    assert nic.tx_kicks.value == 1
+    assert vmm.exits_virtio_kick == 1
+    assert nic.tx_kicks == 1
 
 
 def test_kick_suppression_skips_exit():
@@ -88,7 +88,7 @@ def test_kick_suppression_skips_exit():
 
     p = sim.process(send())
     sim.run(until=p)
-    assert vmm.virtio_kick_exits.value == 0
+    assert vmm.exits_virtio_kick == 0
     assert len(nic.txq) == 1  # waiting for a dispatcher to poll it
 
 
@@ -99,8 +99,8 @@ def test_rx_ring_overflow_drops():
         1 for _ in range(ring + 50) if nic.deliver_to_guest(frame(100, dst=nic.mac))
     )
     assert delivered <= ring
-    assert nic.rx_drops.value >= 50 - (delivered - ring)
-    assert nic.rx_drops.value + delivered == ring + 50
+    assert nic.rx_drops >= 50 - (delivered - ring)
+    assert nic.rx_drops + delivered == ring + 50
 
 
 def test_rx_delivery_reaches_guest_stack():
@@ -124,8 +124,8 @@ def test_rx_delivery_reaches_guest_stack():
     nic.raise_irq()
     sim.run()
     assert got == [(500, "172.16.0.2")]
-    assert nic.rx_packets.value == 1
-    assert nic.irq_injections.value == 1
+    assert nic.rx_packets == 1
+    assert nic.irq_injections == 1
 
 
 def test_exit_accounting_totals():

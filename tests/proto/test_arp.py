@@ -32,8 +32,8 @@ def test_arp_resolves_on_native_lan():
     sim.run()
     assert result["mac"] == b.host.dev.mac
     # Only ARP crossed the wire: one request out of a, one reply out of b.
-    assert a.host.nic.tx_frames.value == 1
-    assert b.host.nic.tx_frames.value == 1
+    assert a.host.nic.tx_frames == 1
+    assert b.host.nic.tx_frames == 1
     # The reply also taught b about a (from the request).
     assert b.stack.neighbors[a.ip] == a.host.dev.mac
 
@@ -51,7 +51,7 @@ def test_arp_cache_avoids_repeat_requests():
     p = sim.process(resolver())
     sim.run(until=p)
     sim.run()
-    assert a.host.nic.tx_frames.value == 1  # one request; the second hit the cache
+    assert a.host.nic.tx_frames == 1  # one request; the second hit the cache
     assert a.stack.neighbors[b.ip] == b.host.dev.mac
 
 
@@ -68,7 +68,7 @@ def test_arp_timeout_for_absent_host():
     p = sim.process(resolver())
     with pytest.raises(ArpTimeout):
         sim.run(until=p)
-    assert a.host.nic.tx_frames.value == a.stack.arp_retries  # one request per try
+    assert a.host.nic.tx_frames == a.stack.arp_retries  # one request per try
 
 
 def test_arp_works_across_the_overlay():
@@ -98,7 +98,7 @@ def test_arp_works_across_the_overlay():
     assert got == [(777, a.ip)]
     assert a.stack.neighbors[b.ip] == b.vm.virtio_nics[0].mac
     # The request crossed the overlay encapsulated.
-    assert tb.hosts[0].vnet_bridge.encap_tx.value >= 2  # request + data
+    assert tb.hosts[0].vnet_bridge.encap_tx >= 2  # request + data
 
 
 def test_gratuitous_arp_updates_peers():
@@ -141,4 +141,4 @@ def test_concurrent_resolves_share_one_exchange():
     assert macs == [b.host.dev.mac] * 4
     # All four waited on the same pending exchange (within one timeout,
     # at most a couple of requests race out).
-    assert a.host.nic.tx_frames.value <= 4
+    assert a.host.nic.tx_frames <= 4

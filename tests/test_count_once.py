@@ -1,30 +1,34 @@
-"""Source-wide check: each count lives once, in its registry counter.
+"""Source-wide check: each count lives once, in its component.
 
-A component holds its :class:`~repro.obs.metrics.Counter` as a public
-attribute, bumps it with ``.inc`` and is read through ``.value``.  Two
-shapes would keep a second surface for the same count:
+A component holds each count as a plain int attribute, listed by metric
+suffix in its class's ``COUNTERS`` and published to the registry once;
+readers take the int.  Two shapes would keep a second surface for the
+same count:
 
-* a read-only mirror, a property returning ``self._<x>.value`` or
+* a read-only mirror: a property returning a published attribute,
+  ``self.<attr>``, or a registry instrument's ``self._<x>.value`` or
   ``self.counter("<x>").value``;
 * a write through another object's private counter,
   ``<expr>._<name>.inc(...)`` with ``<expr>`` other than ``self``.
 
-``vnet/flowcache.py`` keeps its properties: the flow cache's readers sum
-them as ints.  So does ``exec/engine.py``: the command line, the run
-artifact and the benchmark read its ``points_*`` counts as ints.
+A component publishes its counts instead of holding registry
+:class:`~repro.obs.metrics.Counter`\\ s: ``self.<attr> = <expr>.counter(...)``
+would bring back one object, one name string and one registry slot per
+count.
 
-Every counter is also created with its component: a chained
-create-and-bump, ``<expr>.counter(...).inc(...)``, would create it at
-its first use instead, so whether it exists would depend on the run.
+Every remaining counter instrument is also created where it is named: a
+chained create-and-bump, ``<expr>.counter(...).inc(...)``, would create
+it at its first use instead, so whether it exists would depend on the
+run.
 """
 
 import ast
 from pathlib import Path
 
 import repro
+from repro.obs.metrics import _attribute
 
 SRC = Path(repro.__file__).resolve().parent
-EXEMPT = {"repro/vnet/flowcache.py", "repro/exec/engine.py"}
 #: (module, metric-name prefix) of the counter families still created at
 #: their first bump, each with the reason it may be.
 LAZY_FAMILIES = {
@@ -38,8 +42,23 @@ def _is_self(node: ast.AST) -> bool:
     return isinstance(node, ast.Name) and node.id == "self"
 
 
-def _mirrors_a_counter(func: ast.FunctionDef) -> bool:
-    """``@property`` whose body returns a counter's ``.value``."""
+def _published(tree: ast.AST) -> set[str]:
+    """Attributes named by the ``COUNTERS`` tuples in ``tree``."""
+    found = set()
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "COUNTERS" for t in node.targets)
+            and isinstance(node.value, ast.Tuple)
+        ):
+            found |= {_attribute(e.value) for e in node.value.elts
+                      if isinstance(e, ast.Constant)}
+    return found
+
+
+def _mirrors_a_counter(func: ast.FunctionDef, published: set[str]) -> bool:
+    """``@property`` whose body returns a published attribute or a
+    counter's ``.value``."""
     if not any(isinstance(d, ast.Name) and d.id == "property" for d in func.decorator_list):
         return False
     body = func.body
@@ -48,7 +67,11 @@ def _mirrors_a_counter(func: ast.FunctionDef) -> bool:
     if len(body) != 1 or not isinstance(body[0], ast.Return):
         return False
     ret = body[0].value
-    if not (isinstance(ret, ast.Attribute) and ret.attr == "value"):
+    if not isinstance(ret, ast.Attribute):
+        return False
+    if _is_self(ret.value):  # self.<published attribute>
+        return ret.attr in published
+    if ret.attr != "value":
         return False
     held = ret.value
     if isinstance(held, ast.Attribute):  # self._x.value
@@ -74,31 +97,40 @@ def _bumps_a_foreign_counter(call: ast.Call) -> bool:
     )
 
 
-def _second_copies(text: str, name: str) -> list[str]:
+def _second_copies(text: str, name: str, published: set[str]) -> list[str]:
     """``name:line`` of every counter mirror or foreign bump in ``text``."""
     found = []
     for node in ast.walk(ast.parse(text, filename=name)):
-        if isinstance(node, ast.FunctionDef) and _mirrors_a_counter(node):
+        if isinstance(node, ast.FunctionDef) and _mirrors_a_counter(node, published):
             found.append(f"{name}:{node.lineno}")
         elif isinstance(node, ast.Call) and _bumps_a_foreign_counter(node):
             found.append(f"{name}:{node.lineno}")
     return found
 
 
+def _sources() -> dict[str, str]:
+    return {
+        path.relative_to(SRC.parent).as_posix(): path.read_text()
+        for path in sorted(SRC.rglob("*.py"))
+    }
+
+
 def test_no_count_is_kept_twice():
+    sources = _sources()
+    published: set[str] = set()
+    for name, text in sources.items():
+        published |= _published(ast.parse(text, filename=name))
+    assert {"hits", "points_total", "exits_virtio_kick"} <= published
     found = []
-    for path in sorted(SRC.rglob("*.py")):
-        name = path.relative_to(SRC.parent).as_posix()
-        if name not in EXEMPT:
-            found += _second_copies(path.read_text(), name)
+    for name, text in sources.items():
+        found += _second_copies(text, name, published)
     assert found == [], (
-        "hold the registry counter as a public attribute and read `.value`: "
-        + ", ".join(found)
+        "read the published int attribute itself: " + ", ".join(found)
     )
 
 
 def test_check_finds_both_shapes():
-    """The check sees a mirror of either form, with or without a
+    """The check sees a mirror of every form, with or without a
     docstring, and a bump through another object's private counter; it
     leaves own bumps, public counters and other properties alone."""
     text = (
@@ -120,8 +152,13 @@ def test_check_finds_both_shapes():
         "    @property\n"
         "    def total(self):\n"
         "        return self.sent.value + 1\n"
+        "    @property\n"
+        "    def points_total(self):\n"
+        "        return self.total_points\n"
     )
-    assert _second_copies(text, "probe.py") == ["probe.py:3", "probe.py:6", "probe.py:10"]
+    assert _second_copies(text, "probe.py", {"total_points"}) == [
+        "probe.py:3", "probe.py:6", "probe.py:20", "probe.py:10",
+    ]
 
 
 def _name_prefix(node: ast.AST) -> str:
@@ -188,3 +225,48 @@ def test_lazy_check_finds_chained_bumps():
     assert _lazy_creations(text, "repro/sim/fluid.py") == [
         "repro/sim/fluid.py:2", "repro/sim/fluid.py:3",
     ]
+
+
+def _held_counters(text: str, name: str) -> list[str]:
+    """``name:line`` of every ``self.<attr> = <expr>.counter(...)``."""
+    found = []
+    for node in ast.walk(ast.parse(text, filename=name)):
+        if (
+            isinstance(node, (ast.Assign, ast.AnnAssign))
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute)
+            and node.value.func.attr == "counter"
+            and any(
+                isinstance(t, ast.Attribute) and _is_self(t.value)
+                for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            )
+        ):
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_components_publish_their_counters():
+    found = []
+    for name, text in _sources().items():
+        found += _held_counters(text, name)
+    assert found == [], (
+        "keep the count as an int attribute, list it in COUNTERS and "
+        "publish the component: " + ", ".join(found)
+    )
+
+
+def test_held_counter_check_finds_registry_counters():
+    """The check sees a component holding a registry counter however the
+    registry is reached; it leaves published ints, gauges and a point
+    function's local counter alone."""
+    text = (
+        "class C:\n"
+        "    def __init__(self, metrics):\n"
+        "        self.sent = metrics.counter('c.sent')\n"
+        "        self.dropped: int = self.obs.metrics.counter('c.dropped')\n"
+        "        self.passed = 0\n"
+        "        self.depth = metrics.gauge('c.depth')\n"
+        "def point(obs):\n"
+        "    probes = obs.metrics.counter('p.probes')\n"
+    )
+    assert _held_counters(text, "probe.py") == ["probe.py:3", "probe.py:4"]

@@ -26,7 +26,7 @@ GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "fig8_fig9_golden.json"
 
 
 def _frames(*testbeds) -> int:
-    return sum(h.nic.tx_frames.value for tb in testbeds for h in tb.hosts)
+    return sum(h.nic.tx_frames for tb in testbeds for h in tb.hosts)
 
 
 def test_ping_samples_identical_across_runs():

@@ -4,9 +4,11 @@ A store ``self.<attr> = ...`` (plain, augmented or annotated, alone or
 inside a tuple target) under ``src/repro`` needs a reader: a load of
 ``<expr>.<attr>``, or a ``getattr``/``hasattr`` of the constant
 ``"<attr>"``, somewhere in ``src/``, ``bench/``, ``benchmarks/``,
-``examples/`` or ``tools/``.  Tests do not count as readers.  A tally
-that nothing reads is deleted; a drop worth keeping is a registry
-counter created at the drop site, so a RunArtifact shows it.
+``examples/`` or ``tools/``.  A counter a class lists in its
+``COUNTERS`` tuple is read too: the metrics registry reads it by name
+on every dump.  Tests do not count as readers.  A tally that nothing
+reads is deleted; a drop worth keeping is a published counter, so a
+RunArtifact shows it.
 
 The same holds for configuration: every field of a ``repro.config``
 dataclass needs a load of ``<expr>.<field>`` under ``src/repro``, or
@@ -22,6 +24,7 @@ import dataclasses
 from pathlib import Path
 
 from repro import config
+from repro.obs.metrics import _attribute
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -55,11 +58,21 @@ def _self_stores(tree: ast.AST) -> list[tuple[str, int]]:
 
 
 def _reads(tree: ast.AST) -> set[str]:
-    """Attribute names loaded, or named by a constant ``getattr``."""
+    """Attribute names loaded, named by a constant ``getattr``, or
+    published through a ``COUNTERS`` tuple."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
+        elif (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "COUNTERS" for t in node.targets)
+            and isinstance(node.value, ast.Tuple)
+        ):
+            names |= {
+                _attribute(e.value) for e in node.value.elts
+                if isinstance(e, ast.Constant) and isinstance(e.value, str)
+            }
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -100,11 +113,13 @@ def test_every_stored_attribute_is_read():
 
 
 def test_check_finds_write_only_state():
-    """Every store form counts, and only loads and constant ``getattr``s
-    count as reads; a store is no read of its own."""
+    """Every store form counts, and only loads, constant ``getattr``s and
+    ``COUNTERS`` entries count as reads; a store is no read of its own."""
     module = (
         "class C:\n"
+        "    COUNTERS = ('exits.virtio-kick',)\n"
         "    def __init__(self):\n"
+        "        self.exits_virtio_kick = 0\n"
         "        self.sent = 0\n"
         "        self.kept = 0\n"
         "        self.peeked = 0\n"
@@ -117,11 +132,11 @@ def test_check_finds_write_only_state():
     reader = "def probe(c):\n    return getattr(c, 'peeked'), c.lo\n"
     readers = _reads(ast.parse(module)) | _reads(ast.parse(reader))
     assert _unread_stores({"probe.py": module}, readers) == [
-        "sent@probe.py:3",
-        "depth@probe.py:6",
-        "rest@probe.py:7",
-        "hi@probe.py:7",
-        "sent@probe.py:9",
+        "sent@probe.py:5",
+        "depth@probe.py:8",
+        "rest@probe.py:9",
+        "hi@probe.py:9",
+        "sent@probe.py:11",
     ]
 
 

@@ -83,7 +83,7 @@ def test_build_topo_mesh_equals_build_vnetp():
     assert [e.ip for e in a.endpoints] == [e.ip for e in b.endpoints]
     assert [h.ip for h in a.hosts] == [h.ip for h in b.hosts]
     for ca, cb in zip(a.cores, b.cores):
-        assert ca.routing.entries == cb.routing.entries
+        assert list(ca.routing.entries) == list(cb.routing.entries)
         assert sorted(ca.links) == sorted(cb.links)
 
 
@@ -199,6 +199,34 @@ def test_equal_routes_are_one_object(topo):
     entries = [e for ch in TopologyCompiler(topo).compile().hosts for e in ch.routes]
     assert len(entries) == len(plans)
     assert len({id(e) for e in entries}) == len(set(entries)) == len(set(plans))
+
+
+def test_hosts_sharing_a_plan_tuple_share_one_routes_tuple():
+    """Hosts that hold one ``HostSpec.routes`` tuple get one compiled
+    ``routes`` tuple (the cores of a fat-tree core group, for one)."""
+    topo = fat_tree(256)
+    hosts = TopologyCompiler(topo).compile().hosts
+    by_plans: dict[int, list] = {}
+    for spec, ch in zip(topo.hosts, hosts):
+        by_plans.setdefault(id(spec.routes), []).append(ch)
+    assert any(len(group) > 1 for group in by_plans.values())
+    for group in by_plans.values():
+        assert all(ch.routes is group[0].routes for ch in group)
+    assert len({id(ch.routes) for ch in hosts}) == len(by_plans)
+
+
+def test_shared_plan_tuple_is_checked_per_host():
+    from repro.topo import HostSpec, Network, OverlayLink, RoutePlan, Topology
+
+    plans = (RoutePlan("any", "5a:00:00:00:00:02", via_link="h1"),)
+    topo = Topology(
+        name="bad",
+        network=Network("n"),
+        hosts=(HostSpec("h0", routes=plans), HostSpec("h1"), HostSpec("h2", routes=plans)),
+        links=(OverlayLink("h0", "h1"),),
+    )
+    with pytest.raises(ValueError, match="route on 'h2': no overlay link to 'h1'"):
+        TopologyCompiler(topo).compile()
 
 
 def test_provision_applies_each_hosts_commands_in_order(monkeypatch):

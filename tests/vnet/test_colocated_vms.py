@@ -29,9 +29,9 @@ def test_colocated_guests_communicate_without_the_wire():
     sim.run()
     assert got == [(900, a.ip)]
     # Nothing crossed the physical NIC or the bridge.
-    assert tb.hosts[0].nic.tx_frames.value == 0
-    assert tb.hosts[0].vnet_bridge.encap_tx.value == 0
-    assert tb.cores[0].pkts_to_guest.value >= 1
+    assert tb.hosts[0].nic.tx_frames == 0
+    assert tb.hosts[0].vnet_bridge.encap_tx == 0
+    assert tb.cores[0].pkts_to_guest >= 1
 
 
 def test_colocated_latency_beats_cross_host():
@@ -47,10 +47,10 @@ def test_mixed_local_and_remote_routing():
     tb = build_vnetp(n_hosts=2, vms_per_host=2, nic_params=NETEFFECT_10G)
     a0, a1, b0, b1 = tb.endpoints  # host-major order
     run_ping(a0, a1, count=3)      # co-located
-    encap_before = tb.hosts[0].vnet_bridge.encap_tx.value
+    encap_before = tb.hosts[0].vnet_bridge.encap_tx
     assert encap_before == 0
     run_ping(a0, b0, count=3)      # cross-host
-    assert tb.hosts[0].vnet_bridge.encap_tx.value >= 3
+    assert tb.hosts[0].vnet_bridge.encap_tx >= 3
 
 
 def test_colocated_tcp_throughput_exceeds_wire_rate():

@@ -32,7 +32,7 @@ def test_static_mode_never_switches():
     assert ctl.mode is VnetMode.VMM_DRIVEN
     for _ in range(100_000 // 100):
         ctl.note_packet(100)
-    assert ctl.switches.value == 0
+    assert ctl.switches == 0
 
 
 def test_adaptive_starts_guest_driven_with_kicks_enabled():
@@ -73,7 +73,7 @@ def test_adaptive_switches_back_at_low_rate():
     p = sim.process(burst_then_trickle())
     sim.run(until=p)
     assert ctl.mode is VnetMode.GUEST_DRIVEN
-    assert ctl.switches.value >= 2
+    assert ctl.switches >= 2
 
 
 def test_hysteresis_between_bounds_holds_mode():
@@ -90,7 +90,7 @@ def test_hysteresis_between_bounds_holds_mode():
     p = sim.process(mid_rate())
     sim.run(until=p)
     assert ctl.mode is VnetMode.GUEST_DRIVEN  # started there, stays
-    assert ctl.switches.value == 0
+    assert ctl.switches == 0
 
 
 def test_wake_penalty_immediate_zero():

@@ -294,7 +294,7 @@ def test_rx_dispatcher_hits_compiled_path():
     assert local, "inbound flow should compile to a local interface"
     # Every frame in either direction consulted the cache, and only each
     # flow's first frame missed: the inbound flow hit as well.
-    assert cache.hits + cache.misses == core.pkts_from_guest.value + core.pkts_to_guest.value
+    assert cache.hits + cache.misses == core.pkts_from_guest + core.pkts_to_guest
     assert cache.misses == cache.installs == len(cache.entries) == 2
 
 

@@ -78,7 +78,7 @@ def test_fluid_cuts_events_per_frame_on_40mb_transfer():
     results = {}
     for fluid in (False, True):
         tb, results[fluid], _ = _run(fluid, total_bytes=total)
-        frames = sum(h.nic.tx_frames.value for h in tb.hosts)
+        frames = sum(h.nic.tx_frames for h in tb.hosts)
         per_frame[fluid] = tb.sim.events_processed / frames
     golden, hybrid = results[False], results[True]
     assert hybrid.bytes_moved == golden.bytes_moved == total

@@ -27,7 +27,7 @@ def test_walk_matches_the_cores_a_ping_moves_through():
     run_ping(a, b, count=1)  # warm up: neighbour resolution, caches
 
     def counts():
-        return [(c.pkts_to_bridge.value, c.pkts_to_guest.value) for c in tb.cores]
+        return [(c.pkts_to_bridge, c.pkts_to_guest) for c in tb.cores]
 
     before = counts()
     assert run_ping(a, b, count=1).rtt_ns.n == 1

@@ -4,8 +4,9 @@ The lazy exact-dst/wildcard-dst index must be observationally identical
 to the legacy linear scan — same winning entry (first-added wins ties,
 exact-dst beats wildcard-dst), same charged cost (the full-scan model),
 same change notifications — while the bulk ``load`` path fires exactly
-one notification per batch.  Installation checks duplicates against a
-membership set: a differential test holds it to a plain-list model.
+one notification per batch.  The table keeps its routes in one
+insertion-ordered dict, which answers both order and membership: a
+differential test holds it to a plain-list model.
 """
 
 import pickle
@@ -151,7 +152,7 @@ def test_first_added_wins_ties():
     assert table.lookup(mac(0), mac(1))[0].dest_name == "first"
 
 
-# -- installation: membership set vs. a plain-list reference model -----------
+# -- installation: the ordered dict vs. a plain-list reference model ---------
 
 class ListTable:
     """Reference model: the table as a bare list, every check a linear scan."""
@@ -224,8 +225,7 @@ _ops = st.one_of(
 @given(st.lists(_ops, max_size=40), st.booleans())
 def test_mutations_match_list_model(ops, cache_enabled):
     """Every mutation sequence rejects the same duplicates, keeps the same
-    order, selects and charges the same as the linear-scan list, and the
-    membership set never drifts from ``entries``."""
+    order, selects and charges the same as the linear-scan list."""
     table = RoutingTable(COSTS, cache_enabled=cache_enabled)
     model = ListTable(cache_enabled)
     fired = []
@@ -253,8 +253,7 @@ def test_mutations_match_list_model(ops, cache_enabled):
                     getattr(table, op)(*args)
             else:
                 getattr(table, op)(*args)
-        assert table.entries == model.entries
-        assert table._members == set(table.entries)
+        assert list(table.entries) == model.entries
         assert len(fired) == model.notifications
 
 
@@ -267,7 +266,7 @@ def test_load_rejects_duplicates_without_mutating():
         table.load([route(ANY_MAC, mac(2)), route(ANY_MAC, mac(1))])
     with pytest.raises(ValueError, match="duplicate route"):
         table.load([route(ANY_MAC, mac(3)), route(ANY_MAC, mac(3))])
-    assert table.entries == [route(ANY_MAC, mac(1))]
+    assert list(table.entries) == [route(ANY_MAC, mac(1))]
     assert fired == []
 
 
@@ -289,6 +288,28 @@ def test_add_is_linear_in_eq_calls(monkeypatch):
     for r in routes:
         table.add(r)
     assert len(table) == n
+    assert calls[0] <= 2 * n
+
+
+def test_remove_is_linear_in_eq_calls(monkeypatch):
+    """Removing n routes one at a time must not scan the table for each
+    (a list ``remove`` is ~n^2/2 ``__eq__``)."""
+    calls = [0]
+    eq = RouteEntry.__eq__
+
+    def counting_eq(self, other):
+        calls[0] += 1
+        return eq(self, other)
+
+    n = 2000
+    routes = [route(mac(i % 256), f"52:00:00:01:{i >> 8:02x}:{i & 0xff:02x}")
+              for i in range(n)]
+    table = RoutingTable(COSTS)
+    table.load(routes)
+    monkeypatch.setattr(RouteEntry, "__eq__", counting_eq)
+    for r in reversed(routes):
+        table.remove(r)
+    assert len(table) == 0
     assert calls[0] <= 2 * n
 
 

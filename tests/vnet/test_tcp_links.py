@@ -43,7 +43,7 @@ def test_tcp_link_carries_guest_traffic():
     sim.process(tx())
     sim.run()
     assert got == [100, 2000, 8000]
-    assert tb.hosts[0].vnet_bridge.encap_tx.value == 3
+    assert tb.hosts[0].vnet_bridge.encap_tx == 3
 
 
 def test_tcp_link_reuses_one_connection():
