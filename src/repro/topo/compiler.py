@@ -299,11 +299,10 @@ class TopologyCompiler:
         # Routes: each distinct plan becomes one entry that every table
         # holding it shares, each distinct MAC one validated, shared
         # string, and each plan tuple one compiled table, shared by the
-        # hosts that hold that tuple.  Both maps below are keyed by the
-        # tuple's identity: ``topo`` keeps every plan tuple alive.
+        # hosts that hold that tuple.  ``tables`` is keyed by the tuple's
+        # identity: ``topo`` keeps every plan tuple alive.
         macs: dict[str, str] = {}
         entries: dict[RoutePlan, RouteEntry] = {}
-        vias_of: dict[int, set[str]] = {}
         tables: dict[int, tuple[RouteEntry, ...]] = {}
 
         def mac(text: str) -> str:
@@ -331,17 +330,13 @@ class TopologyCompiler:
 
         compiled = []
         for i, spec in enumerate(topo.hosts):
-            key = id(spec.routes)
-            vias = vias_of.get(key)
-            if vias is None:
-                vias = vias_of[key] = {
-                    p.via_link for p in spec.routes if p.via_link is not None
-                }
             reachable = linked[spec.name]
-            if not vias <= reachable:
-                via = next(p.via_link for p in spec.routes
-                           if p.via_link is not None and p.via_link not in reachable)
-                raise ValueError(f"route on {spec.name!r}: no overlay link to {via!r}")
+            for plan in spec.routes:
+                if plan.via_link is not None and plan.via_link not in reachable:
+                    raise ValueError(
+                        f"route on {spec.name!r}: no overlay link to {plan.via_link!r}"
+                    )
+            key = id(spec.routes)
             routes = tables.get(key)
             if routes is None:
                 routes = tables[key] = compile_table(spec.routes)

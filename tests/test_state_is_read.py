@@ -4,9 +4,11 @@ A store ``self.<attr> = ...`` (plain, augmented or annotated, alone or
 inside a tuple target) under ``src/repro`` needs a reader: a load of
 ``<expr>.<attr>``, or a ``getattr``/``hasattr`` of the constant
 ``"<attr>"``, somewhere in ``src/``, ``bench/``, ``benchmarks/``,
-``examples/`` or ``tools/``.  A counter a class lists in its
-``COUNTERS`` tuple is read too: the metrics registry reads it by name
-on every dump.  Tests do not count as readers.  A tally that nothing
+``examples/`` or ``tools/``.  A store of a counter that the storing
+class, or a base class it names, lists in a ``COUNTERS`` tuple is read
+too: the metrics registry reads it by name on every dump.  The same
+name stored in any other class still needs a reader.  Tests do not
+count as readers.  A tally that nothing
 reads is deleted; a drop worth keeping is a published counter, so a
 RunArtifact shows it.
 
@@ -21,6 +23,7 @@ to be found by hand.
 
 import ast
 import dataclasses
+from collections import deque
 from pathlib import Path
 
 from repro import config
@@ -32,10 +35,16 @@ READER_DIRS = ("src", "bench", "benchmarks", "examples", "tools")
 GETTERS = {"getattr", "hasattr"}
 
 
-def _self_stores(tree: ast.AST) -> list[tuple[str, int]]:
-    """``(attr, line)`` of every ``self.<attr>`` store target."""
+def _self_stores(tree: ast.AST) -> list[tuple[str, int, str | None]]:
+    """``(attr, line, class)`` of every ``self.<attr>`` store target;
+    ``class`` names the innermost enclosing class, if any."""
     found = []
-    for node in ast.walk(tree):
+    queue = deque([(tree, None)])
+    while queue:
+        node, cls = queue.popleft()
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        queue.extend((child, cls) for child in ast.iter_child_nodes(node))
         if isinstance(node, ast.Assign):
             targets = list(node.targets)
         elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
@@ -53,26 +62,16 @@ def _self_stores(tree: ast.AST) -> list[tuple[str, int]]:
                 and isinstance(t.value, ast.Name)
                 and t.value.id == "self"
             ):
-                found.append((t.attr, t.lineno))
+                found.append((t.attr, t.lineno, cls))
     return found
 
 
 def _reads(tree: ast.AST) -> set[str]:
-    """Attribute names loaded, named by a constant ``getattr``, or
-    published through a ``COUNTERS`` tuple."""
+    """Attribute names loaded or named by a constant ``getattr``."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
-        elif (
-            isinstance(node, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "COUNTERS" for t in node.targets)
-            and isinstance(node.value, ast.Tuple)
-        ):
-            names |= {
-                _attribute(e.value) for e in node.value.elts
-                if isinstance(e, ast.Constant) and isinstance(e.value, str)
-            }
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -85,13 +84,68 @@ def _reads(tree: ast.AST) -> set[str]:
     return names
 
 
+def _classes(tree: ast.AST) -> dict[str, tuple[set[str], list[str]]]:
+    """Class name -> (attributes its ``COUNTERS`` tuple publishes, names
+    of its bases)."""
+    found = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        published = set()
+        for stmt in node.body:
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, ast.AnnAssign):
+                targets = [stmt.target]
+            else:
+                continue
+            if (
+                any(isinstance(t, ast.Name) and t.id == "COUNTERS" for t in targets)
+                and isinstance(stmt.value, ast.Tuple)
+            ):
+                published |= {
+                    _attribute(e.value) for e in stmt.value.elts
+                    if isinstance(e, ast.Constant) and isinstance(e.value, str)
+                }
+        bases = [
+            b.id if isinstance(b, ast.Name) else b.attr
+            for b in node.bases if isinstance(b, (ast.Name, ast.Attribute))
+        ]
+        found[node.name] = (published, bases)
+    return found
+
+
+def _published(classes: dict[str, tuple[set[str], list[str]]], name: str | None) -> set[str]:
+    """Attributes ``name`` or any base it names publishes as counters."""
+    out: set[str] = set()
+    seen: set[str] = set()
+    todo = [name]
+    while todo:
+        cls = todo.pop()
+        if cls in seen or cls not in classes:
+            continue
+        seen.add(cls)
+        published, bases = classes[cls]
+        out |= published
+        todo.extend(bases)
+    return out
+
+
 def _unread_stores(modules: dict[str, str], readers: set[str]) -> list[str]:
     """``attr@name:line`` of every store in ``modules`` (name -> text)
-    whose attribute is not in ``readers``."""
+    whose attribute is not in ``readers`` and is not a counter that the
+    storing class publishes."""
+    trees = {name: ast.parse(text, filename=name) for name, text in modules.items()}
+    classes: dict[str, tuple[set[str], list[str]]] = {}
+    for tree in trees.values():
+        for cls, (published, bases) in _classes(tree).items():
+            held = classes.setdefault(cls, (set(), []))
+            held[0].update(published)
+            held[1].extend(bases)
     found = []
-    for name, text in modules.items():
-        for attr, line in _self_stores(ast.parse(text, filename=name)):
-            if attr not in readers:
+    for name, tree in trees.items():
+        for attr, line, cls in _self_stores(tree):
+            if attr not in readers and attr not in _published(classes, cls):
                 found.append(f"{attr}@{name}:{line}")
     return found
 
@@ -113,8 +167,9 @@ def test_every_stored_attribute_is_read():
 
 
 def test_check_finds_write_only_state():
-    """Every store form counts, and only loads, constant ``getattr``s and
-    ``COUNTERS`` entries count as reads; a store is no read of its own."""
+    """Every store form counts, and only loads and constant ``getattr``s
+    count as reads; a store is no read of its own.  A ``COUNTERS`` entry
+    excuses stores in its class and subclasses, not in other classes."""
     module = (
         "class C:\n"
         "    COUNTERS = ('exits.virtio-kick',)\n"
@@ -128,6 +183,12 @@ def test_check_finds_write_only_state():
         "    def tx(self):\n"
         "        self.sent += 1\n"
         "        return self.kept\n"
+        "class D(C):\n"
+        "    def kick(self):\n"
+        "        self.exits_virtio_kick += 1\n"
+        "class E:\n"
+        "    def __init__(self):\n"
+        "        self.exits_virtio_kick = 0\n"
     )
     reader = "def probe(c):\n    return getattr(c, 'peeked'), c.lo\n"
     readers = _reads(ast.parse(module)) | _reads(ast.parse(reader))
@@ -137,6 +198,7 @@ def test_check_finds_write_only_state():
         "rest@probe.py:9",
         "hi@probe.py:9",
         "sent@probe.py:11",
+        "exits_virtio_kick@probe.py:18",
     ]
 
 
